@@ -1,8 +1,7 @@
-"""Large-fabric scale benchmark — the routing-core trajectory (ISSUE 8).
+"""Large-fabric scale benchmark — the routing-core trajectory.
 
 Where ``test_bench_kernel_throughput`` tracks the small-fabric Figure 10
-workload, this benchmark pins the two scale points the vectorised routing
-core exists for:
+workload, this benchmark pins the large-fabric scale points:
 
 * ``tiles1k``  — a 250-qubit clifford+Rz scenario on a 1024-tile STAR
   fabric (~3.7k gates), run under BOTH the ``vector`` and the reference
@@ -10,12 +9,9 @@ core exists for:
 * ``gates100k`` — the same fabric with a >100k-gate circuit, run under the
   ``vector`` backend only (a single pass already takes ~1 wall-minute; the
   byte-identical goldens cover python-backend correctness).
-* ``tiles4k`` — a 1000-qubit scenario on a 4096-tile fabric, run under
-  BOTH the ``batched`` and reference ``python`` event engines (ISSUE 9).
-  Thousands of tiles produce large same-cycle event buckets — the regime
-  the batched engine's whole-boundary drains target.  Event dispatch is
-  a minority of total wall time, so the engines stay close; the point
-  exists to pin that neither engine regresses at scale.
+* ``tiles4k`` — a 1000-qubit scenario on a 4096-tile fabric, run once
+  under the default ``vector`` backend (cold and warm) so the largest
+  fabric's wall is tracked.
 
 Each backend gets a FRESH layout and is timed twice: the ``cold`` run is
 where backends differ (``RoutingIndex.for_layout`` memoises paths, plans
@@ -58,19 +54,16 @@ STRICT = bool(int(os.environ.get("RESCQ_BENCH_STRICT", "0")))
 REBASE = bool(int(os.environ.get("RESCQ_BENCH_REBASE", "0")))
 
 #: (name, circuit kwargs, dimension, values, time a warm second run?).
-#: ``dimension`` names the config knob being compared: ``routing_backend``
-#: points exercise the vectorised routing core, ``kernel_backend`` points
-#: exercise the event engines.  250 data qubits on the STAR layout is a
-#: 32x32 = 1024-tile fabric; 1000 data qubits is 64x64 = 4096 tiles —
-#: the regime where same-cycle event buckets grow large enough to
-#: exercise the batched engine's whole-boundary drains.
+#: ``dimension`` names the config knob being compared.  250 data qubits on
+#: the STAR layout is a 32x32 = 1024-tile fabric; 1000 data qubits is
+#: 64x64 = 4096 tiles.
 SCALE_POINTS = (
     ("tiles1k", dict(n=250, depth=20, seed=3),
      "routing_backend", ("vector", "python"), True),
     ("gates100k", dict(n=250, depth=560, seed=3),
      "routing_backend", ("vector",), False),
     ("tiles4k", dict(n=1000, depth=6, seed=3),
-     "kernel_backend", ("batched", "python"), True),
+     "routing_backend", ("vector",), True),
 )
 
 

@@ -26,7 +26,6 @@ import os
 import time
 
 from repro import SimulationConfig
-from repro.kernel import KERNEL_BACKEND_NAMES, kernel_numba_available
 from repro.scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
 from repro.sim.runner import default_layout
 
@@ -97,37 +96,6 @@ def test_bench_kernel_throughput():
         total_wall += wall
         total_cycles += sim_cycles
 
-    # Per-engine RESCQ throughput: every kernel backend runs the same
-    # workload (results are byte-identical — the golden-engine matrix
-    # enforces that), so the walls isolate pure event-engine overhead.
-    # "cold" is the first pass (includes any lazy compilation, e.g. the
-    # numba run-kernel warm-up); "warm" is the best of the remaining passes.
-    per_engine = {}
-    for engine_name in KERNEL_BACKEND_NAMES:
-        if engine_name == "numba" and not kernel_numba_available():
-            continue
-        engine_config = SimulationConfig(kernel_backend=engine_name)
-        walls = []
-        for _round in range(3):
-            start = time.perf_counter()
-            sim_cycles = 0
-            for circuit, layout in zip(circuits, layouts):
-                scheduler = SCHEDULER_REGISTRY.create("rescq")
-                for seed in range(SEEDS):
-                    result = scheduler.run(circuit, layout, engine_config,
-                                           seed=seed)
-                    sim_cycles += result.total_cycles
-            walls.append(time.perf_counter() - start)
-        cold, warm = walls[0], min(walls[1:])
-        throughput = sim_cycles / warm
-        per_engine[engine_name] = {
-            "cold_wall_s": round(cold, 4),
-            "warm_wall_s": round(warm, 4),
-            "sim_cycles": sim_cycles,
-            "cycles_per_sec": round(throughput, 1),
-            "normalised_throughput": round(throughput * calibration_s, 1),
-        }
-
     baseline = None
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
@@ -146,7 +114,6 @@ def test_bench_kernel_throughput():
                                            * calibration_s, 1),
         },
         "per_scheduler": per_scheduler,
-        "per_engine": per_engine,
     }
 
     if baseline is not None and "pre_kernel" in baseline:
@@ -170,11 +137,6 @@ def test_bench_kernel_throughput():
         print(f"{name:>10}: {row['cycles_per_sec']:>10.0f} cycles/s  "
               f"(normalised {row['normalised_throughput']:.0f}, "
               f"{row['wall_s']:.2f}s wall)")
-    for name, row in per_engine.items():
-        print(f"engine {name:>8}: {row['cycles_per_sec']:>10.0f} cycles/s  "
-              f"(normalised {row['normalised_throughput']:.0f}, "
-              f"cold {row['cold_wall_s']:.2f}s / warm "
-              f"{row['warm_wall_s']:.2f}s)")
     if "speedup_vs_pre_kernel" in report:
         print(f"speedup vs pre-kernel simulator: "
               f"{report['speedup_vs_pre_kernel']:.2f}x")
@@ -188,9 +150,6 @@ def test_bench_kernel_throughput():
             "normalised_throughput": {
                 name: row["normalised_throughput"]
                 for name, row in per_scheduler.items()},
-            "engine_normalised_throughput": {
-                name: row["normalised_throughput"]
-                for name, row in per_engine.items()},
         }
         if baseline is not None and "pre_kernel" in baseline:
             payload["pre_kernel"] = baseline["pre_kernel"]
@@ -201,9 +160,6 @@ def test_bench_kernel_throughput():
         return
 
     # Regression guard (>20% normalised-throughput drop fails under CI).
-    # Covers both the per-scheduler walls and the per-engine RESCQ walls,
-    # so a slowdown in any event-engine backend fails the gate even while
-    # the default engine stays fast.
     failures = []
     for name, row in per_scheduler.items():
         reference = baseline["normalised_throughput"].get(name)
@@ -213,16 +169,6 @@ def test_bench_kernel_throughput():
         if row["normalised_throughput"] < floor:
             failures.append(
                 f"{name}: normalised throughput "
-                f"{row['normalised_throughput']:.0f} < {floor:.0f} "
-                f"(baseline {reference:.0f} - {REGRESSION_TOLERANCE:.0%})")
-    for name, row in per_engine.items():
-        reference = baseline.get("engine_normalised_throughput", {}).get(name)
-        if reference is None:
-            continue
-        floor = reference * (1.0 - REGRESSION_TOLERANCE)
-        if row["normalised_throughput"] < floor:
-            failures.append(
-                f"engine {name}: normalised throughput "
                 f"{row['normalised_throughput']:.0f} < {floor:.0f} "
                 f"(baseline {reference:.0f} - {REGRESSION_TOLERANCE:.0%})")
     if failures:

@@ -55,10 +55,8 @@ from .scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
 from .sim import (
     SimulationConfig,
     SimulationResult,
-    compare_schedulers,
     default_layout,
     geometric_mean,
-    run_schedule,
 )
 from .exec import (
     ExecutionEngine,
@@ -107,8 +105,6 @@ __all__ = [
     "AutoBraidScheduler",
     "SimulationConfig",
     "SimulationResult",
-    "run_schedule",
-    "compare_schedulers",
     "default_layout",
     "geometric_mean",
     "SimJob",

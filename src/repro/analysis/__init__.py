@@ -23,14 +23,7 @@ from .report import (
     format_normalised_summary,
     format_table,
 )
-from .sweep import (
-    SweepRow,
-    run_axis_sweep,
-    sweep_compression,
-    sweep_distance,
-    sweep_error_rate,
-    sweep_mst_period,
-)
+from .sweep import SweepRow, run_axis_sweep
 
 __all__ = [
     "ExecutionSummary",
@@ -54,8 +47,4 @@ __all__ = [
     "format_normalised_summary",
     "SweepRow",
     "run_axis_sweep",
-    "sweep_distance",
-    "sweep_error_rate",
-    "sweep_mst_period",
-    "sweep_compression",
 ]

@@ -11,13 +11,9 @@ Sweeps are planned as one flat job list — every
 :meth:`~repro.exec.engine.ExecutionEngine.run` call, so a parallel engine
 fans the *entire* grid out at once instead of parallelising one comparison
 cell at a time.  Row order is deterministic: circuits in input order, values
-in input order, schedulers by name.
-
-The per-axis ``sweep_*`` functions went through a ``DeprecationWarning``
-cycle and are now hard errors naming the replacement: use
-:func:`run_axis_sweep` (axis objects), or — for registered benchmarks — put
-the axis in an :class:`~repro.api.spec.ExperimentSpec` grid and call
-:func:`repro.api.run_experiment`.
+in input order, schedulers by name.  For registered benchmarks the same
+sweep can be written as an :class:`~repro.api.spec.ExperimentSpec` grid and
+run with :func:`repro.api.run_experiment`.
 """
 
 from __future__ import annotations
@@ -29,8 +25,7 @@ from ..circuits import Circuit
 from ..exec import ExecutionEngine, SimJob, plan_jobs
 from ..sim import SimulationConfig
 
-__all__ = ["SweepRow", "run_axis_sweep", "sweep_distance", "sweep_error_rate",
-           "sweep_mst_period", "sweep_compression"]
+__all__ = ["SweepRow", "run_axis_sweep"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +63,8 @@ def run_axis_sweep(axis, schedulers, circuits: Sequence[Circuit],
     ``axis`` decides which config field (or layout property) each value
     drives and how the layout is built per point; ``values`` defaults to the
     axis's paper values and ``base`` to the headline configuration.  This is
-    the single engine behind the ``sweep_*`` shims, the benchmark harnesses
-    and the ``rescq sweep`` subcommand.
+    the single engine behind the benchmark harnesses and the ``rescq sweep``
+    subcommand.
     """
     from ..api.resultset import ResultSet
     if isinstance(axis, str):
@@ -90,35 +85,3 @@ def run_axis_sweep(axis, schedulers, circuits: Sequence[Circuit],
     # tagged results back into rows.
     results = engine.run(jobs)
     return ResultSet.from_jobs(jobs, results).sweep_rows(axis.parameter)
-
-
-def _removed(name: str, axis_name: str):
-    raise RuntimeError(
-        f"{name} was removed after its deprecation cycle; use "
-        f"repro.analysis.run_axis_sweep({axis_name!r}, ...) or sweep "
-        f"{axis_name!r} in an ExperimentSpec grid via "
-        f"repro.api.run_experiment")
-
-
-def sweep_distance(*args, **kwargs):
-    """Removed (Figure 11 distance sweep).  Use :func:`run_axis_sweep`
-    with the ``"distance"`` axis or an ExperimentSpec grid."""
-    _removed("sweep_distance", "distance")
-
-
-def sweep_error_rate(*args, **kwargs):
-    """Removed (Figure 12 error-rate sweep).  Use :func:`run_axis_sweep`
-    with the ``"error-rate"`` axis or an ExperimentSpec grid."""
-    _removed("sweep_error_rate", "error-rate")
-
-
-def sweep_mst_period(*args, **kwargs):
-    """Removed (Figure 13 MST-period sweep).  Use :func:`run_axis_sweep`
-    with the ``"mst-period"`` axis or an ExperimentSpec grid."""
-    _removed("sweep_mst_period", "mst-period")
-
-
-def sweep_compression(*args, **kwargs):
-    """Removed (Figure 14 compression sweep).  Use :func:`run_axis_sweep`
-    with the ``"compression"`` axis or an ExperimentSpec grid."""
-    _removed("sweep_compression", "compression")

@@ -17,9 +17,6 @@ serializable artifact plus a handful of pluggable registries:
   ``to_csv`` / ``to_json``);
 * :mod:`repro.api.facade` — :func:`run_experiment` and the engine builder
   shared by the CLI and the benchmark harnesses;
-* :mod:`repro.api.backends` — :func:`available_backends`, the introspection
-  surface over the pluggable routing/kernel backend families (name, kind,
-  availability, install hint) behind ``rescq backends``;
 * :mod:`repro.api.envelope` — the ``rescq serve`` wire format:
   :class:`SubmissionEnvelope` (a spec plus delivery options),
   :class:`JobStatus` and :class:`SubmissionReport`.
@@ -46,8 +43,6 @@ the whole experiment layer (and hence an import cycle) in behind it.
 from typing import TYPE_CHECKING
 
 _EXPORTS = {
-    "BackendInfo": "backends",
-    "available_backends": "backends",
     "Registry": "registry",
     "RegistryError": "registry",
     "DuplicateEntryError": "registry",
@@ -74,7 +69,6 @@ __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static importers only
     from .axes import SweepAxis
-    from .backends import BackendInfo, available_backends
     from .envelope import (EnvelopeError, JobStatus, SubmissionEnvelope,
                            SubmissionReport)
     from .facade import build_engine, render_experiment, run_experiment

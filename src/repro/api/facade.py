@@ -12,12 +12,10 @@ from typing import List, Optional
 from ..exec.cache import open_cache_backend
 from ..exec.engine import ExecutionEngine
 from ..exec.executors import ParallelExecutor, SerialExecutor
-from .backends import BackendInfo, available_backends
 from .resultset import ResultSet
 from .spec import ExperimentSpec
 
-__all__ = ["run_experiment", "build_engine", "render_experiment",
-           "BackendInfo", "available_backends"]
+__all__ = ["run_experiment", "build_engine", "render_experiment"]
 
 
 def build_engine(jobs: int = 1, cache: Optional[str] = None,

@@ -6,10 +6,6 @@ Subcommands
 ``list``
     Print the Table 3 benchmark registry (paper vs generated gate counts),
     sorted by benchmark name.
-``backends``
-    List the pluggable backend families — routing backends and kernel event
-    engines — with availability and install hints for missing extras
-    (rendered from :func:`repro.api.backends.available_backends`).
 ``run``
     Execute one benchmark under one or more schedulers and print cycles.
     The benchmark may be a registered name (``qft_n18``), a
@@ -84,7 +80,6 @@ from .api.registries import DEFAULT_SCHEDULER_NAMES, SCHEDULERS
 from .api.spec import ExperimentSpec, SpecValidationError
 from .circuits import to_artifact_format, to_qasm
 from .exec import ExecutionEngine
-from .kernel.engines import KERNEL_BACKEND_NAMES
 from .lattice import ROUTING_BACKEND_NAMES
 from .rus import PreparationModel
 from .workloads import (
@@ -139,16 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "index (default: the config default, "
                                  "'vector'); all backends produce identical "
                                  "traces")
-    run_parser.add_argument("--kernel-backend",
-                            choices=KERNEL_BACKEND_NAMES, default=None,
-                            help="event engine behind the simulation kernel "
-                                 "(default: the config default, 'batched'); "
-                                 "all engines produce identical traces")
     _add_engine_arguments(run_parser)
-
-    sub.add_parser("backends",
-                   help="list the pluggable routing/kernel backends and "
-                        "their availability on this machine")
 
     sweep_parser = sub.add_parser("sweep", help="run a sensitivity sweep")
     sweep_parser.add_argument("kind", choices=AXIS_REGISTRY.names(),
@@ -342,22 +328,6 @@ def _command_list() -> int:
     return 0
 
 
-def _command_backends() -> int:
-    from .api.backends import available_backends
-    rows = []
-    for info in available_backends():
-        rows.append({
-            "kind": info.kind,
-            "name": info.name + (" *" if info.default else ""),
-            "available": "yes" if info.available else "no",
-            "description": info.description
-                           + (f" ({info.install_hint})"
-                              if info.install_hint else ""),
-        })
-    print(format_table(rows, title="Pluggable backends (* = default)"))
-    return 0
-
-
 def _command_run(args: argparse.Namespace) -> int:
     config = {"distance": args.distance,
               "physical_error_rate": args.error_rate,
@@ -367,8 +337,6 @@ def _command_run(args: argparse.Namespace) -> int:
         config["profile_enabled"] = True
     if args.routing_backend is not None:
         config["routing_backend"] = args.routing_backend
-    if args.kernel_backend is not None:
-        config["kernel_backend"] = args.kernel_backend
     spec = ExperimentSpec(
         name=args.benchmark,
         benchmarks=(args.benchmark,),
@@ -744,8 +712,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list":
         return _command_list()
-    if args.command == "backends":
-        return _command_backends()
     if args.command == "run":
         return _command_run(args)
     if args.command == "sweep":

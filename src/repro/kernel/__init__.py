@@ -5,18 +5,13 @@ baselines used to hand-roll separately into four layers (bottom to top):
 
 ``SimulationClock`` (:mod:`repro.kernel.clock`)
     The simulated-time axis: the current cycle plus a deterministic
-    event queue (ordered by cycle, then strictly by push order).  It is
-    the ``python`` reference of a pluggable **event-engine** family
-    (:mod:`repro.kernel.engines`): the ``batched`` default drains whole
-    cycle boundaries from cycle-bucketed struct-of-arrays storage, the
-    optional ``numba`` engine compiles the drain segmentation — all
-    byte-identical, selected via ``SimulationConfig(kernel_backend=...)``.
+    ``heapq`` event queue (ordered by cycle, then strictly by push order).
 
 ``FabricState`` (:mod:`repro.kernel.fabric_state`)
     Runtime state of the tile grid shared by all policies: per-ancilla
     busy-until times and held states, per-data-qubit busy-until times and
     busy-cycle accounting, edge orientations, and (for policies that route
-    on it) the sliding-window activity tracker.
+    on it) the sliding-window :class:`~repro.kernel.activity.ActivityTracker`.
 
 ``GateLifecycle`` (:mod:`repro.kernel.lifecycle`)
     The gate state machine: dependency releases, per-gate release cycles,
@@ -32,9 +27,8 @@ baselines used to hand-roll separately into four layers (bottom to top):
     only implement release rules, queue arbitration and plan choice.
 """
 
+from .activity import ActivityTracker
 from .clock import SimulationClock
-from .engines import (KERNEL_BACKEND_NAMES, BatchedEngine, NumbaEngine,
-                      create_engine, kernel_numba_available)
 from .fabric_state import FabricState
 from .kernel import (DeadlockError, EventDrivenPolicy, LayerSyncPolicy,
                      SimulationKernel)
@@ -43,11 +37,7 @@ from .profiler import KernelProfile, profile_timer
 
 __all__ = [
     "SimulationClock",
-    "KERNEL_BACKEND_NAMES",
-    "BatchedEngine",
-    "NumbaEngine",
-    "create_engine",
-    "kernel_numba_available",
+    "ActivityTracker",
     "FabricState",
     "GateLifecycle",
     "KernelProfile",

@@ -1,11 +1,4 @@
-"""The simulated-time axis: current cycle plus a deterministic event queue.
-
-:class:`SimulationClock` doubles as the ``python`` reference **event
-engine**: the other engines in :mod:`repro.kernel.engines` implement the
-same interface (``push`` / ``next_event_cycle`` / ``advance`` / ``pop_due``
-/ ``dispatch_due``) over different storage, and are validated against this
-one event for event.
-"""
+"""The simulated-time axis: current cycle plus a deterministic event queue."""
 
 from __future__ import annotations
 
@@ -23,9 +16,6 @@ class SimulationClock:
     contents — which is what makes kernel event ordering deterministic and
     independent of dict/set iteration order in the policies.
     """
-
-    #: Engine name (see :data:`repro.kernel.engines.KERNEL_BACKEND_NAMES`).
-    name = "python"
 
     def __init__(self) -> None:
         self.now = 0
@@ -56,19 +46,6 @@ class SimulationClock:
             _cycle, _seq, tag, payload = heapq.heappop(self._events)
             self.events_processed += 1
             yield tag, payload
-
-    def dispatch_due(self, cycle: int, policy) -> None:
-        """Pop every event due at or before ``cycle`` and hand it to ``policy``.
-
-        The reference dispatch discipline: one
-        :meth:`~repro.kernel.kernel.EventDrivenPolicy.handle_event` call per
-        event, in strict ``(cycle, push-order)`` sequence.  The batched
-        engines dispatch the same events in the same order but grouped into
-        homogeneous-tag runs (see
-        :meth:`~repro.kernel.kernel.EventDrivenPolicy.handle_event_batch`).
-        """
-        for tag, payload in self.pop_due(cycle):
-            policy.handle_event(tag, payload)
 
     @property
     def pending_events(self) -> int:

@@ -31,7 +31,7 @@ class FabricState:
     num_qubits:
         Number of program qubits (sizes the per-data-qubit arrays).
     activity_window:
-        When given, an :class:`~repro.scheduling.activity.ActivityTracker`
+        When given, an :class:`~repro.kernel.activity.ActivityTracker`
         over that window records every busy interval (RESCQ's MST routing
         metric); layer-synchronous policies pass ``None`` and skip the
         bookkeeping entirely.

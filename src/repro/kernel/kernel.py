@@ -30,7 +30,7 @@ from ..circuits import Circuit, Gate
 from ..lattice import RoutingIndex
 from ..sim.config import SimulationConfig
 from ..sim.results import SimulationResult
-from .engines import create_engine
+from .clock import SimulationClock
 from .fabric_state import FabricState
 from .lifecycle import GateLifecycle
 from .profiler import KernelProfile
@@ -57,21 +57,8 @@ class EventDrivenPolicy(abc.ABC):
     def handle_event(self, tag: str, payload: tuple) -> None:
         """React to one completion event popped from the clock's queue."""
 
-    def handle_event_batch(self, tag: str, payloads: list) -> None:
-        """React to a run of same-tag events due at the same cycle.
-
-        Called by the batched event engines with the payloads in push order.
-        The default is the reference discipline — one :meth:`handle_event`
-        call per payload — and any override MUST be observationally
-        equivalent to that loop (the golden suite and the engine-equivalence
-        property tests pin this).
-        """
-        handle = self.handle_event
-        for payload in payloads:
-            handle(tag, payload)
-
     def on_advance(self) -> None:
-        """Called after each batch of events, with the clock at the new cycle."""
+        """Called after the events due at a cycle ran, with the clock there."""
 
     def result_metadata(self) -> Dict[str, float]:
         """Extra fields for :attr:`SimulationResult.metadata`."""
@@ -108,7 +95,7 @@ class SimulationKernel:
         self.benchmark = benchmark if benchmark is not None else circuit.name
         self.rng = np.random.default_rng(seed)
 
-        self.clock = create_engine(config.kernel_backend)
+        self.clock = SimulationClock()
         self.fabric = FabricState(layout, circuit.num_qubits,
                                   activity_window=activity_window)
         self.lifecycle = GateLifecycle(circuit)
@@ -148,7 +135,8 @@ class SimulationKernel:
             if next_cycle > self.config.max_cycles:
                 raise RuntimeError("simulation exceeded max_cycles")
             self.clock.advance(next_cycle)
-            self.clock.dispatch_due(next_cycle, policy)
+            for tag, payload in self.clock.pop_due(next_cycle):
+                policy.handle_event(tag, payload)
             policy.on_advance()
         if profile is not None:
             profile.add_wall("total", time.perf_counter() - wall_start)
@@ -186,12 +174,6 @@ class SimulationKernel:
         profile: Dict[str, float] = {}
         if self.profile is not None:
             self.profile.add("events", float(self.clock.events_processed))
-            batches = getattr(self.clock, "batches_dispatched", None)
-            if batches is not None:
-                self.profile.add("event_batches", float(batches))
-                self.profile.observe_max(
-                    "max_bucket_events",
-                    float(self.clock.max_bucket_events))
             self.profile.add("routing_queries",
                              float(self.routing.queries
                                    - self._routing_queries_start))

@@ -12,7 +12,7 @@ task objects, queues and arbitration).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from ..circuits import Circuit, GateDependencyGraph
 from ..sim.results import GateTrace
@@ -70,24 +70,6 @@ class GateLifecycle:
         newly_released = self.dag.complete(trace.gate_index)
         for index in newly_released:
             self.release_cycle[index] = now
-        return newly_released
-
-    def retire_many(self, traces: Iterable[GateTrace], now: int) -> List[int]:
-        """Retire a batch of gates in order; one combined release list.
-
-        Exactly equivalent to calling :meth:`retire` per trace — the batched
-        event engine uses this to retire a whole homogeneous event run with
-        one lifecycle call.
-        """
-        append = self.traces.append
-        complete = self.dag.complete
-        release_cycle = self.release_cycle
-        newly_released: List[int] = []
-        for trace in traces:
-            append(trace)
-            for index in complete(trace.gate_index):
-                release_cycle[index] = now
-                newly_released.append(index)
         return newly_released
 
     def describe_pending(self, limit: int = 4) -> str:

@@ -69,16 +69,6 @@ class KernelProfile:
     def add_wall(self, phase: str, seconds: float) -> None:
         self.wall[phase] = self.wall.get(phase, 0.0) + seconds
 
-    def observe_max(self, counter: str, value: float) -> None:
-        """Track the running maximum of ``value`` under ``counter``.
-
-        For high-water marks (largest event bucket, deepest queue) where
-        accumulation would be meaningless.
-        """
-        current = self.counters.get(counter)
-        if current is None or value > current:
-            self.counters[counter] = value
-
     @contextmanager
     def timer(self, phase: str) -> Iterator[None]:
         """Accumulate the *exclusive* wall time of the block under ``phase``.

@@ -4,7 +4,6 @@ from .backends import (
     ROUTING_BACKEND_NAMES,
     RoutingBackend,
     get_backend,
-    numba_available,
 )
 from .operations import DEFAULT_COSTS, LatticeSurgeryCosts
 from .orientation import OrientationTracker
@@ -28,5 +27,4 @@ __all__ = [
     "enumerate_cnot_plans",
     "find_shortest_cnot_plan",
     "get_backend",
-    "numba_available",
 ]

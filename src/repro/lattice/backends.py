@@ -1,19 +1,15 @@
-"""Pluggable shortest-path backends for the routing index.
+"""Shortest-path backends for the routing index.
 
-Every backend answers the same query — the shortest path of free ancilla
-tiles between two ancillas, byte-identical to the reference implementation —
-but with different machinery:
+Both backends answer the same query — the shortest path of free ancilla
+tiles between two ancillas — byte-identically, with different machinery:
 
 * ``python`` — the reference: the original object-graph FIFO BFS
   (:func:`~repro.lattice.routing.bfs_ancilla_path`).  Always available,
-  always correct; the other backends are validated against it.
-* ``vector`` — batched level-synchronous BFS over the
+  always correct; the test oracle for ``vector``.
+* ``vector`` (the default) — batched level-synchronous BFS over the
   :class:`~repro.fabric.flat.FlatGrid` int32 neighbour table.  One numpy
   pass expands a whole frontier; full parent trees are memoised per source
   (and per layout revision) so repeated goals cost one array walk.
-* ``numba`` — the same flat-array BFS compiled with ``numba.njit``
-  (optional dependency, ``pip install repro[numba]``).  Import-guarded:
-  selecting it without numba installed raises with an install hint.
 
 Exactness argument (why the vector BFS is byte-identical): the reference
 BFS pops nodes FIFO — i.e. in discovery order — and scans neighbours in
@@ -36,19 +32,10 @@ import numpy as np
 from ..fabric import GridLayout, Position
 from ..fabric.flat import FlatGrid
 
-__all__ = ["RoutingBackend", "PythonBackend", "VectorBackend", "NumbaBackend",
-           "ROUTING_BACKEND_NAMES", "get_backend", "numba_available"]
+__all__ = ["RoutingBackend", "PythonBackend", "VectorBackend",
+           "ROUTING_BACKEND_NAMES", "get_backend"]
 
-ROUTING_BACKEND_NAMES = ("python", "vector", "numba")
-
-
-def numba_available() -> bool:
-    """True when the optional numba dependency can be imported."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+ROUTING_BACKEND_NAMES = ("python", "vector")
 
 
 class RoutingBackend:
@@ -191,70 +178,9 @@ class VectorBackend(RoutingBackend):
         return path
 
 
-class NumbaBackend(VectorBackend):
-    """The flat-array BFS compiled with ``numba.njit``.
-
-    The compiled kernel is a scalar FIFO BFS over the same int32 neighbour
-    table — the first-claim parent rule is the loop order itself, so its
-    parent arrays are identical to both reference implementations.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        super().__init__()
-        if not numba_available():
-            raise RuntimeError(
-                "routing_backend='numba' requires the optional numba "
-                "dependency; install it with `pip install repro[numba]` "
-                "or select the 'vector' backend")
-        self._kernel = _build_numba_kernel()
-
-    def _compute_parents(self, flat: FlatGrid, source: int,
-                         blocked_mask: Optional[np.ndarray],
-                         goal: int) -> np.ndarray:
-        if blocked_mask is None:
-            blocked_mask = np.zeros(0, dtype=np.bool_)
-        return self._kernel(flat.route_neighbors, np.int32(source),
-                            blocked_mask, np.int32(goal))
-
-
-def _build_numba_kernel():
-    """Compile the BFS kernel (deferred so import works without numba)."""
-    from numba import njit
-
-    @njit(cache=True)
-    def bfs_parents(neighbor_table, source, blocked_mask, goal):
-        size = neighbor_table.shape[0]
-        parents = np.full(size, -1, dtype=np.int32)
-        parents[source] = source
-        queue = np.empty(size, dtype=np.int32)
-        queue[0] = source
-        head, tail = 0, 1
-        use_blocked = blocked_mask.size > 0
-        while head < tail:
-            current = queue[head]
-            head += 1
-            for axis in range(4):
-                neighbor = neighbor_table[current, axis]
-                if neighbor < 0 or parents[neighbor] >= 0:
-                    continue
-                if use_blocked and blocked_mask[neighbor]:
-                    continue
-                parents[neighbor] = current
-                if neighbor == goal:
-                    return parents
-                queue[tail] = neighbor
-                tail += 1
-        return parents
-
-    return bfs_parents
-
-
 _BACKEND_CLASSES = {
     "python": PythonBackend,
     "vector": VectorBackend,
-    "numba": NumbaBackend,
 }
 
 

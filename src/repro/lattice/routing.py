@@ -233,10 +233,9 @@ class RoutingIndex:
     ``path_finder`` (RESCQ's MST tree paths) are answered without touching
     the plan cache, but still reuse the cached attachment candidates.
 
-    Shortest-path queries are delegated to a pluggable
+    Shortest-path queries are delegated to a
     :class:`~repro.lattice.backends.RoutingBackend` (``python`` reference
-    BFS, batched numpy ``vector`` BFS, or the optional compiled ``numba``
-    kernel) — all byte-identical, selected via
+    BFS or batched numpy ``vector`` BFS) — byte-identical, selected via
     ``SimulationConfig(routing_backend=...)``.
 
     One index per (layout, backend) is typically shared via

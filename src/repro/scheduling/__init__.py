@@ -14,7 +14,6 @@ scheduler names through::
 """
 
 from ..api.registry import Registry
-from .activity import ActivityTracker
 from .base import Scheduler, gate_kind
 from .mst import AncillaMst, AsyncMstPipeline, IncrementalMst, build_activity_graph
 from .queues import AncillaQueue, AncillaRole, AncillaStatus, QueueEntry, QueueSet
@@ -30,7 +29,6 @@ __all__ = [
     "StaticLayerScheduler",
     "SCHEDULER_REGISTRY",
     "DEFAULT_SCHEDULER_NAMES",
-    "ActivityTracker",
     "AncillaMst",
     "AsyncMstPipeline",
     "IncrementalMst",

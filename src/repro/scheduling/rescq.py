@@ -164,7 +164,7 @@ class RescqPolicy(EventDrivenPolicy):
         self.task_order: List[int] = []
         #: The released-gate frontier only changes when a gate retires, so
         #: scheduling passes skip the ready-scan until this flag is set again
-        #: by :meth:`_finish_gate` / :meth:`_finish_gates`.
+        #: by :meth:`_finish_gate`.
         self._ready_dirty = True
         #: Per-entry queue cost of a pending Rz in :meth:`_expected_free_time`.
         #: ``expected_cycles()`` is a pure function of the preparation model,
@@ -204,33 +204,6 @@ class RescqPolicy(EventDrivenPolicy):
             self._on_cnot_done(*payload)
         elif tag == "h":
             self._on_hadamard_done(*payload)
-
-    def handle_event_batch(self, tag: str, payloads: list) -> None:
-        """Batched dispatch from the bucketed event engines.
-
-        Each override is stream-equivalent to the scalar loop the reference
-        engine drives (the golden suite pins this under every engine):
-
-        * ``inject`` — the outcome draws batch into one vectorised RNG call
-          (:func:`numpy.random.Generator.random` consumes the bit stream
-          exactly like successive scalar draws, the same property
-          ``sample_cycles_batch`` relies on);
-        * ``cnot`` / ``h`` — per-event side effects stay in event order, but
-          the whole run retires through one
-          :meth:`~repro.kernel.lifecycle.GateLifecycle.retire_many` call;
-        * ``prep`` — scalar loop: eager retargeting means one prep event can
-          re-level another in-flight preparation of the same gate, so the
-          handlers must interleave exactly as the reference engine does.
-        """
-        if tag == "inject":
-            self._on_injections_done(payloads)
-        elif tag == "cnot":
-            self._on_cnots_done(payloads)
-        elif tag == "h":
-            self._on_hadamards_done(payloads)
-        else:
-            for payload in payloads:
-                self._on_prep_done(*payload)
 
     def result_metadata(self) -> Dict[str, float]:
         return {
@@ -733,33 +706,6 @@ class RescqPolicy(EventDrivenPolicy):
             return
         self._apply_injection_outcome(task, bool(self.rng.random() < 0.5))
 
-    def _on_injections_done(self, payloads: list) -> None:
-        """A same-cycle run of injection completions, outcomes drawn at once.
-
-        Stream-equivalence with the scalar path: every in-flight injection
-        belongs to a distinct gate (``task.injecting`` admits one at a time)
-        and handling one outcome never changes whether another event in the
-        run is stale — so filtering the live events first and then drawing
-        all their outcomes in one vectorised call consumes the RNG exactly
-        like the reference engine's draw-per-event interleaving.
-        """
-        tasks = self.tasks
-        live = []
-        for gate_index, _position, _finish in payloads:
-            task = tasks.get(gate_index)
-            if isinstance(task, _RzTask) and not task.done:
-                live.append(task)
-        if not live:
-            return
-        if len(live) == 1:
-            self._apply_injection_outcome(live[0],
-                                          bool(self.rng.random() < 0.5))
-            return
-        outcomes = self.rng.random(len(live)) < 0.5
-        apply = self._apply_injection_outcome
-        for task, success in zip(live, outcomes):
-            apply(task, bool(success))
-
     def _apply_injection_outcome(self, task: _RzTask, success: bool) -> None:
         task.injecting = False
         if success:
@@ -829,36 +775,22 @@ class RescqPolicy(EventDrivenPolicy):
         self.clock.push(finish, "cnot", (task.gate_index, finish))
         self._maybe_lookahead_prepare(task.gate_index)
 
-    def _cnot_trace(self, task: _CnotTask, finish: int) -> GateTrace:
-        """Apply a CNOT completion's side effects and build its trace."""
-        if task.plan.control_rotation:
-            self.orientation.rotate(task.control)
-        if task.plan.target_rotation:
-            self.orientation.rotate(task.target)
-        self.queues.remove_gate_everywhere(task.gate_index)
-        return GateTrace(
-            task.gate_index, "cnot", (task.control, task.target),
-            scheduled_cycle=task.release_cycle,
-            start_cycle=task.start_cycle if task.start_cycle is not None
-            else task.release_cycle,
-            end_cycle=finish,
-            edge_rotations=task.plan.num_rotations)
-
     def _on_cnot_done(self, gate_index: int, finish: int) -> None:
         task = self.tasks.get(gate_index)
         if not isinstance(task, _CnotTask):
             return
-        self._finish_gate(self._cnot_trace(task, finish))
-
-    def _on_cnots_done(self, payloads: list) -> None:
-        """A same-cycle run of CNOT completions, retired in one batch."""
-        tasks = self.tasks
-        traces = []
-        for gate_index, finish in payloads:
-            task = tasks.get(gate_index)
-            if isinstance(task, _CnotTask):
-                traces.append(self._cnot_trace(task, finish))
-        self._finish_gates(traces)
+        if task.plan.control_rotation:
+            self.orientation.rotate(task.control)
+        if task.plan.target_rotation:
+            self.orientation.rotate(task.target)
+        self.queues.remove_gate_everywhere(gate_index)
+        self._finish_gate(GateTrace(
+            gate_index, "cnot", (task.control, task.target),
+            scheduled_cycle=task.release_cycle,
+            start_cycle=task.start_cycle if task.start_cycle is not None
+            else task.release_cycle,
+            end_cycle=finish,
+            edge_rotations=task.plan.num_rotations))
 
     def _try_start_hadamard(self, task: _HTask) -> None:
         now = self.clock.now
@@ -877,49 +809,25 @@ class RescqPolicy(EventDrivenPolicy):
         self.clock.push(finish, "h", (task.gate_index, finish))
         self._maybe_lookahead_prepare(task.gate_index)
 
-    def _hadamard_trace(self, task: _HTask, finish: int) -> GateTrace:
-        """Apply a Hadamard completion's side effects and build its trace."""
-        # A logical Hadamard exchanges the patch's X and Z boundaries.
-        self.orientation.rotate(task.qubit)
-        self.queues.remove_gate_everywhere(task.gate_index)
-        return GateTrace(
-            task.gate_index, "h", (task.qubit,),
-            scheduled_cycle=task.release_cycle,
-            start_cycle=task.start_cycle if task.start_cycle is not None
-            else task.release_cycle,
-            end_cycle=finish)
-
     def _on_hadamard_done(self, gate_index: int, finish: int) -> None:
         task = self.tasks.get(gate_index)
         if not isinstance(task, _HTask):
             return
-        self._finish_gate(self._hadamard_trace(task, finish))
-
-    def _on_hadamards_done(self, payloads: list) -> None:
-        """A same-cycle run of Hadamard completions, retired in one batch."""
-        tasks = self.tasks
-        traces = []
-        for gate_index, finish in payloads:
-            task = tasks.get(gate_index)
-            if isinstance(task, _HTask):
-                traces.append(self._hadamard_trace(task, finish))
-        self._finish_gates(traces)
+        # A logical Hadamard exchanges the patch's X and Z boundaries.
+        self.orientation.rotate(task.qubit)
+        self.queues.remove_gate_everywhere(gate_index)
+        self._finish_gate(GateTrace(
+            gate_index, "h", (task.qubit,),
+            scheduled_cycle=task.release_cycle,
+            start_cycle=task.start_cycle if task.start_cycle is not None
+            else task.release_cycle,
+            end_cycle=finish))
 
     # -- completion plumbing ----------------------------------------------------------
 
     def _finish_gate(self, trace: GateTrace) -> None:
         self.lifecycle.retire(trace, self.clock.now)
         self.tasks.pop(trace.gate_index, None)
-        self._ready_dirty = True
-
-    def _finish_gates(self, traces: List[GateTrace]) -> None:
-        """Retire an ordered batch of traces with one lifecycle call."""
-        if not traces:
-            return
-        self.lifecycle.retire_many(traces, self.clock.now)
-        pop = self.tasks.pop
-        for trace in traces:
-            pop(trace.gate_index, None)
         self._ready_dirty = True
 
 

@@ -5,10 +5,7 @@ from .results import GateTrace, SimulationResult, aggregate_results, geometric_m
 from .runner import (
     ComparisonRow,
     aggregate_comparison,
-    compare_schedulers,
     default_layout,
-    run_comparison,
-    run_schedule,
 )
 
 __all__ = [
@@ -19,8 +16,5 @@ __all__ = [
     "geometric_mean",
     "ComparisonRow",
     "aggregate_comparison",
-    "compare_schedulers",
-    "run_comparison",
-    "run_schedule",
     "default_layout",
 ]

@@ -51,16 +51,10 @@ class SimulationConfig:
         :attr:`~repro.sim.results.SimulationResult.profile`.  Pure
         observability: simulated results are identical either way.
     routing_backend:
-        Shortest-path machinery behind the routing index: ``"python"``
-        (reference BFS), ``"vector"`` (batched numpy BFS, the default) or
-        ``"numba"`` (compiled kernel, optional dependency).  All backends
-        produce byte-identical traces; only wall-clock speed differs.
-    kernel_backend:
-        Event engine behind the simulation kernel: ``"python"`` (reference
-        per-event heap), ``"batched"`` (cycle-bucketed boundary drain, the
-        default) or ``"numba"`` (batched with a compiled drain, optional
-        dependency).  Like the routing backends, all engines produce
-        byte-identical traces; only wall-clock speed differs.
+        Shortest-path machinery behind the routing index: ``"vector"``
+        (batched numpy BFS, the default) or ``"python"`` (the reference BFS
+        it is tested against).  Both produce byte-identical traces; only
+        wall-clock speed differs.
     """
 
     distance: int = 7
@@ -78,19 +72,12 @@ class SimulationConfig:
     use_mst_routing: bool = True
     profile_enabled: bool = False
     routing_backend: str = "vector"
-    kernel_backend: str = "batched"
 
     def __post_init__(self) -> None:
         if self.routing_backend not in ROUTING_BACKEND_NAMES:
             raise ValueError(
                 f"routing_backend must be one of {ROUTING_BACKEND_NAMES}, "
                 f"got {self.routing_backend!r}")
-        # Imported lazily: repro.kernel imports this module at load time.
-        from ..kernel.engines import KERNEL_BACKEND_NAMES
-        if self.kernel_backend not in KERNEL_BACKEND_NAMES:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKEND_NAMES}, "
-                f"got {self.kernel_backend!r}")
         if self.distance < 3 or self.distance % 2 == 0:
             raise ValueError("distance must be an odd integer >= 3")
         if not 0.0 < self.physical_error_rate < 0.5:

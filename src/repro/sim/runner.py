@@ -4,13 +4,6 @@ Work is planned as :class:`~repro.exec.jobs.SimJob` lists and executed
 through an :class:`~repro.exec.engine.ExecutionEngine`; experiments are
 described declaratively with :class:`repro.api.ExperimentSpec` and run via
 :func:`repro.api.run_experiment`.
-
-The original loose entry points — ``run_schedule``, ``compare_schedulers``
-and its ``run_comparison`` alias — went through a ``DeprecationWarning``
-cycle and are now hard errors: calling one raises :class:`RuntimeError`
-naming the replacement.  The error stubs remain importable so existing
-``from repro.sim import run_schedule`` statements fail at the call site
-with a message, not at import time with an ``ImportError``.
 """
 
 from __future__ import annotations
@@ -23,8 +16,7 @@ from ..exec.jobs import SimJob
 from ..fabric import GridLayout, StarVariant, compress_layout, star_layout
 from .results import SimulationResult
 
-__all__ = ["default_layout", "run_schedule", "run_comparison",
-           "ComparisonRow", "compare_schedulers", "aggregate_comparison"]
+__all__ = ["default_layout", "ComparisonRow", "aggregate_comparison"]
 
 
 def default_layout(circuit: Circuit, compression: float = 0.0,
@@ -39,41 +31,6 @@ def default_layout(circuit: Circuit, compression: float = 0.0,
     if compression > 0.0:
         layout, _report = compress_layout(layout, compression, seed=seed)
     return layout
-
-
-def _removed(name: str, replacement: str) -> RuntimeError:
-    return RuntimeError(
-        f"{name} was removed after its deprecation cycle; use {replacement} "
-        f"instead (see the 'Experiment API' section of the README)")
-
-
-def run_schedule(*args, **kwargs):
-    """Removed.  Use :func:`repro.api.run_experiment` with an
-    :class:`~repro.api.spec.ExperimentSpec`, or plan jobs explicitly with
-    :func:`repro.exec.plan_jobs` for unregistered circuits/layouts."""
-    raise _removed(
-        "run_schedule",
-        "repro.api.run_experiment with an ExperimentSpec (or "
-        "repro.exec.plan_jobs + ExecutionEngine.run for unregistered "
-        "circuits)")
-
-
-def compare_schedulers(*args, **kwargs):
-    """Removed.  Use :func:`repro.api.run_experiment` with an
-    :class:`~repro.api.spec.ExperimentSpec` naming the schedulers, then
-    :meth:`~repro.api.resultset.ResultSet.comparison_rows`."""
-    raise _removed(
-        "compare_schedulers",
-        "repro.api.run_experiment with an ExperimentSpec, then "
-        "ResultSet.comparison_rows()")
-
-
-def run_comparison(*args, **kwargs):
-    """Removed alias of :func:`compare_schedulers`; same replacement."""
-    raise _removed(
-        "run_comparison",
-        "repro.api.run_experiment with an ExperimentSpec, then "
-        "ResultSet.comparison_rows()")
 
 
 @dataclass

@@ -112,16 +112,11 @@ def run_case(circuit_key: str, scheduler_name: str, seed: int,
     circuit = (circuits[circuit_key] if circuit_key in circuits
                else large_circuits()[circuit_key])
     config = GOLDEN_CONFIG
-    # All routing backends and event engines must reproduce the goldens
-    # byte-identically; CI legs re-run the suite with
-    # RESCQ_GOLDEN_BACKEND=python / numba and RESCQ_GOLDEN_ENGINE=python /
-    # batched / numba.
+    # Both routing backends must reproduce the goldens byte-identically; a
+    # CI job re-runs the suite with RESCQ_GOLDEN_BACKEND=python.
     backend = os.environ.get("RESCQ_GOLDEN_BACKEND")
     if backend:
         config = config.with_updates(routing_backend=backend)
-    engine = os.environ.get("RESCQ_GOLDEN_ENGINE")
-    if engine:
-        config = config.with_updates(kernel_backend=engine)
     if variant == "no_mst":
         config = config.with_updates(use_mst_routing=False)
     elif variant == "ablated":

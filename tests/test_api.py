@@ -1,11 +1,13 @@
 """Tests for the declarative experiment API (repro.api)."""
 
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import run_axis_sweep
 from repro.api import (
     BENCHMARKS,
     LAYOUTS,
@@ -377,3 +379,20 @@ class TestEngines:
         assert engine.stats.executed == len(first)  # unchanged: all hits
         assert [row.summary() for row in first] == \
                [row.summary() for row in second]
+
+
+class TestNoDeprecationNoise:
+    def test_run_axis_sweep_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = run_axis_sweep("mst-period", [RescqScheduler()],
+                                  [qft_circuit(6)], values=(25,), seeds=1)
+        assert len(rows) == 1
+
+    def test_run_experiment_does_not_warn(self):
+        spec = ExperimentSpec(benchmarks=("VQE_n13",), schedulers=("rescq",),
+                              seeds=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            results = run_experiment(spec)
+        assert len(results.rows) == 1

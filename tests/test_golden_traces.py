@@ -18,22 +18,7 @@ import os
 
 import pytest
 
-from repro.kernel import kernel_numba_available
-from repro.lattice import numba_available
-
 from golden_cases import golden_cases, golden_path, load_golden, run_case
-
-_BACKEND = os.environ.get("RESCQ_GOLDEN_BACKEND", "")
-if _BACKEND == "numba" and not numba_available():
-    pytest.skip("RESCQ_GOLDEN_BACKEND=numba requested but numba is not "
-                "importable (no wheel for this platform/python); the numba "
-                "backend is an optional extra", allow_module_level=True)
-
-_ENGINE = os.environ.get("RESCQ_GOLDEN_ENGINE", "")
-if _ENGINE == "numba" and not kernel_numba_available():
-    pytest.skip("RESCQ_GOLDEN_ENGINE=numba requested but numba is not "
-                "importable (no wheel for this platform/python); the numba "
-                "event engine is an optional extra", allow_module_level=True)
 
 CASES = golden_cases()
 

@@ -19,6 +19,7 @@ from repro.rus import InjectionModel, PreparationModel
 from repro.scheduling import (AutoBraidScheduler, GreedyScheduler,
                               RescqScheduler)
 from repro.sim.results import GateTrace
+from repro.workloads.scenarios import clifford_rz_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,26 @@ class TestSimulationClock:
             if tag == "first":
                 clock.push(3, "chained", ())
         assert seen == ["first", "chained"]
+
+    def test_push_order_is_the_tie_break(self):
+        """Within one cycle, events fire in push order, not payload order."""
+        clock = SimulationClock()
+        for i in reversed(range(20)):
+            clock.push(4, "prep", (i,))
+        assert [payload[0] for _, payload in clock.pop_due(10)] == \
+            list(reversed(range(20)))
+
+    def test_push_at_the_due_cycle_fires_in_the_same_sweep(self):
+        clock = SimulationClock()
+        clock.push(2, "first", ())
+        clock.advance(2)
+        seen = []
+        for tag, _ in clock.pop_due(2):
+            seen.append(tag)
+            if tag == "first":
+                clock.push(clock.now, "chained", ())
+        assert seen == ["first", "chained"]
+        assert clock.next_event_cycle() is None
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +158,27 @@ class TestGateLifecycle:
                                    start_cycle=4, end_cycle=6), now=6)
         assert lifecycle.all_completed
         assert lifecycle.num_pending == 0
+
+
+# ---------------------------------------------------------------------------
+# Deadlock diagnostics (the DeadlockError message names stuck gates)
+# ---------------------------------------------------------------------------
+
+class TestDeadlockDiagnostics:
+    def test_describe_pending_names_gates(self):
+        circuit = clifford_rz_circuit(4, depth=3, seed=0)
+        lifecycle = GateLifecycle(circuit)
+        description = lifecycle.describe_pending()
+        assert description.startswith("#")
+        first = description.split(",")[0]          # e.g. "#0 rz"
+        index = int(first.split()[0].lstrip("#"))
+        assert circuit[index].name in first
+
+    def test_describe_pending_truncates(self):
+        circuit = clifford_rz_circuit(8, depth=4, seed=1)
+        description = GateLifecycle(circuit).describe_pending(limit=2)
+        assert description.endswith("...")
+        assert description.count("#") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from repro.circuits import (
 )
 from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.fabric.compression import ancilla_subgraph_connected
+from repro.kernel import ActivityTracker
 from repro.rus import InjectionModel, PreparationModel, expected_injections
-from repro.scheduling import ActivityTracker, AncillaMst, RescqScheduler
+from repro.scheduling import AncillaMst, RescqScheduler
 from repro.scheduling.static import AutoBraidScheduler
 
 

@@ -1,7 +1,7 @@
-"""Routing-backend equivalence: python, vector (and numba when installed).
+"""Routing-backend equivalence: the vector backend against the python oracle.
 
-The vectorised struct-of-arrays routing core (ISSUE 8) must be a pure
-performance change: every backend produces byte-identical schedules.  These
+The vectorised struct-of-arrays routing core must be a pure performance
+change: both backends produce byte-identical schedules.  These
 tests pin that from three angles — raw shortest-path queries, the FlatGrid
 array representation, and whole scheduler runs over random
 scenario-generator circuits.
@@ -23,7 +23,6 @@ from repro.lattice import (
     ROUTING_BACKEND_NAMES,
     bfs_ancilla_path,
     get_backend,
-    numba_available,
 )
 from repro.scheduling import SCHEDULER_REGISTRY
 from repro.sim.runner import default_layout
@@ -129,8 +128,8 @@ class TestShortestPathParity:
 
 class TestBackendRegistry:
     def test_known_names(self):
-        assert ROUTING_BACKEND_NAMES == ("python", "vector", "numba")
-        for name in ("python", "vector"):
+        assert ROUTING_BACKEND_NAMES == ("python", "vector")
+        for name in ROUTING_BACKEND_NAMES:
             assert get_backend(name).name == name
 
     def test_unknown_name_raises(self):
@@ -140,27 +139,6 @@ class TestBackendRegistry:
     def test_config_validates_backend(self):
         with pytest.raises(ValueError, match="routing_backend"):
             SimulationConfig(routing_backend="fortran")
-
-    @pytest.mark.skipif(numba_available(), reason="numba installed: the "
-                        "missing-dependency error path cannot be exercised")
-    def test_numba_backend_without_numba_raises_actionably(self):
-        layout = star_layout(3, StarVariant.STAR)
-        a, b = layout.ancilla_positions()[:2]
-        with pytest.raises(RuntimeError, match=r"repro\[numba\]"):
-            backend = get_backend("numba")
-            backend.shortest_path(layout, a, b)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_backend_matches_reference(self):
-        layout = star_layout(6, StarVariant.STAR)
-        backend = get_backend("numba")
-        ancillas = layout.ancilla_positions()
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            start, goal = (ancillas[int(i)] for i in
-                           rng.integers(0, len(ancillas), size=2))
-            assert (backend.shortest_path(layout, start, goal)
-                    == bfs_ancilla_path(layout, start, goal))
 
 
 # ---------------------------------------------------------------------------
@@ -215,5 +193,3 @@ def test_backends_identical_on_dense_scenario():
     reference = _run(circuit, "python", 1)
     vectorised = _run(circuit, "vector", 1)
     assert vectorised == reference
-    if numba_available():
-        assert _run(circuit, "numba", 1) == reference

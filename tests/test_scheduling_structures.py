@@ -4,8 +4,8 @@ import networkx as nx
 import pytest
 
 from repro.fabric import StarVariant, star_layout
+from repro.kernel import ActivityTracker
 from repro.scheduling import (
-    ActivityTracker,
     AncillaMst,
     AncillaRole,
     AsyncMstPipeline,
