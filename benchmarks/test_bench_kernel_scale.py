@@ -21,8 +21,11 @@ The regression baseline gates the cold numbers.
 
 Results are merged into ``BENCH_kernel.json`` at the repo root under the
 ``scale_points`` key (creating the file when the throughput benchmark has
-not run first).  Normalised throughput uses the same calibration-loop
-yardstick as the throughput benchmark so numbers transfer between hosts.
+not run first).  Every per-backend record carries its provenance: the git
+revision (``-dirty`` when the tree had uncommitted changes), the Python
+and numpy versions and the routing backend.  Normalised throughput uses
+the same calibration-loop yardstick as the throughput benchmark so
+numbers transfer between hosts.
 
 Regression guard: ``benchmarks/BENCH_kernel_scale_baseline.json`` commits
 the normalised throughput per (point, backend).  With ``RESCQ_BENCH_STRICT=1``
@@ -37,7 +40,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
+
+import numpy as np
 
 from repro import SimulationConfig
 from repro.scheduling import SCHEDULER_REGISTRY
@@ -45,7 +52,7 @@ from repro.sim.runner import default_layout
 from repro.workloads.scenarios import clifford_rz_circuit
 
 from test_bench_kernel_throughput import (
-    OUTPUT_PATH, REGRESSION_TOLERANCE, _calibration_loop_seconds)
+    OUTPUT_PATH, REGRESSION_TOLERANCE, REPO_ROOT, _calibration_loop_seconds)
 
 BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BENCH_kernel_scale_baseline.json")
@@ -67,8 +74,19 @@ SCALE_POINTS = (
 )
 
 
+def _git_revision() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def test_bench_kernel_scale():
     calibration_s = _calibration_loop_seconds()
+    revision = _git_revision()
 
     points = {}
     for name, kwargs, dimension, backends, warm_round in SCALE_POINTS:
@@ -98,6 +116,12 @@ def test_bench_kernel_scale():
                 "cycles_per_sec": round(result.total_cycles / cold, 1),
                 "normalised_throughput": round(
                     result.total_cycles / cold * calibration_s, 1),
+                "provenance": {
+                    "git_revision": revision,
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "routing_backend": backend,
+                },
             }
             if len(walls) > 1:
                 stats["warm_wall_s"] = round(walls[1], 4)

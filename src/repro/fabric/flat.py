@@ -11,7 +11,8 @@ into numpy arrays:
   neighbour of every tile in :class:`~repro.fabric.tile.Edge` declaration
   order (NORTH, SOUTH, EAST, WEST), ``-1`` where the neighbour is out of
   bounds, disabled or not an ancilla — the exact transition relation of
-  :func:`~repro.lattice.routing.bfs_ancilla_path`;
+  :func:`~repro.lattice.routing.bfs_ancilla_path`, also kept as per-tile
+  Python lists (``route_adjacency``) for the routing BFS;
 * ancilla tiles additionally get a dense **slot** numbering in row-major
   order (matching :meth:`GridLayout.ancilla_positions`), with a per-slot
   Edge-order neighbour table and the activity-graph edge list
@@ -25,7 +26,7 @@ disable/enable.  Consumers must treat every array as read-only.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class FlatGrid:
 
     __slots__ = (
         "layout", "version", "rows", "cols", "size",
-        "ancilla_mask", "active_mask", "route_neighbors",
+        "ancilla_mask", "active_mask", "route_neighbors", "route_adjacency",
         "num_ancilla", "anc_flat", "anc_slot", "anc_neighbor_slots",
         "edge_u", "edge_v", "_positions", "anc_positions",
     )
@@ -85,6 +86,10 @@ class FlatGrid:
             keep[valid] &= ancilla_mask[column[valid]]
             route_neighbors[keep, axis] = column[keep]
         self.route_neighbors = route_neighbors
+        #: The same relation as per-tile Python lists (non-negative entries,
+        #: Edge order): what the routing BFS walks node by node.
+        self.route_adjacency: List[List[int]] = [
+            [n for n in row if n >= 0] for row in route_neighbors.tolist()]
 
         # Dense ancilla slots in row-major (== flat index) order; matches
         # GridLayout.ancilla_positions() exactly.
@@ -139,17 +144,6 @@ class FlatGrid:
         """Dense ancilla slot of ``position`` (-1 when not an ancilla)."""
         flat = self.flat_index(position)
         return int(self.anc_slot[flat]) if flat >= 0 else -1
-
-    def blocked_mask(self, blocked) -> Optional[np.ndarray]:
-        """Boolean size-array marking blocked flat indices (None when empty)."""
-        if not blocked:
-            return None
-        mask = np.zeros(self.size, dtype=bool)
-        for position in blocked:
-            flat = self.flat_index(position)
-            if flat >= 0:
-                mask[flat] = True
-        return mask
 
     # -- cache ------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Lattice-surgery operation costs, edge orientation and routing primitives."""
 
 from .backends import (
+    DEFAULT_ROUTING_BACKEND,
     ROUTING_BACKEND_NAMES,
     RoutingBackend,
     get_backend,
@@ -18,6 +19,7 @@ from .routing import (
 __all__ = [
     "LatticeSurgeryCosts",
     "DEFAULT_COSTS",
+    "DEFAULT_ROUTING_BACKEND",
     "OrientationTracker",
     "ROUTING_BACKEND_NAMES",
     "RoutingBackend",

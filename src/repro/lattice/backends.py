@@ -6,26 +6,26 @@ tiles between two ancillas — byte-identically, with different machinery:
 * ``python`` — the reference: the original object-graph FIFO BFS
   (:func:`~repro.lattice.routing.bfs_ancilla_path`).  Always available,
   always correct; the test oracle for ``vector``.
-* ``vector`` (the default) — batched level-synchronous BFS over the
-  :class:`~repro.fabric.flat.FlatGrid` int32 neighbour table.  One numpy
-  pass expands a whole frontier; full parent trees are memoised per source
-  (and per layout revision) so repeated goals cost one array walk.
+* ``vector`` (the default) — the same FIFO BFS over the
+  :class:`~repro.fabric.flat.FlatGrid` flat indices: per-tile adjacency
+  lists (``route_adjacency``) and a flat parent list instead of position
+  tuples, dicts and per-neighbour tile lookups.  Full parent trees are
+  memoised per source (and per layout revision) as compact int32 arrays
+  so repeated goals cost one parent walk.  The name predates this kernel
+  (it once expanded BFS levels with numpy) and is kept because
+  ``routing_backend`` values enter job fingerprints.
 
-Exactness argument (why the vector BFS is byte-identical): the reference
-BFS pops nodes FIFO — i.e. in discovery order — and scans neighbours in
-``Edge`` declaration order, so a node's parent is the first (discovery
-order x Edge order) neighbour that reaches it.  The vector expansion
-flattens ``neighbor_table[frontier]`` row-major, which is exactly that
-order, and keeps the *first* occurrence of each newly discovered node
-(``np.unique`` + first-index sort), so every parent assignment matches.
-Parents are never reassigned, so the full parent tree computed without
-early termination reconstructs the same path an early-terminating search
-would have returned.
+Exactness argument (why the vector BFS is byte-identical): it pops nodes
+in discovery order and scans each node's neighbours in ``Edge``
+declaration order, exactly as the reference does, so every node gets the
+same parent.  Parents are never reassigned, so the full parent tree
+computed without early termination reconstructs the same path an
+early-terminating search would have returned.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -33,9 +33,10 @@ from ..fabric import GridLayout, Position
 from ..fabric.flat import FlatGrid
 
 __all__ = ["RoutingBackend", "PythonBackend", "VectorBackend",
-           "ROUTING_BACKEND_NAMES", "get_backend"]
+           "ROUTING_BACKEND_NAMES", "DEFAULT_ROUTING_BACKEND", "get_backend"]
 
 ROUTING_BACKEND_NAMES = ("python", "vector")
+DEFAULT_ROUTING_BACKEND = "vector"
 
 
 class RoutingBackend:
@@ -72,12 +73,12 @@ class PythonBackend(RoutingBackend):
 
 
 class VectorBackend(RoutingBackend):
-    """Batched numpy BFS over the flat neighbour table."""
+    """FIFO BFS over the flat adjacency lists, with memoised parent trees."""
 
     name = "vector"
 
     def __init__(self) -> None:
-        #: source flat index -> full parent array for the current revision.
+        #: source flat index -> full parent tree for the current revision.
         self._parent_trees: Dict[int, np.ndarray] = {}
         self._tree_version: Optional[int] = None
 
@@ -87,50 +88,33 @@ class VectorBackend(RoutingBackend):
 
     # -- the BFS kernel --------------------------------------------------------
 
-    def _compute_parents(self, flat: FlatGrid, source: int,
-                         blocked_mask: Optional[np.ndarray],
-                         goal: int) -> np.ndarray:
-        """Parent array of the BFS from ``source`` (-1 = unreached).
+    @staticmethod
+    def _compute_parents(flat: FlatGrid, source: int, blocked: Iterable[int],
+                         goal: int) -> List[int]:
+        """Parent list of the BFS from ``source`` (-1 = unreached).
 
-        ``goal >= 0`` allows early termination once the goal is claimed
-        (used for one-shot blocked queries; memoised trees pass ``-1`` so
-        the tree serves every future goal).
+        ``blocked`` flat indices (negative ones are off-grid and ignored) are
+        pre-marked as visited so the search never enters them.
+        ``goal >= 0`` stops the search once the goal is reached (one-shot
+        blocked queries; memoised trees pass ``-1`` so the tree serves every
+        future goal).
         """
-        parents = np.full(flat.size, -1, dtype=np.int32)
+        adjacency = flat.route_adjacency
+        parents = [-1] * flat.size
+        for tile in blocked:
+            if tile >= 0:
+                parents[tile] = tile
         parents[source] = source
-        frontier = np.array([source], dtype=np.int32)
-        neighbor_table = flat.route_neighbors
-        # Scratch for the first-claim scatter below; every candidate cell is
-        # rewritten each round, so stale entries are never read.
-        winner = np.empty(flat.size, dtype=np.int32)
-        while frontier.size:
-            candidates = neighbor_table[frontier].ravel()
-            claimants = np.repeat(frontier, 4)
-            keep = candidates >= 0
-            candidates = candidates[keep]
-            claimants = claimants[keep]
-            if blocked_mask is not None:
-                keep = ~blocked_mask[candidates]
-                candidates = candidates[keep]
-                claimants = claimants[keep]
-            keep = parents[candidates] < 0
-            candidates = candidates[keep]
-            claimants = claimants[keep]
-            if candidates.size == 0:
-                break
-            # First occurrence wins, in discovery (claimant x Edge) order.
-            # Double-scatter instead of np.unique (which sorts): writing the
-            # claims reversed makes the earliest claim the last write, then
-            # comparing each claim's slot against its own index keeps exactly
-            # the first occurrence of every cell, in original order.
-            order = np.arange(candidates.size, dtype=np.int32)
-            winner[candidates[::-1]] = order[::-1]
-            first = winner[candidates] == order
-            candidates = candidates[first]
-            parents[candidates] = claimants[first]
-            if goal >= 0 and parents[goal] >= 0:
-                break
-            frontier = candidates
+        queue = [source]
+        # Appending while iterating is a FIFO queue: nodes pop in discovery
+        # order, neighbours scan in Edge order — the reference BFS order.
+        for current in queue:
+            for neighbor in adjacency[current]:
+                if parents[neighbor] < 0:
+                    parents[neighbor] = current
+                    if neighbor == goal:
+                        return parents
+                    queue.append(neighbor)
         return parents
 
     def _parents_for(self, flat: FlatGrid, source: int) -> np.ndarray:
@@ -139,7 +123,10 @@ class VectorBackend(RoutingBackend):
             self._tree_version = flat.version
         parents = self._parent_trees.get(source)
         if parents is None:
-            parents = self._compute_parents(flat, source, None, -1)
+            # int32: 4 bytes per tile and not GC-tracked, so hundreds of
+            # memoised trees on a large fabric stay cheap to hold.
+            parents = np.fromiter(self._compute_parents(flat, source, (), -1),
+                                  dtype=np.int32, count=flat.size)
             self._parent_trees[source] = parents
         return parents
 
@@ -161,9 +148,8 @@ class VectorBackend(RoutingBackend):
         if start_flat == goal_flat:
             return [start]
         if blocked:
-            parents = self._compute_parents(flat, start_flat,
-                                            flat.blocked_mask(blocked),
-                                            goal_flat)
+            parents = self._compute_parents(
+                flat, start_flat, map(flat.flat_index, blocked), goal_flat)
         else:
             parents = self._parents_for(flat, start_flat)
         if parents[goal_flat] < 0:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..fabric import Edge, GridLayout, Position
-from .backends import RoutingBackend, get_backend
+from .backends import DEFAULT_ROUTING_BACKEND, RoutingBackend, get_backend
 from .operations import DEFAULT_COSTS, LatticeSurgeryCosts
 from .orientation import OrientationTracker
 
@@ -235,8 +235,8 @@ class RoutingIndex:
 
     Shortest-path queries are delegated to a
     :class:`~repro.lattice.backends.RoutingBackend` (``python`` reference
-    BFS or batched numpy ``vector`` BFS) — byte-identical, selected via
-    ``SimulationConfig(routing_backend=...)``.
+    BFS or the default flat-index ``vector`` BFS) — byte-identical, selected
+    via ``SimulationConfig(routing_backend=...)``.
 
     One index per (layout, backend) is typically shared via
     :meth:`for_layout`, so repeated runs (seed sweeps) reuse each other's
@@ -245,7 +245,8 @@ class RoutingIndex:
     """
 
     def __init__(self, layout: GridLayout,
-                 backend: "str | RoutingBackend" = "python") -> None:
+                 backend: "str | RoutingBackend" = DEFAULT_ROUTING_BACKEND
+                 ) -> None:
         self.layout = layout
         self.backend: RoutingBackend = (get_backend(backend)
                                         if isinstance(backend, str)
@@ -264,7 +265,7 @@ class RoutingIndex:
 
     @classmethod
     def for_layout(cls, layout: GridLayout,
-                   backend: str = "python") -> "RoutingIndex":
+                   backend: str = DEFAULT_ROUTING_BACKEND) -> "RoutingIndex":
         """The shared per-backend index attached to ``layout``."""
         indices = getattr(layout, "_routing_indices", None)
         if indices is None or any(index.layout is not layout

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..lattice import DEFAULT_COSTS, ROUTING_BACKEND_NAMES, LatticeSurgeryCosts
+from ..lattice import (DEFAULT_COSTS, DEFAULT_ROUTING_BACKEND,
+                       ROUTING_BACKEND_NAMES, LatticeSurgeryCosts)
 from ..rus import InjectionStrategy, PreparationModel
 
 __all__ = ["SimulationConfig"]
@@ -52,8 +53,8 @@ class SimulationConfig:
         observability: simulated results are identical either way.
     routing_backend:
         Shortest-path machinery behind the routing index: ``"vector"``
-        (batched numpy BFS, the default) or ``"python"`` (the reference BFS
-        it is tested against).  Both produce byte-identical traces; only
+        (flat-index BFS, the default) or ``"python"`` (the reference BFS it
+        is tested against).  Both produce byte-identical traces; only
         wall-clock speed differs.
     """
 
@@ -71,7 +72,7 @@ class SimulationConfig:
     parallel_preparation: bool = True
     use_mst_routing: bool = True
     profile_enabled: bool = False
-    routing_backend: str = "vector"
+    routing_backend: str = DEFAULT_ROUTING_BACKEND
 
     def __post_init__(self) -> None:
         if self.routing_backend not in ROUTING_BACKEND_NAMES:

@@ -9,6 +9,8 @@ scenario-generator circuits.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,12 +74,29 @@ class TestFlatGrid:
 # Shortest-path parity: vector backend vs the reference BFS
 # ---------------------------------------------------------------------------
 
+def _mutated_star_layout():
+    """STAR fabric with a handful of ancillas disabled (grid compression)."""
+    layout = star_layout(8, StarVariant.STAR)
+    ancillas = layout.ancilla_positions()
+    for index in np.random.default_rng(11).choice(len(ancillas), size=4,
+                                                  replace=False):
+        layout.disable(ancillas[int(index)])
+    return layout
+
+
 class TestShortestPathParity:
     @pytest.fixture()
     def layout(self):
         return star_layout(8, StarVariant.STAR)
 
-    def test_all_pairs_match_reference(self, layout):
+    @pytest.fixture(params=["star", "mutated"])
+    def any_layout(self, request):
+        if request.param == "mutated":
+            return _mutated_star_layout()
+        return star_layout(8, StarVariant.STAR)
+
+    def test_all_pairs_match_reference(self, any_layout):
+        layout = any_layout
         backend = get_backend("vector")
         ancillas = layout.ancilla_positions()
         rng = np.random.default_rng(3)
@@ -88,7 +107,8 @@ class TestShortestPathParity:
             actual = backend.shortest_path(layout, start, goal)
             assert actual == expected
 
-    def test_blocked_tiles_match_reference(self, layout):
+    def test_blocked_tiles_match_reference(self, any_layout):
+        layout = any_layout
         backend = get_backend("vector")
         ancillas = layout.ancilla_positions()
         rng = np.random.default_rng(5)
@@ -107,6 +127,17 @@ class TestShortestPathParity:
         ancilla = layout.ancilla_positions()[0]
         assert backend.shortest_path(layout, data, ancilla) is None
         assert bfs_ancilla_path(layout, data, ancilla) is None
+
+    def test_memoised_trees_are_compact(self, layout):
+        backend = get_backend("vector")
+        ancillas = layout.ancilla_positions()
+        for start in ancillas[:3]:
+            backend.shortest_path(layout, start, ancillas[-1])
+        trees = list(backend._parent_trees.values())
+        assert len(trees) == 3
+        for tree in trees:
+            assert tree.itemsize == 4
+            assert not gc.is_tracked(tree)
 
     def test_survives_layout_mutation(self, layout):
         backend = get_backend("vector")
