@@ -239,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: 3)")
     route_parser.add_argument("--max-attempts", type=int, default=4,
                               metavar="N",
-                              help="bounded retry attempts per failed "
-                                   "placement or mid-stream recovery "
+                              help="retry attempts per request, shared by "
+                                   "placement and mid-stream recovery "
                                    "(default: 4)")
     route_parser.add_argument("--request-deadline", type=float, default=None,
                               metavar="SECONDS",

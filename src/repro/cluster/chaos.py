@@ -17,7 +17,10 @@ was tested against, so the failures are *first-class objects*:
     latency;
   - ``rewrite``  — swallow the exchange and answer with a synthetic
     ``status`` (e.g. 500, or 429 with ``retry_after``) without touching
-    the upstream.
+    the upstream;
+  - ``reset``    — like ``rewrite``, but send only the head and half the
+    body, then abort the connection with a TCP reset (``SO_LINGER`` 0),
+    so the client's read of the body fails with a connection reset.
 
 * :class:`FaultPlan` — an ordered per-connection schedule of faults.
   Connection *i* through the proxy experiences ``faults[i]``; connections
@@ -40,12 +43,14 @@ from __future__ import annotations
 
 import asyncio
 import random
+import socket
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["Fault", "FaultPlan", "ChaosProxy"]
 
-FAULT_KINDS = ("refuse", "close", "truncate", "stall", "rewrite")
+FAULT_KINDS = ("refuse", "close", "truncate", "stall", "rewrite", "reset")
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class Fault:
     kind: str
     rows: int = 0                       # truncate: body rows forwarded first
     delay: float = 0.0                  # stall: added latency, seconds
-    status: int = 500                   # rewrite: synthetic status code
+    status: int = 500                   # rewrite/reset: synthetic status
     retry_after: Optional[float] = None  # rewrite 429: Retry-After header
 
     def __post_init__(self) -> None:
@@ -246,8 +251,8 @@ class ChaosProxy:
                 return
             if fault is not None and fault.kind == "close":
                 return  # accept-then-close: request read, no answer
-            if fault is not None and fault.kind == "rewrite":
-                await self._rewrite(writer, fault)
+            if fault is not None and fault.kind in ("rewrite", "reset"):
+                await self._answer(writer, fault)
                 return
             if fault is not None and fault.kind == "stall":
                 await asyncio.sleep(fault.delay)
@@ -273,7 +278,13 @@ class ChaosProxy:
                     pass
 
     @staticmethod
-    async def _rewrite(writer: asyncio.StreamWriter, fault: Fault) -> None:
+    async def _answer(writer: asyncio.StreamWriter, fault: Fault) -> None:
+        """Answer with a synthetic ``fault.status`` response.
+
+        ``rewrite`` sends the whole response; ``reset`` sends the head and
+        half the body, then aborts with ``SO_LINGER`` 0 so the peer gets
+        a TCP reset instead of a clean EOF.
+        """
         body = (b'{"error":"chaos: injected fault"}\n')
         lines = [f"HTTP/1.1 {fault.status} Chaos",
                  "Content-Type: application/json",
@@ -282,6 +293,13 @@ class ChaosProxy:
         if fault.retry_after is not None:
             lines.append(f"Retry-After: {fault.retry_after:g}")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+        if fault.kind == "reset":
+            writer.write(body[:len(body) // 2])
+            await writer.drain()
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            writer.transport.abort()
+            return
         writer.write(body)
         await writer.drain()
 

@@ -8,7 +8,7 @@ with a live view of which shards are actually serving:
    :class:`~repro.cluster.membership.ShardSet`.  A periodic health loop
    (``--health-interval``) probes every member's ``/healthz`` and moves
    shards between LIVE/SUSPECT/DEAD (``--dead-after`` consecutive
-   failures); connect failures during routing mark a shard SUSPECT
+   failures); shard faults during routing mark a shard SUSPECT
    immediately; recovered shards rejoin automatically; ``POST /shards``
    adds or drains members at runtime.
 2. **Expand.**  An incoming spec is validated and expanded locally (plan
@@ -22,25 +22,30 @@ with a live view of which shards are actually serving:
 4. **Fan out.**  Each shard receives one ``POST /experiments`` whose
    envelope carries the original spec plus ``indices`` — the plan
    positions it owns.  No circuits cross the wire.
-5. **Merge, with recovery.**  The per-shard NDJSON streams are merged
-   back into plan order; data rows pass through as raw bytes (preserving
-   the byte-identical-rows property of the single-server service).  A
-   shard dying mid-stream no longer surfaces as per-position error
-   records: the unfinished positions are re-routed to each position's
-   next-ranked live shard under bounded attempts with exponential backoff
-   + full jitter (seeded RNG injectable) and an optional per-request
-   deadline.  Retries are safe because results are cache-idempotent:
-   fingerprinted jobs are write-once in the cache and single-flighted in
-   the service, so re-asking for a position can only return the same
-   canonical bytes.  Error records appear only after retries are
-   exhausted.
+5. **Merge, with retry.**  The per-shard NDJSON streams are merged back
+   into plan order; data rows pass through as raw bytes (preserving the
+   byte-identical-rows property of the single-server service).
 
-Shard-level refusals happen *before* the router commits to a 200: a shard
-answering 429 (admission control) propagates as 429 + the **largest**
-shard-provided ``Retry-After`` (capped against the request deadline); a
-shard that refuses connections or answers 5xx is retried to next-ranked
-shards and only becomes a client-visible 502 when every attempt is
-exhausted.
+One placement loop serves the first fan-out and every retry.  Each shard
+exchange ends as a *stream* (a 200 whose rows are pumped), an *admission*
+refusal (a 429 with a ``Retry-After`` hint), or a *fault*: a connect
+error, any other status, a failed read of the head or the body, or a
+stream that ends with positions unfinished.  A fault suspects the shard
+in the membership, skips it for the rest of the attempt and hands its
+positions back, to be placed on their next-ranked shard.  When no untried
+shard remains, one of the request's ``max_attempts`` is spent: a backoff
+with full jitter (seeded RNG injectable), capped by the optional
+per-request deadline, after which every routable shard may be tried
+again.  Retries are safe because results are cache-idempotent:
+fingerprinted jobs are write-once in the cache and single-flighted in the
+service, so re-asking for a position can only return the same canonical
+bytes.
+
+Whether the router has sent its 200 head is the only fork.  Before it, a
+429 propagates as 429 + the **largest** shard-provided ``Retry-After``
+(capped against the deadline) and exhaustion is a 502.  After it, a 429
+waits out its hint as one attempt, and exhaustion emits one error record
+per unfinished position.
 
 ``GET /healthz`` probes every shard and reports ``ok``/``degraded``
 (503); ``GET /stats`` nests router counters, cluster-wide aggregates,
@@ -54,7 +59,7 @@ import asyncio
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
@@ -75,13 +80,13 @@ class RouterStats:
 
     requests: int = 0       # submissions accepted for fan-out
     jobs: int = 0           # plan positions routed
-    retried: int = 0        # positions re-routed after a pre-stream failure
-    recovered: int = 0      # positions recovered after a mid-stream death
-    gave_up: int = 0        # positions surfaced as errors after retries
-    backoff_waits: int = 0  # backoff sleeps taken on any retry path
+    retried: int = 0        # positions a shard fault handed back to placement
+    recovered: int = 0      # rows delivered for positions handed back
+    gave_up: int = 0        # positions emitted as error records, budget spent
+    backoff_waits: int = 0  # backoff and Retry-After sleeps between attempts
     rejected: int = 0       # submissions refused with 429 (shard admission)
-    failed: int = 0         # submissions that died before streaming (502/400)
-    stream_errors: int = 0  # error records forwarded or synthesised mid-stream
+    failed: int = 0         # submissions refused with 502 before streaming
+    stream_errors: int = 0  # error records in merged streams (any source)
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -361,39 +366,39 @@ class ShardRouter:
 
     # -- retry plumbing --------------------------------------------------------
 
-    def _deadline_for_request(self) -> Optional[float]:
-        if self.request_deadline is None:
-            return None
-        return asyncio.get_event_loop().time() + self.request_deadline
-
     @staticmethod
     def _deadline_remaining(deadline: Optional[float]) -> Optional[float]:
         if deadline is None:
             return None
         return deadline - asyncio.get_event_loop().time()
 
-    def _backoff_delay(self, attempt: int,
-                       deadline: Optional[float]) -> float:
-        """Exponential backoff with full jitter, capped by the deadline.
+    async def _spend_attempt(self, req: "_Request",
+                             hint: Optional[float] = None) -> bool:
+        """Spend one of the request's attempts, then wait to place again.
 
-        ``delay ~ U(0, min(cap, base * 2^(attempt-1)))`` — full jitter
-        (AWS-style) decorrelates concurrent retriers; the RNG is the
-        router's injectable seeded instance, so tests are deterministic.
+        Returns ``False`` without waiting once ``max_attempts`` are spent
+        or the deadline has passed.  Otherwise the shards that failed are
+        forgiven (one may have recovered) and the router sleeps for
+        ``hint`` (a shard's Retry-After) or, without one, an exponential
+        backoff with full jitter — ``U(0, min(cap, base * 2^(n-1)))``,
+        drawn from the router's injectable seeded RNG — capped by the
+        deadline.
         """
-        ceiling = min(self.backoff_cap,
-                      self.backoff_base * (2 ** max(0, attempt - 1)))
-        delay = self._rng.random() * ceiling
-        remaining = self._deadline_remaining(deadline)
+        req.attempts += 1
+        remaining = self._deadline_remaining(req.deadline)
+        if req.attempts >= self.max_attempts or (
+                remaining is not None and remaining <= 0):
+            return False
+        req.failed.clear()
+        if hint is None:
+            hint = self._rng.random() * min(
+                self.backoff_cap, self.backoff_base * 2 ** (req.attempts - 1))
         if remaining is not None:
-            delay = min(delay, max(0.0, remaining))
-        return delay
-
-    async def _backoff(self, attempt: int,
-                       deadline: Optional[float]) -> None:
-        delay = self._backoff_delay(attempt, deadline)
-        if delay > 0:
+            hint = min(hint, remaining)
+        if hint > 0:
             self.stats.backoff_waits += 1
-            await asyncio.sleep(delay)
+            await asyncio.sleep(hint)
+        return True
 
     def _retry_after_header(self, values: Sequence[float],
                             deadline: Optional[float]) -> Dict[str, str]:
@@ -418,7 +423,7 @@ class ShardRouter:
             raise HttpError(400, str(exc)) from None
         loop = asyncio.get_event_loop()
 
-        def _plan() -> Tuple[int, Dict[int, str]]:
+        def _plan() -> Dict[int, str]:
             jobs = envelope.spec.validate().expand()
             positions = (list(envelope.indices)
                          if envelope.indices is not None
@@ -427,11 +432,10 @@ class ShardRouter:
                 raise EnvelopeError(
                     f"indices entry {positions[-1]} is out of range for a "
                     f"plan of {len(jobs)} job(s)")
-            return len(jobs), {pos: jobs[pos].fingerprint()
-                               for pos in positions}
+            return {pos: jobs[pos].fingerprint() for pos in positions}
 
         try:
-            _plan_size, fingerprints = await loop.run_in_executor(None, _plan)
+            fingerprints = await loop.run_in_executor(None, _plan)
         except SpecValidationError as exc:
             raise HttpError(400, str(exc)) from None
         except EnvelopeError as exc:
@@ -439,11 +443,25 @@ class ShardRouter:
 
         self.stats.requests += 1
         self.stats.jobs += len(fingerprints)
-        deadline = self._deadline_for_request()
-        streams = await self._open_shard_streams(envelope, fingerprints,
-                                                 deadline)
-        await self._merge_streams(envelope, fingerprints, streams, writer,
-                                  deadline)
+        deadline = (None if self.request_deadline is None
+                    else loop.time() + self.request_deadline)
+        req = _Request(envelope, fingerprints, deadline)
+        try:
+            try:
+                await self._place(req, sorted(fingerprints))
+            except HttpError as exc:
+                if exc.status == 429:
+                    self.stats.rejected += 1
+                else:
+                    self.stats.failed += 1
+                raise
+            req.committed = True
+            await send_head(writer, 200, content_type="application/x-ndjson")
+            await self._merge(req, writer)
+        finally:
+            for task in list(req.tasks):
+                task.cancel()
+            await asyncio.gather(*req.tasks, return_exceptions=True)
 
     def _sub_envelope(self, envelope: SubmissionEnvelope,
                       positions: Sequence[int]) -> bytes:
@@ -452,386 +470,213 @@ class ShardRouter:
                                  indices=tuple(sorted(positions)))
         return (canonical_dumps(sub.to_dict())).encode("utf-8")
 
-    async def _open_shard_streams(
-            self, envelope: SubmissionEnvelope,
-            fingerprints: Dict[int, str],
-            deadline: Optional[float],
-    ) -> List[Tuple[str, List[int], asyncio.StreamReader,
-                    asyncio.StreamWriter]]:
-        """Phase A: place every position and open one stream per shard.
+    async def _place(self, req: "_Request", positions: List[int]) -> None:
+        """Give every position (sorted) an open stream, or give up on it.
 
-        Completes (or raises) *before* the client sees any response bytes,
-        so shard refusals map onto clean status codes: a shard 429
-        propagates as 429 + the largest shard-provided ``Retry-After``
-        (capped against the request deadline).  Connect failures and 5xx
-        answers mark the shard failed for this request, feed the
-        membership state machine, and re-route the positions to each
-        position's next-ranked live shard; when a pass leaves positions
-        with no candidate the failed set is cleared and the pass is
-        retried after a backoff, bounded by ``max_attempts`` — only then
-        does the client see a 502.
+        Each pass ranks the pending positions with HRW over the routable
+        shards that have not failed this attempt and opens one exchange
+        per shard, concurrently.  Faulted positions stay pending for the
+        next pass; once no untried shard remains one attempt is spent.
+        Before the head is committed a 429 refuses the whole request and
+        exhaustion is a 502; after it, a 429 waits out its hint as one
+        attempt and exhaustion emits one error row per position.
         """
-        dead: Set[str] = set()
-        pending = set(fingerprints)
-        streams: List[Tuple[str, List[int], asyncio.StreamReader,
-                            asyncio.StreamWriter]] = []
-        attempt = 0
-        last_error = "no routable shard"
-
-        async def _abort(exc: HttpError) -> None:
-            for _url, _positions, _reader, shard_writer in streams:
-                shard_writer.close()
-            if exc.status == 429:
-                self.stats.rejected += 1
-            else:
-                self.stats.failed += 1
-            raise exc
-
-        while pending:
-            routable = [url for url in self.membership.routable()
-                        if url not in dead]
-            remaining = self._deadline_remaining(deadline)
-            out_of_time = remaining is not None and remaining <= 0
-            if not routable:
-                attempt += 1
-                if attempt >= self.max_attempts or out_of_time:
-                    await _abort(HttpError(
-                        502, f"no shard reachable for "
-                             f"{len(pending)} job(s) after {attempt} "
-                             f"attempt(s) (members: "
-                             f"{list(self.membership.urls)}; last error: "
-                             f"{last_error})"))
-                await self._backoff(attempt, deadline)
-                dead.clear()
-                continue
-            groups: Dict[str, List[int]] = {}
-            for pos in sorted(pending):
-                ranking = rank_nodes(routable, fingerprints[pos])
-                groups.setdefault(ranking[0], []).append(pos)
-
-            async def _open(url: str, positions: List[int]):
-                host, port, base = self.membership.endpoint(url)
-                body = self._sub_envelope(envelope, positions)
-                return await open_http_stream(
-                    host, port, "POST", f"{base}/experiments", body=body,
-                    connect_timeout=self.connect_timeout, head_timeout=None)
-
-            opened = await asyncio.gather(
-                *(_open(url, positions)
-                  for url, positions in groups.items()),
-                return_exceptions=True)
-            admission_hints: List[float] = []
-            admission_message: Optional[str] = None
-            for (url, positions), outcome in zip(groups.items(), opened):
-                if isinstance(outcome, (OSError, asyncio.TimeoutError)):
-                    # Connect-level failure: suspect the shard and re-route
-                    # these positions on the next pass.
-                    self.membership.record_failure(url, str(outcome))
-                    last_error = f"{url}: {outcome}"
-                    dead.add(url)
-                    self.stats.retried += len(positions)
-                    continue
-                if isinstance(outcome, BaseException):
-                    self.membership.record_failure(url, str(outcome))
-                    last_error = f"{url}: {outcome}"
-                    dead.add(url)
-                    self.stats.retried += len(positions)
-                    continue
-                status, headers, reader, shard_writer = outcome
-                if status == 200:
-                    streams.append((url, positions, reader, shard_writer))
-                    pending.difference_update(positions)
-                    continue
-                data = await reader.read()
-                shard_writer.close()
-                if status == 429:
-                    # Admission refusal: the shard is healthy but busy —
-                    # back-pressure belongs to the client, not the retry
-                    # loop.  429 beats every concurrent shard fault.
-                    try:
-                        admission_hints.append(
-                            float(headers.get("retry-after", "1")))
-                    except ValueError:
-                        admission_hints.append(1.0)
-                    admission_message = _error_message(
-                        data, f"shard {url} refused the sub-plan "
-                              f"(admission)")
-                    continue
-                # Any other status: treat like a shard fault and re-route.
-                message = (f"shard {url} answered HTTP {status}: "
-                           f"{_error_message(data, 'no detail')}")
-                self.membership.record_failure(url, f"HTTP {status}")
-                last_error = message
-                dead.add(url)
-                self.stats.retried += len(positions)
-            if admission_message is not None:
-                await _abort(HttpError(
-                    429, admission_message,
-                    headers=self._retry_after_header(admission_hints,
-                                                     deadline)))
-        return streams
-
-    async def _merge_streams(
-            self, envelope: SubmissionEnvelope,
-            fingerprints: Dict[int, str],
-            streams: List[Tuple[str, List[int], asyncio.StreamReader,
-                                asyncio.StreamWriter]],
-            writer: asyncio.StreamWriter,
-            deadline: Optional[float]) -> None:
-        """Phase B: stream the merged rows in plan order, then one summary.
-
-        Pumps feed a queue with ``row``/``summary``/``end`` items; an
-        ``end`` carrying unfinished positions (a shard died mid-stream)
-        spawns a recovery task that re-routes those positions instead of
-        synthesising error records.  The loop runs until every expected
-        position was emitted — as a data row, a forwarded error, or (only
-        once retries are exhausted) a synthesised error record.
-        """
-        await send_head(writer, 200, content_type="application/x-ndjson")
-        queue: asyncio.Queue = asyncio.Queue()
-        summaries: List[dict] = []
-        recoveries: set = set()
-        pumps = [asyncio.ensure_future(
-                     self._pump(url, positions, reader, shard_writer, queue))
-                 for url, positions, reader, shard_writer in streams]
-        expected = sorted(fingerprints)
-        buffered: Dict[int, Tuple[bytes, bool]] = {}
-        next_index = 0
-        errors = 0
-        ends = 0
-        try:
-            # Run until every expected row was emitted AND every opened
-            # stream reported its end — a shard's trailing summary line
-            # arrives after its last data row, so stopping at the final
-            # row would drop summaries still in flight.
-            while next_index < len(expected) or ends < len(pumps):
-                item = await queue.get()
-                kind = item[0]
-                if kind == "summary":
-                    summaries.append(item[1])
-                    continue
-                if kind == "end":
-                    ends += 1
-                    _kind, url, unfinished = item
-                    if unfinished:
-                        self.membership.record_failure(
-                            url, "disconnected mid-stream")
-                        task = asyncio.ensure_future(self._recover(
-                            envelope, fingerprints, unfinished, {url},
-                            deadline, queue))
-                        recoveries.add(task)
-                        task.add_done_callback(recoveries.discard)
-                    continue
-                _kind, position, line, is_error = item
-                buffered[position] = (line, is_error)
-                while (next_index < len(expected)
-                       and expected[next_index] in buffered):
-                    line, is_error = buffered.pop(expected[next_index])
-                    if is_error:
-                        errors += 1
-                        self.stats.stream_errors += 1
-                    writer.write(line)
-                    await writer.drain()
-                    next_index += 1
-            # Recovery fetches queue their summaries after their rows;
-            # let the tasks finish, then sweep what is left in the queue.
-            if recoveries:
-                await asyncio.gather(*list(recoveries),
-                                     return_exceptions=True)
-            while not queue.empty():
-                item = queue.get_nowait()
-                if item[0] == "summary":
-                    summaries.append(item[1])
-        finally:
-            for task in list(pumps) + list(recoveries):
-                task.cancel()
-            await asyncio.gather(*pumps, *recoveries,
-                                 return_exceptions=True)
-
-        executed = sum(s.get("executed", 0) for s in summaries)
-        cache_hits = sum(s.get("cache_hits", 0) for s in summaries)
-        deduped = sum(s.get("deduped", 0) for s in summaries)
-        report = SubmissionReport(name=envelope.spec.name,
-                                  jobs=len(expected),
-                                  executed=executed,
-                                  cache_hits=cache_hits,
-                                  deduped=deduped,
-                                  request_id=envelope.request_id,
-                                  errors=errors)
-        await send_line(writer, report.to_dict())
-
-    async def _pump(self, url: str, positions: List[int],
-                    reader: asyncio.StreamReader,
-                    shard_writer: asyncio.StreamWriter,
-                    queue: asyncio.Queue) -> None:
-        """Read one shard's stream; map its rows back onto plan positions.
-
-        The shard preserves sub-plan order, so its i-th non-summary line
-        is the row for ``positions[i]`` — data rows pass through as raw
-        bytes.  When the stream ends, the ``end`` item reports any
-        unfinished positions so the merge loop can re-route them.
-        """
-        index = 0
-        try:
-            async for line in iter_ndjson(reader):
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if (isinstance(record, dict)
-                        and record.get("type") == "summary"):
-                    await queue.put(("summary", record))
-                    continue
-                if index < len(positions):
-                    is_error = (isinstance(record, dict)
-                                and record.get("type") == "error")
-                    await queue.put(("row", positions[index], bytes(line),
-                                     is_error))
-                    index += 1
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            shard_writer.close()
-            await queue.put(("end", url, positions[index:]))
-
-    async def _recover(self, envelope: SubmissionEnvelope,
-                       fingerprints: Dict[int, str],
-                       positions: Sequence[int],
-                       failed: Set[str],
-                       deadline: Optional[float],
-                       queue: asyncio.Queue) -> None:
-        """Re-route positions lost to a mid-stream shard death.
-
-        Bounded attempts with exponential backoff + full jitter; a 429
-        from the retry target stretches the next wait to the largest
-        shard-provided ``Retry-After`` (deadline-capped).  Every position
-        is eventually pushed onto the queue — as a recovered data row or,
-        only after the budget is spent, as a synthesised error record.
-        """
-        pending: List[int] = sorted(positions)
-        attempt = 1
-        reason = "mid-stream shard death"
+        pending = positions
         try:
             while pending:
-                remaining = self._deadline_remaining(deadline)
-                if attempt > self.max_attempts or (
-                        remaining is not None and remaining <= 0):
-                    break
-                await self._backoff(attempt, deadline)
-                candidates = [url for url in self.membership.routable()
-                              if url not in failed]
-                if not candidates:
-                    # Every routable member already failed this batch:
-                    # forgive history (a shard may have recovered) rather
-                    # than giving up while members remain.
-                    failed.clear()
-                    candidates = list(self.membership.routable())
-                if not candidates:
-                    reason = "no routable shard"
-                    attempt += 1
+                shards = [url for url in self.membership.routable()
+                          if url not in req.failed]
+                if not shards:
+                    if not await self._spend_attempt(req):
+                        await self._give_up(req, pending, req.last_error)
+                        return
                     continue
                 groups: Dict[str, List[int]] = {}
                 for pos in pending:
-                    ranking = rank_nodes(candidates, fingerprints[pos])
-                    groups.setdefault(ranking[0], []).append(pos)
-                retry_hints: List[float] = []
+                    url = rank_nodes(shards, req.fingerprints[pos])[0]
+                    groups.setdefault(url, []).append(pos)
+                heads = {url: asyncio.get_event_loop().create_future()
+                         for url in groups}
                 for url, group in groups.items():
-                    outcome, leftover, hint = await self._fetch_group(
-                        envelope, url, group, queue)
-                    if outcome == "ok":
-                        pending = [pos for pos in pending
-                                   if pos not in set(group)]
+                    req.spawn(self._exchange(req, url, group, heads[url]))
+                await asyncio.wait(list(heads.values()))
+                pending, hints, refusal = [], [], ""
+                for url, group in groups.items():
+                    outcome, hint, message = heads[url].result()
+                    if outcome == "stream":
                         continue
-                    if hint is not None:
-                        retry_hints.append(hint)
-                        reason = f"shard {url} admission (429)"
-                    else:
-                        failed.add(url)
-                        reason = f"shard {url} failed"
-                    delivered = set(group) - set(leftover)
-                    if delivered:
-                        pending = [pos for pos in pending
-                                   if pos not in delivered]
-                attempt += 1
-                if retry_hints and pending:
-                    hint = max(retry_hints)
-                    remaining = self._deadline_remaining(deadline)
-                    if remaining is not None:
-                        hint = min(hint, max(0.0, remaining))
-                    if hint > 0:
-                        self.stats.backoff_waits += 1
-                        await asyncio.sleep(hint)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - recovery must terminate
-            reason = f"recovery error: {exc}"
-        for pos in pending:
+                    pending.extend(group)
+                    if outcome == "admission":
+                        hints.append(hint)
+                        refusal = message
+                pending.sort()
+                if hints and not req.committed:
+                    raise HttpError(429, refusal,
+                                    headers=self._retry_after_header(
+                                        hints, req.deadline))
+                if hints and not await self._spend_attempt(req, max(hints)):
+                    await self._give_up(req, pending,
+                                        f"admission refused: {refusal}")
+                    return
+        except Exception as exc:  # noqa: BLE001 - the merge must terminate
+            if not req.committed:
+                raise
+            await self._give_up(req, pending, f"placement error: {exc}")
+
+    async def _give_up(self, req: "_Request", positions: List[int],
+                       reason: str) -> None:
+        if not req.committed:
+            raise HttpError(
+                502, f"no shard reachable for {len(positions)} job(s) after "
+                     f"{req.attempts} attempt(s) (members: "
+                     f"{list(self.membership.urls)}; last error: {reason})")
+        for pos in positions:
             self.stats.gave_up += 1
             record = {"type": "error",
-                      "fingerprint": fingerprints[pos],
+                      "fingerprint": req.fingerprints[pos],
                       "message": f"job lost mid-stream and not recovered "
-                                 f"after {attempt - 1} retry attempt(s): "
+                                 f"after {req.attempts} retry attempt(s): "
                                  f"{reason}"}
             line = (canonical_dumps(record) + "\n").encode("utf-8")
-            await queue.put(("row", pos, line, True))
+            await req.queue.put(("row", pos, line, True))
 
-    async def _fetch_group(self, envelope: SubmissionEnvelope, url: str,
-                           positions: List[int], queue: asyncio.Queue,
-                           ) -> Tuple[str, List[int], Optional[float]]:
-        """One recovery sub-request: returns ``(outcome, leftover, hint)``.
+    async def _exchange(self, req: "_Request", url: str,
+                        positions: List[int], head: asyncio.Future) -> None:
+        """One shard exchange: open a stream for ``positions``, pump it.
 
-        ``outcome`` is ``"ok"`` when every position's row was delivered;
-        otherwise ``leftover`` holds the undelivered positions and
-        ``hint`` carries a shard-provided Retry-After (429 only).
+        ``head`` resolves to ``(outcome, retry_after, message)`` once the
+        outcome is known: ``stream`` (a 200, whose rows are now pumped),
+        ``admission`` (a 429), or ``fault`` — a connect error, any other
+        status, or any exception while reading the head or the body.  The
+        shard keeps sub-plan order, so its i-th non-summary line is the
+        row for ``positions[i]``; data rows pass through as raw bytes.  A
+        stream that ends with positions unfinished is a fault as well,
+        and those positions go back to the merge loop as ``lost``.
         """
         host, port, base = self.membership.endpoint(url)
-        body = self._sub_envelope(envelope, positions)
+        index = 0
+        reason = "disconnected mid-stream"
+        shard_writer = None
         try:
             status, headers, reader, shard_writer = await open_http_stream(
-                host, port, "POST", f"{base}/experiments", body=body,
+                host, port, "POST", f"{base}/experiments",
+                body=self._sub_envelope(req.envelope, positions),
                 connect_timeout=self.connect_timeout, head_timeout=None)
-        except (OSError, asyncio.TimeoutError) as exc:
-            self.membership.record_failure(url, str(exc))
-            return "failed", list(positions), None
-        if status != 200:
-            data = await reader.read()
-            shard_writer.close()
-            if status == 429:
-                try:
-                    hint = float(headers.get("retry-after", "1"))
-                except ValueError:
-                    hint = 1.0
-                return "failed", list(positions), hint
-            self.membership.record_failure(
-                url, f"HTTP {status}: {_error_message(data, 'no detail')}")
-            return "failed", list(positions), None
-        ordered = sorted(positions)
-        index = 0
-        try:
-            async for line in iter_ndjson(reader):
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if (isinstance(record, dict)
-                        and record.get("type") == "summary"):
-                    await queue.put(("summary", record))
-                    continue
-                if index < len(ordered):
-                    is_error = (isinstance(record, dict)
-                                and record.get("type") == "error")
-                    self.stats.recovered += 1
-                    await queue.put(("row", ordered[index], bytes(line),
-                                     is_error))
-                    index += 1
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
+            if status == 200:
+                head.set_result(("stream", 0.0, ""))
+                async for line in iter_ndjson(reader):
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        continue
+                    if (isinstance(record, dict)
+                            and record.get("type") == "summary"):
+                        await req.queue.put(("summary", record))
+                        continue
+                    if index < len(positions):
+                        is_error = (isinstance(record, dict)
+                                    and record.get("type") == "error")
+                        if positions[index] in req.retried:
+                            self.stats.recovered += 1
+                        await req.queue.put(("row", positions[index],
+                                             bytes(line), is_error))
+                        index += 1
+            else:
+                message = _error_message(await reader.read(), "no detail")
+                if status == 429:
+                    try:
+                        hint = float(headers.get("retry-after", "1"))
+                    except ValueError:
+                        hint = 1.0
+                    head.set_result(("admission", hint, message))
+                    return
+                reason = f"HTTP {status}: {message}"
+        except Exception as exc:  # noqa: BLE001 - never orphan positions
+            reason = str(exc) or type(exc).__name__
         finally:
-            shard_writer.close()
-        if index < len(ordered):
-            self.membership.record_failure(url, "disconnected mid-recovery")
-            return "failed", ordered[index:], None
-        return "ok", [], None
+            if shard_writer is not None:
+                shard_writer.close()
+        if index < len(positions):
+            lost = positions[index:]
+            self.membership.record_failure(url, reason)
+            req.failed.add(url)
+            req.retried.update(lost)
+            req.last_error = f"{url}: {reason}"
+            self.stats.retried += len(lost)
+            if head.done():
+                await req.queue.put(("lost", lost))
+            else:
+                head.set_result(("fault", 0.0, reason))
+
+    async def _merge(self, req: "_Request",
+                     writer: asyncio.StreamWriter) -> None:
+        """Stream the rows in plan order, then one aggregated summary.
+
+        Exchanges feed the queue with ``row``/``summary`` items and with
+        ``lost`` positions, for which a new placement starts.  The loop
+        runs until every position was emitted — as a data row, a
+        forwarded error, or (once the budget is spent) an error row.
+        """
+        expected = sorted(req.fingerprints)
+        buffered: Dict[int, Tuple[bytes, bool]] = {}
+        summaries: List[dict] = []
+        next_index = 0
+        errors = 0
+        while next_index < len(expected):
+            item = await req.queue.get()
+            if item[0] == "summary":
+                summaries.append(item[1])
+                continue
+            if item[0] == "lost":
+                req.spawn(self._place(req, item[1]))
+                continue
+            _kind, position, line, is_error = item
+            buffered[position] = (line, is_error)
+            while (next_index < len(expected)
+                   and expected[next_index] in buffered):
+                line, is_error = buffered.pop(expected[next_index])
+                if is_error:
+                    errors += 1
+                    self.stats.stream_errors += 1
+                writer.write(line)
+                await writer.drain()
+                next_index += 1
+        # A shard's summary line follows its last row: let every exchange
+        # finish, then sweep the summaries still queued.
+        await asyncio.gather(*req.tasks, return_exceptions=True)
+        while not req.queue.empty():
+            item = req.queue.get_nowait()
+            if item[0] == "summary":
+                summaries.append(item[1])
+
+        report = SubmissionReport(
+            name=req.envelope.spec.name, jobs=len(expected),
+            executed=sum(s.get("executed", 0) for s in summaries),
+            cache_hits=sum(s.get("cache_hits", 0) for s in summaries),
+            deduped=sum(s.get("deduped", 0) for s in summaries),
+            request_id=req.envelope.request_id, errors=errors)
+        await send_line(writer, report.to_dict())
+
+
+@dataclass
+class _Request:
+    """One submission's routing state, shared by placement and merge."""
+
+    envelope: SubmissionEnvelope
+    fingerprints: Dict[int, str]
+    deadline: Optional[float]
+    queue: asyncio.Queue = field(default_factory=asyncio.Queue)
+    failed: Set[str] = field(default_factory=set)    # faulted this attempt
+    retried: Set[int] = field(default_factory=set)   # handed back by a fault
+    tasks: Set[asyncio.Task] = field(default_factory=set)
+    attempts: int = 0
+    committed: bool = False                          # 200 head sent
+    last_error: str = "no routable shard"
+
+    def spawn(self, coro) -> None:
+        task = asyncio.ensure_future(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
 
 
 def _error_message(data: bytes, fallback: str) -> str:

@@ -185,14 +185,20 @@ class TestFaultPlan:
 class TestMidStreamRecovery:
     """The chaos proof and its variations, through the real wire path."""
 
-    def test_truncate_mid_stream_recovers_byte_identical(self):
+    @pytest.mark.parametrize("plans", [
+        {0: FaultPlan([Fault("truncate", rows=1)])},
+        # The retry shard dies too: shard 1's second connection (the
+        # recovery of shard 0's positions) is cut before its first row.
+        {0: FaultPlan([Fault("truncate", rows=1)]),
+         1: FaultPlan([None, Fault("truncate", rows=0)])},
+    ], ids=["first-shard", "first-and-retry-shard"])
+    def test_truncate_mid_stream_recovers_byte_identical(self, plans):
         # Shard 0's first connection dies after forwarding one data row;
         # the router must recover the rest on shard 1 and still produce
         # the byte-identical row stream a fault-free run produces.
-        plan = FaultPlan([Fault("truncate", rows=1)])
         with ClusterHarness(shards=2, max_workers=2,
                             router_options=fast_router_options()) \
-                .with_faults(plan) as cluster:
+                .with_faults(plans) as cluster:
             payload = spec_payload(seeds=16, depth=5)
             status, _headers, faulted = cluster.request(
                 "POST", "/experiments", payload)
@@ -247,6 +253,84 @@ class TestMidStreamRecovery:
             rows, summary = split_ndjson(body)
             assert len(rows) == 8
             assert "errors" not in summary
+
+    def test_reset_after_error_head_fails_over_before_streaming(self):
+        # A 500 head followed by a connection reset while the router reads
+        # the error body is a shard fault like any other: re-routed.
+        plan = FaultPlan([Fault("reset")])
+        with ClusterHarness(shards=2, max_workers=2,
+                            router_options=fast_router_options()) \
+                .with_faults(plan) as cluster:
+            status, _headers, body = cluster.request(
+                "POST", "/experiments", spec_payload(seeds=8, depth=4))
+            assert status == 200
+            rows, summary = split_ndjson(body)
+            assert len(rows) == 8
+            assert "errors" not in summary
+            status, _headers, data = cluster.request("GET", "/stats")
+            assert json.loads(data)["router"]["retried"] > 0
+
+    def test_reset_on_the_only_shard_is_502(self):
+        # The client must get a 502 it can read, never a dropped socket.
+        plan = FaultPlan([Fault("reset")] * 10)
+        with ClusterHarness(shards=1, max_workers=2,
+                            router_options=fast_router_options()) \
+                .with_faults(plan) as cluster:
+            status, _headers, body = cluster.request(
+                "POST", "/experiments", spec_payload(seeds=4, depth=4))
+            assert status == 502
+            assert "no shard reachable" in json.loads(body)["error"]
+            status, _headers, data = cluster.request("GET", "/stats")
+            stats = json.loads(data)
+            assert stats["router"]["failed"] == 1
+            proxied = cluster.routed_urls[0]
+            assert stats["membership"]["shards"][proxied]["failures"] >= 1
+
+    def test_reset_during_recovery_spends_one_attempt_not_all(self):
+        # Shard 0 dies mid-stream; the recovery exchange on shard 1 then
+        # answers 500 and resets.  That is one more fault, so the router
+        # backs off and places again instead of giving up on every
+        # position at once.
+        plans = {0: FaultPlan([Fault("truncate", rows=1)]),
+                 1: FaultPlan([None, Fault("reset")])}
+        with ClusterHarness(shards=2, max_workers=2,
+                            router_options=fast_router_options(
+                                max_attempts=4)) \
+                .with_faults(plans) as cluster:
+            payload = spec_payload(seeds=16, depth=5)
+            status, _headers, faulted = cluster.request(
+                "POST", "/experiments", payload)
+            assert status == 200
+            status, _headers, clean = cluster.request(
+                "POST", "/experiments", payload)
+            assert status == 200
+            assert split_ndjson(faulted)[0] == split_ndjson(clean)[0]
+            assert cluster.proxies[1].applied[1].kind == "reset"
+            status, _headers, data = cluster.request("GET", "/stats")
+            router_stats = json.loads(data)["router"]
+            assert router_stats["recovered"] > 0
+            assert router_stats["gave_up"] == 0
+
+    def test_429_after_the_head_is_waited_out(self):
+        # Once rows are streaming the router cannot answer 429 any more:
+        # a refusal from the recovery shard is waited out as one attempt.
+        plans = {0: FaultPlan([Fault("truncate", rows=1)]),
+                 1: FaultPlan([None, Fault("rewrite", status=429,
+                                           retry_after=0.05)])}
+        with ClusterHarness(shards=2, max_workers=2,
+                            router_options=fast_router_options()) \
+                .with_faults(plans) as cluster:
+            status, _headers, body = cluster.request(
+                "POST", "/experiments", spec_payload(seeds=16, depth=5))
+            assert status == 200
+            rows, summary = split_ndjson(body)
+            assert len(rows) == 16
+            assert "errors" not in summary
+            assert cluster.proxies[1].applied[1].status == 429
+            status, _headers, data = cluster.request("GET", "/stats")
+            router_stats = json.loads(data)["router"]
+            assert router_stats["backoff_waits"] >= 1
+            assert router_stats["gave_up"] == 0
 
     def test_shard_429_propagates_largest_retry_after(self):
         # The router must honor the shard-provided Retry-After (not the
@@ -358,7 +442,7 @@ class TestFaultPlanProperty:
         # Property: any FaultPlan with <= K faults per shard against
         # N=2 live shards still yields a complete, plan-ordered,
         # error-free result stream (K=3 < max_attempts=8).
-        kinds = ("refuse", "close", "truncate", "stall")
+        kinds = ("refuse", "close", "truncate", "stall", "reset")
         chaos_cluster.set_fault_plan(
             0, FaultPlan.seeded(seed0, length=3, kinds=kinds, rate=0.7))
         chaos_cluster.set_fault_plan(
