@@ -13,7 +13,9 @@ normalised throughput of the current kernel.  With ``RESCQ_BENCH_STRICT=1``
 (set by CI) the benchmark **fails when any scheduler's normalised throughput
 drops more than 20%** below that baseline, and when the estimated speedup
 over the recorded pre-kernel-extraction simulator falls below 1.5x.
-Refresh the baseline intentionally with::
+The report carries a ``provenance`` block (git revision, ``-dirty`` when the
+tree had uncommitted changes, and the Python and numpy versions) so records
+can be compared across revisions.  Refresh the baseline intentionally with::
 
     RESCQ_BENCH_REBASE=1 PYTHONPATH=src python -m pytest \
         benchmarks/test_bench_kernel_throughput.py -s
@@ -23,7 +25,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
+
+import numpy as np
 
 from repro import SimulationConfig
 from repro.scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
@@ -56,6 +62,20 @@ def _calibration_loop_seconds() -> float:
         best = min(best, time.perf_counter() - start)
     assert acc >= 0
     return best
+
+
+def _provenance() -> dict:
+    """Where a bench record came from: git revision and library versions."""
+    try:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = "unknown"
+    return {"git_revision": revision,
+            "python": platform.python_version(),
+            "numpy": np.__version__}
 
 
 def test_bench_kernel_throughput():
@@ -114,6 +134,7 @@ def test_bench_kernel_throughput():
                                            * calibration_s, 1),
         },
         "per_scheduler": per_scheduler,
+        "provenance": _provenance(),
     }
 
     if baseline is not None and "pre_kernel" in baseline:

@@ -80,7 +80,6 @@ from .api.registries import DEFAULT_SCHEDULER_NAMES, SCHEDULERS
 from .api.spec import ExperimentSpec, SpecValidationError
 from .circuits import to_artifact_format, to_qasm
 from .exec import ExecutionEngine
-from .lattice import ROUTING_BACKEND_NAMES
 from .rus import PreparationModel
 from .workloads import (
     SCENARIO_FAMILIES,
@@ -128,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the aggregated kernel profile as a "
                                  "canonical-JSON record to FILE.json "
                                  "(implies --profile)")
-    run_parser.add_argument("--routing-backend",
-                            choices=ROUTING_BACKEND_NAMES, default=None,
-                            help="shortest-path backend for the routing "
-                                 "index (default: the config default, "
-                                 "'vector'); all backends produce identical "
-                                 "traces")
     _add_engine_arguments(run_parser)
 
     sweep_parser = sub.add_parser("sweep", help="run a sensitivity sweep")
@@ -335,8 +328,6 @@ def _command_run(args: argparse.Namespace) -> int:
     profile = bool(args.profile or args.profile_out)
     if profile:
         config["profile_enabled"] = True
-    if args.routing_backend is not None:
-        config["routing_backend"] = args.routing_backend
     spec = ExperimentSpec(
         name=args.benchmark,
         benchmarks=(args.benchmark,),

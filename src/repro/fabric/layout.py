@@ -260,12 +260,11 @@ class GridLayout:
     # -- misc --------------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, object]:
-        # The shared routing indices and flat-array view (attached by
+        # The shared routing index and flat-array view (attached by
         # RoutingIndex.for_layout / FlatGrid.for_layout) are per-process
         # caches; keep them out of pickles shipped to workers.
         state = self.__dict__.copy()
         state.pop("_routing_index", None)
-        state.pop("_routing_indices", None)
         state.pop("_flat_grid", None)
         return state
 

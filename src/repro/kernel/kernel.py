@@ -99,11 +99,8 @@ class SimulationKernel:
         self.fabric = FabricState(layout, circuit.num_qubits,
                                   activity_window=activity_window)
         self.lifecycle = GateLifecycle(circuit)
-        #: Shared per-(layout, backend) routing cache (reused across runs
-        #: and seeds; separate backends hold separate caches so equivalence
-        #: tests compare honest cold-path behaviour).
-        self.routing = RoutingIndex.for_layout(layout,
-                                               backend=config.routing_backend)
+        #: Shared per-layout routing cache (reused across runs and seeds).
+        self.routing = RoutingIndex.for_layout(layout)
         # The routing index is shared across runs; remember its counters so
         # the profile reports only this run's queries.
         self._routing_queries_start = self.routing.queries

@@ -6,6 +6,16 @@ which attaches to the target's X edge, which contiguous ancilla path connects
 the two, and whether edge rotations are needed first (Section 3.1, Figure 4).
 The *policies* differ in how they pick among candidate plans; the mechanics of
 enumerating and validating plans are shared and live here.
+
+:func:`bfs_ancilla_path` and :func:`enumerate_cnot_plans` are the reference
+implementations over the object-graph layout.  Schedulers query
+:class:`RoutingIndex`, which answers the same questions from memoised state
+and a FIFO BFS over the :class:`~repro.fabric.flat.FlatGrid` flat indices.
+That BFS is byte-identical to the reference: it pops nodes in discovery order
+and scans each node's neighbours in ``Edge`` declaration order, exactly as
+the reference does, so every node gets the same parent.  Parents are never
+reassigned, so a full parent tree (computed without early termination)
+reconstructs the same path the early-terminating reference returns.
 """
 
 from __future__ import annotations
@@ -15,13 +25,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..fabric import Edge, GridLayout, Position
-from .backends import DEFAULT_ROUTING_BACKEND, RoutingBackend, get_backend
+from ..fabric.flat import FlatGrid
 from .operations import DEFAULT_COSTS, LatticeSurgeryCosts
 from .orientation import OrientationTracker
 
 __all__ = ["RoutePlan", "RoutingIndex", "bfs_ancilla_path",
-           "enumerate_cnot_plans", "find_shortest_cnot_plan"]
+           "enumerate_cnot_plans"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,7 @@ class RoutePlan:
     def num_rotations(self) -> int:
         return int(self.control_rotation) + int(self.target_rotation)
 
-    def duration(self, costs: LatticeSurgeryCosts = DEFAULT_COSTS,
-                 sequential_rotations: Optional[bool] = None) -> int:
+    def duration(self, costs: LatticeSurgeryCosts = DEFAULT_COSTS) -> int:
         """Total cycles the plan occupies the data qubits.
 
         Edge rotations on control and target can proceed in parallel when they
@@ -77,13 +88,9 @@ class RoutePlan:
         ancilla they serialise, which is how the 3+3+2 = 8-cycle CNOTs of
         Figure 5 arise.
         """
-        if sequential_rotations is None:
-            sequential_rotations = (
-                self.control_rotation and self.target_rotation
-                and self.rotation_ancilla_control == self.rotation_ancilla_target)
         rotation_cycles = 0
         if self.control_rotation and self.target_rotation:
-            if sequential_rotations:
+            if self.rotation_ancilla_control == self.rotation_ancilla_target:
                 rotation_cycles = 2 * costs.edge_rotation_cycles
             else:
                 rotation_cycles = costs.edge_rotation_cycles
@@ -209,49 +216,60 @@ def enumerate_cnot_plans(layout: GridLayout, orientation: OrientationTracker,
         blocked, path_finder)
 
 
+def _bfs_parent_tree(flat: FlatGrid, source: int) -> np.ndarray:
+    """Full BFS parent tree from ``source`` over ``flat``'s ancilla tiles.
+
+    Entry ``i`` is the flat index of tile ``i``'s parent (``source`` for the
+    source itself, ``-1`` when unreached).  Stored as int32: 4 bytes per tile
+    and not GC-tracked, so hundreds of memoised trees on a large fabric stay
+    cheap to hold.
+    """
+    adjacency = flat.route_adjacency
+    parents = [-1] * flat.size
+    parents[source] = source
+    queue = [source]
+    # Appending while iterating is a FIFO queue: nodes pop in discovery
+    # order, neighbours scan in Edge order — the reference BFS order.
+    for current in queue:
+        for neighbor in adjacency[current]:
+            if parents[neighbor] < 0:
+                parents[neighbor] = current
+                queue.append(neighbor)
+    return np.fromiter(parents, dtype=np.int32, count=flat.size)
+
+
 class RoutingIndex:
-    """Incremental routing over one layout: precomputed adjacency, memoised
-    plan enumeration, delta invalidation.
+    """Incremental routing over one layout: flat-index BFS, memoised plan
+    enumeration, delta invalidation.
 
-    The index answers the same queries as :func:`bfs_ancilla_path` and
-    :func:`enumerate_cnot_plans` but caches everything that is a pure function
-    of the (static) layout and the qubits' edge orientations:
+    The index answers the same queries as :func:`bfs_ancilla_path` (without
+    ``blocked``) and :func:`enumerate_cnot_plans` but caches everything that
+    is a pure function of the layout and the qubits' edge orientations:
 
+    * **BFS parent trees** keyed on the source tile (one full tree serves
+      every goal);
+    * **shortest ancilla paths** keyed on ``(start, goal)``;
     * **attachment candidates** keyed on ``(qubit, pauli, flipped)``;
-    * **BFS ancilla paths** keyed on ``(start, goal)`` (unblocked queries);
     * **full plan enumerations** keyed on
       ``(control, target, flipped_c, flipped_t)``.
 
-    Layout mutations (grid compression's disable/enable) are picked up
-    through :meth:`GridLayout.changes_since`: a *disable* prunes exactly the
-    cached paths, plans and attachments that touch the removed tile — every
-    surviving path is still a shortest path, because removing a tile can only
-    remove paths — while an *enable* (which can create strictly better
-    routes) or a truncated change log invalidates the whole index.
+    Layout mutations (grid compression's disable/enable) are picked up in
+    :meth:`_sync` through :meth:`GridLayout.changes_since`.  Parent trees
+    span the whole fabric, so any mutation drops them.  A *disable* prunes
+    exactly the cached paths, plans and attachments that touch the removed
+    tile — every surviving path is still a shortest path, because removing a
+    tile can only remove paths — while an *enable* (which can create strictly
+    better routes) or a truncated change log drops every cache.
 
-    Queries that carry a transient ``blocked`` set or an external
-    ``path_finder`` (RESCQ's MST tree paths) are answered without touching
-    the plan cache, but still reuse the cached attachment candidates.
-
-    Shortest-path queries are delegated to a
-    :class:`~repro.lattice.backends.RoutingBackend` (``python`` reference
-    BFS or the default flat-index ``vector`` BFS) — byte-identical, selected
-    via ``SimulationConfig(routing_backend=...)``.
-
-    One index per (layout, backend) is typically shared via
-    :meth:`for_layout`, so repeated runs (seed sweeps) reuse each other's
-    routing work while equivalence tests can hold separate caches per
-    backend.
+    One index per layout is typically shared via :meth:`for_layout`, so
+    repeated runs (seed sweeps) reuse each other's routing work.
     """
 
-    def __init__(self, layout: GridLayout,
-                 backend: "str | RoutingBackend" = DEFAULT_ROUTING_BACKEND
-                 ) -> None:
+    def __init__(self, layout: GridLayout) -> None:
         self.layout = layout
-        self.backend: RoutingBackend = (get_backend(backend)
-                                        if isinstance(backend, str)
-                                        else backend)
         self._version = layout.version
+        #: source flat index -> BFS parent tree for the current revision.
+        self._parent_trees: Dict[int, np.ndarray] = {}
         #: (start, goal) -> shortest ancilla path (or None when unreachable).
         self._paths: Dict[Tuple[Position, Position],
                           Optional[List[Position]]] = {}
@@ -264,38 +282,26 @@ class RoutingIndex:
         self.plan_cache_hits = 0
 
     @classmethod
-    def for_layout(cls, layout: GridLayout,
-                   backend: str = DEFAULT_ROUTING_BACKEND) -> "RoutingIndex":
-        """The shared per-backend index attached to ``layout``."""
-        indices = getattr(layout, "_routing_indices", None)
-        if indices is None or any(index.layout is not layout
-                                  for index in indices.values()):
-            indices = {}
-            layout._routing_indices = indices
-        index = indices.get(backend)
-        if index is None:
-            index = cls(layout, backend=backend)
-            indices[backend] = index
+    def for_layout(cls, layout: GridLayout) -> "RoutingIndex":
+        """The shared index attached to ``layout``."""
+        index = getattr(layout, "_routing_index", None)
+        if index is None or index.layout is not layout:
+            index = cls(layout)
+            layout._routing_index = index
         return index
 
     # -- invalidation ----------------------------------------------------------
-
-    def _invalidate_all(self) -> None:
-        self._paths.clear()
-        self._attachments.clear()
-        self._plans.clear()
 
     def _sync(self) -> None:
         if self.layout.version == self._version:
             return
         changes = self.layout.changes_since(self._version)
         self._version = self.layout.version
-        # Backend parent trees span the whole fabric, so any mutation (even a
-        # delta-prunable disable) invalidates them; surviving cached paths in
-        # self._paths are still served without re-querying the backend.
-        self.backend.invalidate()
+        self._parent_trees.clear()
         if changes is None or any(enabled for _, _, enabled in changes):
-            self._invalidate_all()
+            self._paths.clear()
+            self._attachments.clear()
+            self._plans.clear()
             return
         removed = {position for _, position, _ in changes}
         self._paths = {key: path for key, path in self._paths.items()
@@ -311,15 +317,42 @@ class RoutingIndex:
     # -- cached primitives ------------------------------------------------------
 
     def path(self, start: Position, goal: Position) -> Optional[List[Position]]:
-        """Shortest unblocked ancilla path (memoised; treat as read-only)."""
+        """Shortest ancilla path, equal to :func:`bfs_ancilla_path`'s
+        (memoised; treat as read-only)."""
         self._sync()
         key = (start, goal)
         try:
             return self._paths[key]
         except KeyError:
-            path = self.backend.shortest_path(self.layout, start, goal)
+            path = self._shortest_path(start, goal)
             self._paths[key] = path
             return path
+
+    def _shortest_path(self, start: Position,
+                       goal: Position) -> Optional[List[Position]]:
+        flat = FlatGrid.for_layout(self.layout)
+        start_flat = flat.flat_index(start)
+        goal_flat = flat.flat_index(goal)
+        if (start_flat < 0 or goal_flat < 0
+                or not flat.ancilla_mask[start_flat]
+                or not flat.ancilla_mask[goal_flat]):
+            return None
+        if start_flat == goal_flat:
+            return [start]
+        parents = self._parent_trees.get(start_flat)
+        if parents is None:
+            parents = _bfs_parent_tree(flat, start_flat)
+            self._parent_trees[start_flat] = parents
+        if parents[goal_flat] < 0:
+            return None
+        positions = flat._positions
+        path = [positions[goal_flat]]
+        current = goal_flat
+        while current != start_flat:
+            current = int(parents[current])
+            path.append(positions[current])
+        path.reverse()
+        return path
 
     def attachments(self, orientation: OrientationTracker, qubit: int,
                     pauli: str) -> List[Tuple[Position, bool]]:
@@ -336,36 +369,15 @@ class RoutingIndex:
 
     # -- plan enumeration -------------------------------------------------------
 
-    def _build_plans(self, orientation: OrientationTracker, control: int,
-                     target: int, blocked: Set[Position],
-                     path_finder) -> List[RoutePlan]:
-        return _plans_from_candidates(
-            control, target,
-            self.attachments(orientation, control, "Z"),
-            self.attachments(orientation, target, "X"),
-            blocked, path_finder)
-
     def enumerate_plans(self, orientation: OrientationTracker, control: int,
-                        target: int,
-                        blocked: Optional[Set[Position]] = None,
-                        path_finder: Optional[Callable[[Position, Position],
-                                                       Optional[List[Position]]]] = None
-                        ) -> List[RoutePlan]:
+                        target: int) -> List[RoutePlan]:
         """Candidate CNOT plans, identical to :func:`enumerate_cnot_plans`.
 
-        The returned list is cached for unblocked default-routing queries:
-        treat it (and the plans inside) as read-only.
+        The returned list is cached: treat it (and the plans inside) as
+        read-only.
         """
         self._sync()
         self.queries += 1
-        if path_finder is not None:
-            return self._build_plans(orientation, control, target,
-                                     blocked or set(), path_finder)
-        if blocked:
-            def blocked_finder(a: Position, b: Position):
-                return self.backend.shortest_path(self.layout, a, b, blocked)
-            return self._build_plans(orientation, control, target, blocked,
-                                     blocked_finder)
         key = (control, target, orientation.is_flipped(control),
                orientation.is_flipped(target))
         try:
@@ -373,19 +385,10 @@ class RoutingIndex:
             self.plan_cache_hits += 1
             return plans
         except KeyError:
-            plans = self._build_plans(orientation, control, target, set(),
-                                      self.path)
+            plans = _plans_from_candidates(
+                control, target,
+                self.attachments(orientation, control, "Z"),
+                self.attachments(orientation, target, "X"),
+                set(), self.path)
             self._plans[key] = plans
             return plans
-
-
-def find_shortest_cnot_plan(layout: GridLayout, orientation: OrientationTracker,
-                            control: int, target: int,
-                            blocked: Optional[Set[Position]] = None,
-                            costs: LatticeSurgeryCosts = DEFAULT_COSTS
-                            ) -> Optional[RoutePlan]:
-    """Greedy plan selection: fewest cycles, then shortest path (baseline [18])."""
-    plans = enumerate_cnot_plans(layout, orientation, control, target, blocked)
-    if not plans:
-        return None
-    return min(plans, key=lambda plan: (plan.duration(costs), len(plan.path)))

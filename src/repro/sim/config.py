@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..lattice import (DEFAULT_COSTS, DEFAULT_ROUTING_BACKEND,
-                       ROUTING_BACKEND_NAMES, LatticeSurgeryCosts)
+from ..lattice import DEFAULT_COSTS, LatticeSurgeryCosts
 from ..rus import InjectionStrategy, PreparationModel
 
 __all__ = ["SimulationConfig"]
@@ -40,8 +39,8 @@ class SimulationConfig:
     costs:
         Lattice-surgery cycle costs.
     max_cycles:
-        Safety bound; the simulator raises if a run exceeds it (deadlock
-        guard).
+        Safety bound (``>= 1``); the simulator raises if a run exceeds it
+        (deadlock guard).
     max_parallel_preparations:
         Cap on how many ancillas RESCQ fans a single Rz preparation out to.
     eager_correction_prep / parallel_preparation:
@@ -51,11 +50,6 @@ class SimulationConfig:
         (:class:`~repro.kernel.profiler.KernelProfile`) into
         :attr:`~repro.sim.results.SimulationResult.profile`.  Pure
         observability: simulated results are identical either way.
-    routing_backend:
-        Shortest-path machinery behind the routing index: ``"vector"``
-        (flat-index BFS, the default) or ``"python"`` (the reference BFS it
-        is tested against).  Both produce byte-identical traces; only
-        wall-clock speed differs.
     """
 
     distance: int = 7
@@ -72,13 +66,8 @@ class SimulationConfig:
     parallel_preparation: bool = True
     use_mst_routing: bool = True
     profile_enabled: bool = False
-    routing_backend: str = DEFAULT_ROUTING_BACKEND
 
     def __post_init__(self) -> None:
-        if self.routing_backend not in ROUTING_BACKEND_NAMES:
-            raise ValueError(
-                f"routing_backend must be one of {ROUTING_BACKEND_NAMES}, "
-                f"got {self.routing_backend!r}")
         if self.distance < 3 or self.distance % 2 == 0:
             raise ValueError("distance must be an odd integer >= 3")
         if not 0.0 < self.physical_error_rate < 0.5:
@@ -89,6 +78,9 @@ class SimulationConfig:
             raise ValueError("mst_latency must be non-negative")
         if self.max_parallel_preparations < 1:
             raise ValueError("max_parallel_preparations must be >= 1")
+        if self.max_cycles < 1:
+            raise ValueError(
+                f"max_cycles must be >= 1, got {self.max_cycles}")
 
     def preparation_model(self) -> PreparationModel:
         """The |m_theta> preparation statistics implied by (d, p)."""

@@ -112,11 +112,6 @@ def run_case(circuit_key: str, scheduler_name: str, seed: int,
     circuit = (circuits[circuit_key] if circuit_key in circuits
                else large_circuits()[circuit_key])
     config = GOLDEN_CONFIG
-    # Both routing backends must reproduce the goldens byte-identically; a
-    # CI job re-runs the suite with RESCQ_GOLDEN_BACKEND=python.
-    backend = os.environ.get("RESCQ_GOLDEN_BACKEND")
-    if backend:
-        config = config.with_updates(routing_backend=backend)
     if variant == "no_mst":
         config = config.with_updates(use_mst_routing=False)
     elif variant == "ablated":

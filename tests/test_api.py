@@ -184,6 +184,7 @@ class TestExperimentSpec:
         (dict(grid={"distance": ("seven",)}), "non-numeric"),
         (dict(layout_seed="x"), "layout_seed"),
         (dict(config={"distance": 4}), "SimulationConfig"),
+        (dict(config={"max_cycles": 0}), "max_cycles"),
     ])
     def test_validation_errors_are_actionable(self, overrides, needle):
         with pytest.raises(SpecValidationError) as excinfo:

@@ -311,17 +311,14 @@ class TestKernelProfile:
         from repro.canonical import canonical_dumps
         from repro.cli import main
         out_path = tmp_path / "profile.json"
-        # --profile-out implies --profile; --routing-backend python exercises
-        # backend selection through the CLI.
+        # --profile-out implies --profile.
         assert main(["run", "VQE_n13", "--seeds", "1", "--schedulers",
-                     "rescq", "--profile-out", str(out_path),
-                     "--routing-backend", "python"]) == 0
+                     "rescq", "--profile-out", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "kernel profile" in out
         raw = out_path.read_text(encoding="utf-8")
         record = json.loads(raw)
         assert record["kind"] == "kernel_profile"
-        assert record["config"]["routing_backend"] == "python"
         assert record["profile_rows"][0]["scheduler"] == "rescq"
         assert record["profile_rows"][0]["wall_total_s"] > 0
         # Byte-stable: the file is canonical JSON of its own payload.
@@ -367,8 +364,15 @@ class TestRoutingIndex:
         import pickle
         index = RoutingIndex.for_layout(star9)
         assert RoutingIndex.for_layout(star9) is index
+        index.path(*star9.ancilla_positions()[:2])  # attaches the FlatGrid
+        # The caches really are attached, so the checks below can fail.
+        assert hasattr(star9, "_routing_index")
+        assert hasattr(star9, "_flat_grid")
         clone = pickle.loads(pickle.dumps(star9))
         assert not hasattr(clone, "_routing_index")
+        assert not hasattr(clone, "_flat_grid")
+        fresh = RoutingIndex.for_layout(clone)
+        assert fresh is not index and fresh.layout is clone
 
     def test_disable_invalidates_only_touched_entries(self, star9):
         index = RoutingIndex(star9)

@@ -9,8 +9,15 @@ from repro.lattice import (
     RoutePlan,
     bfs_ancilla_path,
     enumerate_cnot_plans,
-    find_shortest_cnot_plan,
 )
+from repro.scheduling import GreedyScheduler
+from repro.sim import SimulationConfig
+
+
+def greedy_plan(layout, tracker, control, target):
+    """The greedy baseline's pick: fewest cycles, then shortest path."""
+    plans = enumerate_cnot_plans(layout, tracker, control, target)
+    return GreedyScheduler()._choose_plan(plans, {}, SimulationConfig())
 
 
 class TestCosts:
@@ -99,7 +106,7 @@ class TestCnotPlans:
         tracker = OrientationTracker(9)
         # qubits 0 and 3 are vertically adjacent blocks: control Z edge faces
         # south, target X edge faces east/west — a 2-cycle plan must exist.
-        plan = find_shortest_cnot_plan(layout, tracker, 3, 4)
+        plan = greedy_plan(layout, tracker, 3, 4)
         assert plan is not None
         assert plan.duration() >= 2
 
@@ -139,7 +146,7 @@ class TestCnotPlans:
     def test_shortest_plan_prefers_no_rotation(self):
         layout = star_layout(9, StarVariant.STAR)
         tracker = OrientationTracker(9)
-        plan = find_shortest_cnot_plan(layout, tracker, 0, 1)
+        plan = greedy_plan(layout, tracker, 0, 1)
         best_possible = min(p.duration() for p in
                             enumerate_cnot_plans(layout, tracker, 0, 1))
         assert plan.duration() == best_possible

@@ -1,15 +1,17 @@
-"""Routing-backend equivalence: the vector backend against the python oracle.
+"""Routing-index equivalence: the flat-index BFS against the reference BFS.
 
-The vectorised struct-of-arrays routing core must be a pure performance
-change: both backends produce byte-identical schedules.  These
-tests pin that from three angles — raw shortest-path queries, the FlatGrid
-array representation, and whole scheduler runs over random
-scenario-generator circuits.
+:class:`RoutingIndex` answers shortest-path queries with a FIFO BFS over the
+struct-of-arrays :class:`FlatGrid`; it must agree byte-for-byte with
+:func:`bfs_ancilla_path`.  These tests pin that from three angles — raw
+shortest-path queries, the FlatGrid array representation, and whole
+scheduler runs over random scenario-generator circuits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +23,7 @@ from repro.analysis.export import result_to_dict
 from repro.fabric import StarVariant, star_layout
 from repro.fabric.flat import FlatGrid
 from repro.kernel.fabric_state import FabricState
-from repro.lattice import (
-    ROUTING_BACKEND_NAMES,
-    bfs_ancilla_path,
-    get_backend,
-)
+from repro.lattice import RoutingIndex, bfs_ancilla_path
 from repro.scheduling import SCHEDULER_REGISTRY
 from repro.sim.runner import default_layout
 from repro.workloads.scenarios import clifford_rz_circuit
@@ -71,7 +69,7 @@ class TestFlatGrid:
 
 
 # ---------------------------------------------------------------------------
-# Shortest-path parity: vector backend vs the reference BFS
+# Shortest-path parity: the routing index vs the reference BFS
 # ---------------------------------------------------------------------------
 
 def _mutated_star_layout():
@@ -97,79 +95,46 @@ class TestShortestPathParity:
 
     def test_all_pairs_match_reference(self, any_layout):
         layout = any_layout
-        backend = get_backend("vector")
+        index = RoutingIndex(layout)
         ancillas = layout.ancilla_positions()
-        rng = np.random.default_rng(3)
-        pairs = rng.integers(0, len(ancillas), size=(80, 2))
-        for a_idx, b_idx in pairs:
-            start, goal = ancillas[a_idx], ancillas[b_idx]
-            expected = bfs_ancilla_path(layout, start, goal)
-            actual = backend.shortest_path(layout, start, goal)
-            assert actual == expected
-
-    def test_blocked_tiles_match_reference(self, any_layout):
-        layout = any_layout
-        backend = get_backend("vector")
-        ancillas = layout.ancilla_positions()
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            blocked = {ancillas[i] for i in
-                       rng.choice(len(ancillas), size=6, replace=False)}
-            start, goal = (ancillas[int(i)] for i in
-                           rng.integers(0, len(ancillas), size=2))
-            expected = bfs_ancilla_path(layout, start, goal, blocked)
-            actual = backend.shortest_path(layout, start, goal, blocked)
-            assert actual == expected
+        for start in ancillas:
+            for goal in ancillas:
+                assert (index.path(start, goal)
+                        == bfs_ancilla_path(layout, start, goal))
 
     def test_non_ancilla_endpoints_return_none(self, layout):
-        backend = get_backend("vector")
+        index = RoutingIndex(layout)
         data = layout.data_position(0)
         ancilla = layout.ancilla_positions()[0]
-        assert backend.shortest_path(layout, data, ancilla) is None
+        assert index.path(data, ancilla) is None
         assert bfs_ancilla_path(layout, data, ancilla) is None
 
     def test_memoised_trees_are_compact(self, layout):
-        backend = get_backend("vector")
+        index = RoutingIndex(layout)
         ancillas = layout.ancilla_positions()
         for start in ancillas[:3]:
-            backend.shortest_path(layout, start, ancillas[-1])
-        trees = list(backend._parent_trees.values())
+            index.path(start, ancillas[-1])
+        trees = list(index._parent_trees.values())
         assert len(trees) == 3
         for tree in trees:
             assert tree.itemsize == 4
             assert not gc.is_tracked(tree)
 
     def test_survives_layout_mutation(self, layout):
-        backend = get_backend("vector")
+        index = RoutingIndex(layout)
         ancillas = layout.ancilla_positions()
         start, goal = ancillas[0], ancillas[-1]
-        before = backend.shortest_path(layout, start, goal)
+        before = index.path(start, goal)
         assert before == bfs_ancilla_path(layout, start, goal)
+        assert index._parent_trees
         victim = before[len(before) // 2]
         layout.disable(victim)
-        backend.invalidate()
-        after = backend.shortest_path(layout, start, goal)
+        after = index.path(start, goal)
         assert after == bfs_ancilla_path(layout, start, goal)
         assert victim not in (after or ())
-
-
-# ---------------------------------------------------------------------------
-# Backend registry
-# ---------------------------------------------------------------------------
-
-class TestBackendRegistry:
-    def test_known_names(self):
-        assert ROUTING_BACKEND_NAMES == ("python", "vector")
-        for name in ROUTING_BACKEND_NAMES:
-            assert get_backend(name).name == name
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown routing backend"):
-            get_backend("fortran")
-
-    def test_config_validates_backend(self):
-        with pytest.raises(ValueError, match="routing_backend"):
-            SimulationConfig(routing_backend="fortran")
+        # The trees built before the mutation were dropped, not reused.
+        assert all(tree[FlatGrid.for_layout(layout).flat_index(victim)] < 0
+                   for tree in index._parent_trees.values())
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +163,20 @@ class TestFabricStateViews:
 # Whole-run equivalence on scenario-generator circuits (hypothesis)
 # ---------------------------------------------------------------------------
 
-def _run(circuit, backend: str, seed: int):
-    config = SimulationConfig(mst_period=10, mst_latency=20,
-                              routing_backend=backend)
+def _reference_path(index, start, goal):
+    return bfs_ancilla_path(index.layout, start, goal)
+
+
+def _run(circuit, seed: int, reference: bool = False):
+    """One RESCQ run; ``reference`` routes every path query through the
+    reference BFS instead of the index's flat BFS."""
+    config = SimulationConfig(mst_period=10, mst_latency=20)
     layout = default_layout(circuit)
     scheduler = SCHEDULER_REGISTRY.create("rescq")
-    return result_to_dict(scheduler.run(circuit, layout, config, seed=seed))
+    routing = (mock.patch.object(RoutingIndex, "path", _reference_path)
+               if reference else contextlib.nullcontext())
+    with routing:
+        return result_to_dict(scheduler.run(circuit, layout, config, seed=seed))
 
 
 @settings(max_examples=12, deadline=None,
@@ -211,16 +184,12 @@ def _run(circuit, backend: str, seed: int):
 @given(n=st.integers(4, 10), depth=st.integers(2, 5),
        circuit_seed=st.integers(0, 1000), run_seed=st.integers(0, 3))
 def test_backends_produce_identical_traces(n, depth, circuit_seed, run_seed):
-    """python and vector backends yield byte-identical scheduler results."""
+    """Index routing and reference routing yield byte-identical results."""
     circuit = clifford_rz_circuit(n, depth=depth, seed=circuit_seed)
-    reference = _run(circuit, "python", run_seed)
-    vectorised = _run(circuit, "vector", run_seed)
-    assert vectorised == reference
+    assert _run(circuit, run_seed) == _run(circuit, run_seed, reference=True)
 
 
 def test_backends_identical_on_dense_scenario():
-    """Deterministic (non-hypothesis) cross-backend check on a denser case."""
+    """Deterministic (non-hypothesis) index-vs-reference check, denser case."""
     circuit = clifford_rz_circuit(12, depth=6, cx_fraction=0.5, seed=21)
-    reference = _run(circuit, "python", 1)
-    vectorised = _run(circuit, "vector", 1)
-    assert vectorised == reference
+    assert _run(circuit, 1) == _run(circuit, 1, reference=True)

@@ -36,6 +36,8 @@ class TestConfig:
             SimulationConfig(mst_latency=-5)
         with pytest.raises(ValueError):
             SimulationConfig(max_parallel_preparations=0)
+        with pytest.raises(ValueError, match="max_cycles"):
+            SimulationConfig(max_cycles=-5)
 
     def test_with_updates_returns_new_object(self):
         config = SimulationConfig()
