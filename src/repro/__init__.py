@@ -61,7 +61,6 @@ from .sim import (
 from .exec import (
     ExecutionEngine,
     ParallelExecutor,
-    ResultCache,
     SerialExecutor,
     SimJob,
 )
@@ -111,5 +110,4 @@ __all__ = [
     "ExecutionEngine",
     "SerialExecutor",
     "ParallelExecutor",
-    "ResultCache",
 ]

@@ -23,12 +23,11 @@ def build_engine(jobs: int = 1, cache: Optional[str] = None,
     """Build an execution engine from the common (jobs, cache) knobs.
 
     ``jobs > 1`` fans simulation jobs out over that many worker processes
-    (``0`` means one per CPU); ``cache`` memoises finished jobs on disk —
-    a directory path for the file backend, or a ``*.sqlite`` path /
-    ``sqlite:`` spec for the SQLite backend (see
-    :func:`repro.exec.open_cache_backend`).  This is the builder behind the
-    CLI's ``--jobs``/``--cache`` flags and the benchmark harnesses'
-    ``RESCQ_JOBS``/``RESCQ_CACHE`` variables.
+    (``0`` means one per CPU); ``cache`` memoises finished jobs, usually in
+    a directory of result files (any :func:`repro.exec.open_cache_backend`
+    spec).  This is the builder behind the CLI's ``--jobs``/``--cache``
+    flags and the benchmark harnesses' ``RESCQ_JOBS``/``RESCQ_CACHE``
+    variables.
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0 (0 = one worker per CPU)")

@@ -46,8 +46,8 @@ Subcommands
     membership table (state, failure counters, last error per shard).
 ``cache``
     Inspect or maintain a result cache: ``stats``, ``gc --older-than AGE``
-    and ``verify`` work uniformly over the directory, SQLite and
-    ``http://`` peer backends.
+    and ``verify`` work uniformly over a cache directory and an
+    ``http://`` peer.
 
 Both ``serve`` and ``route`` print a machine-parsable readiness line on
 stdout once their socket is bound::
@@ -69,7 +69,6 @@ table, and the table itself is byte-identical for every ``--jobs`` value.
 from __future__ import annotations
 
 import argparse
-import sqlite3
 import sys
 from typing import List, Optional, Sequence
 
@@ -180,9 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--jobs", type=int, default=None, metavar="N",
                               help="worker processes (default: CPU count)")
     serve_parser.add_argument("--cache", default=None, metavar="SPEC",
-                              help="shared result cache: a directory, a "
-                                   "*.sqlite/*.db file, an explicit "
-                                   "dir:PATH / sqlite:PATH spec, an "
+                              help="shared result cache: a directory "
+                                   "(PATH or dir:PATH), an "
                                    "http://host:port cache peer, or a "
                                    "NEAR|FAR tier composition")
     serve_parser.add_argument("--job-timeout", type=float, default=None,
@@ -266,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "entries; verify: integrity-check every "
                                    "entry (exit 1 if corrupt)")
     cache_parser.add_argument("path",
-                              help="cache location: a directory, a "
-                                   "*.sqlite/*.db file, an explicit "
-                                   "dir:PATH / sqlite:PATH spec, or an "
+                              help="cache location: a directory "
+                                   "(PATH or dir:PATH) or an "
                                    "http://host:port cache peer")
     cache_parser.add_argument("--older-than", default=None, metavar="AGE",
                               help="gc cutoff age, e.g. 45s, 30m, 12h or 7d "
@@ -281,9 +278,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for simulation jobs "
                              "(default: 1, serial)")
     parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="on-disk result cache (a directory, a "
-                             "*.sqlite/*.db file, or dir:PATH / "
-                             "sqlite:PATH); repeated runs skip "
+                        help="on-disk result cache directory (PATH or "
+                             "dir:PATH); repeated runs skip "
                              "already-measured points")
 
 
@@ -292,7 +288,7 @@ def _engine_from_args(args: argparse.Namespace) -> ExecutionEngine:
         raise SystemExit("--jobs must be >= 1")
     try:
         return build_engine(jobs=args.jobs, cache=args.cache)
-    except (OSError, ValueError, sqlite3.Error) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"--cache {args.cache!r} is not usable: {exc}")
 
 
@@ -506,7 +502,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.cache:
         try:
             cache = open_cache_backend(args.cache)
-        except (OSError, ValueError, sqlite3.Error) as exc:
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"--cache {args.cache!r} is not usable: {exc}")
     try:
         executor = ServiceExecutor(max_workers=args.jobs,
@@ -665,14 +661,12 @@ def _command_cache(args: argparse.Namespace) -> int:
 
     from .exec.cache import open_cache_backend
 
-    if not args.path.startswith("http://") and "|" not in args.path:
-        location = args.path.partition(":")[2] if args.path.startswith(
-            ("dir:", "sqlite:")) else args.path
-        if not os.path.exists(location):
-            raise SystemExit(f"cache: no cache at {args.path!r}")
+    if (not args.path.startswith("http://") and "|" not in args.path
+            and not os.path.exists(args.path.removeprefix("dir:"))):
+        raise SystemExit(f"cache: no cache at {args.path!r}")
     try:
         backend = open_cache_backend(args.path)
-    except (OSError, ValueError, sqlite3.Error) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"cache: cannot open {args.path!r}: {exc}")
     try:
         if args.action == "stats":

@@ -10,11 +10,10 @@ makes that explicit:
 * :mod:`repro.exec.executors` — pluggable strategies for running a list of
   jobs: :class:`SerialExecutor` (the deterministic reference) and
   :class:`ParallelExecutor` (a ``ProcessPoolExecutor`` fan-out);
-* :mod:`repro.exec.cache` — the :class:`CacheBackend` protocol and its two
-  concurrent-safe implementations, :class:`DirectoryCache` (write-once
-  JSON files; ``ResultCache`` is its historical alias) and
-  :class:`SQLiteCache` (single file, WAL mode), so repeated sweeps — and
-  concurrent ``rescq serve`` submissions — skip already-measured points;
+* :mod:`repro.exec.cache` — the :class:`CacheBackend` protocol and its
+  concurrent-safe local store, :class:`DirectoryCache` (write-once JSON
+  files), so repeated sweeps — and concurrent ``rescq serve`` submissions —
+  skip already-measured points;
 * :mod:`repro.exec.engine` — :class:`ExecutionEngine`, which ties an executor
   and an optional cache together and is the object the runner, sweeps, CLI
   (``--jobs`` / ``--cache``) and benchmark harnesses all accept.
@@ -30,8 +29,6 @@ from .cache import (
     CacheEntry,
     CacheStats,
     DirectoryCache,
-    ResultCache,
-    SQLiteCache,
     open_cache_backend,
 )
 from .engine import EngineStats, ExecutionEngine
@@ -49,8 +46,6 @@ __all__ = [
     "CacheEntry",
     "CacheCheck",
     "DirectoryCache",
-    "SQLiteCache",
-    "ResultCache",
     "CacheStats",
     "open_cache_backend",
     "ExecutionEngine",

@@ -7,17 +7,13 @@ between the CLI, benchmarks, notebooks and the ``rescq serve`` experiment
 service: any submission that revisits a measured point skips the scheduler
 run entirely.
 
-Two backends implement the :class:`CacheBackend` protocol:
+Three backends implement the :class:`CacheBackend` protocol:
 
-* :class:`DirectoryCache` — one canonical-JSON file per entry.  Writes are
-  **write-once**: the payload lands in a temp file and is hard-linked into
-  place, so concurrent writers race benignly (exactly one wins, every reader
-  sees either a miss or a complete entry, never a torn file).  Reads are
-  lock-free.
-* :class:`SQLiteCache` — a single SQLite database in WAL mode, safe under
-  concurrent reader/writer *processes*.  Write-once via
-  ``INSERT OR IGNORE``; richer stats/GC/integrity queries come for free
-  from SQL.
+* :class:`DirectoryCache` — the one local store: one canonical-JSON file
+  per entry.  Writes are **write-once**: the payload lands in a temp file
+  and is hard-linked into place, so concurrent writers race benignly
+  (exactly one wins, every reader sees either a miss or a complete entry,
+  never a torn file).  Reads are lock-free.
 * :class:`HttpCache` — a client for the ``/cache/<fingerprint>`` peer
   protocol served by :class:`~repro.service.server.ExperimentServer`.  The
   peer's local backend enforces write-once, so N processes (or N cluster
@@ -28,9 +24,9 @@ Two backends implement the :class:`CacheBackend` protocol:
   authoritative for write-once verdicts and listings.
 
 :func:`open_cache_backend` picks a backend from a CLI-friendly spec string
-(``.sqlite``/``.db`` suffix, an explicit ``sqlite:``/``dir:`` prefix, an
-``http://`` peer URL, or a ``near|far`` tier composition), so every
-``--cache`` flag accepts every backend uniformly.
+(a directory path, optionally ``dir:``-prefixed, an ``http://`` peer URL,
+or a ``near|far`` tier composition), so every ``--cache`` flag accepts
+every backend uniformly.
 """
 
 from __future__ import annotations
@@ -41,9 +37,7 @@ import json
 import os
 import random
 import re
-import sqlite3
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,8 +54,6 @@ __all__ = [
     "CacheStats",
     "DirectoryCache",
     "HttpCache",
-    "ResultCache",
-    "SQLiteCache",
     "TieredCache",
     "open_cache_backend",
 ]
@@ -216,7 +208,13 @@ class DirectoryCache(CacheBackend):
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise NotADirectoryError(
+                f"result cache {str(self.directory)!r} exists but is not a "
+                f"directory; a result cache is a directory of "
+                f"<fingerprint>.json files") from None
         self.stats = CacheStats()
 
     def _path(self, fingerprint: str) -> Path:
@@ -325,147 +323,6 @@ class DirectoryCache(CacheBackend):
 
     def describe(self) -> str:
         return f"cache[{self.directory}] {self.stats.describe()}"
-
-
-#: Historical name for the directory backend, kept for existing callers.
-ResultCache = DirectoryCache
-
-
-class SQLiteCache(CacheBackend):
-    """A single-file SQLite store, safe under concurrent processes.
-
-    WAL journaling lets readers proceed while a writer commits; a generous
-    busy timeout serialises concurrent writers instead of erroring.  Each
-    :class:`SQLiteCache` instance owns one connection guarded by a lock, so
-    an instance may be shared between threads; separate *processes* simply
-    open their own instance against the same path.
-    """
-
-    _SCHEMA = """
-        CREATE TABLE IF NOT EXISTS results (
-            fingerprint TEXT PRIMARY KEY,
-            payload     TEXT NOT NULL,
-            size_bytes  INTEGER NOT NULL,
-            stored_at   REAL NOT NULL
-        )
-    """
-
-    def __init__(self, path: Union[str, Path], timeout: float = 30.0) -> None:
-        self.path = Path(path)
-        if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-        self._lock = threading.RLock()
-        self._conn = sqlite3.connect(str(self.path), timeout=timeout,
-                                     check_same_thread=False)
-        with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute(self._SCHEMA)
-            self._conn.commit()
-
-    def get(self, fingerprint: str) -> Optional[SimulationResult]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM results WHERE fingerprint = ?",
-                (fingerprint,)).fetchone()
-        if row is None:
-            self.stats.misses += 1
-            return None
-        try:
-            result = _deserialise(row[0])
-        except (ValueError, KeyError, TypeError):
-            # Corrupt entry: evict it so the write-once `put` of the re-run
-            # result can land.
-            with self._lock:
-                self._conn.execute(
-                    "DELETE FROM results WHERE fingerprint = ?",
-                    (fingerprint,))
-                self._conn.commit()
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
-
-    def put(self, fingerprint: str, result: SimulationResult) -> bool:
-        payload = _serialise(result)
-        with self._lock:
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO results "
-                "(fingerprint, payload, size_bytes, stored_at) "
-                "VALUES (?, ?, ?, ?)",
-                (fingerprint, payload, len(payload.encode("utf-8")),
-                 time.time()))
-            self._conn.commit()
-        stored = cursor.rowcount == 1
-        if stored:
-            self.stats.stores += 1
-        return stored
-
-    def __contains__(self, fingerprint: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM results WHERE fingerprint = ?",
-                (fingerprint,)).fetchone()
-        return row is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            (count,) = self._conn.execute(
-                "SELECT COUNT(*) FROM results").fetchone()
-        return int(count)
-
-    def entries(self) -> Iterator[CacheEntry]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT fingerprint, size_bytes, stored_at FROM results "
-                "ORDER BY fingerprint").fetchall()
-        for fingerprint, size_bytes, stored_at in rows:
-            yield CacheEntry(fingerprint=fingerprint,
-                             size_bytes=int(size_bytes),
-                             stored_at=float(stored_at))
-
-    def clear(self) -> int:
-        with self._lock:
-            cursor = self._conn.execute("DELETE FROM results")
-            self._conn.commit()
-        return cursor.rowcount
-
-    def gc(self, older_than: float) -> int:
-        cutoff = time.time() - older_than
-        with self._lock:
-            cursor = self._conn.execute(
-                "DELETE FROM results WHERE stored_at < ?", (cutoff,))
-            self._conn.commit()
-        return cursor.rowcount
-
-    def verify(self) -> CacheCheck:
-        check = CacheCheck()
-        with self._lock:
-            integrity = self._conn.execute(
-                "PRAGMA integrity_check").fetchone()
-        if integrity and integrity[0] != "ok":  # pragma: no cover - disk fault
-            check.corrupt.append(f"<database: {integrity[0]}>")
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT fingerprint, payload FROM results "
-                "ORDER BY fingerprint").fetchall()
-        for fingerprint, payload in rows:
-            check.entries += 1
-            try:
-                _deserialise(payload)
-            except (ValueError, KeyError, TypeError):
-                check.corrupt.append(fingerprint)
-            else:
-                check.ok += 1
-        return check
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    def describe(self) -> str:
-        return f"cache[sqlite:{self.path}] {self.stats.describe()}"
 
 
 class HttpCache(CacheBackend):
@@ -707,14 +564,12 @@ class TieredCache(CacheBackend):
 def open_cache_backend(spec: Union[str, Path, CacheBackend]) -> CacheBackend:
     """Build a backend from a ``--cache`` spec string.
 
-    ``sqlite:PATH`` and ``dir:PATH`` select a backend explicitly; a bare
-    path ending in ``.sqlite``/``.sqlite3``/``.db`` opens the SQLite
-    backend, anything else the directory backend.  ``http://host:port``
-    opens the network peer client.  ``NEAR|FAR`` composes two backends into
-    a :class:`TieredCache` (e.g. ``dir:/tmp/near|http://127.0.0.1:8765``).
-    A :class:`CacheBackend` instance passes through unchanged, so
-    programmatic callers can hand a pre-built backend to the same entry
-    points.
+    A path, optionally prefixed ``dir:``, opens the directory backend;
+    ``http://host:port`` opens the network peer client.  ``NEAR|FAR``
+    composes two backends into a :class:`TieredCache` (e.g.
+    ``dir:/tmp/near|http://127.0.0.1:8765``).  A :class:`CacheBackend`
+    instance passes through unchanged, so programmatic callers can hand a
+    pre-built backend to the same entry points.
     """
     if isinstance(spec, CacheBackend):
         return spec
@@ -732,10 +587,4 @@ def open_cache_backend(spec: Union[str, Path, CacheBackend]) -> CacheBackend:
     if text.startswith("https://"):
         raise ValueError("cache peers speak plain http:// only (the peer "
                          "protocol is loopback/LAN plumbing)")
-    if text.startswith("sqlite:"):
-        return SQLiteCache(text[len("sqlite:"):])
-    if text.startswith("dir:"):
-        return DirectoryCache(text[len("dir:"):])
-    if text.endswith((".sqlite", ".sqlite3", ".db")):
-        return SQLiteCache(text)
-    return DirectoryCache(text)
+    return DirectoryCache(text.removeprefix("dir:"))

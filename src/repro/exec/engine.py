@@ -43,9 +43,10 @@ class ExecutionEngine:
     executor:
         How cache misses are executed; defaults to :class:`SerialExecutor`.
     cache:
-        Optional :class:`~repro.exec.cache.CacheBackend` (directory or
-        SQLite).  When set, every job is first looked up by fingerprint and
-        every fresh result is stored back.
+        Optional :class:`~repro.exec.cache.CacheBackend` (a local
+        directory, a cache peer or a tier of both).  When set, every job is
+        first looked up by fingerprint and every fresh result is stored
+        back.
     """
 
     def __init__(self, executor: Optional[Executor] = None,

@@ -46,7 +46,3 @@ class SimulationClock:
             _cycle, _seq, tag, payload = heapq.heappop(self._events)
             self.events_processed += 1
             yield tag, payload
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._events)

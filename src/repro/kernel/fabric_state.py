@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..fabric import GridLayout, Position
-from ..fabric.flat import FlatGrid
 from ..lattice import OrientationTracker
 from .activity import ActivityTracker
 
@@ -114,36 +111,3 @@ class FabricState:
         if self.activity is None:
             raise RuntimeError("this FabricState tracks no activity")
         return self.activity.snapshot(self.ancillas, now)
-
-    # -- array views ---------------------------------------------------------------
-    #
-    # Struct-of-arrays projections of the occupancy dicts, in the FlatGrid
-    # ancilla-slot order (row-major).  The dicts remain the source of truth
-    # for the per-gate scalar hot path; these views serve vectorised
-    # consumers (batch scoring, diagnostics, equivalence tests) that want one
-    # numpy pass over the whole fabric.
-
-    @property
-    def flat_grid(self) -> FlatGrid:
-        """The layout's flat-array representation (shared, version-tracked)."""
-        return FlatGrid.for_layout(self.layout)
-
-    def anc_free_view(self) -> np.ndarray:
-        """``int64[num_ancillas]`` — cycle each ancilla slot frees up (exclusive)."""
-        anc_free = self.anc_free
-        return np.fromiter((anc_free[pos] for pos in self.ancillas),
-                           dtype=np.int64, count=len(self.ancillas))
-
-    def anc_holding_view(self) -> np.ndarray:
-        """``int64[num_ancillas]`` — gate index held per slot, -1 when empty."""
-        holding = self.anc_holding
-        return np.fromiter((holding.get(pos, -1) for pos in self.ancillas),
-                           dtype=np.int64, count=len(self.ancillas))
-
-    def anc_idle_mask(self, now: int) -> np.ndarray:
-        """``bool[num_ancillas]`` — slots with no scheduled work at ``now``."""
-        return self.anc_free_view() <= now
-
-    def data_free_view(self) -> np.ndarray:
-        """``int64[num_qubits]`` — cycle each data qubit frees up (exclusive)."""
-        return np.asarray(self.data_free, dtype=np.int64)

@@ -110,15 +110,6 @@ class InjectionModel:
         """Draw one injection measurement outcome (True = success)."""
         return bool(rng.random() < self.success_probability)
 
-    def sample_outcomes_batch(self, rng: np.random.Generator,
-                              count: int) -> np.ndarray:
-        """Draw ``count`` outcomes in one vectorised call.
-
-        Stream-equivalent to ``count`` successive :meth:`sample_outcome`
-        calls (``Generator.random`` fills arrays from the same bit stream).
-        """
-        return rng.random(count) < self.success_probability
-
     def sample_injection_counts(self, rng: np.random.Generator, count: int,
                                 theta: Optional[float] = None) -> np.ndarray:
         """Vectorised Monte-Carlo form of :meth:`sample_injection_count`.

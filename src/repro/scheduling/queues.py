@@ -120,21 +120,6 @@ class AncillaQueue:
                          if entry.gate_index != gate_index]
         return before - len(self.entries)
 
-    def contains_gate(self, gate_index: int) -> bool:
-        return any(entry.gate_index == gate_index for entry in self.entries)
-
-    def entry_for_gate(self, gate_index: int) -> Optional[QueueEntry]:
-        for entry in self.entries:
-            if entry.gate_index == gate_index:
-                return entry
-        return None
-
-    def position_of_gate(self, gate_index: int) -> Optional[int]:
-        for index, entry in enumerate(self.entries):
-            if entry.gate_index == gate_index:
-                return index
-        return None
-
     def is_at_head(self, gate_index: int) -> bool:
         head = self.head
         return head is not None and head.gate_index == gate_index
@@ -191,9 +176,3 @@ class QueueSet:
         positions = self._gate_positions.pop(gate_index, ())
         return sum(self._queues[position].remove_gate(gate_index)
                    for position in positions)
-
-    def queue_length(self, position: Position) -> int:
-        return len(self._queues[position])
-
-    def total_enqueued(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())

@@ -212,16 +212,14 @@ class ExperimentService:
         stats["queue_depth"] = self.executor.queue_depth
         stats["max_pending"] = self.max_pending
         if self.cache is not None:
+            cache_stats = self.cache.stats
             stats["cache"] = {
-                "hits": self.cache.stats.hits,
-                "misses": self.cache.stats.misses,
-                "stores": self.cache.stats.stores,
-                "connect_errors": getattr(self.cache.stats,
-                                          "connect_errors", 0),
-                "corrupt_payloads": getattr(self.cache.stats,
-                                            "corrupt_payloads", 0),
-                "read_retries": getattr(self.cache.stats,
-                                        "read_retries", 0),
+                "hits": cache_stats.hits,
+                "misses": cache_stats.misses,
+                "stores": cache_stats.stores,
+                "connect_errors": cache_stats.connect_errors,
+                "corrupt_payloads": cache_stats.corrupt_payloads,
+                "read_retries": cache_stats.read_retries,
             }
         return stats
 

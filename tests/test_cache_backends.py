@@ -14,18 +14,17 @@ import os
 import pytest
 
 from repro.cluster import ClusterHarness
-from repro.exec import ResultCache
 from repro.exec.cache import (
-    CacheBackend,
     DirectoryCache,
     HttpCache,
-    SQLiteCache,
     TieredCache,
     open_cache_backend,
 )
 from repro.sim import GateTrace, SimulationResult
 
-BACKENDS = ("dir", "sqlite")
+#: Local backends the contract and the spawn-process stress run over; the
+#: network peer and tier compositions have their own tests below.
+BACKENDS = ("dir",)
 
 
 def make_result(seed=0, total_cycles=10):
@@ -40,37 +39,16 @@ def make_result(seed=0, total_cycles=10):
                             traces=traces, data_busy_cycles={0: 7, 1: 5})
 
 
-def open_backend(kind, tmp_path):
-    if kind == "sqlite":
-        return SQLiteCache(tmp_path / "cache.sqlite")
-    return DirectoryCache(tmp_path / "cache")
-
-
 def backdate(backend, fingerprint, seconds):
     """Shift an entry's stored_at timestamp into the past (test-only)."""
-    if isinstance(backend, SQLiteCache):
-        with backend._lock:
-            backend._conn.execute(
-                "UPDATE results SET stored_at = stored_at - ? "
-                "WHERE fingerprint = ?", (seconds, fingerprint))
-            backend._conn.commit()
-    else:
-        path = backend._path(fingerprint)
-        stat = path.stat()
-        os.utime(path, (stat.st_atime - seconds, stat.st_mtime - seconds))
+    path = backend._path(fingerprint)
+    stat = path.stat()
+    os.utime(path, (stat.st_atime - seconds, stat.st_mtime - seconds))
 
 
 def corrupt_entry(backend, fingerprint):
     """Plant an unreadable payload under ``fingerprint`` (test-only)."""
-    if isinstance(backend, SQLiteCache):
-        with backend._lock:
-            backend._conn.execute(
-                "INSERT OR REPLACE INTO results "
-                "(fingerprint, payload, size_bytes, stored_at) "
-                "VALUES (?, '{not json', 9, 0)", (fingerprint,))
-            backend._conn.commit()
-    else:
-        backend._path(fingerprint).write_text("{not json")
+    backend._path(fingerprint).write_text("{not json")
 
 
 FP = "f" * 64
@@ -78,7 +56,7 @@ FP = "f" * 64
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    instance = open_backend(request.param, tmp_path)
+    instance = open_cache_backend(_spec_for(request.param, tmp_path))
     yield instance
     instance.close()
 
@@ -154,21 +132,22 @@ class TestBackendContract:
         assert "hits=0 misses=0 stores=0" in backend.describe()
 
 
-class TestOpenCacheBackend:
-    def test_sqlite_prefix(self, tmp_path):
-        backend = open_cache_backend(f"sqlite:{tmp_path / 'c'}")
-        assert isinstance(backend, SQLiteCache)
-        backend.close()
+class TestDirectoryCache:
+    def test_regular_file_is_refused_with_a_hint(self, tmp_path):
+        leftover = tmp_path / "results.db"
+        leftover.write_bytes(b"not a cache directory")
+        with pytest.raises(NotADirectoryError,
+                           match="is not a directory; a result cache is a "
+                                 "directory of <fingerprint>.json files"):
+            DirectoryCache(leftover)
+        assert leftover.read_bytes() == b"not a cache directory"
 
+
+class TestOpenCacheBackend:
     def test_dir_prefix_wins_over_suffix(self, tmp_path):
         backend = open_cache_backend(f"dir:{tmp_path / 'c.db'}")
         assert isinstance(backend, DirectoryCache)
-
-    def test_sqlite_suffixes(self, tmp_path):
-        for suffix in (".sqlite", ".sqlite3", ".db"):
-            backend = open_cache_backend(tmp_path / f"c{suffix}")
-            assert isinstance(backend, SQLiteCache)
-            backend.close()
+        assert backend.directory == tmp_path / "c.db"
 
     def test_bare_path_is_a_directory(self, tmp_path):
         assert isinstance(open_cache_backend(tmp_path / "plain"),
@@ -177,10 +156,6 @@ class TestOpenCacheBackend:
     def test_backend_instance_passes_through(self, tmp_path):
         backend = DirectoryCache(tmp_path)
         assert open_cache_backend(backend) is backend
-
-    def test_result_cache_alias_is_directory_backend(self):
-        assert ResultCache is DirectoryCache
-        assert issubclass(ResultCache, CacheBackend)
 
     def test_http_url_is_peer_client(self):
         backend = open_cache_backend("http://127.0.0.1:8765")
@@ -239,15 +214,15 @@ class TestTieredCache:
 # -- multiprocess stress -------------------------------------------------------
 
 def _spec_for(kind, root):
-    return f"sqlite:{root}/cache.sqlite" if kind == "sqlite" else f"dir:{root}/cache"
+    return f"{kind}:{root}/cache"
 
 
 def _stress_writer(spec, own_fp, barrier, out):
     """One racing writer process (module-level: must pickle under spawn).
 
     ``spec`` is any :func:`open_cache_backend` spec string, so the same
-    writer races the directory, SQLite, ``http://`` peer and tiered
-    backends identically.
+    writer races the directory, ``http://`` peer and tiered backends
+    identically.
     """
     backend = open_cache_backend(spec)
     expected = make_result()

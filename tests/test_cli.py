@@ -298,10 +298,18 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "2 entries" in out and "bytes" in out
 
-    def test_stats_on_sqlite_backend(self, tmp_path, capsys):
-        spec = self.populate(str(tmp_path / "cache.sqlite"))
+    def test_stats_on_prefixed_spec(self, tmp_path, capsys):
+        spec = self.populate(f"dir:{tmp_path / 'cache'}")
         assert main(["cache", "stats", spec]) == 0
         assert "2 entries" in capsys.readouterr().out
+
+    def test_regular_file_is_refused_with_a_hint(self, tmp_path):
+        leftover = tmp_path / "results"
+        leftover.write_bytes(b"not a cache directory")
+        with pytest.raises(SystemExit,
+                           match="is not a directory; a result cache is a "
+                                 "directory of <fingerprint>.json files"):
+            main(["cache", "stats", str(leftover)])
 
     def test_verify_healthy_exits_zero(self, tmp_path, capsys):
         spec = self.populate(str(tmp_path / "cache"))
@@ -329,7 +337,7 @@ class TestCacheCommand:
         assert "2 entries" in capsys.readouterr().out
 
     def test_gc_with_zero_age_removes_everything(self, tmp_path, capsys):
-        spec = self.populate(str(tmp_path / "cache.sqlite"))
+        spec = self.populate(str(tmp_path / "cache"))
         assert main(["cache", "gc", spec, "--older-than", "0s"]) == 0
         assert "removed 2 entries" in capsys.readouterr().out
 
@@ -339,7 +347,7 @@ class TestCacheCommand:
 
     def test_prefixed_spec_checks_the_real_location(self, tmp_path):
         with pytest.raises(SystemExit, match="no cache at"):
-            main(["cache", "stats", f"sqlite:{tmp_path / 'absent.sqlite'}"])
+            main(["cache", "stats", f"dir:{tmp_path / 'absent'}"])
 
 
 class TestProcessExitCodes:

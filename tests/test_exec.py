@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from repro import SimulationConfig, default_layout
 from repro.exec import (
+    DirectoryCache,
     ExecutionEngine,
     ParallelExecutor,
-    ResultCache,
     SerialExecutor,
     SimJob,
     job_fingerprint,
@@ -164,7 +164,7 @@ class TestExecutors:
 
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirectoryCache(tmp_path / "cache")
         job = make_jobs(num_seeds=1)[0]
         key = job.fingerprint()
         assert cache.get(key) is None
@@ -175,14 +175,14 @@ class TestResultCache:
         assert cache.stats.describe() == "hits=1 misses=1 stores=1"
 
     def test_corrupt_entry_counts_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirectoryCache(tmp_path)
         path = tmp_path / ("a" * 64 + ".json")
         path.write_text("{not json")
         assert cache.get("a" * 64) is None
         assert cache.stats.misses == 1
 
     def test_len_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirectoryCache(tmp_path)
         job = make_jobs(num_seeds=1)[0]
         cache.put(job.fingerprint(), job.run())
         assert len(cache) == 1
@@ -190,7 +190,7 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_entries_are_valid_json(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirectoryCache(tmp_path)
         job = make_jobs(num_seeds=1)[0]
         cache.put(job.fingerprint(), job.run())
         payload = json.loads(
@@ -209,16 +209,16 @@ class TestExecutionEngine:
 
     def test_second_run_is_fully_cached(self, tmp_path):
         jobs = make_jobs()
-        first_engine = ExecutionEngine(cache=ResultCache(tmp_path))
+        first_engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
         first = first_engine.run(jobs)
-        second_engine = ExecutionEngine(cache=ResultCache(tmp_path))
+        second_engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
         second = second_engine.run(make_jobs())
         assert second == first
         assert second_engine.stats.executed == 0
         assert second_engine.stats.cache_hits == len(jobs)
 
     def test_partial_cache_executes_only_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirectoryCache(tmp_path)
         jobs = make_jobs(num_seeds=2)
         cache.put(jobs[0].fingerprint(), jobs[0].run())
         engine = ExecutionEngine(cache=cache)
@@ -232,14 +232,14 @@ class TestExecutionEngine:
         reference = ExecutionEngine().run(jobs)
         fancy = ExecutionEngine(
             executor=ParallelExecutor(max_workers=2),
-            cache=ResultCache(tmp_path))
+            cache=DirectoryCache(tmp_path))
         assert fancy.run(make_jobs(num_seeds=2)) == reference
         # And again, now entirely from cache.
         assert fancy.run(make_jobs(num_seeds=2)) == reference
         assert fancy.stats.executed == len(jobs)
 
     def test_describe_reports_counters(self, tmp_path):
-        engine = ExecutionEngine(cache=ResultCache(tmp_path))
+        engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
         engine.run(make_jobs(num_seeds=1))
         text = engine.describe()
         assert text.startswith("[exec] jobs=2 executed=2 cache_hits=0")
@@ -283,7 +283,7 @@ class TestRunnerIntegration:
         reference = run()
         parallel = run(ExecutionEngine(
             executor=ParallelExecutor(max_workers=2)))
-        cached_engine = ExecutionEngine(cache=ResultCache(tmp_path))
+        cached_engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
         run(cached_engine)          # populate
         cached = run(cached_engine)  # replay
         for rows in (parallel, cached):

@@ -22,7 +22,6 @@ from repro import SimulationConfig
 from repro.analysis.export import result_to_dict
 from repro.fabric import StarVariant, star_layout
 from repro.fabric.flat import FlatGrid
-from repro.kernel.fabric_state import FabricState
 from repro.lattice import RoutingIndex, bfs_ancilla_path
 from repro.scheduling import SCHEDULER_REGISTRY
 from repro.sim.runner import default_layout
@@ -135,28 +134,6 @@ class TestShortestPathParity:
         # The trees built before the mutation were dropped, not reused.
         assert all(tree[FlatGrid.for_layout(layout).flat_index(victim)] < 0
                    for tree in index._parent_trees.values())
-
-
-# ---------------------------------------------------------------------------
-# FabricState array views
-# ---------------------------------------------------------------------------
-
-class TestFabricStateViews:
-    def test_views_mirror_dict_state(self):
-        layout = star_layout(4, StarVariant.STAR)
-        fabric = FabricState(layout, 4, activity_window=100)
-        ancillas = fabric.ancillas
-        fabric.occupy_ancilla(ancillas[2], 0, 17)
-        fabric.hold(ancillas[3], 42)
-        fabric.occupy_data(1, 0, 9)
-        free = fabric.anc_free_view()
-        holding = fabric.anc_holding_view()
-        assert free[2] == 17 and free[0] == 0
-        assert holding[3] == 42 and holding[0] == -1
-        idle = fabric.anc_idle_mask(now=5)
-        assert not idle[2] and idle[0]
-        assert fabric.data_free_view()[1] == 9
-        assert fabric.flat_grid.anc_positions == ancillas
 
 
 # ---------------------------------------------------------------------------

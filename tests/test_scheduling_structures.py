@@ -91,7 +91,7 @@ class TestQueues:
             queues.enqueue(pos, QueueEntry(7, "rz", (0,), AncillaRole.PREPARE))
         removed = queues.remove_gate_everywhere(7)
         assert removed == 2
-        assert queues.total_enqueued() == 0
+        assert len(queues[(0, 0)]) == len(queues[(0, 1)]) == 0
 
     def test_in_place_angle_level_update(self):
         queues = QueueSet([(0, 0)])
@@ -106,13 +106,6 @@ class TestQueues:
         queues = QueueSet([(0, 0)])
         with pytest.raises(IndexError):
             queues[(0, 0)].pop_head()
-
-    def test_position_of_gate(self):
-        queues = QueueSet([(0, 0)])
-        queues.enqueue((0, 0), QueueEntry(1, "rz", (0,), AncillaRole.PREPARE))
-        queues.enqueue((0, 0), QueueEntry(2, "h", (1,), AncillaRole.HELPER))
-        assert queues[(0, 0)].position_of_gate(2) == 1
-        assert queues[(0, 0)].position_of_gate(9) is None
 
 
 class TestMst:
