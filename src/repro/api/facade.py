@@ -7,9 +7,9 @@ build the spec and the engine.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
-from ..exec.cache import open_cache_backend
+from ..exec.cache import DirectoryCache, open_cache_backend
 from ..exec.engine import ExecutionEngine
 from ..exec.executors import ParallelExecutor, SerialExecutor
 from .resultset import ResultSet
@@ -18,16 +18,17 @@ from .spec import ExperimentSpec
 __all__ = ["run_experiment", "build_engine", "render_experiment"]
 
 
-def build_engine(jobs: int = 1, cache: Optional[str] = None,
+def build_engine(jobs: int = 1,
+                 cache: Optional[Union[str, DirectoryCache]] = None,
                  ) -> ExecutionEngine:
     """Build an execution engine from the common (jobs, cache) knobs.
 
     ``jobs > 1`` fans simulation jobs out over that many worker processes
-    (``0`` means one per CPU); ``cache`` memoises finished jobs, usually in
-    a directory of result files (any :func:`repro.exec.open_cache_backend`
-    spec).  This is the builder behind the CLI's ``--jobs``/``--cache``
-    flags and the benchmark harnesses' ``RESCQ_JOBS``/``RESCQ_CACHE``
-    variables.
+    (``0`` means one per CPU); ``cache`` memoises finished jobs in a
+    directory of result files (``PATH``, ``dir:PATH`` or a
+    :class:`~repro.exec.cache.DirectoryCache`).  This is the builder behind
+    the CLI's ``--jobs``/``--cache`` flags and the benchmark harnesses'
+    ``RESCQ_JOBS``/``RESCQ_CACHE`` variables.
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0 (0 = one worker per CPU)")

@@ -31,8 +31,7 @@ Subcommands
     against a shared result cache and across concurrent requests.  With
     ``--max-pending`` the service refuses work over its pending-jobs
     high-water mark with ``429`` + ``Retry-After`` instead of queueing
-    unboundedly; with ``--cache`` it also serves the ``/cache`` peer
-    protocol so other processes can share its cache tier.
+    unboundedly.
 ``route``
     Run the cluster shard router in front of N ``serve`` instances:
     rendezvous-hashes each planned job onto its owning shard, fans
@@ -45,9 +44,8 @@ Subcommands
     Inspect a running router: ``cluster status URL`` prints the shard
     membership table (state, failure counters, last error per shard).
 ``cache``
-    Inspect or maintain a result cache: ``stats``, ``gc --older-than AGE``
-    and ``verify`` work uniformly over a cache directory and an
-    ``http://`` peer.
+    Inspect or maintain a result cache directory: ``stats``,
+    ``gc --older-than AGE`` and ``verify``.
 
 Both ``serve`` and ``route`` print a machine-parsable readiness line on
 stdout once their socket is bound::
@@ -178,11 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="TCP port (0 picks a free port)")
     serve_parser.add_argument("--jobs", type=int, default=None, metavar="N",
                               help="worker processes (default: CPU count)")
-    serve_parser.add_argument("--cache", default=None, metavar="SPEC",
-                              help="shared result cache: a directory "
-                                   "(PATH or dir:PATH), an "
-                                   "http://host:port cache peer, or a "
-                                   "NEAR|FAR tier composition")
+    serve_parser.add_argument("--cache", default=None, metavar="PATH",
+                              help="shared result cache directory (PATH or "
+                                   "dir:PATH)")
     serve_parser.add_argument("--job-timeout", type=float, default=None,
                               metavar="SECONDS",
                               help="kill a single simulation after this many "
@@ -264,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "entries; verify: integrity-check every "
                                    "entry (exit 1 if corrupt)")
     cache_parser.add_argument("path",
-                              help="cache location: a directory "
-                                   "(PATH or dir:PATH) or an "
-                                   "http://host:port cache peer")
+                              help="cache directory (PATH or dir:PATH)")
     cache_parser.add_argument("--older-than", default=None, metavar="AGE",
                               help="gc cutoff age, e.g. 45s, 30m, 12h or 7d "
                                    "(bare numbers are seconds)")
@@ -659,37 +653,34 @@ def _parse_age(text: str) -> float:
 def _command_cache(args: argparse.Namespace) -> int:
     import os.path
 
-    from .exec.cache import open_cache_backend
+    from .exec.cache import DirectoryCache, cache_directory
 
-    if (not args.path.startswith("http://") and "|" not in args.path
-            and not os.path.exists(args.path.removeprefix("dir:"))):
-        raise SystemExit(f"cache: no cache at {args.path!r}")
     try:
-        backend = open_cache_backend(args.path)
+        directory = cache_directory(args.path)
+        if not os.path.exists(directory):
+            raise SystemExit(f"cache: no cache at {args.path!r}")
+        backend = DirectoryCache(directory)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cache: cannot open {args.path!r}: {exc}")
-    try:
-        if args.action == "stats":
-            entries = list(backend.entries())
-            total = sum(entry.size_bytes for entry in entries)
-            print(f"[cache] {args.path}: {len(entries)} entries, "
-                  f"{total} bytes")
-            return 0
-        if args.action == "gc":
-            if args.older_than is None:
-                raise SystemExit("cache gc: pass --older-than AGE "
-                                 "(e.g. 45s, 30m, 12h, 7d)")
-            removed = backend.gc(_parse_age(args.older_than))
-            print(f"[cache] {args.path}: removed {removed} entries older "
-                  f"than {args.older_than}")
-            return 0
-        check = backend.verify()
-        print(f"[cache] {args.path}: {check.describe()}")
-        for fingerprint in check.corrupt:
-            print(f"[cache] corrupt: {fingerprint}")
-        return 0 if check.is_healthy else 1
-    finally:
-        backend.close()
+    if args.action == "stats":
+        entries = list(backend.entries())
+        total = sum(entry.size_bytes for entry in entries)
+        print(f"[cache] {args.path}: {len(entries)} entries, "
+              f"{total} bytes")
+        return 0
+    if args.action == "gc":
+        if args.older_than is None:
+            raise SystemExit("cache gc: pass --older-than AGE "
+                             "(e.g. 45s, 30m, 12h, 7d)")
+        removed = backend.gc(_parse_age(args.older_than))
+        print(f"[cache] {args.path}: removed {removed} entries older "
+              f"than {args.older_than}")
+        return 0
+    check = backend.verify()
+    print(f"[cache] {args.path}: {check.describe()}")
+    for fingerprint in check.corrupt:
+        print(f"[cache] corrupt: {fingerprint}")
+    return 0 if check.is_healthy else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -19,10 +19,11 @@ package makes N such hosts act as *one* deduplicating service:
   used by the tests and the service load benchmark (optionally under a
   fault plan via :meth:`ClusterHarness.with_faults`).
 
-Cross-shard result sharing uses the cache peer protocol from
-:class:`~repro.exec.cache.HttpCache` / the server's ``/cache`` routes, not
-anything in this package: shards stay shared-nothing, the router stays
-stateless, and the only coordination point is the write-once cache tier.
+Shards stay shared-nothing and the router stays stateless.  Cluster-wide
+dedup comes from placement alone: HRW sends every fingerprint to the same
+owner shard, whose private :class:`~repro.exec.cache.DirectoryCache` holds
+its results.  A job re-placed after a fault re-executes on the next-ranked
+shard rather than reading from a shared cache tier.
 """
 
 from .chaos import ChaosProxy, Fault, FaultPlan

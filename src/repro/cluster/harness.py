@@ -1,8 +1,8 @@
 """An in-process N-shard cluster for tests and benchmarks.
 
-Spinning up "2 serves + 1 router" appears in three places — the cluster
-test suite, the cache-peer stress test, and the service load benchmark —
-and ``benchmarks/`` cannot import from ``tests/``, so the harness lives in
+Spinning up "2 serves + 1 router" appears in several places — the cluster
+and chaos test suites and the service load benchmarks — and
+``benchmarks/`` cannot import from ``tests/``, so the harness lives in
 the package: a real :class:`~repro.cluster.router.ShardRouter` in front of
 real :class:`~repro.service.server.ExperimentServer` shards, all on
 loopback ephemeral ports inside one background event-loop thread.  This is
@@ -20,7 +20,7 @@ import threading
 from typing import (Awaitable, Callable, Dict, List, Mapping, Optional,
                     Tuple, Union)
 
-from ..exec.cache import CacheBackend, DirectoryCache
+from ..exec.cache import DirectoryCache
 from ..service.executor import ServiceExecutor
 from ..service.server import ExperimentServer
 from ..service.service import ExperimentService
@@ -43,13 +43,13 @@ class ClusterHarness:
     shard directly.  Each shard gets its own executor and, by default, its
     own private :class:`~repro.exec.cache.DirectoryCache` under a temp
     directory owned by the harness — pass ``cache_factory`` to supply
-    backends (or ``None`` for cacheless shards).
+    caches (or ``None`` for cacheless shards).
     """
 
     def __init__(self, shards: int = 2, router: bool = True,
                  max_workers: int = 2,
                  cache_factory: Optional[
-                     Callable[[int], Optional[CacheBackend]]] = None,
+                     Callable[[int], Optional[DirectoryCache]]] = None,
                  max_pending: Optional[int] = None,
                  retry_after: float = 1.0,
                  poll_interval: float = 0.01,
@@ -89,8 +89,8 @@ class ClusterHarness:
         a ``{shard_index: FaultPlan}`` mapping.  Must be called before
         :meth:`start`.  The router is then pointed at the proxy URL for
         each faulted shard, so its traffic — and only its traffic — flows
-        through the fault schedule; direct ``shard_request`` calls and
-        cache-peer traffic keep using the real shard port.
+        through the fault schedule; direct ``shard_request`` calls keep
+        using the real shard port.
         """
         if self._thread is not None or self._started.is_set():
             raise RuntimeError("with_faults() must be called before start()")
@@ -108,7 +108,7 @@ class ClusterHarness:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _build_cache(self, index: int) -> Optional[CacheBackend]:
+    def _build_cache(self, index: int) -> Optional[DirectoryCache]:
         if self._cache_factory is not None:
             return self._cache_factory(index)
         if self._tempdir is None:

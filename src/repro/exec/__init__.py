@@ -10,10 +10,9 @@ makes that explicit:
 * :mod:`repro.exec.executors` — pluggable strategies for running a list of
   jobs: :class:`SerialExecutor` (the deterministic reference) and
   :class:`ParallelExecutor` (a ``ProcessPoolExecutor`` fan-out);
-* :mod:`repro.exec.cache` — the :class:`CacheBackend` protocol and its
-  concurrent-safe local store, :class:`DirectoryCache` (write-once JSON
-  files), so repeated sweeps — and concurrent ``rescq serve`` submissions —
-  skip already-measured points;
+* :mod:`repro.exec.cache` — :class:`DirectoryCache`, the concurrent-safe
+  result cache (write-once JSON files), so repeated sweeps — and concurrent
+  ``rescq serve`` submissions — skip already-measured points;
 * :mod:`repro.exec.engine` — :class:`ExecutionEngine`, which ties an executor
   and an optional cache together and is the object the runner, sweeps, CLI
   (``--jobs`` / ``--cache``) and benchmark harnesses all accept.
@@ -24,7 +23,6 @@ the same job list every executor produces the same list of
 """
 
 from .cache import (
-    CacheBackend,
     CacheCheck,
     CacheEntry,
     CacheStats,
@@ -42,7 +40,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "CacheBackend",
     "CacheEntry",
     "CacheCheck",
     "DirectoryCache",

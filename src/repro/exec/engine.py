@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .cache import CacheBackend
+from .cache import DirectoryCache
 from .executors import Executor, SerialExecutor
 from .jobs import SimJob
 from ..sim.results import SimulationResult
@@ -43,14 +43,13 @@ class ExecutionEngine:
     executor:
         How cache misses are executed; defaults to :class:`SerialExecutor`.
     cache:
-        Optional :class:`~repro.exec.cache.CacheBackend` (a local
-        directory, a cache peer or a tier of both).  When set, every job is
-        first looked up by fingerprint and every fresh result is stored
-        back.
+        Optional :class:`~repro.exec.cache.DirectoryCache`.  When set,
+        every job is first looked up by fingerprint and every fresh result
+        is stored back.
     """
 
     def __init__(self, executor: Optional[Executor] = None,
-                 cache: Optional[CacheBackend] = None) -> None:
+                 cache: Optional[DirectoryCache] = None) -> None:
         self.executor = executor or SerialExecutor()
         self.cache = cache
         self.stats = EngineStats()

@@ -7,17 +7,17 @@ into numpy arrays:
 
 * ``row * cols + col`` is the **flat index** of a tile — note that comparing
   flat indices is exactly the row-major tuple order of ``Position``;
-* ``route_neighbors`` is an ``(size, 4)`` int32 table of the ancilla
-  neighbour of every tile in :class:`~repro.fabric.tile.Edge` declaration
-  order (NORTH, SOUTH, EAST, WEST), ``-1`` where the neighbour is out of
-  bounds, disabled or not an ancilla — the exact transition relation of
-  :func:`~repro.lattice.routing.bfs_ancilla_path`, also kept as per-tile
-  Python lists (``route_adjacency``) for the routing BFS;
+* ``route_adjacency`` lists, per tile, the flat indices of its ancilla
+  neighbours in :class:`~repro.fabric.tile.Edge` declaration order (NORTH,
+  SOUTH, EAST, WEST), skipping out-of-bounds, disabled and data neighbours
+  — the exact transition relation of
+  :func:`~repro.lattice.routing.bfs_ancilla_path`, walked by the routing
+  BFS;
 * ancilla tiles additionally get a dense **slot** numbering in row-major
-  order (matching :meth:`GridLayout.ancilla_positions`), with a per-slot
-  Edge-order neighbour table and the activity-graph edge list
-  (``edge_u``/``edge_v``) in the same enumeration order the networkx graph
-  builder used, so stable sorts over these arrays reproduce its tie-breaks.
+  order (matching :meth:`GridLayout.ancilla_positions`) and the
+  activity-graph edge list (``edge_u``/``edge_v``) in the same enumeration
+  order the networkx graph builder used, so stable sorts over these arrays
+  reproduce its tie-breaks.
 
 A ``FlatGrid`` is immutable and keyed to ``layout.version``:
 :meth:`for_layout` caches one per layout and rebuilds it after any
@@ -44,8 +44,7 @@ class FlatGrid:
 
     __slots__ = (
         "layout", "version", "rows", "cols", "size",
-        "ancilla_mask", "active_mask", "route_neighbors", "route_adjacency",
-        "num_ancilla", "anc_flat", "anc_slot", "anc_neighbor_slots",
+        "ancilla_mask", "route_adjacency", "num_ancilla", "anc_slot",
         "edge_u", "edge_v", "_positions", "anc_positions",
     )
 
@@ -59,15 +58,10 @@ class FlatGrid:
         self.size = size
 
         ancilla_mask = np.zeros(size, dtype=bool)
-        active_mask = np.zeros(size, dtype=bool)
         for flat_index, position in enumerate(self._iter_positions()):
-            tile = layout.tile(position)
-            if tile.is_ancilla:
+            if layout.tile(position).is_ancilla:
                 ancilla_mask[flat_index] = True
-            if not tile.is_disabled:
-                active_mask[flat_index] = True
         self.ancilla_mask = ancilla_mask
-        self.active_mask = active_mask
 
         # (size, 4) flat index of each Edge-order neighbour that is an
         # ancilla tile; -1 for out-of-bounds / disabled / data neighbours.
@@ -85,7 +79,6 @@ class FlatGrid:
             keep = valid.copy()
             keep[valid] &= ancilla_mask[column[valid]]
             route_neighbors[keep, axis] = column[keep]
-        self.route_neighbors = route_neighbors
         #: The same relation as per-tile Python lists (non-negative entries,
         #: Edge order): what the routing BFS walks node by node.
         self.route_adjacency: List[List[int]] = [
@@ -94,7 +87,6 @@ class FlatGrid:
         # Dense ancilla slots in row-major (== flat index) order; matches
         # GridLayout.ancilla_positions() exactly.
         anc_flat = np.flatnonzero(ancilla_mask).astype(np.int32)
-        self.anc_flat = anc_flat
         self.num_ancilla = int(anc_flat.size)
         anc_slot = np.full(size, -1, dtype=np.int32)
         anc_slot[anc_flat] = np.arange(self.num_ancilla, dtype=np.int32)
@@ -105,7 +97,6 @@ class FlatGrid:
         anc_neighbor_slots = np.full_like(neighbor_flats, -1)
         valid = neighbor_flats >= 0
         anc_neighbor_slots[valid] = anc_slot[neighbor_flats[valid]]
-        self.anc_neighbor_slots = anc_neighbor_slots
 
         # Activity-graph edges (u, v) with u < v, enumerated u-ascending then
         # Edge order — the insertion (and hence iteration) order of the

@@ -11,7 +11,7 @@ Layers, bottom up:
 * :mod:`~repro.service.httpcore` — the shared HTTP/1.1 transport dialect
   (framing, limits, the stdlib asyncio client used by the cluster router);
 * :mod:`~repro.service.server` — the asyncio HTTP front end (NDJSON
-  streaming, ``/healthz``, ``/stats``, the ``/cache`` peer protocol).
+  streaming, ``/healthz``, ``/stats``).
 """
 
 from .executor import (JobFailedError, JobTimeoutError, ServiceExecutor,

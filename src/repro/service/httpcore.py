@@ -163,16 +163,16 @@ async def send_json(writer: asyncio.StreamWriter, status: int,
 def parse_http_url(url: str) -> Tuple[str, int, str]:
     """Split ``http://host:port[/base]`` into ``(host, port, base_path)``.
 
-    Only plain ``http`` peers are supported (the cluster protocol is
+    Only plain ``http`` shards are supported (the cluster protocol is
     loopback/LAN plumbing, not a public edge).  Raises ``ValueError`` with
     an actionable message otherwise.
     """
     split = urlsplit(url)
     if split.scheme != "http":
         raise ValueError(
-            f"shard/peer URLs must use http://, got {url!r}")
+            f"shard URLs must use http://, got {url!r}")
     if not split.hostname:
-        raise ValueError(f"shard/peer URL {url!r} has no host")
+        raise ValueError(f"shard URL {url!r} has no host")
     port = split.port if split.port is not None else 80
     base = split.path.rstrip("/")
     return split.hostname, port, base

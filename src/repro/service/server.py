@@ -22,16 +22,6 @@ cluster's :class:`~repro.cluster.router.ShardRouter`.  Routes:
 ``GET /stats``
     The service's cumulative counters, in-flight table size, executor queue
     depth, and admission mark.
-``/cache/...``
-    The cache **peer protocol**, available when the service has a cache
-    backend (404 otherwise).  ``GET/HEAD /cache/<fingerprint>`` fetch/probe
-    one entry; ``PUT /cache/<fingerprint>`` stores write-once (``201`` if
-    this call created the entry, ``200`` if it already existed — the remote
-    analogue of :meth:`~repro.exec.cache.CacheBackend.put`'s boolean);
-    ``GET /cache`` lists entries; ``DELETE /cache`` clears;
-    ``POST /cache/gc`` garbage-collects by age.  This is what the
-    :class:`~repro.exec.cache.HttpCache` client speaks, letting N processes
-    or cluster shards share this server's backend as one write-once tier.
 
 Connections are ``Connection: close`` — each request gets a fresh
 connection, which keeps the framing trivial and streams naturally (the end
@@ -48,7 +38,6 @@ from typing import Dict, Optional
 from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
 from ..api.resultset import ResultRow
 from ..api.spec import SpecValidationError
-from ..exec.cache import FINGERPRINT_PATTERN, _deserialise, _serialise
 from .httpcore import (HttpError, read_request, send_head, send_json,
                        send_line)
 from .service import AdmissionError, ExperimentService
@@ -154,12 +143,10 @@ class ExperimentServer:
                 raise HttpError(
                     405, "submit an ExperimentSpec with POST /experiments")
             await self._handle_submission(body, writer)
-        elif path == "/cache" or path.startswith("/cache/"):
-            await self._route_cache(method, path, body, writer)
         else:
             raise HttpError(
                 404, f"unknown path {path!r}; routes: POST /experiments, "
-                     f"GET /healthz, GET /stats, /cache/...")
+                     f"GET /healthz, GET /stats")
 
     # -- submission ------------------------------------------------------------
 
@@ -221,91 +208,3 @@ class ExperimentServer:
                                   errors=errors,
                                   **counts)
         await send_line(writer, report.to_dict())
-
-    # -- cache peer protocol ---------------------------------------------------
-
-    def _cache_backend(self):
-        backend = self.service.cache
-        if backend is None:
-            raise HttpError(404, "this server has no cache backend; start "
-                                 "rescq serve with --cache to serve peers")
-        return backend
-
-    @staticmethod
-    def _cache_fingerprint(path: str) -> str:
-        fingerprint = path[len("/cache/"):]
-        if not FINGERPRINT_PATTERN.match(fingerprint):
-            raise HttpError(400, f"malformed cache fingerprint "
-                                 f"{fingerprint!r} (want lowercase hex)")
-        return fingerprint
-
-    async def _route_cache(self, method: str, path: str, body: bytes,
-                           writer: asyncio.StreamWriter) -> None:
-        backend = self._cache_backend()
-        loop = asyncio.get_event_loop()
-        if path == "/cache":
-            if method == "GET":
-                listing = await loop.run_in_executor(
-                    None, lambda: [
-                        {"fingerprint": entry.fingerprint,
-                         "size_bytes": entry.size_bytes,
-                         "stored_at": entry.stored_at}
-                        for entry in backend.entries()])
-                await send_json(writer, 200, {"entries": listing})
-            elif method == "DELETE":
-                removed = await loop.run_in_executor(None, backend.clear)
-                await send_json(writer, 200, {"removed": removed})
-            else:
-                raise HttpError(405, "use GET (list) or DELETE (clear) "
-                                     "for /cache")
-            return
-        if path == "/cache/gc":
-            if method != "POST":
-                raise HttpError(405, "use POST for /cache/gc")
-            try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
-                older_than = float(payload.get("older_than", 0.0))
-            except (UnicodeDecodeError, ValueError, AttributeError) as exc:
-                raise HttpError(400, f"bad gc request: {exc}") from None
-            removed = await loop.run_in_executor(
-                None, lambda: backend.gc(older_than))
-            await send_json(writer, 200, {"removed": removed})
-            return
-        if path == "/cache/verify":
-            if method != "POST":
-                raise HttpError(405, "use POST for /cache/verify")
-            check = await loop.run_in_executor(None, backend.verify)
-            await send_json(writer, 200,
-                            {"entries": check.entries, "ok": check.ok,
-                             "corrupt": list(check.corrupt)})
-            return
-        fingerprint = self._cache_fingerprint(path)
-        if method in ("GET", "HEAD"):
-            result = await loop.run_in_executor(
-                None, lambda: backend.get(fingerprint))
-            if result is None:
-                raise HttpError(404, f"no cache entry {fingerprint}")
-            if method == "HEAD":
-                await send_head(writer, 200, "application/json",
-                                content_length=0)
-                return
-            payload = (_serialise(result) + "\n").encode("utf-8")
-            await send_head(writer, 200, "application/json",
-                            content_length=len(payload))
-            writer.write(payload)
-            await writer.drain()
-        elif method == "PUT":
-            try:
-                result = await loop.run_in_executor(
-                    None, lambda: _deserialise(body.decode("utf-8")))
-            except (UnicodeDecodeError, ValueError, KeyError,
-                    TypeError) as exc:
-                raise HttpError(
-                    400, f"cache payload does not deserialise: {exc}"
-                ) from None
-            stored = await loop.run_in_executor(
-                None, lambda: backend.put(fingerprint, result))
-            await send_json(writer, 201 if stored else 200,
-                            {"fingerprint": fingerprint, "stored": stored})
-        else:
-            raise HttpError(405, "use GET/HEAD/PUT for /cache/<fingerprint>")

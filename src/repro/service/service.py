@@ -7,7 +7,7 @@ through three layers —
 1. **single-flight** — an identical job already running (submitted by this
    or any concurrent request) is joined, not re-executed;
 2. **cache** — a finished identical job is returned straight from the
-   :class:`~repro.exec.cache.CacheBackend`;
+   :class:`~repro.exec.cache.DirectoryCache`;
 3. **executor** — everything else is fanned out over the work-stealing
    :class:`~repro.service.executor.ServiceExecutor` and stored back into
    the cache on completion.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..api.envelope import JobStatus
-from ..exec.cache import CacheBackend
+from ..exec.cache import DirectoryCache
 from .executor import ServiceExecutor
 from .singleflight import SingleFlight
 
@@ -89,7 +89,7 @@ class ExperimentService:
     """Deduplicating, cache-backed job resolution for the experiment server."""
 
     def __init__(self, executor: Optional[ServiceExecutor] = None,
-                 cache: Optional[CacheBackend] = None,
+                 cache: Optional[DirectoryCache] = None,
                  max_pending: Optional[int] = None,
                  retry_after: float = 1.0) -> None:
         if max_pending is not None and max_pending < 0:
@@ -217,9 +217,6 @@ class ExperimentService:
                 "hits": cache_stats.hits,
                 "misses": cache_stats.misses,
                 "stores": cache_stats.stores,
-                "connect_errors": cache_stats.connect_errors,
-                "corrupt_payloads": cache_stats.corrupt_payloads,
-                "read_retries": cache_stats.read_retries,
             }
         return stats
 
@@ -240,10 +237,8 @@ class ExperimentService:
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self, drain: bool = True) -> None:
-        """Drain the executor and release the cache."""
+        """Drain the executor."""
         self.executor.shutdown(drain=drain)
-        if self.cache is not None:
-            self.cache.close()
 
     def describe(self) -> str:
         text = f"[service] {self.stats.describe()}"

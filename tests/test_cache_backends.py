@@ -1,10 +1,10 @@
 """Tests for the cache backends: write-once semantics, GC, integrity, races.
 
 The multiprocess stress tests at the bottom pin the concurrency contract
-from :class:`repro.exec.cache.CacheBackend`: N writer processes racing the
+from :class:`repro.exec.cache.DirectoryCache`: N writer processes racing the
 same fingerprint leave exactly one complete entry, and readers never see a
 torn payload.  Workers run under the ``spawn`` start method — the same one
-the experiment service uses — so each child opens its own backend instance
+the experiment service uses — so each child opens its own cache instance
 against the shared path, exactly like concurrent CLI invocations would.
 """
 
@@ -13,17 +13,10 @@ import os
 
 import pytest
 
-from repro.cluster import ClusterHarness
-from repro.exec.cache import (
-    DirectoryCache,
-    HttpCache,
-    TieredCache,
-    open_cache_backend,
-)
+from repro.exec.cache import DirectoryCache, open_cache_backend
 from repro.sim import GateTrace, SimulationResult
 
-#: Local backends the contract and the spawn-process stress run over; the
-#: network peer and tier compositions have their own tests below.
+#: Spec kinds the contract and the spawn-process stress run over.
 BACKENDS = ("dir",)
 
 
@@ -56,9 +49,7 @@ FP = "f" * 64
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    instance = open_cache_backend(_spec_for(request.param, tmp_path))
-    yield instance
-    instance.close()
+    return open_cache_backend(_spec_for(request.param, tmp_path))
 
 
 class TestBackendContract:
@@ -124,10 +115,6 @@ class TestBackendContract:
         assert check.corrupt == ["b" * 64]
         assert "CORRUPT(1)" in check.describe()
 
-    def test_close_is_idempotent(self, backend):
-        backend.close()
-        backend.close()
-
     def test_describe_mentions_counters(self, backend):
         assert "hits=0 misses=0 stores=0" in backend.describe()
 
@@ -157,58 +144,18 @@ class TestOpenCacheBackend:
         backend = DirectoryCache(tmp_path)
         assert open_cache_backend(backend) is backend
 
-    def test_http_url_is_peer_client(self):
-        backend = open_cache_backend("http://127.0.0.1:8765")
-        assert isinstance(backend, HttpCache)
-        assert (backend.host, backend.port) == ("127.0.0.1", 8765)
-
-    def test_https_is_rejected_with_hint(self):
-        with pytest.raises(ValueError, match="http://"):
-            open_cache_backend("https://127.0.0.1:8765")
-
-    def test_tier_spec_composes_near_and_far(self, tmp_path):
-        backend = open_cache_backend(
-            f"dir:{tmp_path / 'near'}|http://127.0.0.1:8765")
-        assert isinstance(backend, TieredCache)
-        assert isinstance(backend.near, DirectoryCache)
-        assert isinstance(backend.far, HttpCache)
-
-    def test_malformed_tier_spec_is_rejected(self, tmp_path):
-        for bad in ("|x", "x|", "a|b|c"):
-            with pytest.raises(ValueError, match="NEAR|FAR"):
-                open_cache_backend(bad)
-
-
-class TestTieredCache:
-    def tiered(self, tmp_path):
-        near = DirectoryCache(tmp_path / "near")
-        far = DirectoryCache(tmp_path / "far")
-        return TieredCache(near=near, far=far)
-
-    def test_write_through_and_far_authoritative_verdict(self, tmp_path):
-        tiered = self.tiered(tmp_path)
-        assert tiered.put(FP, make_result()) is True
-        assert FP in tiered.near and FP in tiered.far
-        # A second instance sharing only the far tier sees the entry and
-        # reports the write-once verdict from it.
-        other = TieredCache(near=DirectoryCache(tmp_path / "other-near"),
-                            far=DirectoryCache(tmp_path / "far"))
-        assert other.put(FP, make_result()) is False
-        assert len(other) == 1
-
-    def test_read_through_backfills_near_tier(self, tmp_path):
-        tiered = self.tiered(tmp_path)
-        tiered.far.put(FP, make_result())
-        assert FP not in tiered.near
-        assert tiered.get(FP) == make_result()
-        assert FP in tiered.near  # backfilled
-        assert tiered.stats.hits == 1
-
-    def test_clear_and_gc_touch_both_tiers(self, tmp_path):
-        tiered = self.tiered(tmp_path)
-        tiered.put(FP, make_result())
-        assert tiered.clear() == 1
-        assert FP not in tiered.near and FP not in tiered.far
+    @pytest.mark.parametrize("removed", [
+        "http://127.0.0.1:8765", "https://127.0.0.1:8765",
+        "dir:near|http://127.0.0.1:8765", "|x", "x|", "a|b|c"])
+    def test_removed_network_tier_grammar_is_rejected(self, removed,
+                                                      tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError,
+                           match="network cache tier was removed; pass a "
+                                 "cache directory"):
+            open_cache_backend(removed)
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- multiprocess stress -------------------------------------------------------
@@ -220,9 +167,8 @@ def _spec_for(kind, root):
 def _stress_writer(spec, own_fp, barrier, out):
     """One racing writer process (module-level: must pickle under spawn).
 
-    ``spec`` is any :func:`open_cache_backend` spec string, so the same
-    writer races the directory, ``http://`` peer and tiered backends
-    identically.
+    ``spec`` is an :func:`open_cache_backend` spec string naming the
+    shared cache directory.
     """
     backend = open_cache_backend(spec)
     expected = make_result()
@@ -236,7 +182,6 @@ def _stress_writer(spec, own_fp, barrier, out):
         if observed is not None and observed != expected:
             torn += 1
     backend.put(own_fp, make_result(seed=int(own_fp[:4], 16)))
-    backend.close()
     out.put((shared_stores, torn))
 
 
@@ -260,14 +205,11 @@ def _run_stress(spec, nprocs=4):
         "no reader may observe a torn payload"
 
     backend = open_cache_backend(spec)
-    try:
-        assert len(backend) == nprocs + 1
-        assert backend.get(FP) == make_result()
-        for own in own_fps:
-            assert own in backend
-        assert backend.verify().is_healthy
-    finally:
-        backend.close()
+    assert len(backend) == nprocs + 1
+    assert backend.get(FP) == make_result()
+    for own in own_fps:
+        assert own in backend
+    assert backend.verify().is_healthy
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -276,17 +218,3 @@ def test_racing_writers_store_exactly_once(kind, tmp_path):
     shared entry is created exactly once, every distinct entry lands, and
     no reader ever observes a torn payload."""
     _run_stress(_spec_for(kind, str(tmp_path)))
-
-
-@pytest.mark.parametrize("kind", ("http", "tiered"))
-def test_racing_writers_store_exactly_once_over_http(kind, tmp_path):
-    """The same stress through the network peer protocol: N spawn processes
-    hammer one live cache peer (directly, and behind a local near tier) and
-    the peer's write-once guarantee must hold across the wire."""
-    peer_backend = DirectoryCache(tmp_path / "peer")
-    with ClusterHarness(shards=1, router=False, max_workers=1,
-                        cache_factory=lambda _i: peer_backend) as cluster:
-        peer_url = cluster.shard_urls[0]
-        spec = (peer_url if kind == "http"
-                else f"dir:{tmp_path / 'near'}|{peer_url}")
-        _run_stress(spec)

@@ -289,7 +289,6 @@ class TestCacheCommand:
             backend.put(f"{seed:064x}", SimulationResult(
                 "bench", "rescq", seed=seed, total_cycles=10, num_qubits=2,
                 traces=[], data_busy_cycles={}))
-        backend.close()
         return spec
 
     def test_stats_counts_entries(self, tmp_path, capsys):
@@ -310,6 +309,14 @@ class TestCacheCommand:
                            match="is not a directory; a result cache is a "
                                  "directory of <fingerprint>.json files"):
             main(["cache", "stats", str(leftover)])
+
+    def test_network_cache_url_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit,
+                           match="network cache tier was removed; pass a "
+                                 "cache directory"):
+            main(["cache", "stats", "http://127.0.0.1:1"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_healthy_exits_zero(self, tmp_path, capsys):
         spec = self.populate(str(tmp_path / "cache"))

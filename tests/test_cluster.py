@@ -1,4 +1,4 @@
-"""Tests for repro.cluster: HRW placement, the cache peer, and the router.
+"""Tests for repro.cluster: HRW placement and the router.
 
 The e2e tests run a real 2-shard cluster — two :class:`ExperimentServer`
 instances and one :class:`ShardRouter` on loopback ephemeral ports — via
@@ -11,15 +11,12 @@ milliseconds, not minutes.
 import asyncio
 import contextlib
 import json
-import os
 import socket
 import threading
 
 import pytest
 
 from repro.cluster import ClusterHarness, ShardRouter, hrw_score, rank_nodes
-from repro.exec.cache import DirectoryCache, HttpCache
-from repro.sim import GateTrace, SimulationResult
 
 BENCH = "scenario:clifford_t:n=4,depth=3"
 
@@ -32,14 +29,6 @@ def spec_payload(seeds=4, depth=3, name="cluster-test", **envelope):
     if envelope:
         return {"spec": payload, **envelope}
     return payload
-
-
-def make_result(seed=0, total_cycles=10):
-    traces = [GateTrace(0, "cnot", (0, 1), scheduled_cycle=0, start_cycle=0,
-                        end_cycle=2)]
-    return SimulationResult("bench", "rescq", seed=seed,
-                            total_cycles=total_cycles, num_qubits=2,
-                            traces=traces, data_busy_cycles={0: 7})
 
 
 def closed_port() -> int:
@@ -128,89 +117,6 @@ class TestShardRouterValidation:
     def test_rejects_non_http_shards(self):
         with pytest.raises(ValueError, match="http://"):
             ShardRouter(["https://127.0.0.1:8765"])
-
-
-# -- cache peer protocol -------------------------------------------------------
-
-@pytest.fixture(scope="class")
-def peer(tmp_path_factory):
-    """A live cache peer: (HttpCache client, its server-side backing store)."""
-    backing = DirectoryCache(tmp_path_factory.mktemp("peer-cache"))
-    with ClusterHarness(shards=1, router=False, max_workers=1,
-                        cache_factory=lambda _index: backing) as cluster:
-        yield HttpCache(cluster.shard_urls[0]), backing
-
-
-class TestHttpCachePeer:
-    def test_miss_then_hit_roundtrip(self, peer):
-        client, _backing = peer
-        fp = "a1" * 32
-        assert client.get(fp) is None
-        assert client.put(fp, make_result(seed=3)) is True
-        assert fp in client
-        assert client.get(fp) == make_result(seed=3)
-        assert client.stats.describe() == "hits=1 misses=1 stores=1"
-
-    def test_put_is_write_once_over_the_wire(self, peer):
-        client, _backing = peer
-        fp = "b2" * 32
-        assert client.put(fp, make_result(total_cycles=10)) is True
-        assert client.put(fp, make_result(total_cycles=99)) is False
-        assert client.get(fp).total_cycles == 10
-
-    def test_entries_len_and_clear(self, peer):
-        client, _backing = peer
-        client.clear()
-        for index in range(3):
-            client.put(f"{index:064x}", make_result(seed=index))
-        assert len(client) == 3
-        listing = {entry.fingerprint for entry in client.entries()}
-        assert listing == {f"{index:064x}" for index in range(3)}
-        assert all(entry.size_bytes > 0 for entry in client.entries())
-        assert client.clear() == 3
-        assert len(client) == 0
-
-    def test_gc_by_age(self, peer):
-        client, backing = peer
-        client.clear()
-        fp = "c3" * 32
-        client.put(fp, make_result())
-        path = backing._path(fp)
-        stat = path.stat()
-        os.utime(path, (stat.st_atime - 3600, stat.st_mtime - 3600))
-        assert client.gc(older_than=600) == 1
-        assert fp not in client
-
-    def test_verify_reports_server_side_corruption(self, peer):
-        client, backing = peer
-        client.clear()
-        client.put("d4" * 32, make_result())
-        backing._path("e5" * 32).write_text("{not json")
-        check = client.verify()
-        assert not check.is_healthy
-        assert check.corrupt == ["e5" * 32]
-        assert (check.entries, check.ok) == (2, 1)
-        # The peer evicts the corrupt entry on read, clearing the way for a
-        # fresh write-once store.
-        assert client.get("e5" * 32) is None
-        assert client.put("e5" * 32, make_result()) is True
-
-    def test_malformed_fingerprint_is_rejected_client_side(self, peer):
-        client, _backing = peer
-        with pytest.raises(ValueError, match="lowercase hex"):
-            client.get("../../etc/passwd")
-
-    def test_dead_peer_reads_are_misses_and_writes_raise(self):
-        client = HttpCache(f"http://127.0.0.1:{closed_port()}", timeout=2.0)
-        assert client.get("f" * 64) is None
-        assert client.stats.misses == 1
-        assert ("f" * 64) not in client
-        with pytest.raises(OSError):
-            client.put("f" * 64, make_result())
-
-    def test_describe_names_the_peer(self, peer):
-        client, _backing = peer
-        assert client.url in client.describe()
 
 
 # -- 2-shard e2e ---------------------------------------------------------------

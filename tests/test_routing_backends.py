@@ -39,7 +39,7 @@ class TestFlatGrid:
         for position in layout.ancilla_positions():
             index = flat.flat_index(position)
             neighbors = {flat._positions[n]
-                         for n in flat.route_neighbors[index] if n >= 0}
+                         for n in flat.route_adjacency[index]}
             expected = set(layout.ancilla_neighbors(position))
             assert neighbors == expected
 

@@ -261,10 +261,7 @@ class TestExperimentService:
                                  "deduped", "errors", "rejected",
                                  "in_flight", "queue_depth", "max_pending",
                                  "cache"}
-        assert snapshot["cache"] == {"hits": 0, "misses": 0, "stores": 0,
-                                     "connect_errors": 0,
-                                     "corrupt_payloads": 0,
-                                     "read_retries": 0}
+        assert snapshot["cache"] == {"hits": 0, "misses": 0, "stores": 0}
         assert snapshot["max_pending"] is None
 
     def test_leader_failure_releases_followers_and_retires_key(self, pool):
@@ -392,9 +389,10 @@ class TestExperimentServer:
         assert json.loads(data) == {"status": "ok"}
 
     def test_unknown_path_is_404_with_route_hint(self, server):
-        status, data = request(server, "GET", "/nope")
-        assert status == 404
-        assert "POST /experiments" in json.loads(data)["error"]
+        for path in ("/nope", "/cache"):
+            status, data = request(server, "GET", path)
+            assert status == 404, path
+            assert "POST /experiments" in json.loads(data)["error"]
 
     def test_wrong_method_is_405(self, server):
         status, _ = request(server, "GET", "/experiments")
@@ -511,22 +509,3 @@ class TestExperimentServer:
                                payload=payload)
         assert status == 400
         assert "strictly increasing" in json.loads(data)["error"]
-
-    def test_cache_peer_routes_share_the_service_backend(self, server):
-        status, data = request(server, "GET", "/cache")
-        assert status == 200
-        fingerprints = {entry["fingerprint"]
-                        for entry in json.loads(data)["entries"]}
-        # Jobs executed by earlier tests were published to the backend the
-        # peer routes expose.
-        snapshot = json.loads(request(server, "GET", "/stats")[1])
-        assert len(fingerprints) == snapshot["cache"]["stores"]
-        for fingerprint in fingerprints:
-            status, _data = request(server, "HEAD",
-                                    f"/cache/{fingerprint}")
-            assert status == 200
-
-    def test_cache_route_rejects_malformed_fingerprints(self, server):
-        status, data = request(server, "GET", "/cache/..%2Fescape")
-        assert status == 400
-        assert "lowercase hex" in json.loads(data)["error"]
