@@ -10,8 +10,8 @@ This is the five-minute tour of the library:
 3. slice the returned :class:`repro.api.ResultSet` per scheduler and print
    total cycle counts, idle fractions and per-gate latency summaries.
 
-The same spec can be saved with ``spec.save("my_experiment.json")`` and
-re-run from the command line with ``rescq exp my_experiment.json``.
+The same spec serialises with ``spec.to_json()``; write that to
+``my_experiment.json`` and re-run it with ``rescq exp my_experiment.json``.
 
 Run with::
 

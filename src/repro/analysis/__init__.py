@@ -2,7 +2,6 @@
 
 from .experiments import (
     ExecutionSummary,
-    best_rescq_over_periods,
     default_schedulers,
     latency_histograms,
     run_execution_comparison,
@@ -10,10 +9,7 @@ from .experiments import (
 from .export import (
     result_from_dict,
     result_to_dict,
-    results_from_json,
-    results_to_json,
     rows_to_csv,
-    traces_to_csv,
 )
 from .fidelity import LogicalErrorModel, figure3_series, max_rotations
 from .report import (
@@ -28,16 +24,12 @@ from .sweep import SweepRow, run_axis_sweep
 __all__ = [
     "ExecutionSummary",
     "run_execution_comparison",
-    "best_rescq_over_periods",
     "latency_histograms",
     "default_schedulers",
     "LogicalErrorModel",
     "result_to_dict",
     "result_from_dict",
-    "results_to_json",
-    "results_from_json",
     "rows_to_csv",
-    "traces_to_csv",
     "figure3_series",
     "max_rotations",
     "format_table",

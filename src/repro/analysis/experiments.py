@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..circuits import Circuit
 from ..exec import ExecutionEngine, SimJob, plan_jobs
-from ..scheduling import (DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY,
-                          RescqScheduler)
+from ..scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
 from ..sim import (
     SimulationConfig,
     aggregate_comparison,
@@ -28,7 +27,7 @@ from ..sim import (
 )
 
 __all__ = ["default_schedulers", "ExecutionSummary", "run_execution_comparison",
-           "best_rescq_over_periods", "latency_histograms"]
+           "latency_histograms"]
 
 
 def default_schedulers(mst_period: int = 25):
@@ -120,66 +119,6 @@ def run_execution_comparison(circuits: Sequence[Circuit],
         summary.spread[circuit.name] = {
             name: (cell.min_cycles, cell.max_cycles)
             for name, cell in comparison.items()}
-    return summary
-
-
-def best_rescq_over_periods(circuits: Sequence[Circuit],
-                            periods: Sequence[int] = (25, 50, 100, 200),
-                            config: Optional[SimulationConfig] = None,
-                            seeds: int = 2,
-                            baseline: str = "autobraid",
-                            engine: Optional[ExecutionEngine] = None
-                            ) -> ExecutionSummary:
-    """RESCQ* of Figure 10: the best RESCQ result over k in {25,50,100,200}."""
-    config = config or SimulationConfig()
-    engine = engine or ExecutionEngine()
-    summary = ExecutionSummary(baseline=baseline)
-    baseline_schedulers = [SCHEDULER_REGISTRY.create(name)
-                           for name in ("greedy", "autobraid")]
-
-    # Plan the baselines plus every (circuit, period) RESCQ cell as one grid;
-    # jobs are appended in plan order so results slice back positionally.
-    plans = []
-    jobs: List[SimJob] = []
-    for circuit in circuits:
-        layout = default_layout(circuit)
-        base_jobs = plan_jobs(baseline_schedulers, circuit, config, layout,
-                              seeds)
-        jobs.extend(base_jobs)
-        period_jobs = []
-        for period in periods:
-            rescq_config = config.with_updates(mst_period=int(period))
-            cell_jobs = plan_jobs([RescqScheduler()], circuit, rescq_config,
-                                  layout, seeds)
-            period_jobs.append(cell_jobs)
-            jobs.extend(cell_jobs)
-        plans.append((circuit, base_jobs, period_jobs))
-    results = engine.run(jobs)
-    cursor = 0
-
-    def take(job_list):
-        nonlocal cursor
-        chunk = results[cursor:cursor + len(job_list)]
-        cursor += len(job_list)
-        return chunk
-
-    for circuit, base_jobs, period_jobs in plans:
-        comparison = aggregate_comparison(base_jobs, take(base_jobs))
-        cycles = {name: cell.mean_cycles for name, cell in comparison.items()}
-        spread = {name: (cell.min_cycles, cell.max_cycles)
-                  for name, cell in comparison.items()}
-        best_mean = None
-        best_spread = (0.0, 0.0)
-        for cell_jobs in period_jobs:
-            rescq_rows = aggregate_comparison(cell_jobs, take(cell_jobs))
-            cell = rescq_rows["rescq"]
-            if best_mean is None or cell.mean_cycles < best_mean:
-                best_mean = cell.mean_cycles
-                best_spread = (cell.min_cycles, cell.max_cycles)
-        cycles["rescq*"] = best_mean if best_mean is not None else 0.0
-        spread["rescq*"] = best_spread
-        summary.cycles[circuit.name] = cycles
-        summary.spread[circuit.name] = spread
     return summary
 
 

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..sim.results import GateTrace, SimulationResult
 
-__all__ = ["result_to_dict", "result_from_dict", "results_to_json",
-           "results_from_json", "rows_to_csv", "traces_to_csv"]
+__all__ = ["result_to_dict", "result_from_dict", "rows_to_csv"]
 
 
 def rows_to_csv(rows: Sequence[Mapping[str, object]],
@@ -103,38 +101,3 @@ def result_from_dict(payload: Dict[str, object]) -> SimulationResult:
         metadata=dict(payload.get("metadata", {})),
         profile=dict(payload.get("profile", {})),
     )
-
-
-def results_to_json(results: Iterable[SimulationResult],
-                    indent: Optional[int] = 2) -> str:
-    """Serialise several results as one JSON document."""
-    return json.dumps([result_to_dict(result) for result in results],
-                      indent=indent)
-
-
-def results_from_json(text: str) -> List[SimulationResult]:
-    """Parse a document produced by :func:`results_to_json`."""
-    payload = json.loads(text)
-    if not isinstance(payload, list):
-        raise ValueError("expected a JSON list of results")
-    return [result_from_dict(item) for item in payload]
-
-
-def traces_to_csv(result: SimulationResult) -> str:
-    """Flatten a result's per-gate traces into CSV (one row per gate)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["benchmark", "scheduler", "seed", "gate_index", "kind",
-                     "qubits", "scheduled_cycle", "start_cycle", "end_cycle",
-                     "latency_after_schedule", "injections",
-                     "preparation_attempts", "edge_rotations"])
-    for trace in result.traces:
-        writer.writerow([
-            result.benchmark, result.scheduler, result.seed,
-            trace.gate_index, trace.kind,
-            " ".join(str(q) for q in trace.qubits),
-            trace.scheduled_cycle, trace.start_cycle, trace.end_cycle,
-            trace.latency_after_schedule, trace.injections,
-            trace.preparation_attempts, trace.edge_rotations,
-        ])
-    return buffer.getvalue()

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..circuits import Circuit
 from ..exec import ExecutionEngine, SimJob, plan_jobs
-from ..sim import SimulationConfig
+from ..sim import SimulationConfig, default_layout
 
 __all__ = ["SweepRow", "run_axis_sweep"]
 
@@ -78,7 +78,10 @@ def run_axis_sweep(axis, schedulers, circuits: Sequence[Circuit],
     for circuit in circuits:
         for value in swept:
             config = axis.config_for(base, value)
-            layout = axis.layout_for(circuit, value)
+            compression = (axis.value_type(value)
+                           if axis.parameter == "compression" else 0.0)
+            layout = default_layout(circuit, compression,
+                                    seed=axis.layout_seed)
             jobs.extend(plan_jobs(schedulers, circuit, config, layout, seeds,
                                   tags={axis.parameter: value}))
     # ... execute it in one engine call (order-preserving) and fold the

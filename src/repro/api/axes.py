@@ -3,7 +3,7 @@
 A :class:`SweepAxis` captures everything one sensitivity sweep varies — which
 :class:`~repro.sim.config.SimulationConfig` field (or layout property) it
 drives, the values the paper evaluates, which schedulers the figure compares,
-and how the layout is built per point.  The four paper axes (Figures 11-14)
+and the layout seed grid compression uses.  The four paper axes (Figures 11-14)
 are registered in :data:`AXIS_REGISTRY`; the CLI's ``sweep`` subcommand, the
 legacy ``sweep_*`` shims and grid keys in :class:`~repro.api.spec.ExperimentSpec`
 all resolve through it, so adding a new axis is one registration instead of a
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from ..circuits import Circuit
-from ..fabric import GridLayout, StarVariant, compress_layout, star_layout
 from ..scheduling import DEFAULT_SCHEDULER_NAMES
 from ..sim.config import SimulationConfig
 from .registry import Registry
@@ -62,14 +60,6 @@ class SweepAxis:
         if self.parameter == "compression":
             return base
         return base.with_updates(**{self.parameter: self.value_type(value)})
-
-    def layout_for(self, circuit: Circuit, value) -> GridLayout:
-        """The layout at one swept point (STAR grid, compressed if swept)."""
-        layout = star_layout(circuit.num_qubits, StarVariant.STAR)
-        if self.parameter == "compression" and self.value_type(value) > 0:
-            layout, _report = compress_layout(layout, self.value_type(value),
-                                              seed=self.layout_seed)
-        return layout
 
     def describe(self) -> str:
         values = ", ".join(str(v) for v in self.default_values)

@@ -28,9 +28,12 @@ works for any client that wants a slice of a plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from .spec import ExperimentSpec, SpecValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..exec.jobs import SimJob
 
 __all__ = ["EnvelopeError", "JobStatus", "SubmissionEnvelope",
            "SubmissionReport"]
@@ -109,6 +112,27 @@ class SubmissionEnvelope:
             raise EnvelopeError("indices is empty; omit it to run the "
                                 "whole plan")
         return tuple(checked)
+
+    def plan(self) -> List[Tuple[int, "SimJob"]]:
+        """The ``(plan position, job)`` pairs this submission runs.
+
+        Expands (and thereby validates) the spec once and selects
+        :attr:`indices` from the plan, in plan order.  Raises
+        :class:`EnvelopeError` for an invalid spec or an index past the end
+        of the plan.  Building circuits and layouts is slow: servers call
+        this off their event loop.
+        """
+        try:
+            jobs = self.spec.expand()
+        except SpecValidationError as exc:
+            raise EnvelopeError(str(exc)) from None
+        if self.indices is None:
+            return list(enumerate(jobs))
+        if self.indices[-1] >= len(jobs):
+            raise EnvelopeError(
+                f"indices entry {self.indices[-1]} is out of range for a "
+                f"plan of {len(jobs)} job(s)")
+        return [(index, jobs[index]) for index in self.indices]
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {"spec": self.spec.to_dict()}

@@ -19,14 +19,15 @@ exactly when all of its names resolve.
 from __future__ import annotations
 
 from ..circuits import Circuit
-from ..fabric import GridLayout, StarVariant, compress_layout, star_layout
+from ..fabric import GridLayout, StarVariant
 from ..scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
+from ..sim.runner import default_layout
 from ..workloads.registry import BENCHMARK_REGISTRY, resolve_benchmark
 from .axes import AXIS_REGISTRY
 from .registry import Registry
 
 __all__ = ["SCHEDULERS", "BENCHMARKS", "LAYOUTS", "SWEEP_AXES",
-           "DEFAULT_SCHEDULER_NAMES", "build_layout", "resolve_benchmark"]
+           "DEFAULT_SCHEDULER_NAMES", "resolve_benchmark"]
 
 SCHEDULERS: Registry = SCHEDULER_REGISTRY
 BENCHMARKS: Registry = BENCHMARK_REGISTRY
@@ -39,10 +40,7 @@ LAYOUTS: Registry = Registry("layout")
 def _star_variant_builder(variant: StarVariant):
     def build(circuit: Circuit, compression: float = 0.0,
               seed: int = 0) -> GridLayout:
-        layout = star_layout(circuit.num_qubits, variant)
-        if compression > 0.0:
-            layout, _report = compress_layout(layout, compression, seed=seed)
-        return layout
+        return default_layout(circuit, compression, seed, variant=variant)
     build.__name__ = f"{variant.value}_layout"
     build.__doc__ = (f"STAR {variant.value!r} grid for the circuit, "
                      f"optionally compressed (Section 5.3).")
@@ -51,9 +49,3 @@ def _star_variant_builder(variant: StarVariant):
 
 for _variant in StarVariant:
     LAYOUTS.register(_variant.value, _star_variant_builder(_variant))
-
-
-def build_layout(name: str, circuit: Circuit, compression: float = 0.0,
-                 seed: int = 0) -> GridLayout:
-    """Build a registered layout by name for ``circuit``."""
-    return LAYOUTS.create(name, circuit, compression=compression, seed=seed)

@@ -155,7 +155,8 @@ class ExperimentSpec:
         """Check every name resolves and every value is usable.
 
         Raises :class:`SpecValidationError` with an actionable message;
-        returns ``self`` so calls chain (``spec.validate().expand()``).
+        returns ``self`` so calls chain (``spec.validate().describe()``).
+        :meth:`expand` validates first, so callers that expand need not.
         """
         from ..workloads.registry import resolve_benchmark
         from .registries import BENCHMARKS, LAYOUTS, SCHEDULERS
@@ -279,16 +280,11 @@ class ExperimentSpec:
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Canonical JSON form: sorted keys, stable floats, NaN rejected.
 
-        Two equal specs always serialise to identical bytes (and hence the
-        same :meth:`content_hash`), which is what makes spec files diffable
-        artifacts and cache keys stable across hosts.
+        Two equal specs always serialise to identical bytes, which is what
+        makes spec files diffable artifacts and cache keys stable across
+        hosts.
         """
         return canonical_dumps(self.to_dict(), indent=indent)
-
-    def content_hash(self) -> str:
-        """SHA-256 over the spec's canonical JSON — its cross-host identity."""
-        from ..canonical import content_hash
-        return content_hash(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -303,11 +299,6 @@ class ExperimentSpec:
         """Read a spec from a JSON file."""
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
-
-    def save(self, path) -> None:
-        """Write the spec to a JSON file (the committable artifact)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
 
     # -- expansion -------------------------------------------------------------
 

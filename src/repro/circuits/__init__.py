@@ -20,7 +20,6 @@ from .dag import GateDependencyGraph
 from .qasm import QasmImportError, import_qasm_file, parse_qasm
 from .textio import (
     from_artifact_format,
-    from_qasm,
     to_artifact_format,
     to_qasm,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "to_artifact_format",
     "from_artifact_format",
     "to_qasm",
-    "from_qasm",
     "parse_qasm",
     "import_qasm_file",
     "QasmImportError",

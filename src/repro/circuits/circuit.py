@@ -9,7 +9,7 @@ number of gates on the first line followed by one gate per line.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .gates import Gate, GateType, cnot, h, rz, x
 
@@ -137,12 +137,6 @@ class Circuit:
     def count(self, gate_type: GateType) -> int:
         return sum(1 for gate in self._gates if gate.gate_type is gate_type)
 
-    def used_qubits(self) -> Tuple[int, ...]:
-        seen = set()
-        for gate in self._gates:
-            seen.update(gate.qubits)
-        return tuple(sorted(seen))
-
     def depth(self) -> int:
         """Logical circuit depth counting every non-barrier gate as one layer unit."""
         frontier = [0] * self.num_qubits
@@ -178,25 +172,6 @@ class Circuit:
                 frontier[qubit] = level + 1
         return [layers[level] for level in sorted(layers)]
 
-    def remaining_depth_per_gate(self) -> List[int]:
-        """For every gate, the length of the longest dependency chain *after* it.
-
-        RESCQ prioritises gates on qubits with larger remaining circuit depth
-        because they are more likely to be on the critical path (Figure 7
-        caption).  The value for gate ``i`` counts ``i`` itself.
-        """
-        remaining = [0] * len(self._gates)
-        frontier = [0] * self.num_qubits
-        for index in range(len(self._gates) - 1, -1, -1):
-            gate = self._gates[index]
-            if gate.gate_type is GateType.BARRIER:
-                continue
-            depth_after = max((frontier[q] for q in gate.qubits), default=0)
-            remaining[index] = depth_after + 1
-            for qubit in gate.qubits:
-                frontier[qubit] = depth_after + 1
-        return remaining
-
     # -- transformation ---------------------------------------------------------
 
     def without_free_gates(self) -> "Circuit":
@@ -207,18 +182,6 @@ class Circuit:
     def copy(self, name: Optional[str] = None) -> "Circuit":
         return Circuit(self.num_qubits, name=name or self.name,
                        gates=list(self._gates))
-
-    def relabeled(self, mapping: Sequence[int]) -> "Circuit":
-        """Return a copy with qubit ``q`` renamed to ``mapping[q]``."""
-        if len(mapping) < self.num_qubits:
-            raise ValueError("mapping must cover every qubit")
-        new_size = max(mapping[: self.num_qubits]) + 1
-        out = Circuit(new_size, name=self.name)
-        for gate in self._gates:
-            new_qubits = tuple(mapping[q] for q in gate.qubits)
-            out.append(Gate(gate.gate_type, new_qubits, angle=gate.angle,
-                            label=gate.label))
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Circuit(name={self.name!r}, qubits={self.num_qubits}, "

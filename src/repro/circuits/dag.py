@@ -65,9 +65,6 @@ class GateDependencyGraph:
     def successors(self, index: int) -> Tuple[int, ...]:
         return tuple(sorted(self._successors.get(index, ())))
 
-    def predecessor_count(self, index: int) -> int:
-        return self._predecessor_count[index]
-
     def critical_path_length(self, index: int) -> int:
         """Longest chain of dependent gates starting at ``index`` (inclusive).
 
@@ -83,10 +80,6 @@ class GateDependencyGraph:
                 best = max(best, self._critical_path_length[succ])
             self._critical_path_length[index] = best + 1
 
-    def topological_order(self) -> List[int]:
-        """Return the nodes in program order (which is already topological)."""
-        return list(self._nodes)
-
     # -- incremental release interface -------------------------------------------
 
     @property
@@ -98,12 +91,6 @@ class GateDependencyGraph:
         """Ready gates ordered by descending critical-path length, then index."""
         return sorted(self.ready,
                       key=lambda i: (-self._critical_path_length[i], i))
-
-    def is_ready(self, index: int) -> bool:
-        return index in self._released and index not in self._completed
-
-    def is_completed(self, index: int) -> bool:
-        return index in self._completed
 
     def complete(self, index: int) -> List[int]:
         """Mark gate ``index`` completed and return newly released successors."""
@@ -153,16 +140,6 @@ class GateDependencyGraph:
             node for node, count in self._remaining_predecessors.items()
             if count == 0
         }
-
-    # -- convenience -----------------------------------------------------------
-
-    def gates_on_qubit(self, qubit: int) -> List[int]:
-        """Program-ordered node indices acting on ``qubit``."""
-        result = []
-        for index in self._nodes:
-            if qubit in self.circuit[index].qubits:
-                result.append(index)
-        return result
 
     def __len__(self) -> int:
         return len(self._nodes)

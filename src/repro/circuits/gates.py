@@ -195,17 +195,6 @@ class Gate:
         return self.gate_type is GateType.RZ and not is_clifford_angle(self.angle)
 
     @property
-    def is_clifford(self) -> bool:
-        """True when the gate can be executed without magic-state injection."""
-        if self.gate_type is GateType.RZ:
-            return is_clifford_angle(self.angle)
-        return self.gate_type in (
-            GateType.H, GateType.X, GateType.Z, GateType.S, GateType.SDG,
-            GateType.CNOT, GateType.CZ, GateType.SWAP, GateType.Y,
-            GateType.MEASURE, GateType.BARRIER,
-        )
-
-    @property
     def is_free(self) -> bool:
         """Gates that cost zero lattice-surgery cycles (Pauli-frame updates)."""
         if self.gate_type in (GateType.X, GateType.Z, GateType.Y,

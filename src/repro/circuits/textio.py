@@ -5,10 +5,10 @@ Two formats are supported:
 * the **artifact format** from the paper's appendix B.7 — first line is the
   number of gates, then one gate per line as
   ``<gate name> <qubit(s)> <rotation angle for Rz gates>``;
-* **OpenQASM 2.0** — emission lives here (:func:`to_qasm`); parsing is
-  delegated to the full lexer/parser in :mod:`repro.circuits.qasm`, so
-  :func:`from_qasm` accepts everything the importer does (gate macros,
-  register broadcasting, qelib1 gates, angle expressions, ...).
+* **OpenQASM 2.0** — emission lives here (:func:`to_qasm`); the inverse is
+  the full lexer/parser :func:`repro.circuits.qasm.parse_qasm`, which also
+  accepts gate macros, register broadcasting, qelib1 gates, angle
+  expressions, ...
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "to_artifact_format",
     "from_artifact_format",
     "to_qasm",
-    "from_qasm",
 ]
 
 
@@ -116,16 +115,3 @@ def to_qasm(circuit: Circuit) -> str:
             lines.append(f"{gate.gate_type.value} {operands};")
     return "\n".join(lines) + "\n"
 
-
-def from_qasm(text: str, name: str = "circuit") -> Circuit:
-    """Parse OpenQASM 2.0 ``text`` (full importer; inverse of :func:`to_qasm`).
-
-    Delegates to :func:`repro.circuits.qasm.parse_qasm`, so besides the
-    output of :func:`to_qasm` this accepts gate macros, register
-    broadcasting, the qelib1 standard gates and constant angle expressions.
-    The result keeps the importer's extended vocabulary; lower it with
-    :func:`~repro.circuits.transpile.transpile_to_clifford_rz` before
-    scheduling.
-    """
-    from .qasm import parse_qasm
-    return parse_qasm(text, name=name)

@@ -299,10 +299,9 @@ def _scheduler_names(names: str) -> List[str]:
 
 def _run_spec(spec: ExperimentSpec, engine: ExecutionEngine):
     try:
-        spec.validate()
+        return run_experiment(spec, engine)
     except SpecValidationError as exc:
         raise SystemExit(str(exc))
-    return run_experiment(spec, engine)
 
 
 def _command_list() -> int:

@@ -132,10 +132,6 @@ class FaultPlan:
                 faults.append(Fault(kind))
         return cls(faults)
 
-    @property
-    def fault_count(self) -> int:
-        return sum(1 for fault in self.faults if fault is not None)
-
     def next(self) -> Optional[Fault]:
         """The fault for the next connection (``None`` = pass through)."""
         if self._cursor < len(self.faults):
@@ -147,10 +143,6 @@ class FaultPlan:
 
     def reset(self) -> None:
         self._cursor = 0
-
-    @property
-    def connections_seen(self) -> int:
-        return self._cursor
 
     def describe(self) -> str:
         parts = [fault.describe() if fault else "pass"

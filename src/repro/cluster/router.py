@@ -63,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
-from ..api.spec import SpecValidationError
 from ..canonical import canonical_dumps
 from ..service.httpcore import (HttpError, http_request, iter_ndjson,
                                 open_http_stream, read_request, send_head,
@@ -169,10 +168,6 @@ class ShardRouter:
         if self._handlers:
             await asyncio.gather(*list(self._handlers),
                                  return_exceptions=True)
-
-    @property
-    def in_flight_requests(self) -> int:
-        return len(self._handlers)
 
     # -- health probing --------------------------------------------------------
 
@@ -424,20 +419,10 @@ class ShardRouter:
         loop = asyncio.get_event_loop()
 
         def _plan() -> Dict[int, str]:
-            jobs = envelope.spec.validate().expand()
-            positions = (list(envelope.indices)
-                         if envelope.indices is not None
-                         else list(range(len(jobs))))
-            if positions and positions[-1] >= len(jobs):
-                raise EnvelopeError(
-                    f"indices entry {positions[-1]} is out of range for a "
-                    f"plan of {len(jobs)} job(s)")
-            return {pos: jobs[pos].fingerprint() for pos in positions}
+            return {pos: job.fingerprint() for pos, job in envelope.plan()}
 
         try:
             fingerprints = await loop.run_in_executor(None, _plan)
-        except SpecValidationError as exc:
-            raise HttpError(400, str(exc)) from None
         except EnvelopeError as exc:
             raise HttpError(400, str(exc)) from None
 

@@ -84,10 +84,6 @@ class ExecutionEngine:
 
         return results  # type: ignore[return-value]
 
-    def run_one(self, job: SimJob) -> SimulationResult:
-        """Convenience wrapper for a single job."""
-        return self.run([job])[0]
-
     def describe(self) -> str:
         text = f"[exec] {self.stats.describe()}"
         if self.cache is not None:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from ..canonical import canonical_dumps
+from ..canonical import content_hash
 from ..circuits import Circuit
 from ..circuits.textio import to_artifact_format
 from ..fabric.layout import GridLayout
@@ -99,12 +98,12 @@ def job_fingerprint(circuit: Circuit, scheduler: "Scheduler",
         "layout": _layout_descriptor(layout),
         "seed": int(seed),
     }
-    # canonical_dumps == json.dumps(sort_keys=True, compact separators) for
-    # every valid payload, so fingerprints are unchanged from earlier
-    # releases — but a NaN smuggled into a config now fails loudly instead
-    # of silently producing a fingerprint no other host can reproduce.
-    text = canonical_dumps(payload)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    # content_hash hashes canonical_dumps, which equals json.dumps(
+    # sort_keys=True, compact separators) for every valid payload, so
+    # fingerprints are unchanged from earlier releases — but a NaN smuggled
+    # into a config now fails loudly instead of silently producing a
+    # fingerprint no other host can reproduce.
+    return content_hash(payload)
 
 
 @dataclass

@@ -3,25 +3,22 @@
 from .compression import (
     CompressionReport,
     ancilla_subgraph_connected,
-    block_ancillas,
     compress_layout,
 )
 from .layout import GridLayout
 from .star import StarVariant, block_grid_shape, star_layout
-from .tile import Edge, Position, Tile, TileType, manhattan
+from .tile import Edge, Position, Tile, TileType
 
 __all__ = [
     "Edge",
     "Position",
     "Tile",
     "TileType",
-    "manhattan",
     "GridLayout",
     "StarVariant",
     "star_layout",
     "block_grid_shape",
     "CompressionReport",
     "compress_layout",
-    "block_ancillas",
     "ancilla_subgraph_connected",
 ]

@@ -28,7 +28,7 @@ from .layout import GridLayout
 from .tile import Position
 
 __all__ = ["CompressionReport", "ancilla_subgraph_connected",
-           "block_ancillas", "compress_layout"]
+           "compress_layout"]
 
 
 @dataclass
@@ -78,19 +78,6 @@ def ancilla_subgraph_connected(layout: GridLayout) -> bool:
                 seen.add(neighbor)
                 queue.append(neighbor)
     return len(seen) == len(ancilla_set)
-
-
-def block_ancillas(layout: GridLayout, qubit: int) -> List[Position]:
-    """The (up to three) STAR-block ancillas owned by ``qubit``.
-
-    For a data qubit at ``(r, c)`` these are the east ``(r, c+1)``, south
-    ``(r+1, c)`` and south-east ``(r+1, c+1)`` tiles, i.e. the rest of its
-    2x2 block (Figure 1c).  Only tiles that are currently ancillas are
-    returned.
-    """
-    row, col = layout.data_position(qubit)
-    candidates = [(row, col + 1), (row + 1, col), (row + 1, col + 1)]
-    return [pos for pos in candidates if layout.is_ancilla(pos)]
 
 
 def _removal_allowed(layout: GridLayout, position: Position) -> bool:

@@ -7,8 +7,7 @@ orientation, tile busy times, activity) lives in the simulator.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set
 
 from .tile import Edge, Position, Tile, TileType
 
@@ -59,10 +58,6 @@ class GridLayout:
         #: Monotonic counter bumped on every disable/enable; routing caches
         #: key their validity on it.
         self._version = 0
-        #: Recent mutations as (version, position, enabled) records so caches
-        #: can invalidate by delta; bounded, oldest dropped (a consumer whose
-        #: last-seen version fell off the log must do a full invalidation).
-        self._change_log: List[Tuple[int, Position, bool]] = []
         self._neighbors: Dict[Position, List[Position]] = {}
         self._ancilla_neighbors: Dict[Position, List[Position]] = {}
         self._ancilla_positions: List[Position] = []
@@ -102,12 +97,6 @@ class GridLayout:
 
     def data_position(self, qubit: int) -> Position:
         return self._data_positions[qubit]
-
-    def data_qubit_at(self, position: Position) -> Optional[int]:
-        tile = self._tiles.get(position)
-        if tile is not None and tile.is_data:
-            return tile.data_index
-        return None
 
     def ancilla_positions(self) -> List[Position]:
         return list(self._ancilla_positions)
@@ -159,14 +148,9 @@ class GridLayout:
         self._ancilla_neighbors[position] = [pos for pos in neighbors
                                              if self._tiles[pos].is_ancilla]
 
-    _CHANGE_LOG_LIMIT = 4096
-
-    def _on_tile_changed(self, position: Position, enabled: bool) -> None:
+    def _on_tile_changed(self, position: Position) -> None:
         """Delta-refresh adjacency after ``position`` changed type."""
         self._version += 1
-        self._change_log.append((self._version, position, enabled))
-        if len(self._change_log) > self._CHANGE_LOG_LIMIT:
-            del self._change_log[:len(self._change_log) // 2]
         self._refresh_adjacency_entry(position)
         for edge in Edge:
             neighbor = edge.neighbor(position)
@@ -174,18 +158,6 @@ class GridLayout:
                 self._refresh_adjacency_entry(neighbor)
         self._ancilla_positions = [pos for pos, tile in sorted(self._tiles.items())
                                    if tile.is_ancilla]
-
-    def changes_since(self, version: int) -> Optional[List[Tuple[int, "Position", bool]]]:
-        """Mutations after ``version``, oldest first.
-
-        Returns ``None`` when the requested range has been dropped from the
-        bounded change log (the caller must then invalidate everything).
-        """
-        if version >= self._version:
-            return []
-        if not self._change_log or self._change_log[0][0] > version + 1:
-            return None
-        return [entry for entry in self._change_log if entry[0] > version]
 
     def neighbors(self, position: Position) -> List[Position]:
         """In-bounds, non-disabled neighbours of ``position`` (read-only)."""
@@ -204,9 +176,6 @@ class GridLayout:
     def ancilla_neighbors_of_qubit(self, qubit: int) -> List[Position]:
         return self.ancilla_neighbors(self._data_positions[qubit])
 
-    def edge_to_neighbor(self, position: Position, neighbor: Position) -> Edge:
-        return Edge.between(position, neighbor)
-
     # -- mutation (used by compression) --------------------------------------------
 
     def disable(self, position: Position) -> None:
@@ -215,7 +184,7 @@ class GridLayout:
         if tile.is_data:
             raise ValueError(f"cannot disable data tile at {position}")
         self._tiles[position] = Tile(position, TileType.DISABLED)
-        self._on_tile_changed(position, enabled=False)
+        self._on_tile_changed(position)
 
     def enable_ancilla(self, position: Position) -> None:
         """Re-enable a previously disabled position as an ancilla tile."""
@@ -223,34 +192,9 @@ class GridLayout:
         if tile.is_data:
             raise ValueError(f"{position} holds a data qubit")
         self._tiles[position] = Tile(position, TileType.ANCILLA)
-        self._on_tile_changed(position, enabled=True)
+        self._on_tile_changed(position)
 
     # -- connectivity ------------------------------------------------------------
-
-    def active_positions(self) -> List[Position]:
-        return [pos for pos, tile in sorted(self._tiles.items())
-                if not tile.is_disabled]
-
-    def is_connected(self) -> bool:
-        """True when all non-disabled tiles form one connected component.
-
-        Connectivity over *all* active tiles (data and ancilla) is the
-        invariant grid compression must preserve (Section 5.3: "while still
-        ensuring the grid remains connected").
-        """
-        active = self.active_positions()
-        if not active:
-            return True
-        seen: Set[Position] = set()
-        queue = deque([active[0]])
-        seen.add(active[0])
-        while queue:
-            current = queue.popleft()
-            for neighbor in self.neighbors(current):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        return len(seen) == len(active)
 
     def every_data_qubit_has_ancilla_neighbor(self) -> bool:
         """True when every data qubit retains at least one adjacent ancilla."""

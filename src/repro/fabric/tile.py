@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Tuple
 
-__all__ = ["TileType", "Position", "Edge", "Tile", "manhattan"]
+__all__ = ["TileType", "Position", "Edge", "Tile"]
 
 
 #: Grid coordinate, ``(row, column)``.
@@ -55,15 +55,6 @@ class Edge(enum.Enum):
         d_row, d_col = self.value
         return (row + d_row, col + d_col)
 
-    @staticmethod
-    def between(origin: Position, destination: Position) -> "Edge":
-        """Edge of ``origin`` that faces ``destination`` (must be adjacent)."""
-        delta = (destination[0] - origin[0], destination[1] - origin[1])
-        for edge in Edge:
-            if edge.value == delta:
-                return edge
-        raise ValueError(f"{origin} and {destination} are not adjacent")
-
 
 @dataclass(frozen=True)
 class Tile:
@@ -85,8 +76,3 @@ class Tile:
     @property
     def is_disabled(self) -> bool:
         return self.tile_type is TileType.DISABLED
-
-
-def manhattan(a: Position, b: Position) -> int:
-    """Manhattan distance between two grid positions."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])

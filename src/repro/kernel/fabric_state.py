@@ -53,10 +53,6 @@ class FabricState:
 
     # -- ancilla occupancy -------------------------------------------------------
 
-    def ancilla_idle(self, position: Position, now: int) -> bool:
-        """True when the tile has no scheduled work at cycle ``now``."""
-        return self.anc_free[position] <= now
-
     def occupy_ancilla(self, position: Position, start: int, end: int) -> None:
         """Mark the tile busy during ``[start, end)`` (and record activity)."""
         self.anc_free[position] = end
@@ -86,9 +82,6 @@ class FabricState:
         return self.anc_holding.get(position)
 
     # -- data-qubit occupancy ------------------------------------------------------
-
-    def data_idle(self, qubit: int, now: int) -> bool:
-        return self.data_free[qubit] <= now
 
     def occupy_data(self, qubit: int, start: int, end: int) -> None:
         """Mark the data qubit busy during ``[start, end)`` and account it."""

@@ -9,9 +9,9 @@ that currently faces the wrong way (Figure 4).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from ..fabric import Edge, GridLayout, Position
+from ..fabric import Edge
 
 __all__ = ["OrientationTracker"]
 
@@ -46,18 +46,3 @@ class OrientationTracker:
     def exposes(self, qubit: int, edge: Edge, pauli: str) -> bool:
         """True when boundary ``edge`` of ``qubit`` exposes ``pauli``."""
         return self.edge_pauli(qubit, edge) == pauli
-
-    def edges_exposing(self, qubit: int, pauli: str) -> List[Edge]:
-        """The two boundaries of ``qubit`` that expose ``pauli``."""
-        return [edge for edge in Edge if self.exposes(qubit, edge, pauli)]
-
-    def neighbors_on_pauli_edge(self, layout: GridLayout, qubit: int,
-                                pauli: str) -> List[Position]:
-        """Ancilla tiles adjacent to the boundaries of ``qubit`` exposing ``pauli``."""
-        position = layout.data_position(qubit)
-        result = []
-        for edge in self.edges_exposing(qubit, pauli):
-            neighbor = edge.neighbor(position)
-            if layout.is_ancilla(neighbor):
-                result.append(neighbor)
-        return result

@@ -239,8 +239,8 @@ def _bfs_parent_tree(flat: FlatGrid, source: int) -> np.ndarray:
 
 
 class RoutingIndex:
-    """Incremental routing over one layout: flat-index BFS, memoised plan
-    enumeration, delta invalidation.
+    """Incremental routing over one layout: flat-index BFS and memoised plan
+    enumeration.
 
     The index answers the same queries as :func:`bfs_ancilla_path` (without
     ``blocked``) and :func:`enumerate_cnot_plans` but caches everything that
@@ -253,13 +253,10 @@ class RoutingIndex:
     * **full plan enumerations** keyed on
       ``(control, target, flipped_c, flipped_t)``.
 
-    Layout mutations (grid compression's disable/enable) are picked up in
-    :meth:`_sync` through :meth:`GridLayout.changes_since`.  Parent trees
-    span the whole fabric, so any mutation drops them.  A *disable* prunes
-    exactly the cached paths, plans and attachments that touch the removed
-    tile — every surviving path is still a shortest path, because removing a
-    tile can only remove paths — while an *enable* (which can create strictly
-    better routes) or a truncated change log drops every cache.
+    Layouts do not change during a run: grid compression works on a copy
+    before any kernel builds an index.  :meth:`_sync` still checks
+    :attr:`GridLayout.version` before every query and drops every cache when
+    it has moved, so a mutated layout can never serve a stale route.
 
     One index per layout is typically shared via :meth:`for_layout`, so
     repeated runs (seed sweeps) reuse each other's routing work.
@@ -295,24 +292,11 @@ class RoutingIndex:
     def _sync(self) -> None:
         if self.layout.version == self._version:
             return
-        changes = self.layout.changes_since(self._version)
         self._version = self.layout.version
         self._parent_trees.clear()
-        if changes is None or any(enabled for _, _, enabled in changes):
-            self._paths.clear()
-            self._attachments.clear()
-            self._plans.clear()
-            return
-        removed = {position for _, position, _ in changes}
-        self._paths = {key: path for key, path in self._paths.items()
-                       if path is None or not removed.intersection(path)}
-        self._attachments = {
-            key: candidates for key, candidates in self._attachments.items()
-            if not any(pos in removed for pos, _ in candidates)}
-        self._plans = {
-            key: plans for key, plans in self._plans.items()
-            if not any(removed.intersection(plan.ancillas_used)
-                       for plan in plans)}
+        self._paths.clear()
+        self._attachments.clear()
+        self._plans.clear()
 
     # -- cached primitives ------------------------------------------------------
 

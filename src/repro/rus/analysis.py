@@ -8,7 +8,6 @@ a target program fidelity under each compilation).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -77,13 +76,6 @@ class TFactoryModel:
         worst = self.t_count_per_rz * (self.t_preparation_cycles
                                        + self.t_injection_cycles)
         return best, worst
-
-    @staticmethod
-    def t_count_for_precision(epsilon: float) -> int:
-        """Ross-Selinger T-count estimate ``~3 log2(1/eps)`` for one Rz."""
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        return max(1, int(math.ceil(3 * math.log2(1.0 / epsilon))))
 
 
 @dataclass(frozen=True)

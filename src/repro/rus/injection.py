@@ -102,10 +102,6 @@ class InjectionModel:
     def cycles_per_injection(self) -> int:
         return self.strategy.cycles
 
-    @property
-    def ancillas_per_injection(self) -> int:
-        return self.strategy.ancillas_required
-
     def sample_outcome(self, rng: np.random.Generator) -> bool:
         """Draw one injection measurement outcome (True = success)."""
         return bool(rng.random() < self.success_probability)

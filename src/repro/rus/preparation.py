@@ -174,17 +174,3 @@ class PreparationModel:
         attempts = self.sample_attempts_batch(rng, count)
         cycles = np.ceil(attempts * self.cycles_per_attempt).astype(np.int64)
         return np.maximum(cycles, 1)
-
-    # -- convenience -----------------------------------------------------------------
-
-    def with_distance(self, distance: int) -> "PreparationModel":
-        return PreparationModel(distance, self.physical_error_rate,
-                                self.subsystem_physical_ops,
-                                self.expansion_checks_per_d2,
-                                self.rounds_per_attempt)
-
-    def with_error_rate(self, physical_error_rate: float) -> "PreparationModel":
-        return PreparationModel(self.distance, physical_error_rate,
-                                self.subsystem_physical_ops,
-                                self.expansion_checks_per_d2,
-                                self.rounds_per_attempt)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from ..circuits import Circuit, Gate, GateType, doublings_until_clifford
 from ..fabric import GridLayout
 from ..sim.config import SimulationConfig
@@ -50,10 +48,6 @@ class Scheduler(abc.ABC):
         """Execute ``circuit`` on ``layout`` and return the timing result."""
 
     # -- shared helpers ------------------------------------------------------------
-
-    @staticmethod
-    def make_rng(seed: int) -> np.random.Generator:
-        return np.random.default_rng(seed)
 
     @staticmethod
     def prepare_circuit(circuit: Circuit) -> Circuit:

@@ -69,7 +69,6 @@ class AncillaMst:
                  activity: Dict[Position, float],
                  snapshot_cycle: int = 0) -> None:
         self.snapshot_cycle = snapshot_cycle
-        self.activity = dict(activity)
         flat = FlatGrid.for_layout(layout)
         self._flat = flat
         num = flat.num_ancilla
@@ -157,9 +156,6 @@ class AncillaMst:
             self._lazy_tree = tree
         return self._lazy_tree
 
-    def contains(self, position: Position) -> bool:
-        return self._flat.slot_of(position) >= 0
-
     def path(self, start: Position, goal: Position) -> Optional[List[Position]]:
         """The unique tree path between two ancilla tiles (inclusive).
 
@@ -208,17 +204,6 @@ class AncillaMst:
         path = [positions[slot] for slot in up_from_start]
         path.extend(positions[slot] for slot in reversed(up_from_goal[:-1]))
         return path
-
-    def bottleneck_activity(self, start: Position, goal: Position) -> float:
-        """Maximum edge weight along the tree path (the minimax objective)."""
-        path = self.path(start, goal)
-        if not path or len(path) == 1:
-            return 0.0
-        # Every edge weight is max(act_u, act_v), so the path maximum equals
-        # the maximum activity over all path nodes.
-        slot_of = self._flat.slot_of
-        act = self._act
-        return float(max(act[slot_of(position)] for position in path))
 
 
 #: Distinct sentinel: path caches legitimately store ``None`` values.
@@ -294,16 +279,6 @@ class AsyncMstPipeline:
             ))
             self._last_started = cycle
             self.computations_started += 1
-
-    def next_boundary(self, cycle: int) -> int:
-        """The next cycle at which the pipeline state can change."""
-        candidates = [pending.available_cycle for pending in self._pending]
-        if self._last_started is not None:
-            candidates.append(self._last_started + self.period)
-        else:
-            candidates.append(cycle)
-        future = [c for c in candidates if c > cycle]
-        return min(future) if future else cycle + self.period
 
 
 class IncrementalMst:

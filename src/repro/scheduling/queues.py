@@ -108,11 +108,6 @@ class AncillaQueue:
     def enqueue(self, entry: QueueEntry) -> None:
         self.entries.append(entry)
 
-    def pop_head(self) -> QueueEntry:
-        if not self.entries:
-            raise IndexError("pop from empty ancilla queue")
-        return self.entries.pop(0)
-
     def remove_gate(self, gate_index: int) -> int:
         """Remove every entry for ``gate_index``; returns how many were removed."""
         before = len(self.entries)

@@ -310,7 +310,7 @@ class RescqPolicy(EventDrivenPolicy):
             gate_index=index,
             qubit=qubit,
             theta=gate.angle if gate.angle is not None else 0.0,
-            limit=self.injection_limit(gate),
+            limit=Scheduler.injection_limit(gate),
             candidates=candidates,
             attachment=attachment,
             queues=[self.queues[position] for position in candidates],
@@ -322,10 +322,6 @@ class RescqPolicy(EventDrivenPolicy):
             entry = QueueEntry(index, "rz", (qubit,), AncillaRole.PREPARE)
             self.queues.enqueue(position, entry)
         return task
-
-    @staticmethod
-    def injection_limit(gate: Gate, max_doublings: int = 64) -> int:
-        return Scheduler.injection_limit(gate, max_doublings)
 
     def _expected_free_time(self, position: Position) -> float:
         """Expected cycle at which ``position`` frees up (Section 4.2)."""
@@ -529,14 +525,6 @@ class RescqPolicy(EventDrivenPolicy):
 
     # -- Rz state machine ----------------------------------------------------------
 
-    def _prep_level(self, task: _RzTask) -> int:
-        """Which correction level candidates should be preparing right now."""
-        level = task.level
-        if self.config.eager_correction_prep:
-            if task.injecting or level in task.holding.values():
-                level += 1
-        return level
-
     def _advance_rz(self, task: _RzTask) -> None:
         if task.level >= task.limit:
             # The outstanding correction is a Clifford rotation: free.
@@ -546,7 +534,7 @@ class RescqPolicy(EventDrivenPolicy):
         self._maybe_start_injection(task)
 
     def _start_rz_preparations(self, task: _RzTask) -> None:
-        # ``_prep_level`` inlined: this runs for every live Rz on every pass.
+        # Which correction level candidates should be preparing right now.
         level = task.level
         if self.config.eager_correction_prep:
             if task.injecting or level in task.holding.values():

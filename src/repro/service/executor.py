@@ -244,11 +244,6 @@ class ServiceExecutor(Executor):
         with self._lock:
             return len(self._tasks)
 
-    @property
-    def worker_count(self) -> int:
-        with self._lock:
-            return len(self._workers)
-
     # -- collector -------------------------------------------------------------
 
     def _collect(self) -> None:

@@ -37,7 +37,6 @@ from typing import Dict, Optional
 
 from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
 from ..api.resultset import ResultRow
-from ..api.spec import SpecValidationError
 from .httpcore import (HttpError, read_request, send_head, send_json,
                        send_line)
 from .service import AdmissionError, ExperimentService
@@ -88,10 +87,6 @@ class ExperimentServer:
                                  return_exceptions=True)
         loop = asyncio.get_event_loop()
         await loop.run_in_executor(None, lambda: self.service.shutdown(drain))
-
-    @property
-    def in_flight_requests(self) -> int:
-        return len(self._handlers)
 
     # -- connection handling ---------------------------------------------------
 
@@ -162,19 +157,13 @@ class ExperimentServer:
             raise HttpError(400, str(exc)) from None
         loop = asyncio.get_event_loop()
         try:
-            # Validation + expansion builds circuits and layouts; keep the
-            # event loop responsive (healthz during a huge expansion) by
-            # planning in a thread.
-            jobs = await loop.run_in_executor(
-                None, lambda: envelope.spec.validate().expand())
-        except SpecValidationError as exc:
+            # Expansion builds circuits and layouts; keep the event loop
+            # responsive (healthz during a huge expansion) by planning in a
+            # thread.
+            planned = await loop.run_in_executor(None, envelope.plan)
+        except EnvelopeError as exc:
             raise HttpError(400, str(exc)) from None
-        if envelope.indices is not None:
-            if envelope.indices[-1] >= len(jobs):
-                raise HttpError(
-                    400, f"indices entry {envelope.indices[-1]} is out of "
-                         f"range for a plan of {len(jobs)} job(s)")
-            jobs = [jobs[index] for index in envelope.indices]
+        jobs = [job for _position, job in planned]
 
         try:
             resolved = self.service.submit_plan(jobs)

@@ -36,14 +36,6 @@ class GateTrace:
     def latency_after_schedule(self) -> int:
         return self.end_cycle - self.scheduled_cycle
 
-    @property
-    def service_time(self) -> int:
-        return self.end_cycle - self.start_cycle
-
-    @property
-    def queueing_delay(self) -> int:
-        return self.start_cycle - self.scheduled_cycle
-
 
 @dataclass
 class SimulationResult:
@@ -100,12 +92,6 @@ class SimulationResult:
     @property
     def num_gates(self) -> int:
         return len(self.traces)
-
-    def total_injections(self) -> int:
-        return sum(trace.injections for trace in self.traces)
-
-    def total_edge_rotations(self) -> int:
-        return sum(trace.edge_rotations for trace in self.traces)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -20,14 +20,17 @@ __all__ = ["default_layout", "ComparisonRow", "aggregate_comparison"]
 
 
 def default_layout(circuit: Circuit, compression: float = 0.0,
-                   seed: int = 0) -> GridLayout:
+                   seed: int = 0,
+                   variant: StarVariant = StarVariant.STAR) -> GridLayout:
     """The STAR grid the paper evaluates on, optionally compressed.
 
     One 2x2 STAR block per program qubit (Figure 1c); ``compression`` in
-    ``[0, 1]`` applies the Section 5.3 co-design sweep.  Equivalent to the
-    registered ``"star"`` layout builder (:data:`repro.api.LAYOUTS`).
+    ``[0, 1]`` applies the Section 5.3 co-design sweep with layout seed
+    ``seed``.  Every STAR layout is built here: the registered layout
+    builders (:data:`repro.api.LAYOUTS`, one per ``variant``) and the
+    sensitivity sweeps call it.
     """
-    layout = star_layout(circuit.num_qubits, StarVariant.STAR)
+    layout = star_layout(circuit.num_qubits, variant)
     if compression > 0.0:
         layout, _report = compress_layout(layout, compression, seed=seed)
     return layout
@@ -45,12 +48,6 @@ class ComparisonRow:
     mean_idle_fraction: float
     runs: int
     results: List[SimulationResult] = field(default_factory=list, repr=False)
-
-    def normalised_to(self, reference: "ComparisonRow") -> float:
-        """Execution time normalised to a reference scheduler (Figure 10's y-axis)."""
-        if reference.mean_cycles == 0:
-            return 0.0
-        return self.mean_cycles / reference.mean_cycles
 
 
 def aggregate_comparison(jobs: Sequence[SimJob],

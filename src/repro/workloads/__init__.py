@@ -10,11 +10,9 @@ from .registry import (
     BENCHMARK_REGISTRY,
     TABLE3,
     BenchmarkSpec,
-    benchmark_names,
     get_benchmark,
     imported_benchmark,
     register_benchmark,
-    representative_benchmarks,
     resolve_benchmark,
     table3_rows,
 )
@@ -24,7 +22,6 @@ from .scenarios import (
     ScenarioError,
     ScenarioFamily,
     ScenarioParameter,
-    build_scenario,
     clifford_rz_circuit,
     clifford_t_circuit,
     congestion_circuit,
@@ -45,11 +42,9 @@ __all__ = [
     "BenchmarkSpec",
     "BENCHMARK_REGISTRY",
     "TABLE3",
-    "benchmark_names",
     "get_benchmark",
     "imported_benchmark",
     "register_benchmark",
-    "representative_benchmarks",
     "resolve_benchmark",
     "table3_rows",
     "ScenarioError",
@@ -59,7 +54,6 @@ __all__ = [
     "CURATED_SCENARIOS",
     "scenario_name",
     "parse_scenario_name",
-    "build_scenario",
     "scenario_benchmark",
     "scenario_sweep_names",
     "clifford_t_circuit",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..api.registry import Registry, UnknownEntryError
 from ..circuits import Circuit
@@ -33,11 +33,9 @@ __all__ = [
     "BenchmarkSpec",
     "BENCHMARK_REGISTRY",
     "TABLE3",
-    "benchmark_names",
     "get_benchmark",
     "imported_benchmark",
     "register_benchmark",
-    "representative_benchmarks",
     "resolve_benchmark",
     "table3_rows",
 ]
@@ -133,19 +131,6 @@ def register_benchmark(spec: BenchmarkSpec) -> BenchmarkSpec:
     """
     return BENCHMARK_REGISTRY.register(spec.name, spec)
 
-#: The three benchmarks the paper singles out for its sensitivity studies
-#: (Section 5.2): dnn_n16 (highest Rz:CNOT), gcm_n13 (~2:1) and qft_n160
-#: (1:1 and the largest qubit count).  ``qft_n18`` is offered as a faster
-#: stand-in for qft_n160 in laptop-scale sweeps.
-REPRESENTATIVE = ("dnn_n16", "gcm_n13", "qft_n160")
-
-
-def benchmark_names(suite: Optional[str] = None) -> List[str]:
-    """List registered benchmark names (sorted), optionally filtered by suite."""
-    return [name for name, spec in BENCHMARK_REGISTRY.items()
-            if suite is None or spec.suite == suite]
-
-
 def get_benchmark(name: str) -> BenchmarkSpec:
     """Look up a registered benchmark by name (raises ``KeyError`` if unknown)."""
     return BENCHMARK_REGISTRY.get(name)
@@ -228,18 +213,6 @@ def resolve_benchmark(name: str) -> BenchmarkSpec:
         f"A benchmark may also be a 'scenario:<family>:key=value,...' "
         f"generator name or a path to an OpenQASM 2.0 file (*.qasm)"
     )
-
-
-def representative_benchmarks(fast: bool = False) -> List[BenchmarkSpec]:
-    """Return the sensitivity-study benchmarks (Section 5.2).
-
-    With ``fast=True`` the 160-qubit QFT is replaced by the 18-qubit QFT so
-    that full sweeps complete quickly during development and CI.
-    """
-    names = list(REPRESENTATIVE)
-    if fast:
-        names[names.index("qft_n160")] = "qft_n18"
-    return [get_benchmark(name) for name in names]
 
 
 def table3_rows() -> List[Dict[str, object]]:

@@ -51,7 +51,6 @@ __all__ = [
     "CURATED_SCENARIOS",
     "scenario_name",
     "parse_scenario_name",
-    "build_scenario",
     "scenario_benchmark",
     "scenario_sweep_names",
     "clifford_t_circuit",
@@ -415,14 +414,6 @@ def parse_scenario_name(name: str) -> Tuple[ScenarioFamily, Dict[str, object]]:
             parameter = family.parameter(key)
             overrides[key] = parameter.parse(value_text.strip(), family.name)
     return family, family.resolve(overrides)
-
-
-def build_scenario(name: str) -> Circuit:
-    """Build the (transpiled) circuit a scenario name denotes."""
-    family, params = parse_scenario_name(name)
-    circuit = family.builder(**params)
-    circuit.name = name
-    return circuit
 
 
 def scenario_benchmark(name: str) -> BenchmarkSpec:

@@ -149,7 +149,7 @@ class TestExperimentSpec:
     def test_round_trip_file(self, tmp_path):
         spec = small_spec(seeds=(3, 7))
         path = tmp_path / "spec.json"
-        spec.save(path)
+        path.write_text(spec.to_json() + "\n", encoding="utf-8")
         assert ExperimentSpec.load(path) == spec
 
     def test_seed_count_normalises_to_range(self):

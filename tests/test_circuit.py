@@ -63,13 +63,6 @@ class TestDepthAndLayers:
         layers = circuit.layers()
         assert len(layers) == 2
 
-    def test_remaining_depth_counts_critical_path(self):
-        circuit = Circuit(2).h(0).cnot(0, 1).rz(1, 0.3)
-        remaining = circuit.remaining_depth_per_gate()
-        assert remaining[0] == 3  # h -> cnot -> rz
-        assert remaining[1] == 2
-        assert remaining[2] == 1
-
 
 class TestStats:
     def test_counts_only_non_clifford_rz(self):
@@ -99,17 +92,3 @@ class TestTransformations:
         assert len(filtered) == 2
         assert filtered[0].gate_type is GateType.RZ
         assert filtered[1].gate_type is GateType.CNOT
-
-    def test_relabeled_moves_operands(self):
-        circuit = Circuit(2).cnot(0, 1)
-        relabeled = circuit.relabeled([5, 3])
-        assert relabeled[0].qubits == (5, 3)
-        assert relabeled.num_qubits == 6
-
-    def test_relabeled_requires_full_mapping(self):
-        with pytest.raises(ValueError):
-            Circuit(3).h(2).relabeled([0, 1])
-
-    def test_used_qubits(self):
-        circuit = Circuit(5).h(1).cnot(1, 3)
-        assert circuit.used_qubits() == (1, 3)

@@ -196,8 +196,8 @@ class TestGenCommand:
         assert main(["gen", "clifford_t", "--set", "n=4", "--set", "depth=2",
                      "--stats"]) == 0
         captured = capsys.readouterr()
-        from repro.circuits import from_qasm
-        assert len(from_qasm(captured.out)) > 0  # stdout parses cleanly
+        from repro.circuits import parse_qasm
+        assert len(parse_qasm(captured.out)) > 0  # stdout parses cleanly
         assert "rz_per_cnot" in captured.err
 
     def test_gen_seed_flag_conflicts_with_set_seed(self):

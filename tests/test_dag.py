@@ -30,25 +30,11 @@ class TestStructure:
         assert dag.successors(2) == (3,)
         assert dag.successors(3) == (4,)
 
-    def test_predecessor_counts(self):
-        dag = GateDependencyGraph(build_chain())
-        assert dag.predecessor_count(0) == 0
-        assert dag.predecessor_count(3) == 2
-        assert dag.predecessor_count(4) == 1
-
     def test_critical_path_lengths(self):
         dag = GateDependencyGraph(build_chain())
         assert dag.critical_path_length(0) == 4   # h, rz, cnot, rz
         assert dag.critical_path_length(2) == 3
         assert dag.critical_path_length(4) == 1
-
-    def test_topological_order_is_program_order(self):
-        dag = GateDependencyGraph(build_chain())
-        assert dag.topological_order() == [0, 1, 2, 3, 4]
-
-    def test_gates_on_qubit(self):
-        dag = GateDependencyGraph(build_chain())
-        assert dag.gates_on_qubit(1) == [2, 3, 4]
 
 
 class TestRelease:
@@ -60,13 +46,13 @@ class TestRelease:
         dag = GateDependencyGraph(build_chain())
         released = dag.complete(0)
         assert released == [1]
-        assert dag.is_ready(1)
+        assert 1 in dag.ready
 
     def test_join_requires_both_predecessors(self):
         dag = GateDependencyGraph(build_chain())
         dag.complete(0)
         dag.complete(1)
-        assert not dag.is_ready(3)
+        assert 3 not in dag.ready
         released = dag.complete(2)
         assert released == [3]
 

@@ -12,7 +12,6 @@ from repro.circuits import (
     h,
     is_clifford_angle,
     rz,
-    t,
     x,
 )
 
@@ -97,7 +96,3 @@ class TestCliffordClassification:
         assert x(0).is_free
         assert not h(0).is_free
         assert not cnot(0, 1).is_free
-
-    def test_t_gate_is_not_clifford(self):
-        assert not t(0).is_clifford
-        assert h(0).is_clifford

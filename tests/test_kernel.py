@@ -87,15 +87,15 @@ class TestFabricState:
         return FabricState(star9, 9, activity_window=50)
 
     def test_initial_state_is_idle(self, fabric):
-        assert all(fabric.ancilla_idle(pos, 0) for pos in fabric.ancillas)
-        assert all(fabric.data_idle(q, 0) for q in range(9))
+        assert all(fabric.anc_free[pos] <= 0 for pos in fabric.ancillas)
+        assert all(free <= 0 for free in fabric.data_free)
 
     def test_occupy_and_truncate_ancilla(self, fabric):
         tile = fabric.ancillas[0]
         fabric.occupy_ancilla(tile, 0, 10)
-        assert not fabric.ancilla_idle(tile, 5)
+        assert fabric.anc_free[tile] > 5
         fabric.truncate_ancilla(tile, 5)
-        assert fabric.ancilla_idle(tile, 5)
+        assert fabric.anc_free[tile] <= 5
         # Truncation never extends occupancy.
         fabric.truncate_ancilla(tile, 9)
         assert fabric.anc_free[tile] == 5
@@ -374,28 +374,39 @@ class TestRoutingIndex:
         fresh = RoutingIndex.for_layout(clone)
         assert fresh is not index and fresh.layout is clone
 
-    def test_disable_invalidates_only_touched_entries(self, star9):
+    @pytest.mark.parametrize("mutation", ["disable", "enable"])
+    def test_layout_mutation_clears_every_cache(self, star9, mutation):
         index = RoutingIndex(star9)
         orientation = OrientationTracker(9)
         plans = index.enumerate_plans(orientation, 0, 8)
-        victim = plans[0].path[len(plans[0].path) // 2]
+        tile = plans[0].path[len(plans[0].path) // 2]
+        if mutation == "enable":
+            star9.disable(tile)
+            index.enumerate_plans(orientation, 0, 8)
+        ancillas = star9.ancilla_positions()
+        start, goal = ancillas[0], ancillas[-1]
+        index.path(start, goal)
         index.enumerate_plans(orientation, 0, 1)
-        cached_pairs_before = len(index._plans)
-        star9.disable(victim)
-        fresh = index.enumerate_plans(orientation, 0, 8)
-        assert fresh == enumerate_cnot_plans(star9, orientation, 0, 8)
-        assert all(victim not in plan.ancillas_used for plan in fresh)
-        assert len(index._plans) <= cached_pairs_before + 1
+        assert index._plans and index._paths and index._attachments
+        assert index._parent_trees
 
-    def test_enable_invalidates_everything(self, star9):
-        index = RoutingIndex(star9)
-        orientation = OrientationTracker(9)
-        tile = star9.ancilla_positions()[0]
-        star9.disable(tile)
-        index.enumerate_plans(orientation, 0, 8)
-        star9.enable_ancilla(tile)
+        if mutation == "enable":
+            star9.enable_ancilla(tile)
+        else:
+            star9.disable(tile)
+        # Every query syncs first; a moved version clears every cache.
+        index._sync()
+        assert not (index._plans or index._paths or index._attachments
+                    or index._parent_trees)
+
         fresh = index.enumerate_plans(orientation, 0, 8)
         assert fresh == enumerate_cnot_plans(star9, orientation, 0, 8)
+        if mutation == "disable":
+            assert all(tile not in plan.ancillas_used for plan in fresh)
+        assert all(index.path(a, b) == bfs_ancilla_path(star9, a, b)
+                   for a, b in ((start, goal), (ancillas[2], ancillas[5])))
+        assert (index.enumerate_plans(orientation, 0, 1)
+                == enumerate_cnot_plans(star9, orientation, 0, 1))
 
     def test_path_matches_bfs(self, star9):
         index = RoutingIndex(star9)

@@ -50,16 +50,10 @@ class TestOrientation:
 
     def test_edges_exposing(self):
         tracker = OrientationTracker(1)
-        assert set(tracker.edges_exposing(0, "Z")) == {Edge.NORTH, Edge.SOUTH}
-        assert set(tracker.edges_exposing(0, "X")) == {Edge.EAST, Edge.WEST}
-
-    def test_neighbors_on_pauli_edge(self):
-        layout = star_layout(4, StarVariant.STAR)
-        tracker = OrientationTracker(4)
-        # Qubit 3 sits at (2, 2): it has ancilla neighbours north and west too.
-        z_neighbors = tracker.neighbors_on_pauli_edge(layout, 3, "Z")
-        assert all(layout.is_ancilla(pos) for pos in z_neighbors)
-        assert all(pos[1] == 2 for pos in z_neighbors)  # directly above/below
+        for pauli, edges in (("Z", {Edge.NORTH, Edge.SOUTH}),
+                             ("X", {Edge.EAST, Edge.WEST})):
+            assert {edge for edge in Edge
+                    if tracker.exposes(0, edge, pauli)} == edges
 
 
 class TestBfsPath:

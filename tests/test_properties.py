@@ -270,4 +270,4 @@ class TestSchedulerProperties:
             first = scheduler.run(clifford, layout, config, seed=seed)
             second = scheduler.run(clifford, layout, config, seed=seed + 1)
             assert first.total_cycles == second.total_cycles
-            assert first.total_injections() == 0
+            assert all(trace.injections == 0 for trace in first.traces)

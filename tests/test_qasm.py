@@ -12,13 +12,12 @@ from repro.circuits import (
     Gate,
     GateType,
     QasmImportError,
-    from_qasm,
     import_qasm_file,
     parse_qasm,
     to_qasm,
     transpile_to_clifford_rz,
 )
-from repro.workloads import build_scenario
+from repro.workloads import resolve_benchmark
 
 
 def header(*lines: str) -> str:
@@ -366,7 +365,7 @@ class TestRoundTrip:
         num_qubits = data.draw(st.integers(2, 6))
         gates = data.draw(st.lists(gate_strategy(num_qubits), max_size=30))
         original = Circuit(num_qubits, name="prop", gates=gates)
-        parsed = from_qasm(to_qasm(original))
+        parsed = parse_qasm(to_qasm(original))
         assert parsed == original
 
     @pytest.mark.parametrize("name", [
@@ -375,8 +374,8 @@ class TestRoundTrip:
         "scenario:congestion:n=8,layers=3,seed=3",
     ])
     def test_generated_scenarios_round_trip(self, name):
-        original = build_scenario(name)
+        original = resolve_benchmark(name).build()
         # Scenario circuits are already in the scheduler basis, so the QASM
         # path reproduces them gate for gate (angles via exact float repr).
-        reimported = transpile_to_clifford_rz(from_qasm(to_qasm(original)))
+        reimported = transpile_to_clifford_rz(parse_qasm(to_qasm(original)))
         assert reimported == original

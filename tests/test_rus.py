@@ -76,11 +76,6 @@ class TestPreparationModel:
         rng = np.random.default_rng(1)
         assert all(model.sample_cycles(rng) >= 1 for _ in range(100))
 
-    def test_with_updates(self):
-        model = PreparationModel(7, 1e-4)
-        assert model.with_distance(9).distance == 9
-        assert model.with_error_rate(1e-3).physical_error_rate == 1e-3
-
 
 class TestInjection:
     def test_strategy_table1(self):
@@ -147,11 +142,6 @@ class TestCliffordTComparison:
         best, worst = TFactoryModel().rz_cycles_range()
         assert best == 200
         assert worst == 1300
-
-    def test_t_count_for_precision(self):
-        assert TFactoryModel.t_count_for_precision(1e-10) >= 90
-        with pytest.raises(ValueError):
-            TFactoryModel.t_count_for_precision(2.0)
 
     def test_overhead_range_matches_paper(self):
         """Appendix A.2: Clifford+T is 20x-150x more expensive per rotation."""

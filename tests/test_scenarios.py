@@ -10,7 +10,6 @@ from repro.workloads import (
     BENCHMARK_REGISTRY,
     CURATED_SCENARIOS,
     ScenarioError,
-    build_scenario,
     clifford_t_circuit,
     congestion_circuit,
     parse_scenario_name,
@@ -35,7 +34,7 @@ class TestGenerators:
         for name in ("scenario:clifford_t:n=6,depth=8",
                      "scenario:clifford_rz:n=6,depth=8",
                      "scenario:congestion:n=6,layers=2"):
-            circuit = build_scenario(name)
+            circuit = resolve_benchmark(name).build()
             assert all(gate.gate_type in BASIS for gate in circuit)
 
     def test_t_density_moves_rotation_count(self):
@@ -85,7 +84,7 @@ class TestScenarioNames:
 
     def test_build_names_circuit_after_request(self):
         name = "scenario:clifford_t:n=6,depth=4,seed=2"
-        assert build_scenario(name).name == name
+        assert resolve_benchmark(name).build().name == name
 
     @pytest.mark.parametrize("bad,needle", [
         ("clifford_t", "start with"),
@@ -175,8 +174,8 @@ class TestCacheSoundness:
 
     def test_identical_scenario_names_share_a_fingerprint(self):
         name = "scenario:clifford_rz:n=6,depth=6,seed=4"
-        first = fingerprint_for(build_scenario(name))
-        second = fingerprint_for(build_scenario(name))
+        first = fingerprint_for(resolve_benchmark(name).build())
+        second = fingerprint_for(resolve_benchmark(name).build())
         assert first == second
 
     @pytest.mark.parametrize("other", [
@@ -185,9 +184,9 @@ class TestCacheSoundness:
         "scenario:clifford_rz:n=6,depth=6,seed=4,rz_density=0.9",
     ])
     def test_seed_or_param_change_is_a_cache_miss(self, other):
-        base = fingerprint_for(
-            build_scenario("scenario:clifford_rz:n=6,depth=6,seed=4"))
-        assert fingerprint_for(build_scenario(other)) != base
+        base_name = "scenario:clifford_rz:n=6,depth=6,seed=4"
+        base = fingerprint_for(resolve_benchmark(base_name).build())
+        assert fingerprint_for(resolve_benchmark(other).build()) != base
 
     def test_equivalent_scenario_spellings_share_a_fingerprint(self):
         def fingerprint(name):
@@ -266,7 +265,8 @@ class TestSpecIntegration:
 
     def test_generated_qasm_runs_end_to_end(self, tmp_path):
         path = tmp_path / "gen.qasm"
-        circuit = build_scenario("scenario:congestion:n=6,layers=2,seed=8")
+        circuit = resolve_benchmark(
+            "scenario:congestion:n=6,layers=2,seed=8").build()
         path.write_text(to_qasm(circuit))
         spec = ExperimentSpec(name="roundtrip", benchmarks=(str(path),),
                               schedulers=("greedy",), seeds=1)

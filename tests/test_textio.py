@@ -8,7 +8,7 @@ from repro.circuits import (
     Circuit,
     GateType,
     from_artifact_format,
-    from_qasm,
+    parse_qasm,
     to_artifact_format,
     to_qasm,
 )
@@ -64,33 +64,33 @@ class TestArtifactFormat:
 class TestQasm:
     def test_round_trip(self):
         original = sample_circuit()
-        parsed = from_qasm(to_qasm(original))
+        parsed = parse_qasm(to_qasm(original))
         assert parsed.num_qubits == 3
         assert [g.gate_type for g in parsed] == [g.gate_type for g in original]
         assert parsed[1].angle == pytest.approx(0.375)
 
     def test_parses_pi_expressions(self):
         text = 'OPENQASM 2.0;\nqreg q[1];\nrz(pi/4) q[0];\n'
-        parsed = from_qasm(text)
+        parsed = parse_qasm(text)
         assert parsed[0].angle == pytest.approx(math.pi / 4)
 
     def test_measure_and_barrier(self):
         text = ('OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n'
                 'h q[0];\nbarrier q;\nmeasure q[0] -> c[0];\n')
-        parsed = from_qasm(text)
+        parsed = parse_qasm(text)
         kinds = [g.gate_type for g in parsed]
         assert GateType.BARRIER in kinds
         assert GateType.MEASURE in kinds
 
     def test_missing_qreg_rejected(self):
         with pytest.raises(ValueError):
-            from_qasm("OPENQASM 2.0;\nh q[0];\n")
+            parse_qasm("OPENQASM 2.0;\nh q[0];\n")
 
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError):
-            from_qasm("OPENQASM 2.0;\nqreg q[1];\nmystery q[0];\n")
+            parse_qasm("OPENQASM 2.0;\nqreg q[1];\nmystery q[0];\n")
 
     def test_comments_ignored(self):
         text = 'OPENQASM 2.0;\nqreg q[1];\n// a comment\nh q[0]; // trailing\n'
-        parsed = from_qasm(text)
+        parsed = parse_qasm(text)
         assert len(parsed) == 1

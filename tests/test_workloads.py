@@ -5,8 +5,8 @@ import pytest
 
 from repro.circuits import BASIS, GateType
 from repro.workloads import (
+    BENCHMARK_REGISTRY,
     TABLE3,
-    benchmark_names,
     dnn_circuit,
     gcm_circuit,
     get_benchmark,
@@ -19,7 +19,6 @@ from repro.workloads import (
     qft_circuit,
     qugan_circuit,
     random_regular_edges,
-    representative_benchmarks,
     table3_rows,
     vqe_circuit,
     wstate_circuit,
@@ -114,8 +113,8 @@ class TestStructuralProperties:
 class TestRegistry:
     def test_all_rows_present(self):
         assert len(TABLE3) == 23
-        assert "qft_n160" in benchmark_names()
-        assert len(benchmark_names("supermarq")) == 6
+        assert "qft_n160" in BENCHMARK_REGISTRY
+        assert sum(spec.suite == "supermarq" for spec in TABLE3) == 6
 
     def test_get_benchmark_round_trip(self):
         spec = get_benchmark("dnn_n16")
@@ -126,12 +125,6 @@ class TestRegistry:
     def test_unknown_benchmark_raises(self):
         with pytest.raises(KeyError):
             get_benchmark("not_a_benchmark")
-
-    def test_representative_benchmarks(self):
-        names = [spec.name for spec in representative_benchmarks()]
-        assert names == ["dnn_n16", "gcm_n13", "qft_n160"]
-        fast = [spec.name for spec in representative_benchmarks(fast=True)]
-        assert "qft_n18" in fast
 
     def test_qubit_counts_match_table3(self):
         for spec in TABLE3:
