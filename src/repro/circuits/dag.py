@@ -132,14 +132,5 @@ class GateDependencyGraph:
                     break
         return result
 
-    def reset(self) -> None:
-        """Restore the graph to its initial (nothing completed) state."""
-        self._remaining_predecessors = dict(self._predecessor_count)
-        self._completed = set()
-        self._released = {
-            node for node, count in self._remaining_predecessors.items()
-            if count == 0
-        }
-
     def __len__(self) -> int:
         return len(self._nodes)

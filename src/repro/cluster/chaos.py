@@ -141,9 +141,6 @@ class FaultPlan:
         self._cursor += 1
         return None
 
-    def reset(self) -> None:
-        self._cursor = 0
-
     def describe(self) -> str:
         parts = [fault.describe() if fault else "pass"
                  for fault in self.faults]

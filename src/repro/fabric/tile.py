@@ -42,10 +42,6 @@ class Edge(enum.Enum):
     WEST = (0, -1)
 
     @property
-    def offset(self) -> Position:
-        return self.value
-
-    @property
     def is_horizontal_boundary(self) -> bool:
         """True for NORTH/SOUTH (the boundaries that are horizontal lines)."""
         return self in (Edge.NORTH, Edge.SOUTH)

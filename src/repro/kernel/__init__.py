@@ -20,18 +20,17 @@ baselines used to hand-roll separately into four layers (bottom to top):
 ``SimulationKernel`` (:mod:`repro.kernel.kernel`)
     Composes the three, owns the run inputs (circuit, layout, config,
     seed), the shared :class:`~repro.lattice.routing.RoutingIndex`, and the
-    optional :class:`~repro.kernel.profiler.KernelProfile`.  It drives the
-    two execution disciplines — the event-driven loop
-    (:meth:`SimulationKernel.run_event_driven`) and the layer-synchronous
-    loop (:meth:`SimulationKernel.run_layer_synchronous`) — so policies
-    only implement release rules, queue arbitration and plan choice.
+    optional :class:`~repro.kernel.profiler.KernelProfile`, plus the one
+    ``max_cycles`` rule and result assembly.  Each policy runs its own
+    drive loop over this state: the event-driven loop is
+    :meth:`repro.scheduling.rescq.RescqPolicy.run`, the layer-synchronous
+    loop is :meth:`repro.scheduling.static._StaticLayerPolicy.run`.
 """
 
 from .activity import ActivityTracker
 from .clock import SimulationClock
 from .fabric_state import FabricState
-from .kernel import (DeadlockError, EventDrivenPolicy, LayerSyncPolicy,
-                     SimulationKernel)
+from .kernel import DeadlockError, SimulationKernel
 from .lifecycle import GateLifecycle
 from .profiler import KernelProfile, profile_timer
 
@@ -43,7 +42,5 @@ __all__ = [
     "KernelProfile",
     "profile_timer",
     "SimulationKernel",
-    "EventDrivenPolicy",
-    "LayerSyncPolicy",
     "DeadlockError",
 ]

@@ -51,30 +51,6 @@ class ActivityTracker:
         self._start_list.append(start)
         self._end_list.append(end)
 
-    def busy_cycles_in_window(self, position: Position, now: int) -> int:
-        """Number of cycles in ``[now - window, now)`` during which the tile was busy."""
-        slot = self._slots.get(position)
-        if slot is None:
-            return 0
-        horizon = now - self.window
-        busy = 0
-        for index, interval_slot in enumerate(self._slot_list):
-            if interval_slot != slot:
-                continue
-            lo = max(self._start_list[index], horizon)
-            hi = min(self._end_list[index], now)
-            if hi > lo:
-                busy += hi - lo
-        return busy
-
-    def activity(self, position: Position, now: int) -> float:
-        """``activity = #cycles active in the last c cycles / c`` (Section 4.2)."""
-        if now <= 0:
-            return 0.0
-        effective_window = min(self.window, now)
-        busy = self.busy_cycles_in_window(position, now)
-        return min(1.0, busy / effective_window) if effective_window else 0.0
-
     def snapshot(self, positions: Iterable[Position], now: int) -> Dict[Position, float]:
         """Activity of every listed position at cycle ``now`` (one numpy pass)."""
         if now <= 0 or not self._slot_list:
@@ -107,9 +83,3 @@ class ActivityTracker:
             else:
                 result[position] = min(1.0, int(busy[slot]) / effective_window)
         return result
-
-    def reset(self) -> None:
-        self._slots.clear()
-        self._slot_list.clear()
-        self._start_list.clear()
-        self._end_list.clear()

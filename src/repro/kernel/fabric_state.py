@@ -78,9 +78,6 @@ class FabricState:
     def release_hold(self, position: Position) -> None:
         self.anc_holding.pop(position, None)
 
-    def holder(self, position: Position) -> Optional[int]:
-        return self.anc_holding.get(position)
-
     # -- data-qubit occupancy ------------------------------------------------------
 
     def occupy_data(self, qubit: int, start: int, end: int) -> None:

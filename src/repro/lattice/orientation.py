@@ -31,9 +31,6 @@ class OrientationTracker:
         """Apply an edge rotation: swap which boundaries expose Z and X."""
         self._flipped[qubit] = not self._flipped[qubit]
 
-    def reset(self, qubit: int) -> None:
-        self._flipped[qubit] = False
-
     # -- queries -------------------------------------------------------------------
 
     def edge_pauli(self, qubit: int, edge: Edge) -> str:

@@ -16,7 +16,7 @@ scheduler names through::
 from ..api.registry import Registry
 from .base import Scheduler, gate_kind
 from .mst import AncillaMst, AsyncMstPipeline, IncrementalMst, build_activity_graph
-from .queues import AncillaQueue, AncillaRole, AncillaStatus, QueueEntry, QueueSet
+from .queues import AncillaQueue, QueueEntry, QueueSet
 from .rescq import RescqScheduler
 from .static import AutoBraidScheduler, GreedyScheduler, StaticLayerScheduler
 
@@ -34,8 +34,6 @@ __all__ = [
     "IncrementalMst",
     "build_activity_graph",
     "AncillaQueue",
-    "AncillaRole",
-    "AncillaStatus",
     "QueueEntry",
     "QueueSet",
 ]

@@ -79,7 +79,6 @@ class AncillaMst:
             value = activity.get(position)
             if value:
                 act[slot] = value
-        self._act = act
 
         # Kruskal over the flat edge arrays (see class docstring).
         tree_u: List[int] = []
@@ -106,8 +105,6 @@ class AncillaMst:
                     uf_parent[root_u] = root_v
                     tree_u.append(edge_u[edge_index])
                     tree_v.append(edge_v[edge_index])
-        self._tree_u = tree_u
-        self._tree_v = tree_v
 
         # Root every component at its smallest slot: parent/depth/component
         # arrays answer any path query with an LCA walk.
@@ -135,26 +132,11 @@ class AncillaMst:
         self._parent = parent
         self._depth = depth
         self._component = component
-        self._lazy_tree: Optional[nx.Graph] = None
 
         #: Memoised path queries — the tree is immutable, so every
         #: (start, goal) pair resolves to the same unique path forever.
         self._path_cache: Dict[Tuple[Position, Position],
                                Optional[List[Position]]] = {}
-
-    @property
-    def tree(self) -> nx.Graph:
-        """The MST as a networkx graph (built lazily, for analysis code)."""
-        if self._lazy_tree is None:
-            tree = nx.Graph()
-            tree.add_nodes_from(self._flat.anc_positions)
-            act = self._act
-            positions = self._flat.anc_positions
-            for u, v in zip(self._tree_u, self._tree_v):
-                tree.add_edge(positions[u], positions[v],
-                              weight=max(act[u], act[v]))
-            self._lazy_tree = tree
-        return self._lazy_tree
 
     def path(self, start: Position, goal: Position) -> Optional[List[Position]]:
         """The unique tree path between two ancilla tiles (inclusive).
@@ -301,10 +283,6 @@ class IncrementalMst:
         self.layout = layout
         self.graph = build_activity_graph(layout, activity or {})
         self._tree = nx.minimum_spanning_tree(self.graph, weight="weight")
-
-    @property
-    def tree(self) -> nx.Graph:
-        return self._tree
 
     def total_weight(self) -> float:
         return sum(data["weight"] for _, _, data in self._tree.edges(data=True))

@@ -22,13 +22,21 @@ mechanisms, all implemented here, are:
   recomputed asynchronously every ``k`` cycles and becomes available
   ``tau_mst`` cycles later (Figure 8).
 
-Since the kernel extraction, this module implements only the *policy*: task
-state machines, release rules, queue arbitration and plan choice.  Simulated
-time, the event queue, fabric occupancy, gate releases/retirement and result
-assembly are the shared :class:`~repro.kernel.SimulationKernel`; preparation
-latencies are drawn in vectorised batches through
+This module holds the task state machines, release rules, queue arbitration,
+plan choice and the event-driven drive loop (:meth:`RescqPolicy.run`).
+Simulated time, the event queue, fabric occupancy, gate releases/retirement
+and result assembly are the shared :class:`~repro.kernel.SimulationKernel`;
+preparation latencies are drawn in vectorised batches through
 :meth:`~repro.rus.preparation.PreparationModel.sample_cycles_batch` (which is
 stream-equivalent to the historical scalar draws, so traces are unchanged).
+
+Table 2's per-entry status and angle level are read off task state, not
+stored on the queue entries: an Rz task's ``preparing`` map gives the tiles
+preparing (``P``) and the level each prepares, ``holding`` the tiles done
+preparing (``D``), ``injecting`` an injection in progress; a CNOT or
+Hadamard task's ``started`` flag marks its tiles executing (``E``).  Every
+task keeps the queues it was enqueued on in ``task.queues``, and a finished
+gate removes itself from exactly those.
 
 The ablation switches in :class:`~repro.sim.config.SimulationConfig`
 (``parallel_preparation``, ``eager_correction_prep``, ``use_mst_routing``)
@@ -37,18 +45,18 @@ turn the corresponding mechanism off so its contribution can be measured.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits import Circuit, Gate
 from ..fabric import Edge, GridLayout, Position
-from ..kernel import EventDrivenPolicy, SimulationKernel, profile_timer
+from ..kernel import DeadlockError, SimulationKernel, profile_timer
 from ..lattice import RoutePlan
 from ..sim.config import SimulationConfig
 from ..sim.results import GateTrace, SimulationResult
 from .base import Scheduler, gate_kind
 from .mst import AsyncMstPipeline
-from .queues import (AncillaQueue, AncillaRole, AncillaStatus, QueueEntry,
-                     QueueSet)
+from .queues import AncillaQueue, QueueEntry, QueueSet
 
 __all__ = ["RescqScheduler", "RescqPolicy"]
 
@@ -116,14 +124,16 @@ class _CnotTask:
 
 
 class _HTask:
-    __slots__ = ("gate_index", "qubit", "ancilla", "release_cycle", "started",
-                 "start_cycle")
+    __slots__ = ("gate_index", "qubit", "ancilla", "queues", "release_cycle",
+                 "started", "start_cycle")
 
     def __init__(self, gate_index: int, qubit: int, ancilla: Position,
-                 release_cycle: int) -> None:
+                 queues: List["AncillaQueue"], release_cycle: int) -> None:
         self.gate_index = gate_index
         self.qubit = qubit
         self.ancilla = ancilla
+        #: ``[queue of ancilla]`` — the same shape as the other task kinds.
+        self.queues = queues
         self.release_cycle = release_cycle
         self.started = False
         self.start_cycle: Optional[int] = None
@@ -133,8 +143,8 @@ class _HTask:
 # The RESCQ policy on the event-driven kernel
 # ---------------------------------------------------------------------------
 
-class RescqPolicy(EventDrivenPolicy):
-    """One seeded RESCQ execution of a circuit, as a kernel policy."""
+class RescqPolicy:
+    """One seeded RESCQ execution of a circuit on a :class:`SimulationKernel`."""
 
     def __init__(self, kernel: SimulationKernel,
                  lookahead_preparation: bool = True) -> None:
@@ -187,15 +197,47 @@ class RescqPolicy(EventDrivenPolicy):
                                        Tuple[List[Position],
                                              Dict[Position, object]]] = {}
 
-    # -- kernel hooks ------------------------------------------------------------
+    # -- the drive loop ------------------------------------------------------------
 
-    def on_start(self) -> None:
-        self._tick_mst()
+    def run(self) -> SimulationResult:
+        """The realtime discipline: scheduling passes + event-queue jumps.
 
-    def on_advance(self) -> None:
+        Repeat scheduling passes at the current cycle, then jump the clock to
+        the next pending event and dispatch every event due there.
+        """
+        kernel = self.kernel
+        clock = self.clock
+        lifecycle = self.lifecycle
+        profile = self.profile
+        wall_start = time.perf_counter() if profile is not None else 0.0
+        lifecycle.release_initial()
         self._tick_mst()
+        while not lifecycle.all_completed:
+            if profile is not None:
+                profile.add("scheduling_passes")
+            self.schedule_pass()
+            if lifecycle.all_completed:
+                break
+            next_cycle = clock.next_event_cycle()
+            if next_cycle is None:
+                raise DeadlockError(
+                    f"scheduler deadlock at cycle {clock.now}: "
+                    f"{lifecycle.num_pending} gates pending with no "
+                    f"work in flight ({lifecycle.describe_pending()})")
+            kernel.check_cycle_bound(next_cycle)
+            clock.advance(next_cycle)
+            for tag, payload in clock.pop_due(next_cycle):
+                self.handle_event(tag, payload)
+            self._tick_mst()
+        if profile is not None:
+            profile.add_wall("total", time.perf_counter() - wall_start)
+        return kernel.build_result({
+            "mst_computations": float(self.mst.computations_completed
+                                      if self.mst else 0),
+        })
 
     def handle_event(self, tag: str, payload: tuple) -> None:
+        """React to one completion event popped from the clock's queue."""
         if tag == "prep":
             self._on_prep_done(*payload)
         elif tag == "inject":
@@ -204,12 +246,6 @@ class RescqPolicy(EventDrivenPolicy):
             self._on_cnot_done(*payload)
         elif tag == "h":
             self._on_hadamard_done(*payload)
-
-    def result_metadata(self) -> Dict[str, float]:
-        return {
-            "mst_computations": float(self.mst.computations_completed
-                                      if self.mst else 0),
-        }
 
     # -- MST pipeline ------------------------------------------------------------
 
@@ -306,22 +342,19 @@ class RescqPolicy(EventDrivenPolicy):
         candidates, attachment = self._rz_candidates(qubit)
         if not candidates:
             raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
-        task = _RzTask(
+        return _RzTask(
             gate_index=index,
             qubit=qubit,
             theta=gate.angle if gate.angle is not None else 0.0,
             limit=Scheduler.injection_limit(gate),
             candidates=candidates,
             attachment=attachment,
-            queues=[self.queues[position] for position in candidates],
+            queues=[self.queues.enqueue(position, QueueEntry(index, "rz"))
+                    for position in candidates],
             released=released,
             release_cycle=(self.lifecycle.release_cycle.get(index)
                            if released else None),
         )
-        for position in candidates:
-            entry = QueueEntry(index, "rz", (qubit,), AncillaRole.PREPARE)
-            self.queues.enqueue(position, entry)
-        return task
 
     def _expected_free_time(self, position: Position) -> float:
         """Expected cycle at which ``position`` frees up (Section 4.2)."""
@@ -435,15 +468,9 @@ class RescqPolicy(EventDrivenPolicy):
     def _create_cnot_task(self, index: int, gate: Gate) -> _CnotTask:
         with profile_timer(self.profile, "routing"):
             plan = self._choose_cnot_plan(gate.control, gate.target)
-        for position in plan.ancillas_used:
-            role = AncillaRole.ROUTE
-            if position in (plan.rotation_ancilla_control,
-                            plan.rotation_ancilla_target):
-                role = AncillaRole.ROTATE
-            entry = QueueEntry(index, "cnot", gate.qubits, role)
-            self.queues.enqueue(position, entry)
         return _CnotTask(index, gate.control, gate.target, plan,
-                         queues=[self.queues[position]
+                         queues=[self.queues.enqueue(position,
+                                                     QueueEntry(index, "cnot"))
                                  for position in plan.ancillas_used],
                          release_cycle=self.lifecycle.release_cycle.get(
                              index, self.clock.now))
@@ -454,9 +481,9 @@ class RescqPolicy(EventDrivenPolicy):
         if not neighbors:
             raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
         ancilla = min(neighbors, key=self._expected_free_time)
-        entry = QueueEntry(index, "h", (qubit,), AncillaRole.HELPER)
-        self.queues.enqueue(ancilla, entry)
         return _HTask(index, qubit, ancilla,
+                      queues=[self.queues.enqueue(ancilla,
+                                                  QueueEntry(index, "h"))],
                       release_cycle=self.lifecycle.release_cycle.get(
                           index, self.clock.now))
 
@@ -518,11 +545,6 @@ class RescqPolicy(EventDrivenPolicy):
             if len(traces) == completed_before:
                 break
 
-    def _ancilla_available(self, position: Position, gate_index: int) -> bool:
-        return (self.fabric.anc_free[position] <= self.clock.now
-                and self.fabric.anc_holding.get(position) in (None, gate_index)
-                and self.queues[position].is_at_head(gate_index))
-
     # -- Rz state machine ----------------------------------------------------------
 
     def _advance_rz(self, task: _RzTask) -> None:
@@ -545,8 +567,9 @@ class RescqPolicy(EventDrivenPolicy):
         # Eligibility never depends on the durations drawn below (candidate
         # tiles are distinct), so the draws batch into one vectorised call —
         # stream-equivalent to the historical per-candidate scalar draws.
-        # The filter below is ``_ancilla_available`` inlined with hoisted
-        # lookups and the task's pre-resolved queue references.
+        # A candidate is eligible when it is not already preparing or holding
+        # a state at least this level, is free now, holds no other gate's
+        # state, and this gate heads its queue.
         fabric = self.fabric
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
@@ -568,7 +591,7 @@ class RescqPolicy(EventDrivenPolicy):
             entries = queue.entries
             if not entries or entries[0].gate_index != gate_index:
                 continue
-            eligible.append((position, queue))
+            eligible.append(position)
         if not eligible:
             return
         if len(eligible) == 1:
@@ -576,7 +599,7 @@ class RescqPolicy(EventDrivenPolicy):
         else:
             durations = self.prep_model.sample_cycles_batch(self.rng,
                                                             len(eligible))
-        for (position, queue), duration in zip(eligible, durations):
+        for position, duration in zip(eligible, durations):
             duration = int(duration)
             finish = now + duration
             preparing[position] = [finish, level]
@@ -584,10 +607,6 @@ class RescqPolicy(EventDrivenPolicy):
             if task.first_start is None:
                 task.first_start = now
             fabric.occupy_ancilla(position, now, finish)
-            queue.update_angle_level(gate_index, level)
-            head = queue.head
-            if head is not None and head.gate_index == gate_index:
-                head.status = AncillaStatus.PREPARING
             if self.profile is not None:
                 self.profile.add("sim_prep_cycles", float(duration))
             self.clock.push(finish, "prep", (gate_index, position, finish))
@@ -674,18 +693,14 @@ class RescqPolicy(EventDrivenPolicy):
         is_first_at_level = level not in task.holding.values()
         task.holding[position] = level
         self.fabric.hold(position, gate_index)
-        head = self.queues[position].head
-        if head is not None and head.gate_index == gate_index:
-            head.status = AncillaStatus.DONE_PREPARING
         if (is_first_at_level and level == task.level
                 and self.config.eager_correction_prep):
             # In-place retarget of the other in-flight preparations to the
             # correction angle (Section 4.1).
             next_level = min(task.level + 1, task.limit)
-            for other, other_info in task.preparing.items():
+            for other_info in task.preparing.values():
                 if other_info[1] == task.level:
                     other_info[1] = next_level
-                    self.queues[other].update_angle_level(gate_index, next_level)
 
     def _on_injection_done(self, gate_index: int, position: Position,
                            finish: int) -> None:
@@ -714,10 +729,9 @@ class RescqPolicy(EventDrivenPolicy):
         for position in list(task.holding):
             self.fabric.release_hold(position)
         task.holding.clear()
-        self.queues.remove_gate_everywhere(task.gate_index)
         scheduled = task.release_cycle if task.release_cycle is not None else now
         start = task.first_start if task.first_start is not None else scheduled
-        self._finish_gate(GateTrace(
+        self._finish_gate(task, GateTrace(
             task.gate_index, "rz", (task.qubit,),
             scheduled_cycle=scheduled, start_cycle=start, end_cycle=now,
             injections=task.injections,
@@ -731,14 +745,14 @@ class RescqPolicy(EventDrivenPolicy):
         data_free = fabric.data_free
         if data_free[task.control] > now or data_free[task.target] > now:
             return
-        # ``_ancilla_available`` inlined over the plan tiles: a blocked CNOT
-        # is re-polled every pass, so this is the large-fabric hot loop.
+        # Every plan tile must be free now, hold no other gate's state and
+        # have this gate at its queue head.  A blocked CNOT is re-polled
+        # every pass, so this is the large-fabric hot loop.
         gate_index = task.gate_index
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
         resources = task.plan.ancillas_used
-        task_queues = task.queues
-        for position, queue in zip(resources, task_queues):
+        for position, queue in zip(resources, task.queues):
             if anc_free[position] > now:
                 return
             holder = anc_holding.get(position)
@@ -749,11 +763,8 @@ class RescqPolicy(EventDrivenPolicy):
                 return
         duration = task.plan.duration(self.costs)
         finish = now + duration
-        for position, queue in zip(resources, task_queues):
+        for position in resources:
             fabric.occupy_ancilla(position, now, finish)
-            head = queue.head
-            if head is not None and head.gate_index == gate_index:
-                head.status = AncillaStatus.EXECUTING
         self.fabric.occupy_data(task.control, now, finish)
         self.fabric.occupy_data(task.target, now, finish)
         task.started = True
@@ -771,8 +782,7 @@ class RescqPolicy(EventDrivenPolicy):
             self.orientation.rotate(task.control)
         if task.plan.target_rotation:
             self.orientation.rotate(task.target)
-        self.queues.remove_gate_everywhere(gate_index)
-        self._finish_gate(GateTrace(
+        self._finish_gate(task, GateTrace(
             gate_index, "cnot", (task.control, task.target),
             scheduled_cycle=task.release_cycle,
             start_cycle=task.start_cycle if task.start_cycle is not None
@@ -782,14 +792,16 @@ class RescqPolicy(EventDrivenPolicy):
 
     def _try_start_hadamard(self, task: _HTask) -> None:
         now = self.clock.now
-        if self.fabric.data_free[task.qubit] > now:
-            return
-        if not self._ancilla_available(task.ancilla, task.gate_index):
+        fabric = self.fabric
+        ancilla = task.ancilla
+        if (fabric.data_free[task.qubit] > now or fabric.anc_free[ancilla] > now
+                or fabric.anc_holding.get(ancilla) not in (None, task.gate_index)
+                or not task.queues[0].is_at_head(task.gate_index)):
             return
         duration = self.costs.hadamard_cycles
         finish = now + duration
-        self.fabric.occupy_ancilla(task.ancilla, now, finish)
-        self.fabric.occupy_data(task.qubit, now, finish)
+        fabric.occupy_ancilla(ancilla, now, finish)
+        fabric.occupy_data(task.qubit, now, finish)
         task.started = True
         task.start_cycle = now
         if self.profile is not None:
@@ -803,8 +815,7 @@ class RescqPolicy(EventDrivenPolicy):
             return
         # A logical Hadamard exchanges the patch's X and Z boundaries.
         self.orientation.rotate(task.qubit)
-        self.queues.remove_gate_everywhere(gate_index)
-        self._finish_gate(GateTrace(
+        self._finish_gate(task, GateTrace(
             gate_index, "h", (task.qubit,),
             scheduled_cycle=task.release_cycle,
             start_cycle=task.start_cycle if task.start_cycle is not None
@@ -813,7 +824,8 @@ class RescqPolicy(EventDrivenPolicy):
 
     # -- completion plumbing ----------------------------------------------------------
 
-    def _finish_gate(self, trace: GateTrace) -> None:
+    def _finish_gate(self, task, trace: GateTrace) -> None:
+        self.queues.remove_gate_everywhere(task.gate_index, task.queues)
         self.lifecycle.retire(trace, self.clock.now)
         self.tasks.pop(trace.gate_index, None)
         self._ready_dirty = True
@@ -849,6 +861,5 @@ class RescqScheduler(Scheduler):
                                   scheduler_name=self.name,
                                   benchmark=circuit.name,
                                   activity_window=config.activity_window)
-        policy = RescqPolicy(kernel,
-                             lookahead_preparation=self.lookahead_preparation)
-        return kernel.run_event_driven(policy)
+        return RescqPolicy(
+            kernel, lookahead_preparation=self.lookahead_preparation).run()

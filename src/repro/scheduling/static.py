@@ -14,19 +14,22 @@ starts only after every gate of the current layer has finished, which is where
 most of their cycle count goes once non-deterministic Rz gates are present
 (Section 3.1).
 
-Since the kernel extraction the layer loop and barrier live in
-:meth:`repro.kernel.SimulationKernel.run_layer_synchronous`; this module
-implements only the per-gate execution mechanics and the per-layer CNOT
-path-selection policies (:meth:`StaticLayerScheduler._choose_plan`).
+This module holds the layer loop with its barrier
+(:meth:`_StaticLayerPolicy.run`), the per-gate execution mechanics and the
+per-layer CNOT path-selection policies
+(:meth:`StaticLayerScheduler._choose_plan`).  Clock, fabric occupancy, the
+``max_cycles`` rule and result assembly are the shared
+:class:`~repro.kernel.SimulationKernel`.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits import Circuit, Gate
 from ..fabric import GridLayout, Position
-from ..kernel import LayerSyncPolicy, SimulationKernel, profile_timer
+from ..kernel import SimulationKernel, profile_timer
 from ..lattice import RoutePlan
 from ..rus import InjectionStrategy
 from ..sim.config import SimulationConfig
@@ -36,8 +39,8 @@ from .base import Scheduler, gate_kind
 __all__ = ["StaticLayerScheduler", "GreedyScheduler", "AutoBraidScheduler"]
 
 
-class _StaticLayerPolicy(LayerSyncPolicy):
-    """Per-gate execution mechanics of the layer-synchronous baselines.
+class _StaticLayerPolicy:
+    """Layer loop and per-gate execution mechanics of the static baselines.
 
     Plan *choice* is delegated back to the owning scheduler's
     :meth:`StaticLayerScheduler._choose_plan`, which is all that
@@ -65,21 +68,40 @@ class _StaticLayerPolicy(LayerSyncPolicy):
         #: dedicated-block geometry is static, so it is resolved once.
         self._rz_geometry: Dict[int, Tuple[Position, Optional[Position], int]] = {}
 
-    # -- kernel hooks ------------------------------------------------------------
+    # -- the drive loop ------------------------------------------------------------
 
-    def begin_layer(self, layer_start: int) -> None:
-        self.claimed = {}
-
-    def execute_gate(self, gate_index: int, gate: Gate,
-                     layer_start: int) -> int:
-        kind = gate_kind(gate)
-        if kind == "cnot":
-            return self._execute_cnot(gate_index, gate, layer_start)
-        if kind == "rz":
-            return self._execute_rz(gate_index, gate, layer_start)
-        if kind == "h":
-            return self._execute_hadamard(gate_index, gate, layer_start)
-        return layer_start  # pragma: no cover - free gates are stripped beforehand
+    def run(self) -> SimulationResult:
+        """The static discipline: per-layer execution with a full barrier."""
+        kernel = self.kernel
+        circuit = kernel.circuit
+        profile = self.profile
+        wall_start = time.perf_counter() if profile is not None else 0.0
+        clock = 0
+        for layer in circuit.layers():
+            layer_start = clock
+            layer_end = layer_start
+            self.claimed = {}
+            for gate_index in layer:
+                gate = circuit[gate_index]
+                kind = gate_kind(gate)
+                if kind == "cnot":
+                    end = self._execute_cnot(gate_index, gate, layer_start)
+                elif kind == "rz":
+                    end = self._execute_rz(gate_index, gate, layer_start)
+                elif kind == "h":
+                    end = self._execute_hadamard(gate_index, gate, layer_start)
+                else:  # pragma: no cover - free gates are stripped beforehand
+                    continue
+                if end > layer_end:
+                    layer_end = end
+                    kernel.check_cycle_bound(layer_end)
+            # Layer barrier: everything waits for the slowest gate.
+            clock = layer_end
+            self.fabric.layer_barrier(clock)
+        kernel.clock.advance(clock)
+        if profile is not None:
+            profile.add_wall("total", time.perf_counter() - wall_start)
+        return kernel.build_result()
 
     # -- gate executors ----------------------------------------------------------
 
@@ -262,8 +284,7 @@ class StaticLayerScheduler(Scheduler):
         kernel = SimulationKernel(scheduled, layout, config, seed,
                                   scheduler_name=self.name,
                                   benchmark=circuit.name)
-        policy = _StaticLayerPolicy(kernel, self)
-        return kernel.run_layer_synchronous(policy)
+        return _StaticLayerPolicy(kernel, self).run()
 
 
 class GreedyScheduler(StaticLayerScheduler):

@@ -102,10 +102,9 @@ def golden_cases() -> List[Tuple[str, str, str, int, str]]:
     return cases
 
 
-def run_case(circuit_key: str, scheduler_name: str, seed: int,
-             variant: str) -> Dict[str, object]:
-    """Execute one golden case and return its serialised result."""
-    from repro.analysis.export import result_to_dict
+def case_inputs(circuit_key: str,
+                variant: str) -> Tuple[Circuit, object, SimulationConfig]:
+    """The circuit, layout and config one golden case runs with."""
     from repro.sim.runner import default_layout
 
     circuits = golden_circuits()
@@ -122,6 +121,15 @@ def run_case(circuit_key: str, scheduler_name: str, seed: int,
             star_layout(circuit.num_qubits, StarVariant.STAR), 1.0, seed=2)
     else:
         layout = default_layout(circuit)
+    return circuit, layout, config
+
+
+def run_case(circuit_key: str, scheduler_name: str, seed: int,
+             variant: str) -> Dict[str, object]:
+    """Execute one golden case and return its serialised result."""
+    from repro.analysis.export import result_to_dict
+
+    circuit, layout, config = case_inputs(circuit_key, variant)
     scheduler = SCHEDULER_REGISTRY.create(scheduler_name)
     result = scheduler.run(circuit, layout, config, seed=seed)
     return result_to_dict(result)

@@ -162,8 +162,6 @@ class TestFaultPlan:
         assert plan.next() is None
         assert plan.next().kind == "stall"
         assert plan.next() is None  # past the end: clean pass-through
-        plan.reset()
-        assert plan.next().kind == "close"
 
     def test_fault_validation(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

@@ -83,10 +83,3 @@ class TestRelease:
         dag = GateDependencyGraph(build_chain())
         # Gate 0 has the longer remaining chain than gate 2.
         assert dag.ready_by_priority() == [0, 2]
-
-    def test_reset_restores_initial_state(self):
-        dag = GateDependencyGraph(build_chain())
-        dag.complete(0)
-        dag.reset()
-        assert set(dag.ready) == {0, 2}
-        assert not dag.all_completed

@@ -18,9 +18,15 @@ import os
 
 import pytest
 
-from golden_cases import golden_cases, golden_path, load_golden, run_case
+from golden_cases import (case_inputs, golden_cases, golden_path, load_golden,
+                          run_case)
+from repro.analysis.export import result_to_dict
+from repro.kernel import SimulationKernel
+from repro.scheduling import RescqScheduler
+from repro.scheduling.rescq import RescqPolicy
 
 CASES = golden_cases()
+RESCQ_CASES = [case for case in CASES if case[2] == "rescq"]
 
 
 @pytest.mark.parametrize("case_id,circuit_key,scheduler,seed,variant",
@@ -46,3 +52,28 @@ def test_golden_suite_covers_all_schedulers_and_variants():
     variants = {case[4] for case in CASES}
     assert schedulers == {"greedy", "autobraid", "rescq"}
     assert {"default", "no_mst", "ablated", "compressed"} <= variants
+
+
+@pytest.mark.parametrize("case_id,circuit_key,scheduler,seed,variant",
+                         RESCQ_CASES, ids=[case[0] for case in RESCQ_CASES])
+def test_rescq_run_drains_every_queue(case_id, circuit_key, scheduler, seed,
+                                      variant):
+    """A finished RESCQ run leaves no queue entry and no held state behind.
+
+    Each finished gate removes itself from the queues on its own task; this
+    checks that those are all the queues it was ever enqueued on.
+    """
+    circuit, layout, config = case_inputs(circuit_key, variant)
+    prepared = RescqScheduler.prepare_circuit(circuit)
+    kernel = SimulationKernel(prepared, layout, config, seed,
+                              scheduler_name="rescq", benchmark=circuit.name,
+                              activity_window=config.activity_window)
+    policy = RescqPolicy(kernel)
+    result = policy.run()
+    assert result_to_dict(result) == load_golden(case_id)
+    leftover = {position: [entry.gate_index
+                           for entry in policy.queues[position].entries]
+                for position in kernel.fabric.ancillas
+                if len(policy.queues[position])}
+    assert not leftover
+    assert not kernel.fabric.anc_holding

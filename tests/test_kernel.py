@@ -116,11 +116,11 @@ class TestFabricState:
 
     def test_holds(self, fabric):
         tile = fabric.ancillas[0]
-        assert fabric.holder(tile) is None
+        assert tile not in fabric.anc_holding
         fabric.hold(tile, 42)
-        assert fabric.holder(tile) == 42
+        assert fabric.anc_holding[tile] == 42
         fabric.release_hold(tile)
-        assert fabric.holder(tile) is None
+        assert tile not in fabric.anc_holding
 
     def test_activity_snapshot_requires_window(self, star9):
         fabric = FabricState(star9, 9)

@@ -220,7 +220,14 @@ class TestActivityProperties:
         for start, length in intervals:
             tracker.record_busy((0, 0), start, start + length)
             now = max(now, start + length)
-        assert 0.0 <= tracker.activity((0, 0), now=now) <= 1.0
+        activity = tracker.snapshot([(0, 0)], now=now)[(0, 0)]
+        assert 0.0 <= activity <= 1.0
+        # Brute force: count every (interval, cycle) pair in the window.
+        busy = sum(1 for start, length in intervals
+                   for cycle in range(start, start + length)
+                   if now - window <= cycle < now)
+        expected = min(1.0, busy / min(window, now)) if now > 0 else 0.0
+        assert activity == expected
 
 
 # ---------------------------------------------------------------------------

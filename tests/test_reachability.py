@@ -2,8 +2,11 @@
 
 A function or class counts as reached when its name is used somewhere in
 ``src/``, ``benchmarks/``, ``perfbench/`` or ``examples/`` outside its own
-body: as a name, as an attribute, or as a word inside a string literal
-(perfbench resolves its trace targets from strings).  Import lines,
+body: as a name, as an attribute load, or as a word inside a string literal
+(perfbench resolves its trace targets from strings).  A def inside a class
+body can only be reached through an attribute load (``x.name``) or a
+string-literal word: a bare local variable that happens to share a method's
+name does not call it.  Import lines,
 ``__all__`` lists, docstrings and comments do not count.  Tests do not
 count either: code that only tests call is dead weight, so the scan below
 fails and names it unless it is on :data:`ALLOWLIST` with a reason.
@@ -47,6 +50,8 @@ class Definition(NamedTuple):
     path: Path
     first: int
     last: int
+    #: Defined directly in a class body (a method, property or nested class).
+    member: bool
 
     @property
     def name(self) -> str:
@@ -88,45 +93,52 @@ def _docstring_nodes(tree: ast.AST) -> Set[int]:
     return skip
 
 
-def _references(path: Path, tree: ast.AST) -> Iterator[Tuple[str, int]]:
-    """Yield ``(word, line)`` for every use of a name in ``tree``."""
+def _references(path: Path,
+                tree: ast.AST) -> Iterator[Tuple[str, int, bool]]:
+    """Yield ``(word, line, bare)`` for every use of a name in ``tree``.
+
+    ``bare`` marks a plain name (``x``), which cannot reach a class member.
+    """
     skip = _docstring_nodes(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if isinstance(node.ctx, ast.Load):
+                yield node.attr, node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skip):
             for word in _WORD.findall(node.value):
-                yield word, node.lineno
+                yield word, node.lineno, False
 
 
 def _definitions(path: Path, tree: ast.AST) -> Iterator[Definition]:
     module = _module_name(path)
 
-    def walk(node: ast.AST, prefix: str) -> Iterator[Definition]:
+    def walk(node: ast.AST, prefix: str,
+             in_class: bool) -> Iterator[Definition]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 qualname = f"{prefix}.{child.name}" if prefix else child.name
                 yield Definition(f"{module}:{qualname}", path,
-                                 child.lineno, child.end_lineno)
-                yield from walk(child, qualname)
+                                 child.lineno, child.end_lineno, in_class)
+                yield from walk(child, qualname,
+                                isinstance(child, ast.ClassDef))
             else:
-                yield from walk(child, prefix)
+                yield from walk(child, prefix, in_class)
 
-    yield from walk(tree, "")
+    yield from walk(tree, "", False)
 
 
 def scan() -> List[Definition]:
     """Return every ``src/`` def whose name no product path uses."""
-    uses: Dict[str, List[Tuple[Path, int]]] = {}
+    uses: Dict[str, List[Tuple[Path, int, bool]]] = {}
     definitions: List[Definition] = []
     for path in _python_files():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for word, line in _references(path, tree):
-            uses.setdefault(word, []).append((path, line))
+        for word, line, bare in _references(path, tree):
+            uses.setdefault(word, []).append((path, line, bare))
         if path.is_relative_to(ROOT / "src"):
             definitions.extend(_definitions(path, tree))
 
@@ -134,9 +146,10 @@ def scan() -> List[Definition]:
         name = definition.name
         if name.startswith("__") and name.endswith("__"):
             return True  # called by the language
-        return any(path != definition.path
-                   or not definition.first <= line <= definition.last
-                   for path, line in uses.get(name, ()))
+        return any((path != definition.path
+                    or not definition.first <= line <= definition.last)
+                   and not (bare and definition.member)
+                   for path, line, bare in uses.get(name, ()))
 
     return [d for d in definitions if not reached(d)]
 

@@ -185,3 +185,19 @@ class TestRescqScheduler:
         results = ExecutionEngine().run(jobs)
         assert len(results) == 3
         assert len({r.seed for r in results}) == 3
+
+
+class TestMaxCycles:
+    """A run that passes ``config.max_cycles`` raises, whatever the loop."""
+
+    BOUNDED = SimulationConfig(max_cycles=20)
+
+    def test_static_run_past_max_cycles_raises(self, qft6):
+        with pytest.raises(RuntimeError,
+                           match=r"past max_cycles=20; raise .*max_cycles"):
+            run_one(GreedyScheduler(), qft6, config=self.BOUNDED)
+
+    def test_rescq_run_past_max_cycles_raises(self, qft6):
+        with pytest.raises(RuntimeError,
+                           match=r"past max_cycles=20; raise .*max_cycles"):
+            run_one(RescqScheduler(), qft6, config=self.BOUNDED)

@@ -1,13 +1,13 @@
 """Tests for activity tracking, ancilla queues and MST maintenance."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.fabric import StarVariant, star_layout
 from repro.kernel import ActivityTracker
 from repro.scheduling import (
     AncillaMst,
-    AncillaRole,
     AsyncMstPipeline,
     IncrementalMst,
     QueueEntry,
@@ -16,42 +16,47 @@ from repro.scheduling import (
 )
 
 
+def activity(tracker, position, now):
+    """One tile's activity, read through the bulk ``snapshot`` query."""
+    return tracker.snapshot([position], now)[position]
+
+
 class TestActivityTracker:
     def test_activity_zero_before_any_work(self):
         tracker = ActivityTracker(window=100)
-        assert tracker.activity((0, 0), now=50) == 0.0
+        assert activity(tracker, (0, 0), now=50) == 0.0
 
     def test_activity_ratio(self):
         tracker = ActivityTracker(window=100)
         tracker.record_busy((0, 0), 0, 30)
-        assert tracker.activity((0, 0), now=100) == pytest.approx(0.3)
+        assert activity(tracker, (0, 0), now=100) == pytest.approx(0.3)
 
     def test_old_intervals_fall_out_of_window(self):
         tracker = ActivityTracker(window=10)
         tracker.record_busy((0, 0), 0, 5)
-        assert tracker.activity((0, 0), now=100) == 0.0
+        assert activity(tracker, (0, 0), now=100) == 0.0
 
     def test_partial_overlap_with_window(self):
         tracker = ActivityTracker(window=10)
         tracker.record_busy((0, 0), 0, 15)
         # window is [10, 20): 5 busy cycles
-        assert tracker.activity((0, 0), now=20) == pytest.approx(0.5)
+        assert activity(tracker, (0, 0), now=20) == pytest.approx(0.5)
 
     def test_activity_clamped_to_one(self):
         tracker = ActivityTracker(window=10)
         tracker.record_busy((0, 0), 0, 10)
         tracker.record_busy((0, 0), 0, 10)
-        assert tracker.activity((0, 0), now=10) == 1.0
+        assert activity(tracker, (0, 0), now=10) == 1.0
 
     def test_early_window_uses_elapsed_time(self):
         tracker = ActivityTracker(window=100)
         tracker.record_busy((0, 0), 0, 5)
-        assert tracker.activity((0, 0), now=10) == pytest.approx(0.5)
+        assert activity(tracker, (0, 0), now=10) == pytest.approx(0.5)
 
     def test_empty_interval_ignored(self):
         tracker = ActivityTracker(window=10)
         tracker.record_busy((0, 0), 5, 5)
-        assert tracker.activity((0, 0), now=10) == 0.0
+        assert activity(tracker, (0, 0), now=10) == 0.0
 
     def test_snapshot(self):
         tracker = ActivityTracker(window=10)
@@ -67,40 +72,31 @@ class TestActivityTracker:
 class TestQueues:
     def test_enqueue_and_head(self):
         queues = QueueSet([(0, 0), (0, 1)])
-        entry = queues.enqueue((0, 0), QueueEntry(5, "rz", (1,), AncillaRole.PREPARE))
-        assert queues[(0, 0)].head is entry
-        assert queues[(0, 0)].is_at_head(5)
+        entry = QueueEntry(5, "rz")
+        queue = queues.enqueue((0, 0), entry)
+        assert queue is queues[(0, 0)]
+        assert queue.entries == [entry]
+        assert queue.is_at_head(5)
         assert not queues[(0, 1)].is_at_head(5)
-
-    def test_sequence_numbers_are_monotonic(self):
-        queues = QueueSet([(0, 0)])
-        first = queues.enqueue((0, 0), QueueEntry(1, "rz", (0,), AncillaRole.PREPARE))
-        second = queues.enqueue((0, 0), QueueEntry(2, "cnot", (0, 1),
-                                                   AncillaRole.ROUTE))
-        assert second.sequence > first.sequence
 
     def test_seniority_order_preserved(self):
         queues = QueueSet([(0, 0)])
-        queues.enqueue((0, 0), QueueEntry(1, "rz", (0,), AncillaRole.PREPARE))
-        queues.enqueue((0, 0), QueueEntry(2, "cnot", (0, 1), AncillaRole.ROUTE))
-        assert [e.gate_index for e in queues[(0, 0)]] == [1, 2]
+        queues.enqueue((0, 0), QueueEntry(1, "rz"))
+        queues.enqueue((0, 0), QueueEntry(2, "cnot"))
+        assert [e.gate_index for e in queues[(0, 0)].entries] == [1, 2]
+        assert queues[(0, 0)].is_at_head(1)
+        assert not queues[(0, 0)].is_at_head(2)
 
     def test_remove_gate_everywhere(self):
-        queues = QueueSet([(0, 0), (0, 1)])
-        for pos in ((0, 0), (0, 1)):
-            queues.enqueue(pos, QueueEntry(7, "rz", (0,), AncillaRole.PREPARE))
-        removed = queues.remove_gate_everywhere(7)
+        queues = QueueSet([(0, 0), (0, 1), (1, 0)])
+        own = [queues.enqueue(pos, QueueEntry(7, "rz"))
+               for pos in ((0, 0), (0, 1))]
+        queues.enqueue((0, 1), QueueEntry(8, "cnot"))
+        removed = queues.remove_gate_everywhere(7, own)
         assert removed == 2
-        assert len(queues[(0, 0)]) == len(queues[(0, 1)]) == 0
-
-    def test_in_place_angle_level_update(self):
-        queues = QueueSet([(0, 0)])
-        queues.enqueue((0, 0), QueueEntry(3, "rz", (0,), AncillaRole.PREPARE))
-        updated = queues[(0, 0)].update_angle_level(3, 2)
-        assert updated == 1
-        assert queues[(0, 0)].head.angle_level == 2
-        # A lower level never overwrites a higher one.
-        assert queues[(0, 0)].update_angle_level(3, 1) == 0
+        assert len(queues[(0, 0)]) == 0
+        # Other gates' entries stay, and the next one becomes the head.
+        assert queues[(0, 1)].is_at_head(8)
 
 
 class TestMst:
@@ -113,11 +109,22 @@ class TestMst:
         assert graph.number_of_nodes() == layout.num_ancilla
         assert nx.is_connected(graph)
 
-    def test_mst_is_spanning_tree(self):
+    def test_mst_paths_match_networkx_reference(self):
+        """Every tree path equals the path on networkx's Kruskal MST, under
+        zero activity and under four random activity maps."""
         layout = self.layout()
-        mst = AncillaMst(layout, {})
-        assert mst.tree.number_of_edges() == layout.num_ancilla - 1
-        assert nx.is_connected(mst.tree)
+        ancillas = layout.ancilla_positions()
+        rng = np.random.default_rng(0)
+        activities = [{}] + [{pos: float(rng.random()) for pos in ancillas}
+                             for _ in range(4)]
+        for activity in activities:
+            mst = AncillaMst(layout, activity)
+            reference = nx.minimum_spanning_tree(
+                build_activity_graph(layout, activity), algorithm="kruskal")
+            for index, start in enumerate(ancillas):
+                for goal in ancillas[index + 1:]:
+                    assert mst.path(start, goal) == nx.shortest_path(
+                        reference, start, goal), (start, goal)
 
     def test_path_query_endpoints(self):
         layout = self.layout()
