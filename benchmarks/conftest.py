@@ -10,29 +10,30 @@ Set the environment variable ``RESCQ_FULL=1`` to run the paper-sized
 workloads; expect several hours, comparable to the original artifact's 0.5-1
 hour on 16 threads plus our pure-Python overhead.
 
-Execution is routed through :mod:`repro.exec`:
+Execution is routed through one session-wide
+:class:`~repro.service.service.ExperimentService`:
 
-* ``RESCQ_JOBS=N`` fans simulation jobs out over N worker processes
-  (``RESCQ_JOBS=0`` means one worker per CPU);
+* ``RESCQ_JOBS=N`` fans simulation jobs out over N spawned worker processes
+  (``RESCQ_JOBS=0`` means one worker per CPU; the default 1 runs inline);
 * ``RESCQ_CACHE=DIR`` memoises finished jobs on disk, so re-running a
   harness skips every already-measured point.
 
-Results are identical for every setting — executors preserve job order and
-each job is independently seeded.
+Results are identical for every setting — results come back in plan order
+and each job is independently seeded.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List
+from typing import Iterator, List
 
 import pytest
 
 from repro import SimulationConfig
 from repro.api import build_engine
 from repro.circuits import Circuit
-from repro.exec import ExecutionEngine
 from repro.scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
+from repro.service import ExperimentService
 from repro.workloads import (
     dnn_circuit,
     gcm_circuit,
@@ -72,12 +73,6 @@ def record_bench(name: str, payload) -> None:
 
 #: Number of seeded repetitions per configuration (the paper uses 10-1000).
 SEEDS = 5 if FULL_SCALE else 2
-
-
-def execution_engine() -> ExecutionEngine:
-    """Build the engine the harnesses run through (see module docstring)."""
-    return build_engine(jobs=int(os.environ.get("RESCQ_JOBS", "1")),
-                        cache=os.environ.get("RESCQ_CACHE"))
 
 
 def evaluation_suite() -> List[Circuit]:
@@ -128,9 +123,12 @@ def schedulers():
 
 
 @pytest.fixture(scope="session")
-def engine() -> ExecutionEngine:
-    """Session-wide execution engine (RESCQ_JOBS / RESCQ_CACHE aware)."""
-    return execution_engine()
+def engine() -> Iterator[ExperimentService]:
+    """Session-wide job runner (see the module docstring), shut down at the
+    end of the session."""
+    with build_engine(jobs=int(os.environ.get("RESCQ_JOBS", "1")),
+                      cache=os.environ.get("RESCQ_CACHE")) as runner:
+        yield runner
 
 
 @pytest.fixture(scope="session")

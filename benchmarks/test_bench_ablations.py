@@ -12,7 +12,7 @@ from repro.exec import plan_jobs
 from repro.scheduling import AutoBraidScheduler, RescqScheduler
 from repro.sim import geometric_mean
 
-from conftest import SEEDS, execution_engine, sensitivity_suite
+from conftest import SEEDS, sensitivity_suite
 
 
 def run_scheduler(scheduler, circuit, config, engine):
@@ -32,8 +32,7 @@ VARIANTS = {
 }
 
 
-def run_ablations():
-    engine = execution_engine()
+def run_ablations(engine):
     circuits = sensitivity_suite()
     base_config = SimulationConfig()
     rows = []
@@ -66,8 +65,9 @@ def run_ablations():
     return rows
 
 
-def test_bench_ablations(benchmark):
-    rows = benchmark.pedantic(run_ablations, rounds=1, iterations=1)
+def test_bench_ablations(benchmark, engine):
+    rows = benchmark.pedantic(run_ablations, args=(engine,), rounds=1,
+                              iterations=1)
     print()
     print(format_table(rows, title="Ablation: contribution of RESCQ mechanisms"))
 

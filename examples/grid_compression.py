@@ -14,9 +14,10 @@ Run with::
 from repro import SimulationConfig
 from repro.analysis import format_table
 from repro.api import ResultSet
-from repro.exec import ExecutionEngine, plan_jobs
+from repro.exec import plan_jobs
 from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.scheduling import AutoBraidScheduler, RescqScheduler
+from repro.service import ExperimentService
 from repro.workloads import dnn_circuit
 
 
@@ -25,7 +26,7 @@ def main() -> None:
     config = SimulationConfig()
     base_layout = star_layout(circuit.num_qubits, StarVariant.STAR)
     schedulers = [AutoBraidScheduler(), RescqScheduler()]
-    engine = ExecutionEngine()
+    engine = ExperimentService()
 
     # Unregistered circuit + hand-built layouts: plan jobs explicitly and
     # fold them through ResultSet (the declarative spec path needs names).

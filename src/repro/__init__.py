@@ -17,10 +17,12 @@ whole stack the paper's evaluation rests on:
 * :mod:`repro.scheduling` — the policies: RESCQ plus the greedy and
   AutoBraid baselines;
 * :mod:`repro.sim` — the seeded cycle-level symbolic-execution simulator;
-* :mod:`repro.exec` — the job-based execution engine: every sweep/comparison
-  is planned as explicit :class:`~repro.exec.SimJob` records and run through
-  pluggable executors (serial, multi-process) with an optional on-disk
+* :mod:`repro.exec` — job planning: every sweep/comparison is planned as
+  explicit :class:`~repro.exec.SimJob` records, with an optional on-disk
   result cache keyed by content fingerprint;
+* :mod:`repro.service` — the one job runner,
+  :class:`~repro.service.ExperimentService` (inline, or over spawned worker
+  processes), and the ``rescq serve`` HTTP front end around it;
 * :mod:`repro.analysis` — sweeps and experiment drivers for every figure and
   table of the paper.
 
@@ -40,12 +42,13 @@ Quickstart::
            for row in results.aggregate("scheduler")})
 
 To fan the same experiment out over worker processes with an on-disk memo of
-finished points::
+finished points (spawned workers re-import the main module, so guard it)::
 
     from repro.api import build_engine
 
-    engine = build_engine(jobs=8, cache=".rescq-cache")
-    results = run_experiment(spec, engine)
+    if __name__ == "__main__":
+        with build_engine(jobs=8, cache=".rescq-cache") as engine:
+            results = run_experiment(spec, engine)
 """
 
 from .circuits import Circuit, Gate, GateType
@@ -58,12 +61,7 @@ from .sim import (
     default_layout,
     geometric_mean,
 )
-from .exec import (
-    ExecutionEngine,
-    ParallelExecutor,
-    SerialExecutor,
-    SimJob,
-)
+from .exec import SimJob
 from .api import (
     ExperimentSpec,
     Registry,
@@ -107,7 +105,4 @@ __all__ = [
     "default_layout",
     "geometric_mean",
     "SimJob",
-    "ExecutionEngine",
-    "SerialExecutor",
-    "ParallelExecutor",
 ]

@@ -7,8 +7,8 @@ completion-latency histograms for CNOT and Rz gates (Figure 5).
 
 Every driver plans its full (circuit x scheduler x seed) grid as one job
 list and executes it through a single
-:meth:`~repro.exec.engine.ExecutionEngine.run` call, so a parallel or cached
-engine accelerates the whole experiment, not one benchmark at a time.
+:meth:`~repro.service.service.ExperimentService.run` call, so a pooled or
+cached engine accelerates the whole experiment, not one benchmark at a time.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..circuits import Circuit
-from ..exec import ExecutionEngine, SimJob, plan_jobs
+from ..exec import SimJob, plan_jobs
 from ..scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
+from ..service.service import ExperimentService
 from ..sim import (
     SimulationConfig,
     aggregate_comparison,
@@ -79,7 +80,7 @@ class ExecutionSummary:
 
 def _run_grid(circuits: Sequence[Circuit], schedulers,
               config: SimulationConfig, seeds: int,
-              engine: ExecutionEngine):
+              engine: ExperimentService):
     """Plan circuits x schedulers x seeds, run once, yield per-circuit rows."""
     plans = []
     jobs: List[SimJob] = []
@@ -101,7 +102,7 @@ def run_execution_comparison(circuits: Sequence[Circuit],
                              config: Optional[SimulationConfig] = None,
                              seeds: int = 3,
                              baseline: str = "autobraid",
-                             engine: Optional[ExecutionEngine] = None
+                             engine: Optional[ExperimentService] = None
                              ) -> ExecutionSummary:
     """Run the Figure 10 experiment over ``circuits``.
 
@@ -110,7 +111,7 @@ def run_execution_comparison(circuits: Sequence[Circuit],
     """
     schedulers = schedulers if schedulers is not None else default_schedulers()
     config = config or SimulationConfig()
-    engine = engine or ExecutionEngine()
+    engine = engine or ExperimentService()
     summary = ExecutionSummary(baseline=baseline)
     for circuit, comparison in _run_grid(circuits, schedulers, config, seeds,
                                          engine):
@@ -127,7 +128,7 @@ def latency_histograms(circuits: Sequence[Circuit],
                        config: Optional[SimulationConfig] = None,
                        seeds: int = 2,
                        max_cycles: int = 30,
-                       engine: Optional[ExecutionEngine] = None
+                       engine: Optional[ExperimentService] = None
                        ) -> Dict[str, Dict[str, Dict[int, int]]]:
     """Figure 5: per-scheduler histograms of post-schedule gate latency.
 
@@ -136,7 +137,7 @@ def latency_histograms(circuits: Sequence[Circuit],
     """
     schedulers = schedulers if schedulers is not None else default_schedulers()
     config = config or SimulationConfig()
-    engine = engine or ExecutionEngine()
+    engine = engine or ExperimentService()
     histograms: Dict[str, Dict[str, Dict[int, int]]] = {}
     for scheduler in schedulers:
         histograms[scheduler.name] = {"cnot": {}, "rz": {}}

@@ -8,12 +8,12 @@ Figures 11-14.
 
 Sweeps are planned as one flat job list — every
 (circuit, value, scheduler, seed) point — and executed in a single
-:meth:`~repro.exec.engine.ExecutionEngine.run` call, so a parallel engine
-fans the *entire* grid out at once instead of parallelising one comparison
-cell at a time.  Row order is deterministic: circuits in input order, values
-in input order, schedulers by name.  For registered benchmarks the same
-sweep can be written as an :class:`~repro.api.spec.ExperimentSpec` grid and
-run with :func:`repro.api.run_experiment`.
+:meth:`~repro.service.service.ExperimentService.run` call, so a pooled
+engine fans the *entire* grid out at once instead of parallelising one
+comparison cell at a time.  Row order is deterministic: circuits in input
+order, values in input order, schedulers by name.  For registered benchmarks
+the same sweep can be written as an :class:`~repro.api.spec.ExperimentSpec`
+grid and run with :func:`repro.api.run_experiment`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..circuits import Circuit
-from ..exec import ExecutionEngine, SimJob, plan_jobs
+from ..exec import SimJob, plan_jobs
+from ..service.service import ExperimentService
 from ..sim import SimulationConfig, default_layout
 
 __all__ = ["SweepRow", "run_axis_sweep"]
@@ -57,7 +58,8 @@ def run_axis_sweep(axis, schedulers, circuits: Sequence[Circuit],
                    values: Optional[Sequence[float]] = None,
                    base: Optional[SimulationConfig] = None,
                    seeds: int = 3,
-                   engine: Optional[ExecutionEngine] = None) -> List[SweepRow]:
+                   engine: Optional[ExperimentService] = None
+                   ) -> List[SweepRow]:
     """Sweep one :class:`~repro.api.axes.SweepAxis` over ``circuits``.
 
     ``axis`` decides which config field (or layout property) each value
@@ -70,7 +72,7 @@ def run_axis_sweep(axis, schedulers, circuits: Sequence[Circuit],
     if isinstance(axis, str):
         from ..api.axes import get_axis
         axis = get_axis(axis)
-    engine = engine if engine is not None else ExecutionEngine()
+    engine = engine if engine is not None else ExperimentService()
     base = base or SimulationConfig()
     swept = list(values if values is not None else axis.default_values)
     # Plan the whole grid up front ...

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from ..exec.cache import DirectoryCache, open_cache_backend
-from ..exec.engine import ExecutionEngine
-from ..exec.executors import ParallelExecutor, SerialExecutor
+from ..service.executor import ServiceExecutor
+from ..service.service import ExperimentService
 from .resultset import ResultSet
 from .spec import ExperimentSpec
 
@@ -20,40 +20,38 @@ __all__ = ["run_experiment", "build_engine", "render_experiment"]
 
 def build_engine(jobs: int = 1,
                  cache: Optional[Union[str, DirectoryCache]] = None,
-                 ) -> ExecutionEngine:
-    """Build an execution engine from the common (jobs, cache) knobs.
+                 ) -> ExperimentService:
+    """Build the job runner from the common (jobs, cache) knobs.
 
-    ``jobs > 1`` fans simulation jobs out over that many worker processes
-    (``0`` means one per CPU); ``cache`` memoises finished jobs in a
-    directory of result files (``PATH``, ``dir:PATH`` or a
+    ``jobs == 1`` runs every job inline; ``jobs > 1`` fans them out over
+    that many spawned worker processes (``0`` means one per CPU), which a
+    script must start under an ``if __name__ == "__main__":`` guard and
+    should shut down (``with engine:``).  ``cache`` memoises finished jobs
+    in a directory of result files (``PATH``, ``dir:PATH`` or a
     :class:`~repro.exec.cache.DirectoryCache`).  This is the builder behind
     the CLI's ``--jobs``/``--cache`` flags and the benchmark harnesses'
     ``RESCQ_JOBS``/``RESCQ_CACHE`` variables.
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0 (0 = one worker per CPU)")
-    if jobs == 1:
-        executor = SerialExecutor()
-    else:
-        executor = ParallelExecutor(max_workers=jobs if jobs > 0 else None)
-    return ExecutionEngine(executor=executor,
-                           cache=open_cache_backend(cache) if cache else None)
+    executor = None if jobs == 1 else ServiceExecutor(max_workers=jobs or None)
+    return ExperimentService(executor=executor,
+                             cache=open_cache_backend(cache) if cache else None)
 
 
 def run_experiment(spec: ExperimentSpec,
-                   engine: Optional[ExecutionEngine] = None) -> ResultSet:
+                   engine: Optional[ExperimentService] = None) -> ResultSet:
     """Validate, expand and execute ``spec``; return its :class:`ResultSet`.
 
     The job plan runs through a single
-    :meth:`~repro.exec.engine.ExecutionEngine.run` call, so a parallel or
-    cached engine accelerates the whole grid at once.  Output is identical
-    for every engine (executors preserve job order; every job is
-    independently seeded).
+    :meth:`~repro.service.service.ExperimentService.run` call, so a pooled
+    or cached engine accelerates the whole grid at once.  Output is
+    identical for every engine (results come back in plan order; every job
+    is independently seeded).
     """
-    engine = engine if engine is not None else ExecutionEngine()
+    engine = engine if engine is not None else ExperimentService()
     jobs = spec.expand()
-    results = engine.run(jobs)
-    return ResultSet.from_jobs(jobs, results)
+    return ResultSet.from_jobs(jobs, engine.run(jobs))
 
 
 def render_experiment(spec: ExperimentSpec, results: ResultSet) -> str:

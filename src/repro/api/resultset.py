@@ -2,7 +2,7 @@
 
 A :class:`ResultSet` wraps the flat list of
 :class:`~repro.sim.results.SimulationResult` rows an
-:class:`~repro.exec.engine.ExecutionEngine` run produced, with each row
+:class:`~repro.service.service.ExperimentService` run produced, with each row
 carrying its experiment coordinates (benchmark, scheduler, seed, and any
 grid-point parameters the planner tagged the job with).  It is the one
 aggregation path in the reproduction: the legacy

@@ -2,8 +2,8 @@
 
 A spec names *what* to run — benchmarks x schedulers x a
 :class:`~repro.sim.config.SimulationConfig` parameter grid x seeds x layout —
-and nothing about *how*: execution strategy (serial/parallel/cached) stays
-with the :class:`~repro.exec.engine.ExecutionEngine`.  Specs round-trip
+and nothing about *how*: execution strategy (inline/pooled/cached) stays
+with the :class:`~repro.service.service.ExperimentService`.  Specs round-trip
 through plain dicts and JSON, so an experiment is a file you commit, diff and
 re-run rather than a bespoke script::
 

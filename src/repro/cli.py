@@ -59,9 +59,10 @@ ending in the actually-bound port, so scripts driving ``--port 0``
 :class:`~repro.api.spec.ExperimentSpec` and executes it through
 :func:`~repro.api.facade.run_experiment`, so their tables are byte-identical
 to running the same spec through ``exp``.  All three accept ``--jobs N`` (fan
-simulation jobs out over N worker processes) and ``--cache DIR`` (memoise
-finished jobs on disk); they print an ``[exec]`` accounting line after the
-table, and the table itself is byte-identical for every ``--jobs`` value.
+simulation jobs out over N spawned worker processes, about 1 s of start-up)
+and ``--cache DIR`` (memoise finished jobs on disk); they print an ``[exec]``
+accounting line after the table, and the table itself is byte-identical for
+every ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from .api.facade import build_engine, render_experiment, run_experiment
 from .api.registries import DEFAULT_SCHEDULER_NAMES, SCHEDULERS
 from .api.spec import ExperimentSpec, SpecValidationError
 from .circuits import to_artifact_format, to_qasm
-from .exec import ExecutionEngine
 from .rus import PreparationModel
+from .service.service import ExperimentService
 from .workloads import (
     SCENARIO_FAMILIES,
     ScenarioError,
@@ -277,13 +278,23 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "already-measured points")
 
 
-def _engine_from_args(args: argparse.Namespace) -> ExecutionEngine:
+def _engine_from_args(args: argparse.Namespace) -> ExperimentService:
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     try:
         return build_engine(jobs=args.jobs, cache=args.cache)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"--cache {args.cache!r} is not usable: {exc}")
+
+
+def _exec_line(engine: ExperimentService) -> str:
+    """The ``[exec]`` accounting line printed after every batch table."""
+    stats = engine.stats
+    text = (f"[exec] jobs={stats.jobs} executed={stats.executed} "
+            f"cache_hits={stats.cache_hits}")
+    if engine.cache is not None:
+        text += f" {engine.cache.stats.describe()}"
+    return text
 
 
 def _scheduler_names(names: str) -> List[str]:
@@ -297,7 +308,7 @@ def _scheduler_names(names: str) -> List[str]:
     return schedulers
 
 
-def _run_spec(spec: ExperimentSpec, engine: ExecutionEngine):
+def _run_spec(spec: ExperimentSpec, engine: ExperimentService):
     try:
         return run_experiment(spec, engine)
     except SpecValidationError as exc:
@@ -325,8 +336,8 @@ def _command_run(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         compression=args.compression,
     )
-    engine = _engine_from_args(args)
-    results = _run_spec(spec, engine)
+    with _engine_from_args(args) as engine:
+        results = _run_spec(spec, engine)
     print(render_experiment(spec, results))
     if profile:
         rows = results.profile_rows()
@@ -339,7 +350,7 @@ def _command_run(args: argparse.Namespace) -> int:
         if args.profile_out:
             _write_profile_record(args.profile_out, spec, rows)
             print(f"[profile] wrote {args.profile_out}")
-    print(engine.describe())
+    print(_exec_line(engine))
     return 0
 
 
@@ -374,12 +385,12 @@ def _command_sweep(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         layout_seed=axis.layout_seed,
     )
-    engine = _engine_from_args(args)
-    results = _run_spec(spec, engine)
+    with _engine_from_args(args) as engine:
+        results = _run_spec(spec, engine)
     rows = results.sweep_rows(axis.parameter)
     print(format_table([row.as_dict() for row in rows],
                        title=f"{args.kind} sweep for {args.benchmark}"))
-    print(engine.describe())
+    print(_exec_line(engine))
     return 0
 
 
@@ -390,10 +401,10 @@ def _command_exp(args: argparse.Namespace) -> int:
         raise SystemExit(f"cannot read spec {args.spec!r}: {exc}")
     except SpecValidationError as exc:
         raise SystemExit(f"invalid spec {args.spec!r}: {exc}")
-    engine = _engine_from_args(args)
-    results = _run_spec(spec, engine)
+    with _engine_from_args(args) as engine:
+        results = _run_spec(spec, engine)
     print(render_experiment(spec, results))
-    print(engine.describe())
+    print(_exec_line(engine))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(results.to_csv())

@@ -1,4 +1,4 @@
-"""Job-based experiment execution: planning, executors, and result caching.
+"""Job-based experiment execution: planning and result caching.
 
 Every sweep and comparison in the reproduction reduces to running a set of
 independent (circuit, scheduler, config, layout, seed) points.  This package
@@ -7,19 +7,16 @@ makes that explicit:
 * :mod:`repro.exec.jobs` — :class:`SimJob`, an immutable description of one
   simulation point with a stable content-hash fingerprint, plus planning
   helpers;
-* :mod:`repro.exec.executors` — pluggable strategies for running a list of
-  jobs: :class:`SerialExecutor` (the deterministic reference) and
-  :class:`ParallelExecutor` (a ``ProcessPoolExecutor`` fan-out);
 * :mod:`repro.exec.cache` — :class:`DirectoryCache`, the concurrent-safe
   result cache (write-once JSON files), so repeated sweeps — and concurrent
-  ``rescq serve`` submissions — skip already-measured points;
-* :mod:`repro.exec.engine` — :class:`ExecutionEngine`, which ties an executor
-  and an optional cache together and is the object the runner, sweeps, CLI
-  (``--jobs`` / ``--cache``) and benchmark harnesses all accept.
+  ``rescq serve`` submissions — skip already-measured points.
 
-Executors preserve job order, and scheduler runs are seeded per job, so for
-the same job list every executor produces the same list of
-:class:`~repro.sim.results.SimulationResult` objects.
+Plans run through :class:`~repro.service.service.ExperimentService`, the one
+job runner (``build_engine`` in :mod:`repro.api.facade` builds it from the
+CLI's ``--jobs`` / ``--cache``).  Scheduler runs are seeded per job, so the
+same job list gives the same list of
+:class:`~repro.sim.results.SimulationResult` objects inline or across
+worker processes.
 """
 
 from .cache import (
@@ -29,22 +26,15 @@ from .cache import (
     DirectoryCache,
     open_cache_backend,
 )
-from .engine import EngineStats, ExecutionEngine
-from .executors import Executor, ParallelExecutor, SerialExecutor
 from .jobs import SimJob, job_fingerprint, plan_jobs
 
 __all__ = [
     "SimJob",
     "job_fingerprint",
     "plan_jobs",
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
     "CacheEntry",
     "CacheCheck",
     "DirectoryCache",
     "CacheStats",
     "open_cache_backend",
-    "ExecutionEngine",
-    "EngineStats",
 ]

@@ -1,4 +1,4 @@
-"""Simulation jobs: the unit of work the execution engine schedules.
+"""Simulation jobs: the unit of work the experiment service runs.
 
 A :class:`SimJob` freezes everything one scheduler run depends on — the
 circuit, the scheduler instance, the simulation configuration, the layout and
@@ -110,8 +110,9 @@ def job_fingerprint(circuit: Circuit, scheduler: "Scheduler",
 class SimJob:
     """One (circuit, scheduler, config, layout, seed) simulation point.
 
-    Jobs are plain picklable records: :class:`ParallelExecutor` ships them to
-    worker processes whole, and :meth:`run` is all a worker needs to call.
+    Jobs are plain picklable records:
+    :class:`~repro.service.executor.ServiceExecutor` ships them to worker
+    processes whole, and :meth:`run` is all a worker needs to call.
     """
 
     circuit: Circuit
@@ -161,10 +162,11 @@ def plan_jobs(schedulers: Sequence["Scheduler"], circuit: Circuit,
     """Expand one comparison point into its scheduler x seed job list.
 
     ``seeds`` accepts either an integer (meaning seeds ``0..n-1``) or an
-    explicit sequence of seed values.  Jobs
-    are emitted scheduler-major with seeds ascending, which is the order every
-    executor preserves.  ``tags`` (copied per job) label every emitted job,
-    e.g. with the grid-point values an experiment spec expanded.
+    explicit sequence of seed values.  Jobs are emitted scheduler-major with
+    seeds ascending, the order
+    :meth:`~repro.service.service.ExperimentService.run` returns results in.
+    ``tags`` (copied per job) label every emitted job, e.g. with the
+    grid-point values an experiment spec expanded.
     """
     if isinstance(seeds, int):
         seed_list: Sequence[int] = range(seeds)

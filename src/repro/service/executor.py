@@ -1,7 +1,8 @@
-"""ServiceExecutor: a work-stealing process pool built for a long-lived service.
+"""ServiceExecutor: the work-stealing process pool behind ``--jobs N``.
 
-:class:`~repro.exec.executors.ParallelExecutor` is a batch tool: it maps one
-job list over a pool and tears the pool down.  A service needs more:
+:class:`~repro.service.service.ExperimentService` runs jobs inline by
+default; given this executor it fans them out over worker processes, for a
+batch ``rescq run/sweep/exp --jobs N`` and for ``rescq serve`` alike:
 
 * **work stealing** — jobs go into one shared queue and idle workers pull
   the next job the moment they finish, so a slow simulation never strands
@@ -19,13 +20,13 @@ workers *while connections are open*; with ``fork`` every child would
 inherit the accepted client sockets, so the server's close never sends
 FIN and clients streaming an NDJSON response hang waiting for EOF.
 ``spawn`` children inherit nothing but the two queues they are handed,
-and are immune to fork-from-a-thread lock inheritance as a bonus.
+and are immune to fork-from-a-thread lock inheritance as a bonus.  The
+price is start-up: each worker imports repro, numpy and networkx afresh
+(about 1 s per pool), and re-imports the main module, so a script that
+starts workers must do so under an ``if __name__ == "__main__":`` guard.
 
-The executor still implements the :class:`~repro.exec.executors.Executor`
-protocol (``run_jobs`` is order-preserving), so an
-:class:`~repro.exec.engine.ExecutionEngine` can be backed by it directly.
 Platforms that cannot spawn processes fall back to inline execution with a
-warning, matching :class:`ParallelExecutor`.
+warning.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Dict, List, Optional, Sequence
-
-from ..exec.executors import Executor
-from ..sim.results import SimulationResult
+from typing import Dict, Optional
 
 __all__ = ["ServiceExecutor", "JobFailedError", "JobTimeoutError",
            "WorkerCrashError"]
@@ -58,6 +56,9 @@ class JobTimeoutError(RuntimeError):
 
 class WorkerCrashError(RuntimeError):
     """The worker process died while running the job, retry budget spent."""
+
+
+_START_METHOD = "spawn"  # never fork: see the module docstring
 
 
 def _worker_main(task_queue, result_queue, claim_conn, worker_id: int) -> None:
@@ -96,7 +97,7 @@ class _Task:
     detail: str = field(default="")
 
 
-class ServiceExecutor(Executor):
+class ServiceExecutor:
     """Work-stealing process pool with timeouts, retries and graceful drain.
 
     Parameters
@@ -114,16 +115,12 @@ class ServiceExecutor(Executor):
         the job are never retried; they are deterministic.
     poll_interval:
         Collector wake-up period for timeout/liveness checks, in seconds.
-    mp_context:
-        Multiprocessing start method.  The default ``spawn`` keeps client
-        socket fds out of the workers (see the module docstring).
     """
 
     def __init__(self, max_workers: Optional[int] = None,
                  job_timeout: Optional[float] = None,
                  max_attempts: int = 2,
-                 poll_interval: float = 0.05,
-                 mp_context: str = "spawn") -> None:
+                 poll_interval: float = 0.05) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if job_timeout is not None and job_timeout <= 0:
@@ -134,7 +131,7 @@ class ServiceExecutor(Executor):
         self.job_timeout = job_timeout
         self.max_attempts = max_attempts
         self.poll_interval = poll_interval
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
 
         self._lock = threading.RLock()
         self._tasks: Dict[int, _Task] = {}
@@ -149,7 +146,6 @@ class ServiceExecutor(Executor):
         self._task_queue = None
         self._result_queue = None
         self._collector: Optional[threading.Thread] = None
-        self.executed = 0  # jobs that completed successfully
         # Backstop against a respawn storm: if the environment kills every
         # worker we start (e.g. it cannot import the main module), stop
         # respawning and fail pending work instead of burning CPU forever.
@@ -184,6 +180,11 @@ class ServiceExecutor(Executor):
             try:
                 self._task_queue = self._ctx.Queue()
                 self._result_queue = self._ctx.Queue()
+                # Never join the feeder threads at interpreter exit: with
+                # every worker dead, a feeder blocked writing a large task
+                # into the full pipe would hang an unclosed executor's exit.
+                for mp_queue in (self._task_queue, self._result_queue):
+                    mp_queue.cancel_join_thread()
                 for _ in range(self.max_workers):
                     self._spawn_worker_locked()
             except (OSError, PermissionError) as exc:
@@ -223,7 +224,6 @@ class ServiceExecutor(Executor):
             except BaseException as exc:  # noqa: BLE001
                 future.set_exception(JobFailedError(str(exc)))
             else:
-                self.executed += 1
                 future.set_result(result)
             return future
         with self._lock:
@@ -232,11 +232,6 @@ class ServiceExecutor(Executor):
             self._tasks[task_id] = _Task(job=job, future=future)
         self._task_queue.put((task_id, job))
         return future
-
-    def run_jobs(self, jobs: Sequence) -> List[SimulationResult]:
-        """Execute every job and return results in job order (Executor API)."""
-        futures = [self.submit(job) for job in jobs]
-        return [future.result() for future in futures]
 
     @property
     def queue_depth(self) -> int:
@@ -304,7 +299,6 @@ class ServiceExecutor(Executor):
         with self._lock:
             self._tasks.pop(task_id, None)
         if kind == "done":
-            self.executed += 1
             task.future.set_result(payload)
         elif kind == "error":
             name, text, trace = payload
@@ -360,7 +354,11 @@ class ServiceExecutor(Executor):
         for _task_id, task in stranded:
             task.future.set_exception(WorkerCrashError(
                 "worker pool collapsed: every worker died and the respawn "
-                "budget is spent"))
+                "budget is spent.  Spawned workers re-import the main "
+                "module, so a script must start them under an "
+                "'if __name__ == \"__main__\":' guard; workers must also be "
+                "able to import repro (install the package or set "
+                "PYTHONPATH)"))
 
     def _requeue_or_fail(self, task_id: int) -> None:
         with self._lock:
@@ -421,6 +419,8 @@ class ServiceExecutor(Executor):
             with self._lock:
                 abandoned = list(self._tasks.values())
                 self._tasks.clear()
+                for process in self._workers.values():
+                    process.terminate()
             for task in abandoned:
                 task.future.cancel()
         with self._lock:
@@ -445,7 +445,6 @@ class ServiceExecutor(Executor):
         for mp_queue in (self._task_queue, self._result_queue):
             if mp_queue is not None:
                 mp_queue.close()
-                mp_queue.cancel_join_thread()
 
     def describe(self) -> str:
         mode = "inline" if self._inline else str(self.max_workers)

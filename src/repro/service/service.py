@@ -1,26 +1,29 @@
 """ExperimentService: cache + single-flight + executor, behind one object.
 
-This is the HTTP-free heart of ``rescq serve``: it takes an expanded
-:class:`~repro.exec.jobs.SimJob` plan and resolves every job to a future
-through three layers —
+This is the one job runner: batch runs (``rescq run/sweep/exp``, the
+analysis drivers, the benchmark harnesses) and ``rescq serve`` both hand it
+an expanded :class:`~repro.exec.jobs.SimJob` plan, and it resolves every job
+to a future through three layers —
 
 1. **single-flight** — an identical job already running (submitted by this
    or any concurrent request) is joined, not re-executed;
 2. **cache** — a finished identical job is returned straight from the
    :class:`~repro.exec.cache.DirectoryCache`;
-3. **executor** — everything else is fanned out over the work-stealing
-   :class:`~repro.service.executor.ServiceExecutor` and stored back into
-   the cache on completion.
+3. **execution** — everything else runs inline in the calling thread
+   (``executor=None``, the ``--jobs 1`` path) or is fanned out over the
+   work-stealing :class:`~repro.service.executor.ServiceExecutor`, and is
+   stored back into the cache on completion.
 
 The result: submitting the same :class:`~repro.api.spec.ExperimentSpec` N
 times — sequentially or concurrently — executes each unique simulation
-point exactly once.
+point exactly once.  :meth:`ExperimentService.run` returns a plan's results
+in plan order, whichever way the jobs ran.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -86,7 +89,13 @@ class ResolvedJob:
 
 
 class ExperimentService:
-    """Deduplicating, cache-backed job resolution for the experiment server."""
+    """Deduplicating, cache-backed job resolution for batch runs and serve.
+
+    With ``executor=None`` every job runs inline, in the thread that submits
+    it, and a job's own exception reaches the caller unchanged through its
+    future.  Used as a context manager, the service drains on a clean exit
+    and cancels queued work when the block raises.
+    """
 
     def __init__(self, executor: Optional[ServiceExecutor] = None,
                  cache: Optional[DirectoryCache] = None,
@@ -96,7 +105,7 @@ class ExperimentService:
             raise ValueError("max_pending must be >= 0")
         if retry_after <= 0:
             raise ValueError("retry_after must be positive")
-        self.executor = executor or ServiceExecutor()
+        self.executor = executor
         self.cache = cache
         #: Admission-control high-water mark on the pending-jobs gauge
         #: (``executor.queue_depth``: submitted-but-unfinished jobs).  A
@@ -135,7 +144,14 @@ class ExperimentService:
                                    future=flight)
         with self._stats_lock:
             self.stats.executed += 1
-        execution = self.executor.submit(job)
+        if self.executor is None:
+            execution: "Future" = Future()
+            try:
+                execution.set_result(job.run())
+            except Exception as exc:  # noqa: BLE001 - the caller gets it
+                execution.set_exception(exc)
+        else:
+            execution = self.executor.submit(job)
         execution.add_done_callback(
             lambda done, key=key: self._publish(key, done))
         return ResolvedJob(job=job, fingerprint=key, source="executed",
@@ -143,7 +159,7 @@ class ExperimentService:
 
     def _publish(self, key: str, done: "Future") -> None:
         """Store the leader's result (write-once) and release the flight."""
-        exc = done.exception()
+        exc = CancelledError() if done.cancelled() else done.exception()
         if exc is not None:
             with self._stats_lock:
                 self.stats.errors += 1
@@ -160,7 +176,7 @@ class ExperimentService:
     @property
     def pending_jobs(self) -> int:
         """The admission-control gauge: submitted-but-unfinished jobs."""
-        return self.executor.queue_depth
+        return 0 if self.executor is None else self.executor.queue_depth
 
     def admit(self, jobs: Sequence) -> None:
         """Raise :class:`AdmissionError` if the pending gauge is at the mark.
@@ -194,6 +210,11 @@ class ExperimentService:
             self.stats.jobs += len(jobs)
         return [self.resolve(job) for job in jobs]
 
+    def run(self, jobs: Sequence) -> List[object]:
+        """Resolve ``jobs`` and return their results in plan order."""
+        return [resolved.future.result()
+                for resolved in self.submit_plan(jobs)]
+
     # -- observability ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -209,7 +230,7 @@ class ExperimentService:
                 "rejected": self.stats.rejected,
             }
         stats["in_flight"] = len(self.singleflight)
-        stats["queue_depth"] = self.executor.queue_depth
+        stats["queue_depth"] = self.pending_jobs
         stats["max_pending"] = self.max_pending
         if self.cache is not None:
             cache_stats = self.cache.stats
@@ -237,8 +258,15 @@ class ExperimentService:
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self, drain: bool = True) -> None:
-        """Drain the executor."""
-        self.executor.shutdown(drain=drain)
+        """Drain the executor (``drain=False`` cancels queued work)."""
+        if self.executor is not None:
+            self.executor.shutdown(drain=drain)
+
+    def __enter__(self) -> "ExperimentService":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.shutdown(drain=exc_type is None)
 
     def describe(self) -> str:
         text = f"[service] {self.stats.describe()}"

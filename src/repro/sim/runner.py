@@ -1,7 +1,7 @@
 """Layout defaults and comparison-row aggregation for simulation results.
 
 Work is planned as :class:`~repro.exec.jobs.SimJob` lists and executed
-through an :class:`~repro.exec.engine.ExecutionEngine`; experiments are
+through an :class:`~repro.service.service.ExperimentService`; experiments are
 described declaratively with :class:`repro.api.ExperimentSpec` and run via
 :func:`repro.api.run_experiment`.
 """

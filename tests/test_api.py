@@ -23,7 +23,7 @@ from repro.api import (
     run_experiment,
 )
 from repro.api.axes import get_axis
-from repro.exec import ExecutionEngine, ParallelExecutor
+from repro.service import ExperimentService, ServiceExecutor
 from repro.scheduling import RescqScheduler
 from repro.sim import SimulationConfig
 from repro.sim.runner import aggregate_comparison
@@ -298,7 +298,7 @@ class TestResultSet:
     def test_comparison_rows_match_legacy_aggregation(self):
         spec = small_spec(seeds=2)
         jobs = spec.expand()
-        results = ExecutionEngine().run(jobs)
+        results = ExperimentService().run(jobs)
         legacy = aggregate_comparison(jobs, results)
         modern = ResultSet.from_jobs(jobs, results).comparison_rows()
         assert list(legacy) == list(modern)
@@ -355,19 +355,20 @@ class TestResultSet:
 class TestEngines:
     def test_build_engine_shapes(self, tmp_path):
         serial = build_engine()
-        assert serial.cache is None
+        assert serial.cache is None and serial.executor is None
         cached = build_engine(jobs=1, cache=str(tmp_path / "cache"))
         assert cached.cache is not None
-        parallel = build_engine(jobs=4)
-        assert isinstance(parallel.executor, ParallelExecutor)
+        with build_engine(jobs=4) as parallel:
+            assert isinstance(parallel.executor, ServiceExecutor)
+            assert parallel.executor.max_workers == 4
         with pytest.raises(ValueError):
             build_engine(jobs=-1)
 
     def test_parallel_run_matches_serial(self):
         spec = small_spec(seeds=2)
         serial = run_experiment(spec)
-        parallel = run_experiment(
-            spec, ExecutionEngine(executor=ParallelExecutor(max_workers=4)))
+        with build_engine(jobs=4) as engine:
+            parallel = run_experiment(spec, engine)
         assert [row.summary() for row in serial] == \
                [row.summary() for row in parallel]
 

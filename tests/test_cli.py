@@ -118,7 +118,10 @@ class TestExpCommand:
         first = capsys.readouterr().out
         assert main(["exp", spec, "--cache", cache]) == 0
         second = capsys.readouterr().out
-        assert "executed=0" in second
+        assert ("[exec] jobs=2 executed=2 cache_hits=0 hits=0 misses=2 "
+                "stores=2") in first.splitlines()
+        assert ("[exec] jobs=2 executed=0 cache_hits=2 hits=2 misses=0 "
+                "stores=0") in second.splitlines()
 
         def table(text):
             return [line for line in text.splitlines()

@@ -1,23 +1,20 @@
-"""Tests for the execution engine: jobs, executors, caching, determinism."""
+"""Tests for job execution: jobs, the inline and pooled runner, caching,
+determinism."""
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import time
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationConfig, default_layout
-from repro.exec import (
-    DirectoryCache,
-    ExecutionEngine,
-    ParallelExecutor,
-    SerialExecutor,
-    SimJob,
-    job_fingerprint,
-    plan_jobs,
-)
+from repro.api import ExperimentSpec, build_engine, run_experiment
+from repro.exec import DirectoryCache, SimJob, job_fingerprint, plan_jobs
 from repro.scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
+from repro.service import ExperimentService, ServiceExecutor
 from repro.sim import aggregate_comparison
 from repro.workloads import qft_circuit
 
@@ -29,6 +26,20 @@ def make_jobs(num_seeds=2, num_qubits=5):
     layout = default_layout(circuit)
     return plan_jobs([AutoBraidScheduler(), RescqScheduler()], circuit, FAST,
                      layout, num_seeds)
+
+
+class SleepJob:
+    """A distinct long job (picklable: workers import this module)."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def fingerprint(self):
+        return f"{self.key:064x}"
+
+    def run(self):
+        time.sleep(30)
+        return self.key
 
 
 def fingerprint_of(distance, mst_period, seed):
@@ -132,34 +143,50 @@ def pool():
         yield executor
 
 
+@pytest.fixture(scope="module")
+def pooled():
+    """The pooled runner: two spawned workers, shut down after the module."""
+    with ExperimentService(executor=ServiceExecutor(
+            max_workers=2, poll_interval=0.01)) as service:
+        yield service
+
+
+def new_children(before):
+    return [process for process in multiprocessing.active_children()
+            if process not in before]
+
+
 class TestExecutors:
     def test_serial_preserves_job_order(self):
         jobs = make_jobs()
-        results = SerialExecutor().run_jobs(jobs)
+        results = ExperimentService().run(jobs)
         assert [(r.scheduler, r.seed) for r in results] == [
             (job.scheduler_name, job.seed) for job in jobs]
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, pooled):
         """The headline guarantee: same jobs -> identical results."""
         jobs = make_jobs(num_seeds=2)
-        serial = SerialExecutor().run_jobs(jobs)
-        parallel = ParallelExecutor(max_workers=2,
-                                    chunksize=1).run_jobs(jobs)
-        assert serial == parallel
+        assert ExperimentService().run(jobs) == pooled.run(jobs)
 
-    def test_parallel_single_worker_runs_inline(self):
-        jobs = make_jobs(num_seeds=1)
-        assert (ParallelExecutor(max_workers=1).run_jobs(jobs)
-                == SerialExecutor().run_jobs(jobs))
+    def test_parallel_empty_job_list(self, pooled):
+        assert ExperimentService().run([]) == []
+        assert pooled.run([]) == []
 
-    def test_parallel_empty_job_list(self):
-        assert ParallelExecutor(max_workers=2).run_jobs([]) == []
+    def test_inline_run_raises_the_jobs_own_exception(self):
+        circuit = qft_circuit(6)
+        jobs = plan_jobs([GreedyScheduler()], circuit,
+                         FAST.with_updates(max_cycles=20),
+                         default_layout(circuit), 1)
+        with pytest.raises(RuntimeError, match="max_cycles=20") as info:
+            ExperimentService().run(jobs)
+        assert type(info.value) is RuntimeError
 
-    def test_parallel_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunksize=0)
+    def test_run_experiment_raises_the_jobs_own_exception(self):
+        spec = ExperimentSpec(benchmarks=("VQE_n13",), schedulers=("greedy",),
+                              config={"max_cycles": 20}, seeds=1)
+        with pytest.raises(RuntimeError, match="max_cycles=20") as info:
+            run_experiment(spec)
+        assert type(info.value) is RuntimeError
 
 
 class TestResultCache:
@@ -201,7 +228,7 @@ class TestResultCache:
 class TestExecutionEngine:
     def test_results_in_job_order(self):
         jobs = make_jobs()
-        engine = ExecutionEngine()
+        engine = ExperimentService()
         results = engine.run(jobs)
         assert [(r.scheduler, r.seed) for r in results] == [
             (job.scheduler_name, job.seed) for job in jobs]
@@ -209,9 +236,9 @@ class TestExecutionEngine:
 
     def test_second_run_is_fully_cached(self, tmp_path):
         jobs = make_jobs()
-        first_engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
+        first_engine = ExperimentService(cache=DirectoryCache(tmp_path))
         first = first_engine.run(jobs)
-        second_engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
+        second_engine = ExperimentService(cache=DirectoryCache(tmp_path))
         second = second_engine.run(make_jobs())
         assert second == first
         assert second_engine.stats.executed == 0
@@ -221,69 +248,79 @@ class TestExecutionEngine:
         cache = DirectoryCache(tmp_path)
         jobs = make_jobs(num_seeds=2)
         cache.put(jobs[0].fingerprint(), jobs[0].run())
-        engine = ExecutionEngine(cache=cache)
+        engine = ExperimentService(cache=cache)
         results = engine.run(jobs)
         assert engine.stats.cache_hits == 1
         assert engine.stats.executed == len(jobs) - 1
-        assert results == SerialExecutor().run_jobs(jobs)
+        assert results == ExperimentService().run(jobs)
 
     def test_parallel_cached_engine_matches_serial_uncached(self, tmp_path):
         jobs = make_jobs(num_seeds=2)
-        reference = ExecutionEngine().run(jobs)
-        fancy = ExecutionEngine(
-            executor=ParallelExecutor(max_workers=2),
-            cache=DirectoryCache(tmp_path))
-        assert fancy.run(make_jobs(num_seeds=2)) == reference
-        # And again, now entirely from cache.
-        assert fancy.run(make_jobs(num_seeds=2)) == reference
+        reference = ExperimentService().run(jobs)
+        with ExperimentService(
+                executor=ServiceExecutor(max_workers=2, poll_interval=0.01),
+                cache=DirectoryCache(tmp_path)) as fancy:
+            assert fancy.run(make_jobs(num_seeds=2)) == reference
+            # And again, now entirely from cache.
+            assert fancy.run(make_jobs(num_seeds=2)) == reference
         assert fancy.stats.executed == len(jobs)
 
-    def test_describe_reports_counters(self, tmp_path):
-        engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
-        engine.run(make_jobs(num_seeds=1))
-        text = engine.describe()
-        assert text.startswith("[exec] jobs=2 executed=2 cache_hits=0")
-        assert "stores=2" in text
+    def test_with_block_leaves_no_worker_alive(self):
+        before = multiprocessing.active_children()
+        with build_engine(jobs=2) as engine:
+            engine.run(make_jobs(num_seeds=1))
+            assert len(new_children(before)) == 2
+        assert new_children(before) == []
+
+    def test_exception_in_with_block_cancels_queued_work(self):
+        before = multiprocessing.active_children()
+        started = time.monotonic()
+        with pytest.raises(KeyError, match="stop"):
+            with build_engine(jobs=2) as engine:
+                resolved = engine.submit_plan([SleepJob(key)
+                                               for key in range(4)])
+                raise KeyError("stop")
+        assert time.monotonic() - started < 10
+        for item in resolved:
+            with pytest.raises(CancelledError):
+                item.future.result(timeout=5)
+        assert new_children(before) == []
 
 
 class TestRunnerIntegration:
-    def test_engine_choice_does_not_change_results(self):
+    def test_engine_choice_does_not_change_results(self, pooled):
         circuit = qft_circuit(5)
         jobs = plan_jobs([RescqScheduler()], circuit, FAST,
                          default_layout(circuit), 2)
-        default = ExecutionEngine().run(jobs)
-        engineered = ExecutionEngine(
-            executor=ParallelExecutor(max_workers=2)).run(jobs)
-        assert default == engineered
+        assert ExperimentService().run(jobs) == pooled.run(jobs)
 
     def test_comparison_rows_sorted_by_name(self):
         circuit = qft_circuit(5)
         jobs = plan_jobs(
             [RescqScheduler(), GreedyScheduler(), AutoBraidScheduler()],
             circuit, FAST, default_layout(circuit), 1)
-        rows = aggregate_comparison(jobs, ExecutionEngine().run(jobs))
+        rows = aggregate_comparison(jobs, ExperimentService().run(jobs))
         assert list(rows) == ["autobraid", "greedy", "rescq"]
 
     def test_comparison_results_sorted_by_seed(self):
         circuit = qft_circuit(5)
         jobs = plan_jobs([RescqScheduler()], circuit, FAST,
                          default_layout(circuit), [2, 0, 1])
-        rows = aggregate_comparison(jobs, ExecutionEngine().run(jobs))
+        rows = aggregate_comparison(jobs, ExperimentService().run(jobs))
         assert [r.seed for r in rows["rescq"].results] == [0, 1, 2]
 
-    def test_comparison_identical_across_engines(self, tmp_path):
+    def test_comparison_identical_across_engines(self, pooled, tmp_path):
         circuit = qft_circuit(5)
         jobs = plan_jobs([AutoBraidScheduler(), RescqScheduler()], circuit,
                          FAST, default_layout(circuit), 2)
 
         def run(engine=None):
-            engine = engine or ExecutionEngine()
+            engine = engine or ExperimentService()
             return aggregate_comparison(jobs, engine.run(jobs))
 
         reference = run()
-        parallel = run(ExecutionEngine(
-            executor=ParallelExecutor(max_workers=2)))
-        cached_engine = ExecutionEngine(cache=DirectoryCache(tmp_path))
+        parallel = run(pooled)
+        cached_engine = ExperimentService(cache=DirectoryCache(tmp_path))
         run(cached_engine)          # populate
         cached = run(cached_engine)  # replay
         for rows in (parallel, cached):

@@ -4,8 +4,9 @@
 from repro import SimulationConfig, default_layout, geometric_mean
 from repro.analysis import run_execution_comparison
 from repro.circuits import from_artifact_format, to_artifact_format
-from repro.exec import ExecutionEngine, plan_jobs
+from repro.exec import plan_jobs
 from repro.scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
+from repro.service import ExperimentService
 from repro.sim import aggregate_comparison
 from repro.workloads import (
     get_benchmark,
@@ -26,7 +27,7 @@ class TestEndToEnd:
         jobs = plan_jobs(
             [GreedyScheduler(), AutoBraidScheduler(), RescqScheduler()],
             circuit, FAST, default_layout(circuit), 2)
-        rows = aggregate_comparison(jobs, ExecutionEngine().run(jobs))
+        rows = aggregate_comparison(jobs, ExperimentService().run(jobs))
         assert rows["rescq"].mean_cycles < rows["greedy"].mean_cycles
         assert rows["rescq"].mean_cycles < rows["autobraid"].mean_cycles
 

@@ -8,7 +8,8 @@ from repro import SimulationConfig, default_layout
 from repro.circuits import Circuit
 from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
-from repro.exec import ExecutionEngine, plan_jobs
+from repro.exec import plan_jobs
+from repro.service import ExperimentService
 from repro.workloads import dnn_circuit, ising_circuit, qft_circuit
 
 
@@ -182,7 +183,7 @@ class TestRescqScheduler:
     def test_planned_jobs_multiple_seeds(self, qft6):
         jobs = plan_jobs([RescqScheduler()], qft6, CONFIG,
                          default_layout(qft6), 3)
-        results = ExecutionEngine().run(jobs)
+        results = ExperimentService().run(jobs)
         assert len(results) == 3
         assert len({r.seed for r in results}) == 3
 

@@ -11,6 +11,9 @@ import asyncio
 import http.client
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -41,6 +44,9 @@ class EchoJob:
 
     def __init__(self, value):
         self.value = value
+
+    def fingerprint(self):
+        return f"echo-{self.value}"
 
     def run(self):
         return self.value
@@ -138,7 +144,8 @@ class TestServiceExecutor:
 
     def test_run_jobs_preserves_order(self, pool):
         values = list(range(10))
-        assert pool.run_jobs([EchoJob(v) for v in values]) == values
+        service = ExperimentService(executor=pool)
+        assert service.run([EchoJob(v) for v in values]) == values
 
     def test_work_stealing_outruns_head_of_line_blocking(self, pool):
         """A slow job on one worker must not strand queued fast jobs."""
@@ -154,7 +161,7 @@ class TestServiceExecutor:
 
     def test_real_simulation_jobs_round_trip(self, pool):
         jobs = make_jobs(seeds=2)
-        results = pool.run_jobs(jobs)
+        results = ExperimentService(executor=pool).run(jobs)
         assert [r.seed for r in results] == [0, 1]
         assert results == [job.run() for job in jobs]
 
@@ -196,6 +203,86 @@ class TestServiceExecutor:
 
     def test_describe_names_worker_count(self, pool):
         assert pool.describe() == "service[2]"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def run_script(tmp_path, source, timeout):
+    """Run ``source`` as a script in a fresh interpreter that imports repro."""
+    script = tmp_path / "script.py"
+    script.write_text(textwrap.dedent(source))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+class TestWorkerStartFailures:
+    def test_unclosed_executor_exits_after_pool_collapse(self, tmp_path):
+        """Large tasks stranded in the queue must not hang interpreter exit
+        when every worker died and nobody shut the executor down."""
+        done = run_script(tmp_path, """
+            import os
+            if __name__ == "__mp_main__":
+                os._exit(1)  # every spawned worker dies at start-up
+            from repro.service import ServiceExecutor, WorkerCrashError
+
+            class BigJob:
+                def __init__(self):
+                    self.payload = b"x" * 200_000
+
+                def run(self):
+                    return len(self.payload)
+
+            if __name__ == "__main__":
+                executor = ServiceExecutor(max_workers=1, poll_interval=0.01)
+                for future in [executor.submit(BigJob()) for _ in range(3)]:
+                    try:
+                        future.result(timeout=60)
+                    except WorkerCrashError:
+                        print("crashed")
+            """, timeout=45)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["crashed"] * 3
+
+    def test_guardless_script_fails_naming_main(self, tmp_path):
+        done = run_script(tmp_path, """
+            from repro.api import build_engine
+            from repro.exec import plan_jobs
+            from repro.scheduling import RescqScheduler
+            from repro.sim import SimulationConfig, default_layout
+            from repro.workloads import qft_circuit
+
+            circuit = qft_circuit(3)
+            jobs = plan_jobs([RescqScheduler()], circuit, SimulationConfig(),
+                             default_layout(circuit), 2)
+            build_engine(jobs=2).run(jobs)
+            """, timeout=90)
+        assert done.returncode != 0
+        crash = [line for line in done.stderr.splitlines()
+                 if line.startswith("repro.service.executor.WorkerCrashError")]
+        assert crash and "__name__ == \"__main__\"" in crash[-1], done.stderr
+        assert "PYTHONPATH" in crash[-1]
+
+
+@pytest.mark.parametrize("modules", [
+    ("repro.api", "repro.service"),
+    ("repro.service", "repro.api"),
+    ("repro.analysis",),
+    ("repro.cli",),
+])
+def test_fresh_interpreter_imports(tmp_path, modules):
+    imports = "".join(f"import {name}\n" for name in modules)
+    done = run_script(tmp_path, imports + """
+from repro.api import build_engine, run_experiment
+from repro.service import ExperimentServer, ExperimentService
+assert isinstance(build_engine(), ExperimentService)
+""", timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestExperimentService:

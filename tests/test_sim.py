@@ -3,9 +3,10 @@
 import pytest
 
 from repro import SimulationConfig, default_layout
-from repro.exec import ExecutionEngine, plan_jobs
+from repro.exec import plan_jobs
 from repro.rus import InjectionStrategy
 from repro.scheduling import AutoBraidScheduler, RescqScheduler
+from repro.service import ExperimentService
 from repro.sim import (
     GateTrace,
     SimulationResult,
@@ -125,7 +126,7 @@ class TestRunner:
         config = SimulationConfig(mst_period=10, mst_latency=10)
         jobs = plan_jobs([AutoBraidScheduler(), RescqScheduler()], circuit,
                          config, default_layout(circuit), seeds)
-        return aggregate_comparison(jobs, ExecutionEngine().run(jobs))
+        return aggregate_comparison(jobs, ExperimentService().run(jobs))
 
     def test_comparison_shares_layout_and_seeds(self):
         rows = self._comparison(seeds=2)
