@@ -25,8 +25,13 @@ price is start-up: each worker imports repro, numpy and networkx afresh
 (about 1 s per pool), and re-imports the main module, so a script that
 starts workers must do so under an ``if __name__ == "__main__":`` guard.
 
-Platforms that cannot spawn processes fall back to inline execution with a
-warning.
+No failure leaves a future pending.  If :meth:`ServiceExecutor.start`
+cannot spawn the workers it terminates any that did start and raises
+``RuntimeError`` (``--jobs 1`` runs batch commands inline).  Once no worker
+is left and the respawn budget is spent the pool is *collapsed* for good:
+every pending job, and every job submitted later, fails at once with the
+same :class:`WorkerCrashError`, and ``/healthz`` answers 503.  A future its
+caller cancelled is skipped when its job finishes.
 """
 
 from __future__ import annotations
@@ -36,9 +41,8 @@ import os
 import queue
 import threading
 import traceback
-import warnings
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic
 from typing import Dict, Optional
 
@@ -60,6 +64,23 @@ class WorkerCrashError(RuntimeError):
 
 _START_METHOD = "spawn"  # never fork: see the module docstring
 
+COLLAPSE_MESSAGE = (
+    "worker pool collapsed: every worker died and the respawn budget is "
+    "spent.  Spawned workers re-import the main module, so a script must "
+    "start them under an 'if __name__ == \"__main__\":' guard; workers must "
+    "also be able to import repro (install the package or set PYTHONPATH)")
+
+
+def _settle(future: "Future", result=None,
+            error: Optional[BaseException] = None) -> None:
+    """Complete ``future``, unless its caller already cancelled it."""
+    if not future.set_running_or_notify_cancel():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+
 
 def _worker_main(task_queue, result_queue, claim_conn, worker_id: int) -> None:
     """Worker loop: steal the next task, run it, report back.
@@ -73,7 +94,6 @@ def _worker_main(task_queue, result_queue, claim_conn, worker_id: int) -> None:
     while True:
         item = task_queue.get()
         if item is None:
-            result_queue.put(("exit", worker_id, None, None))
             return
         task_id, job = item
         claim_conn.send(task_id)
@@ -81,9 +101,9 @@ def _worker_main(task_queue, result_queue, claim_conn, worker_id: int) -> None:
             result = job.run()
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             detail = (type(exc).__name__, str(exc), traceback.format_exc())
-            result_queue.put(("error", worker_id, task_id, detail))
+            result_queue.put(("error", task_id, detail))
         else:
-            result_queue.put(("done", worker_id, task_id, result))
+            result_queue.put(("done", task_id, result))
 
 
 @dataclass
@@ -94,7 +114,6 @@ class _Task:
     started_at: Optional[float] = None
     worker_id: Optional[int] = None
     timed_out: bool = False
-    detail: str = field(default="")
 
 
 class ServiceExecutor:
@@ -140,8 +159,8 @@ class ServiceExecutor:
         self._next_task_id = 0
         self._next_worker_id = 0
         self._started = False
-        self._inline = False
         self._closed = False
+        self._collapsed = False
         self._stop = threading.Event()
         self._task_queue = None
         self._result_queue = None
@@ -169,13 +188,11 @@ class ServiceExecutor:
     def start(self) -> None:
         """Start the worker pool eagerly (e.g. before accepting traffic).
 
-        Idempotent; :meth:`submit` calls it lazily otherwise.
+        Idempotent; :meth:`submit` calls it lazily otherwise.  Raises
+        ``RuntimeError`` if the worker processes cannot be spawned.
         """
-        self._ensure_started()
-
-    def _ensure_started(self) -> None:
         with self._lock:
-            if self._started or self._inline:
+            if self._started:
                 return
             try:
                 self._task_queue = self._ctx.Queue()
@@ -187,22 +204,14 @@ class ServiceExecutor:
                     mp_queue.cancel_join_thread()
                 for _ in range(self.max_workers):
                     self._spawn_worker_locked()
-            except (OSError, PermissionError) as exc:
-                warnings.warn(
-                    f"ServiceExecutor could not start worker processes "
-                    f"({exc}); falling back to inline execution (no "
-                    f"timeouts, no crash isolation)", RuntimeWarning,
-                    stacklevel=3)
+            except OSError as exc:
                 for process in self._workers.values():
-                    try:
-                        process.terminate()
-                    except OSError:
-                        pass
-                self._workers.clear()
-                for worker_id in list(self._claims):
-                    self._close_claim(worker_id)
-                self._inline = True
-                return
+                    process.terminate()
+                self._reap_workers()
+                raise RuntimeError(
+                    f"ServiceExecutor could not start its worker processes "
+                    f"({exc}); use --jobs 1 to run batch commands inline, "
+                    f"without a worker pool") from exc
             self._collector = threading.Thread(
                 target=self._collect, name="rescq-service-collector",
                 daemon=True)
@@ -212,26 +221,33 @@ class ServiceExecutor:
     # -- submission ------------------------------------------------------------
 
     def submit(self, job) -> "Future":
-        """Enqueue ``job`` (anything with a picklable ``run()``); return its future."""
+        """Enqueue ``job`` (anything with a picklable ``run()``); return its future.
+
+        On a collapsed pool the future has already failed with
+        :class:`WorkerCrashError`.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("ServiceExecutor is shut down")
-        self._ensure_started()
+        self.start()
         future: "Future" = Future()
-        if self._inline:
-            try:
-                result = job.run()
-            except BaseException as exc:  # noqa: BLE001
-                future.set_exception(JobFailedError(str(exc)))
-            else:
-                future.set_result(result)
-            return future
         with self._lock:
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            self._tasks[task_id] = _Task(job=job, future=future)
-        self._task_queue.put((task_id, job))
+            collapsed = self._collapsed
+            if not collapsed:
+                task_id = self._next_task_id
+                self._next_task_id += 1
+                self._tasks[task_id] = _Task(job=job, future=future)
+        if collapsed:
+            _settle(future, error=WorkerCrashError(COLLAPSE_MESSAGE))
+        else:
+            self._task_queue.put((task_id, job))
         return future
+
+    @property
+    def collapsed(self) -> bool:
+        """No worker is left and the respawn budget is spent (for good)."""
+        with self._lock:
+            return self._collapsed
 
     @property
     def queue_depth(self) -> int:
@@ -274,35 +290,26 @@ class ServiceExecutor:
                 pass
 
     def _drain_results(self) -> None:
-        try:
-            message = self._result_queue.get(timeout=self.poll_interval)
-        except (queue.Empty, OSError, EOFError):
-            return
+        timeout = self.poll_interval  # wait for the first message only
         while True:
-            self._handle_message(message)
             try:
-                message = self._result_queue.get_nowait()
+                message = self._result_queue.get(timeout=timeout)
             except (queue.Empty, OSError, EOFError):
                 return
+            self._handle_message(message)
+            timeout = 0
 
     def _handle_message(self, message) -> None:
-        kind, worker_id, task_id, payload = message
-        if kind == "exit":
-            with self._lock:
-                self._workers.pop(worker_id, None)
-            self._close_claim(worker_id)
-            return
+        kind, task_id, payload = message
         with self._lock:
-            task = self._tasks.get(task_id)
+            task = self._tasks.pop(task_id, None)
         if task is None:
             return
-        with self._lock:
-            self._tasks.pop(task_id, None)
         if kind == "done":
-            task.future.set_result(payload)
-        elif kind == "error":
+            _settle(task.future, payload)
+        else:
             name, text, trace = payload
-            task.future.set_exception(JobFailedError(
+            _settle(task.future, error=JobFailedError(
                 f"job raised {name}: {text}\n{trace}"))
 
     def _check_timeouts(self) -> None:
@@ -321,11 +328,10 @@ class ServiceExecutor:
 
     def _check_workers(self) -> None:
         with self._lock:
-            dead = [(worker_id, process)
-                    for worker_id, process in self._workers.items()
+            dead = [worker_id for worker_id, process in self._workers.items()
                     if not process.is_alive()]
-            for worker_id, _process in dead:
-                self._workers.pop(worker_id, None)
+            for worker_id in dead:
+                del self._workers[worker_id]
         if not dead:
             return
         # A killed worker may have flushed its final message just before
@@ -333,59 +339,52 @@ class ServiceExecutor:
         # task lost.
         self._drain_claims()
         self._drain_results()
-        for worker_id, _process in dead:
+        for worker_id in dead:
             self._close_claim(worker_id)
             with self._lock:
                 orphans = [task_id for task_id, task in self._tasks.items()
-                           if task.worker_id == worker_id
-                           and task.started_at is not None]
+                           if task.worker_id == worker_id]
             for task_id in orphans:
                 self._requeue_or_fail(task_id)
             with self._lock:
-                if (not self._closed and not self._stop.is_set()
-                        and self._respawn_budget > 0):
+                # A draining pool still owes its queued jobs a worker.
+                if (self._respawn_budget > 0 and not self._stop.is_set()
+                        and (not self._closed or self._tasks)):
                     self._respawn_budget -= 1
-                    self._spawn_worker_locked()
+                    try:
+                        self._spawn_worker_locked()
+                    except OSError:  # cannot respawn: let the pool collapse
+                        self._respawn_budget = 0
         with self._lock:
             if self._workers or self._respawn_budget > 0:
                 return
-            stranded = list(self._tasks.items())
+            self._collapsed = True
+            stranded = list(self._tasks.values())
             self._tasks.clear()
-        for _task_id, task in stranded:
-            task.future.set_exception(WorkerCrashError(
-                "worker pool collapsed: every worker died and the respawn "
-                "budget is spent.  Spawned workers re-import the main "
-                "module, so a script must start them under an "
-                "'if __name__ == \"__main__\":' guard; workers must also be "
-                "able to import repro (install the package or set "
-                "PYTHONPATH)"))
+        for task in stranded:
+            _settle(task.future, error=WorkerCrashError(COLLAPSE_MESSAGE))
 
     def _requeue_or_fail(self, task_id: int) -> None:
         with self._lock:
-            task = self._tasks.get(task_id)
+            task = self._tasks.pop(task_id, None)
             if task is None:
                 return
-            if task.timed_out:
-                self._tasks.pop(task_id, None)
-                fail: Optional[BaseException] = JobTimeoutError(
-                    f"job exceeded the {self.job_timeout}s per-job timeout "
-                    f"and its worker was terminated")
-            else:
-                task.attempts += 1
-                if task.attempts < self.max_attempts:
-                    task.worker_id = None
-                    task.started_at = None
-                    fail = None
-                else:
-                    self._tasks.pop(task_id, None)
-                    fail = WorkerCrashError(
-                        f"worker process died while running the job "
-                        f"({task.attempts} attempt(s), budget "
-                        f"{self.max_attempts})")
-        if fail is not None:
-            task.future.set_exception(fail)
-        else:
+            task.attempts += 1
+            retry = (not task.timed_out and not task.future.cancelled()
+                     and task.attempts < self.max_attempts)
+            if retry:
+                task.worker_id = task.started_at = None
+                self._tasks[task_id] = task
+        if retry:
             self._task_queue.put((task_id, task.job))
+        elif task.timed_out:
+            _settle(task.future, error=JobTimeoutError(
+                f"job exceeded the {self.job_timeout}s per-job timeout "
+                f"and its worker was terminated"))
+        else:
+            _settle(task.future, error=WorkerCrashError(
+                f"worker process died while running the job "
+                f"({task.attempts} attempt(s), budget {self.max_attempts})"))
 
     # -- shutdown --------------------------------------------------------------
 
@@ -395,8 +394,8 @@ class ServiceExecutor:
 
         With ``drain=True`` (the default) intake closes, every in-flight and
         queued job finishes, and the workers exit cleanly.  With
-        ``drain=False`` pending futures are cancelled and workers are
-        terminated immediately.
+        ``drain=False``, or once a drain has waited ``timeout`` seconds, the
+        pending futures are cancelled and the workers terminated.
         """
         with self._lock:
             if self._closed:
@@ -405,50 +404,43 @@ class ServiceExecutor:
             started = self._started
         if not started:
             return
-        if drain:
-            deadline = None if timeout is None else monotonic() + timeout
-            while True:
-                with self._lock:
-                    pending = len(self._tasks)
-                if not pending:
-                    break
-                if deadline is not None and monotonic() > deadline:
-                    break
-                self._stop.wait(self.poll_interval)
-        else:
-            with self._lock:
-                abandoned = list(self._tasks.values())
-                self._tasks.clear()
-                for process in self._workers.values():
-                    process.terminate()
-            for task in abandoned:
-                task.future.cancel()
+        deadline = None if timeout is None else monotonic() + timeout
+        while drain and self.queue_depth and (
+                deadline is None or monotonic() < deadline):
+            self._stop.wait(self.poll_interval)
         with self._lock:
+            abandoned = list(self._tasks.values())
+            self._tasks.clear()
             workers = list(self._workers.values())
-        for _ in workers:
-            try:
-                self._task_queue.put(None)
-            except (OSError, ValueError):
-                pass
+        for task in abandoned:
+            task.future.cancel()
         for process in workers:
-            process.join(timeout=1.0)
+            if drain and not abandoned:
+                self._task_queue.put(None)
+            else:
+                process.terminate()
         self._stop.set()
         if self._collector is not None:
             self._collector.join(timeout=2.0)
+        self._reap_workers()
+        for mp_queue in (self._task_queue, self._result_queue):
+            mp_queue.close()
+
+    def _reap_workers(self) -> None:
+        """Join (terminating if need be) every listed worker; close its pipe."""
         with self._lock:
-            for process in self._workers.values():
-                if process.is_alive():
-                    process.terminate()
+            workers = list(self._workers.values())
             self._workers.clear()
+        for process in workers:
+            process.join(timeout=1.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=1.0)
         for worker_id in list(self._claims):
             self._close_claim(worker_id)
-        for mp_queue in (self._task_queue, self._result_queue):
-            if mp_queue is not None:
-                mp_queue.close()
 
     def describe(self) -> str:
-        mode = "inline" if self._inline else str(self.max_workers)
-        return f"service[{mode}]"
+        return f"service[{self.max_workers}]"
 
     def __enter__(self) -> "ServiceExecutor":
         return self

@@ -18,7 +18,9 @@ cluster's :class:`~repro.cluster.router.ShardRouter`.  Routes:
     submission is refused with ``429`` + ``Retry-After`` before any job is
     queued.
 ``GET /healthz``
-    Liveness: ``{"status": "ok"}``.
+    Liveness: ``200 {"status": "ok"}``, or ``503 {"status": "collapsed",
+    ...}`` once the worker pool has collapsed for good, so the router's
+    membership probe marks the shard DEAD and moves its keys elsewhere.
 ``GET /stats``
     The service's cumulative counters, in-flight table size, executor queue
     depth, and admission mark.
@@ -39,6 +41,7 @@ from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
 from ..api.resultset import ResultRow
 from .httpcore import (HttpError, read_request, send_head, send_json,
                        send_line)
+from .executor import COLLAPSE_MESSAGE
 from .service import AdmissionError, ExperimentService
 
 __all__ = ["ExperimentServer"]
@@ -128,7 +131,11 @@ class ExperimentServer:
         if path == "/healthz":
             if method != "GET":
                 raise HttpError(405, "use GET for /healthz")
-            await send_json(writer, 200, {"status": "ok"})
+            if self.service.executor.collapsed:
+                await send_json(writer, 503, {"status": "collapsed",
+                                              "error": COLLAPSE_MESSAGE})
+            else:
+                await send_json(writer, 200, {"status": "ok"})
         elif path == "/stats":
             if method != "GET":
                 raise HttpError(405, "use GET for /stats")

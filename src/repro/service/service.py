@@ -23,9 +23,10 @@ in plan order, whichever way the jobs ran.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from concurrent.futures import CancelledError, Future
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..api.envelope import JobStatus
 from ..exec.cache import DirectoryCache
@@ -93,8 +94,9 @@ class ExperimentService:
 
     With ``executor=None`` every job runs inline, in the thread that submits
     it, and a job's own exception reaches the caller unchanged through its
-    future.  Used as a context manager, the service drains on a clean exit
-    and cancels queued work when the block raises.
+    future; :meth:`run` then stops at the first failing job.  Used as a
+    context manager, the service drains on a clean exit and cancels queued
+    work when the block raises.
     """
 
     def __init__(self, executor: Optional[ServiceExecutor] = None,
@@ -151,7 +153,11 @@ class ExperimentService:
             except Exception as exc:  # noqa: BLE001 - the caller gets it
                 execution.set_exception(exc)
         else:
-            execution = self.executor.submit(job)
+            try:
+                execution = self.executor.submit(job)
+            except RuntimeError as exc:  # shut down, or workers cannot spawn
+                self.singleflight.fail(key, exc)
+                raise
         execution.add_done_callback(
             lambda done, key=key: self._publish(key, done))
         return ResolvedJob(job=job, fingerprint=key, source="executed",
@@ -203,32 +209,33 @@ class ExperimentService:
         Raises :class:`AdmissionError` (without resolving anything) when the
         pending-jobs gauge is at the high-water mark.
         """
+        return list(self._resolve_plan(jobs))
+
+    def _resolve_plan(self, jobs: Sequence) -> Iterator[ResolvedJob]:
         with self._stats_lock:
             self.stats.requests += 1
         self.admit(jobs)
         with self._stats_lock:
             self.stats.jobs += len(jobs)
-        return [self.resolve(job) for job in jobs]
+        for job in jobs:
+            yield self.resolve(job)
 
     def run(self, jobs: Sequence) -> List[object]:
-        """Resolve ``jobs`` and return their results in plan order."""
-        return [resolved.future.result()
-                for resolved in self.submit_plan(jobs)]
+        """Resolve ``jobs`` and return their results in plan order.
+
+        Inline, each job runs only once the one before it has succeeded, so
+        the first failing job stops the plan and its exception is raised.
+        """
+        plan = (self._resolve_plan(jobs) if self.executor is None
+                else self.submit_plan(jobs))
+        return [item.future.result() for item in plan]
 
     # -- observability ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time stats for the ``/stats`` endpoint."""
         with self._stats_lock:
-            stats = {
-                "requests": self.stats.requests,
-                "jobs": self.stats.jobs,
-                "executed": self.stats.executed,
-                "cache_hits": self.stats.cache_hits,
-                "deduped": self.stats.deduped,
-                "errors": self.stats.errors,
-                "rejected": self.stats.rejected,
-            }
+            stats: Dict[str, object] = asdict(self.stats)
         stats["in_flight"] = len(self.singleflight)
         stats["queue_depth"] = self.pending_jobs
         stats["max_pending"] = self.max_pending
@@ -244,16 +251,9 @@ class ExperimentService:
     def counts_for(self, resolved: Sequence[ResolvedJob]
                    ) -> Dict[str, int]:
         """Per-request summary counts (the trailing NDJSON summary record)."""
-        counts = {"jobs": len(resolved), "executed": 0, "cache_hits": 0,
-                  "deduped": 0}
-        for item in resolved:
-            if item.source == "executed":
-                counts["executed"] += 1
-            elif item.source == "cache":
-                counts["cache_hits"] += 1
-            else:
-                counts["deduped"] += 1
-        return counts
+        sources = Counter(item.source for item in resolved)
+        return {"jobs": len(resolved), "executed": sources["executed"],
+                "cache_hits": sources["cache"], "deduped": sources["deduped"]}
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -188,6 +188,15 @@ class TestExecutors:
             run_experiment(spec)
         assert type(info.value) is RuntimeError
 
+    def test_inline_run_stops_at_the_first_failing_job(self):
+        spec = ExperimentSpec(benchmarks=("VQE_n13",),
+                              schedulers=("greedy", "rescq"),
+                              config={"max_cycles": 20}, seeds=3)
+        engine = ExperimentService()
+        with pytest.raises(RuntimeError, match="max_cycles=20"):
+            run_experiment(spec, engine=engine)
+        assert engine.stats.executed == 1
+
 
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):

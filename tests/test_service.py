@@ -8,8 +8,10 @@ on a loopback socket in a background thread and drive it with
 """
 
 import asyncio
+import contextlib
 import http.client
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -204,6 +206,33 @@ class TestServiceExecutor:
     def test_describe_names_worker_count(self, pool):
         assert pool.describe() == "service[2]"
 
+    def test_drain_replaces_a_worker_that_dies_mid_drain(self):
+        executor = ServiceExecutor(max_workers=1, poll_interval=0.01)
+        crash, echo = executor.submit(CrashJob()), executor.submit(EchoJob(5))
+        drain = threading.Thread(target=executor.shutdown, daemon=True)
+        drain.start()
+        drain.join(timeout=30)
+        assert not drain.is_alive(), "drain hung after its last worker died"
+        with pytest.raises(WorkerCrashError):
+            crash.result(timeout=1)
+        assert echo.result(timeout=1) == 5
+
+    def test_cancelled_future_leaves_the_pool_serving(self):
+        executor = ServiceExecutor(max_workers=1, poll_interval=0.01)
+        try:
+            assert executor.submit(SleepJob(0.5)).cancel()
+            assert executor.submit(EchoJob(7)).result(timeout=10) == 7
+            assert executor.queue_depth == 0
+        finally:
+            executor.shutdown(drain=False)
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.01)
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -245,9 +274,33 @@ class TestWorkerStartFailures:
                         future.result(timeout=60)
                     except WorkerCrashError:
                         print("crashed")
+                # The collapsed pool fails later work at once.
+                try:
+                    executor.submit(BigJob()).result(timeout=5)
+                except WorkerCrashError:
+                    print("crashed")
             """, timeout=45)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["crashed"] * 3
+        assert done.stdout.split() == ["crashed"] * 4
+
+    def test_spawn_failure_raises_naming_jobs_1(self, monkeypatch):
+        process_class = multiprocessing.get_context("spawn").Process
+        real_start = process_class.start
+        started = []
+
+        def start_one_then_fail(process):
+            if started:
+                raise OSError("cannot fork: resource temporarily unavailable")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(process_class, "start", start_one_then_fail)
+        executor = ServiceExecutor(max_workers=2, poll_interval=0.01)
+        with pytest.raises(RuntimeError, match="--jobs 1") as info:
+            executor.submit(EchoJob(1))
+        assert "resource temporarily unavailable" in str(info.value)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert started[0] not in multiprocessing.active_children()
 
     def test_guardless_script_fails_naming_main(self, tmp_path):
         done = run_script(tmp_path, """
@@ -329,6 +382,14 @@ class TestExperimentService:
         replay = service.submit_plan(make_jobs(seeds=3, mst_period=13))
         assert service.counts_for(replay) == {
             "jobs": 3, "executed": 0, "cache_hits": 3, "deduped": 0}
+
+    def test_submit_failure_releases_the_flight(self):
+        executor = ServiceExecutor(max_workers=1)
+        executor.shutdown()
+        service = ExperimentService(executor=executor)
+        with pytest.raises(RuntimeError, match="shut down"):
+            service.submit_plan([EchoJob(1)])
+        assert len(service.singleflight) == 0
 
     def test_job_failure_counts_as_error(self, pool):
         service = ExperimentService(executor=pool, cache=None)
@@ -441,12 +502,9 @@ def ndjson_lines(data):
     return [json.loads(line) for line in data.decode().splitlines()]
 
 
-@pytest.fixture(scope="module")
-def server(tmp_path_factory):
-    executor = ServiceExecutor(max_workers=2, poll_interval=0.01)
-    service = ExperimentService(
-        executor=executor,
-        cache=DirectoryCache(tmp_path_factory.mktemp("service-cache")))
+@contextlib.contextmanager
+def serving(service):
+    """Run an :class:`ExperimentServer` for ``service`` on a loopback port."""
     instance = ExperimentServer(service, port=0)
     started = threading.Event()
     box = {}
@@ -470,11 +528,32 @@ def server(tmp_path_factory):
     assert not thread.is_alive(), "server failed to stop cleanly"
 
 
+@pytest.fixture(scope="module")
+def server(tmp_path_factory):
+    executor = ServiceExecutor(max_workers=2, poll_interval=0.01)
+    service = ExperimentService(
+        executor=executor,
+        cache=DirectoryCache(tmp_path_factory.mktemp("service-cache")))
+    with serving(service) as instance:
+        yield instance
+
+
 class TestExperimentServer:
     def test_healthz(self, server):
         status, data = request(server, "GET", "/healthz")
         assert status == 200
         assert json.loads(data) == {"status": "ok"}
+        # A collapsed pool answers 503, so the router marks the shard DEAD.
+        executor = ServiceExecutor(max_workers=1, max_attempts=1,
+                                   poll_interval=0.01)
+        with serving(ExperimentService(executor=executor)) as collapsed:
+            for _ in range(1 + 4):  # the first worker, then 4 respawns
+                with pytest.raises(WorkerCrashError):
+                    executor.submit(CrashJob()).result(timeout=60)
+            wait_until(lambda: executor.collapsed)
+            status, data = request(collapsed, "GET", "/healthz")
+        assert status == 503
+        assert json.loads(data)["status"] == "collapsed"
 
     def test_unknown_path_is_404_with_route_hint(self, server):
         for path in ("/nope", "/cache"):
