@@ -10,7 +10,7 @@ interface the simulator drives.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .circuit import Circuit
 from .gates import GateType
@@ -87,10 +87,13 @@ class GateDependencyGraph:
         """Gate indices whose predecessors have all completed, not yet completed."""
         return tuple(sorted(self._released - self._completed))
 
-    def ready_by_priority(self) -> List[int]:
-        """Ready gates ordered by descending critical-path length, then index."""
-        return sorted(self.ready,
-                      key=lambda i: (-self._critical_path_length[i], i))
+    def by_priority(self, indices: Iterable[int]) -> List[int]:
+        """``indices`` ordered by descending critical-path length, then index.
+
+        RESCQ creates the tasks of newly released gates in this order.
+        """
+        critical = self._critical_path_length
+        return sorted(indices, key=lambda i: (-critical[i], i))
 
     def complete(self, index: int) -> List[int]:
         """Mark gate ``index`` completed and return newly released successors."""

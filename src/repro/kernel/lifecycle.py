@@ -1,4 +1,4 @@
-"""The gate lifecycle: dependency releases, ready ordering and retirement.
+"""The gate lifecycle: dependency releases and retirement.
 
 Every gate moves through the same states regardless of policy::
 
@@ -47,10 +47,6 @@ class GateLifecycle:
         """Release the dependency-free frontier at cycle 0."""
         for index in self.dag.ready:
             self.release_cycle[index] = 0
-
-    def ready_by_priority(self) -> List[int]:
-        """Released-but-not-retired gates, critical-path-first."""
-        return self.dag.ready_by_priority()
 
     @property
     def all_completed(self) -> bool:

@@ -15,7 +15,8 @@ A :class:`KernelProfile` accumulates two kinds of counters for one run:
   recorded directly via :meth:`KernelProfile.add_wall` and stays inclusive —
   it is the denominator for per-phase shares;
 * **event counters** — scheduling passes, processed events, routing queries
-  and routing-plan cache hits.
+  and routing-plan cache hits; RESCQ adds ``task_visits`` (task visits over
+  all sweeps) and ``tasks_woken`` (wakes of parked tasks).
 
 Profiles are cheap (a few thousand float additions per run) but still
 opt-in: schedulers build one only when

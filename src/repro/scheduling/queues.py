@@ -12,11 +12,16 @@ the RESCQ task that owns the entry (:mod:`repro.scheduling.rescq`): a
 task's ``preparing``/``holding``/``injecting``/``started`` state gives the
 head's status, ``preparing[position][1]`` gives the angle level being
 prepared on a tile, and ``task.queues`` lists the queues the gate sits on.
+
+A queue also keeps the tile's wake list: RESCQ tasks parked because the
+tile is busy or holds another gate's state wait in ``waiters`` until the
+policy frees the tile.  A task parked behind another gate at the head is
+woken when :meth:`AncillaQueue.remove_gate` reports it as the new head.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from ..fabric import Position
 
@@ -42,43 +47,94 @@ class QueueEntry:
 class AncillaQueue:
     """FIFO queue of :class:`QueueEntry` for a single ancilla tile."""
 
+    __slots__ = ("entries", "waiters", "_pending")
+
     def __init__(self) -> None:
         #: The entry list, oldest first.  Shared, not copied: callers may
-        #: iterate it directly on hot paths but must treat it as read-only.
+        #: read it directly on hot paths but must treat it as read-only, and
+        #: must not hold an iterator over it across a removal.
         self.entries: List[QueueEntry] = []
+        #: Tasks parked until this tile frees or drops a held state.
+        self.waiters: list = []
+        #: Memoised :meth:`pending_cost`; ``None`` after the entries change.
+        self._pending: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def remove_gate(self, gate_index: int) -> int:
-        """Remove every entry for ``gate_index``; returns how many were removed."""
-        before = len(self.entries)
-        self.entries = [entry for entry in self.entries
-                         if entry.gate_index != gate_index]
-        return before - len(self.entries)
+    def append(self, entry: QueueEntry) -> None:
+        self.entries.append(entry)
+        self._pending = None
+
+    def remove_gate(self, gate_index: int) -> Optional[int]:
+        """Remove the oldest entry for ``gate_index``.
+
+        One removal undoes one :meth:`append`; a gate enqueued here twice is
+        removed twice.  Returns the gate that heads the queue because of the
+        removal, or ``None`` when the head did not change or the queue is
+        now empty.  A finished gate usually heads the queue, so removal is
+        a head pop rather than a scan.
+        """
+        entries = self.entries
+        self._pending = None
+        if entries and entries[0].gate_index == gate_index:
+            del entries[0]
+            if entries and entries[0].gate_index != gate_index:
+                return entries[0].gate_index
+            return None
+        for position, entry in enumerate(entries):
+            if entry.gate_index == gate_index:
+                del entries[position]
+                return None
+        raise ValueError(f"gate {gate_index} is not in this queue")
 
     def is_at_head(self, gate_index: int) -> bool:
         entries = self.entries
         return bool(entries) and entries[0].gate_index == gate_index
 
+    def pending_cost(self, prices: Dict[str, float]) -> float:
+        """Sum of ``prices[entry.gate_kind]`` over the entries, oldest first.
 
-class QueueSet:
-    """The ancilla queues of one fabric, keyed by tile position."""
+        Memoised until the next :meth:`append` or :meth:`remove_gate`; a
+        queue must always be priced with the same table.  The sum is
+        recomputed in entry order, so the float result is the one a fresh
+        left-to-right summation gives.
+        """
+        pending = self._pending
+        if pending is None:
+            pending = 0.0
+            for entry in self.entries:
+                pending += prices[entry.gate_kind]
+            self._pending = pending
+        return pending
+
+
+class QueueSet(dict):
+    """The ancilla queues of one fabric: tile position -> :class:`AncillaQueue`.
+
+    A ``dict`` so that the per-tile lookups on the scheduling hot path are
+    plain dictionary reads.
+    """
 
     def __init__(self, positions: Iterable[Position]) -> None:
-        self._queues: Dict[Position, AncillaQueue] = {
-            position: AncillaQueue() for position in positions}
-
-    def __getitem__(self, position: Position) -> AncillaQueue:
-        return self._queues[position]
+        super().__init__((position, AncillaQueue()) for position in positions)
 
     def enqueue(self, position: Position, entry: QueueEntry) -> AncillaQueue:
         """Append ``entry`` to the queue at ``position`` and return that queue."""
-        queue = self._queues[position]
-        queue.entries.append(entry)
+        queue = self[position]
+        queue.append(entry)
         return queue
 
     def remove_gate_everywhere(self, gate_index: int,
-                               queues: Iterable[AncillaQueue]) -> int:
-        """Remove ``gate_index`` from ``queues`` (the ones it was enqueued on)."""
-        return sum(queue.remove_gate(gate_index) for queue in queues)
+                               queues: Iterable[AncillaQueue]) -> List[int]:
+        """Remove ``gate_index`` from ``queues``: the queue :meth:`enqueue`
+        returned for each of its entries, once per entry.
+
+        Returns the gates that became a queue head, one per such queue.
+        """
+        heads = []
+        for queue in queues:
+            head = queue.remove_gate(gate_index)
+            if head is not None:
+                heads.append(head)
+        return heads

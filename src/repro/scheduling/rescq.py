@@ -30,6 +30,24 @@ preparation latencies are drawn in vectorised batches through
 :meth:`~repro.rus.preparation.PreparationModel.sample_cycles_batch` (which is
 stream-equivalent to the historical scalar draws, so traces are unchanged).
 
+The scheduling pass is event-woken, not polled.  A task visit that can do
+nothing *parks* the task on what blocks it: the tile's wake list
+(``AncillaQueue.waiters``) for a busy tile or one holding another gate's
+state, the data qubit's wake list for a busy data qubit, and for a tile
+whose queue another gate heads, nothing — :meth:`AncillaQueue.remove_gate`
+names the new head when the head changes, and that gate's task is woken.
+A CNOT counts the queues another gate heads and is woken only when it
+heads the last of them; after that it parks, like a Hadamard, on its first
+blocker.  An Rz task parks on every candidate's blocker and is also woken
+by its own preparation and injection events and by its release.  The
+event handlers and the pass itself wake a list when they free its tile or
+qubit.  A sweep visits only awake tasks, in creation (seniority) order; a
+task woken mid-sweep is visited later in the same sweep when it is younger
+than the task being visited, otherwise in the next one, and tasks created
+mid-sweep wait for the next sweep.  Those are exactly the visits that
+would do anything if every task were visited on every sweep, so the
+schedule is the same.
+
 Table 2's per-entry status and angle level are read off task state, not
 stored on the queue entries: an Rz task's ``preparing`` map gives the tiles
 preparing (``P``) and the level each prepares, ``holding`` the tiles done
@@ -45,6 +63,7 @@ turn the corresponding mechanism off so its contribution can be measured.
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -73,7 +92,7 @@ class _RzTask:
     __slots__ = ("gate_index", "qubit", "theta", "limit", "candidates",
                  "attachment", "queues", "released", "release_cycle", "level",
                  "preparing", "holding", "injecting", "first_start",
-                 "prep_attempts", "injections", "done")
+                 "prep_attempts", "injections", "done", "seq", "parked")
 
     def __init__(self, gate_index: int, qubit: int, theta: float, limit: int,
                  candidates: List[Position],
@@ -103,11 +122,16 @@ class _RzTask:
         self.prep_attempts = 0
         self.injections = 0
         self.done = False
+        #: Creation order (seniority); set by :meth:`RescqPolicy._create_task`.
+        self.seq = 0
+        #: Skipped by sweeps until a wake (see the module docstring).
+        self.parked = False
 
 
 class _CnotTask:
     __slots__ = ("gate_index", "control", "target", "plan", "queues",
-                 "release_cycle", "started", "start_cycle")
+                 "heads_missing", "release_cycle", "started", "start_cycle",
+                 "seq", "parked")
 
     def __init__(self, gate_index: int, control: int, target: int,
                  plan: RoutePlan, queues: List["AncillaQueue"],
@@ -118,14 +142,20 @@ class _CnotTask:
         self.plan = plan
         #: Queues of ``plan.ancillas_used``, aligned — resolved once.
         self.queues = queues
+        #: How many of those queues another gate heads.  A gate leaves a
+        #: queue's head only by finishing, so this only counts down.
+        self.heads_missing = len({queue for queue in queues
+                                  if queue.entries[0].gate_index != gate_index})
         self.release_cycle = release_cycle
         self.started = False
         self.start_cycle: Optional[int] = None
+        self.seq = 0
+        self.parked = False
 
 
 class _HTask:
     __slots__ = ("gate_index", "qubit", "ancilla", "queues", "release_cycle",
-                 "started", "start_cycle")
+                 "started", "start_cycle", "seq", "parked")
 
     def __init__(self, gate_index: int, qubit: int, ancilla: Position,
                  queues: List["AncillaQueue"], release_cycle: int) -> None:
@@ -137,6 +167,8 @@ class _HTask:
         self.release_cycle = release_cycle
         self.started = False
         self.start_cycle: Optional[int] = None
+        self.seq = 0
+        self.parked = False
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +203,30 @@ class RescqPolicy:
                                         self.config.mst_latency)
 
         self.tasks: Dict[int, object] = {}
-        self.task_order: List[int] = []
-        #: The released-gate frontier only changes when a gate retires, so
-        #: scheduling passes skip the ready-scan until this flag is set again
-        #: by :meth:`_finish_gate`.
-        self._ready_dirty = True
-        #: Per-entry queue cost of a pending Rz in :meth:`_expected_free_time`.
+        #: Gates released since the last pass created their tasks; filled by
+        #: :meth:`run` (the initial frontier) and :meth:`_finish_gate`.
+        self._released: List[int] = []
+        #: Tasks the next sweep visits (unordered; sweeps order by ``seq``).
+        self._awake: List[object] = []
+        self._next_seq = 0
+        #: The sweep in progress: ``(seq, task)`` heap of tasks still to
+        #: visit, the ``seq`` being visited and the first ``seq`` created
+        #: after the sweep began (``-1`` between sweeps).
+        self._sweep_heap: List[Tuple[int, object]] = []
+        self._sweep_cursor = -1
+        self._sweep_bound = -1
+        #: Per data qubit: tasks parked until the qubit frees.
+        self._data_waiters: List[list] = [
+            [] for _ in range(self.circuit.num_qubits)]
+        #: Profile counters (reported when profiling is on).
+        self.task_visits = 0
+        self.tasks_woken = 0
+        #: Per-entry queue cost by gate kind in :meth:`_expected_free_time`.
         #: ``expected_cycles()`` is a pure function of the preparation model,
         #: so the same float is produced every call.
-        self._rz_pending_cost = self.prep_model.expected_cycles() + 1.0
+        self._queue_prices = {"rz": self.prep_model.expected_cycles() + 1.0,
+                              "cnot": self.costs.cnot_cycles,
+                              "h": self.costs.hadamard_cycles}
 
         # next gate on each qubit after a given gate (for lookahead prep).
         self._next_on_qubit: Dict[Tuple[int, int], int] = {}
@@ -211,6 +258,7 @@ class RescqPolicy:
         profile = self.profile
         wall_start = time.perf_counter() if profile is not None else 0.0
         lifecycle.release_initial()
+        self._released = list(lifecycle.dag.ready)
         self._tick_mst()
         while not lifecycle.all_completed:
             if profile is not None:
@@ -231,6 +279,8 @@ class RescqPolicy:
             self._tick_mst()
         if profile is not None:
             profile.add_wall("total", time.perf_counter() - wall_start)
+            profile.add("task_visits", float(self.task_visits))
+            profile.add("tasks_woken", float(self.tasks_woken))
         return kernel.build_result({
             "mst_computations": float(self.mst.computations_completed
                                       if self.mst else 0),
@@ -262,8 +312,12 @@ class RescqPolicy:
 
     # -- task creation -----------------------------------------------------------
 
-    def _create_tasks_for_ready_gates(self) -> None:
-        for index in self.lifecycle.ready_by_priority():
+    def _create_tasks_for_released_gates(self) -> None:
+        """Create (or release) the tasks of the gates released since the
+        last pass, critical-path-first."""
+        released = self.lifecycle.dag.by_priority(self._released)
+        self._released = []
+        for index in released:
             task = self.tasks.get(index)
             if task is None:
                 self._create_task(index, released=True)
@@ -271,6 +325,7 @@ class RescqPolicy:
                 task.released = True
                 task.release_cycle = self.lifecycle.release_cycle.get(
                     index, self.clock.now)
+                self._wake(task)
 
     def _create_task(self, index: int, released: bool) -> None:
         gate = self.circuit[index]
@@ -283,8 +338,44 @@ class RescqPolicy:
             task = self._create_h_task(index, gate)
         else:  # pragma: no cover - free gates are stripped before simulation
             raise ValueError(f"unexpected gate kind {kind!r}")
+        task.seq = self._next_seq
+        self._next_seq += 1
         self.tasks[index] = task
-        self.task_order.append(index)
+        self._awake.append(task)
+
+    # -- wake lists ----------------------------------------------------------------
+
+    def _wake(self, task) -> None:
+        """Make a parked task visitable again (no-op for an awake task)."""
+        if not task.parked:
+            return
+        task.parked = False
+        self.tasks_woken += 1
+        seq = task.seq
+        if self._sweep_cursor < seq < self._sweep_bound:
+            # Younger than the task being visited: this sweep still reaches
+            # it, as a sweep over every task would.
+            heapq.heappush(self._sweep_heap, (seq, task))
+        else:
+            self._awake.append(task)
+
+    def _wake_all(self, waiters: list) -> None:
+        for task in waiters:
+            self._wake(task)
+
+    def _wake_tile(self, queue: AncillaQueue) -> None:
+        """The tile of ``queue`` freed or dropped a held state."""
+        waiters = queue.waiters
+        if waiters:
+            queue.waiters = []
+            self._wake_all(waiters)
+
+    def _wake_data(self, qubit: int) -> None:
+        """Data qubit ``qubit`` freed."""
+        waiters = self._data_waiters[qubit]
+        if waiters:
+            self._data_waiters[qubit] = []
+            self._wake_all(waiters)
 
     def _rz_candidates(self, qubit: int) -> Tuple[List[Position], Dict[Position, object]]:
         """Candidate preparation ancillas for an Rz on ``qubit``.
@@ -364,25 +455,13 @@ class RescqPolicy:
         base = float(free if free > now else now)
         if position in fabric.anc_holding:
             base += 1.0
-        entries = self.queues[position].entries
-        if not entries:
+        queue = self.queues[position]
+        if not queue.entries:
             return base
-        # Keep the historical accumulation order (pending summed apart, added
-        # to base once): float addition is not associative, and the golden
-        # traces pin the exact eft values.
-        pending = 0.0
-        rz_cost = self._rz_pending_cost
-        cnot_cost = self.costs.cnot_cycles
-        hadamard_cost = self.costs.hadamard_cycles
-        for entry in entries:
-            kind = entry.gate_kind
-            if kind == "rz":
-                pending += rz_cost
-            elif kind == "cnot":
-                pending += cnot_cost
-            else:
-                pending += hadamard_cost
-        return base + pending
+        # Keep the historical accumulation order (pending summed apart in
+        # entry order, added to base once): float addition is not
+        # associative, and the golden traces pin the exact eft values.
+        return base + queue.pending_cost(self._queue_prices)
 
     def _choose_cnot_plan(self, control: int, target: int) -> RoutePlan:
         rotation_cost = self.costs.edge_rotation_cycles
@@ -507,41 +586,41 @@ class RescqPolicy:
 
     def schedule_pass(self) -> None:
         # A pass can complete gates synchronously (Clifford-truncated
-        # corrections) which releases successors; keep passing until the
+        # corrections) which releases successors; keep sweeping until the
         # frontier is stable so same-cycle progress is never missed.
         traces = self.lifecycle.traces
-        tasks = self.tasks
         while True:
             completed_before = len(traces)
-            # The ready frontier only moves when a gate retires; skip the
-            # scan entirely on the (common) passes where nothing did.
-            if self._ready_dirty:
-                self._ready_dirty = False
-                self._create_tasks_for_ready_gates()
-            # Retired gates leave tombstones in task_order; compact once they
-            # dominate (relative order — seniority — is preserved).
-            order = self.task_order
-            if len(order) > 64 and len(tasks) * 2 < len(order):
-                order = [index for index in order if index in tasks]
-                self.task_order = order
-            # Iterate in task-creation (seniority) order so that queue-head
-            # checks and resource grabs respect the order that enqueued them.
-            # The bound is captured up front: tasks appended mid-sweep (by
-            # lookahead preparation) wait for the next sweep, exactly like
-            # the historical ``list(order)`` snapshot — without the copy.
-            for sweep_index in range(len(order)):
-                task = tasks.get(order[sweep_index])
-                if task is None:
-                    continue
-                if isinstance(task, _RzTask):
+            if self._released:
+                self._create_tasks_for_released_gates()
+            if not self._awake:
+                break
+            # Visit the awake tasks in creation (seniority) order so that
+            # queue-head checks and resource grabs respect the order that
+            # enqueued them.  Tasks created mid-sweep (by lookahead
+            # preparation) land in ``_awake`` for the next sweep.
+            heap = [(task.seq, task) for task in self._awake]
+            self._awake = []
+            heapq.heapify(heap)
+            self._sweep_heap = heap
+            self._sweep_bound = self._next_seq
+            visits = 0
+            while heap:
+                seq, task = heapq.heappop(heap)
+                self._sweep_cursor = seq
+                if type(task) is _RzTask:
                     if not task.done:
+                        visits += 1
                         self._advance_rz(task)
-                elif isinstance(task, _CnotTask):
+                elif type(task) is _CnotTask:
                     if not task.started:
+                        visits += 1
                         self._try_start_cnot(task)
-                elif isinstance(task, _HTask):
-                    if not task.started:
-                        self._try_start_hadamard(task)
+                elif not task.started:
+                    visits += 1
+                    self._try_start_hadamard(task)
+            self._sweep_bound = -1
+            self.task_visits += visits
             if len(traces) == completed_before:
                 break
 
@@ -552,17 +631,34 @@ class RescqPolicy:
             # The outstanding correction is a Clifford rotation: free.
             self._complete_rz(task)
             return
-        self._start_rz_preparations(task)
-        self._maybe_start_injection(task)
+        # Wake lists of the tiles and data qubit that block this visit; the
+        # task joins them only if the visit does nothing.
+        waits: List[list] = []
+        prepared = self._start_rz_preparations(task, waits)
+        if self._maybe_start_injection(task, waits) or prepared:
+            # Its own state changed: the next sweep visits it again.
+            self._awake.append(task)
+            return
+        # Blocked: by busy or held tiles (``waits``), by other gates at its
+        # queue heads (woken on a head change), or by its own in-flight
+        # preparations, injection or release (woken by their events).
+        task.parked = True
+        for waiters in waits:
+            waiters.append(task)
 
-    def _start_rz_preparations(self, task: _RzTask) -> None:
+    def _start_rz_preparations(self, task: _RzTask, waits: List[list]) -> bool:
+        """Start every eligible preparation; ``True`` if any started.
+
+        Appends the wake list of each candidate tile that is busy or holds
+        another gate's state to ``waits``.
+        """
         # Which correction level candidates should be preparing right now.
         level = task.level
         if self.config.eager_correction_prep:
             if task.injecting or level in task.holding.values():
                 level += 1
         if level >= task.limit:
-            return
+            return False
         now = self.clock.now
         # Eligibility never depends on the durations drawn below (candidate
         # tiles are distinct), so the draws batch into one vectorised call —
@@ -584,16 +680,18 @@ class RescqPolicy:
             if holding.get(position, -1) >= current_level:
                 continue
             if anc_free[position] > now:
+                waits.append(queue.waiters)
                 continue
             holder = anc_holding.get(position)
             if holder is not None and holder != gate_index:
+                waits.append(queue.waiters)
                 continue
             entries = queue.entries
             if not entries or entries[0].gate_index != gate_index:
                 continue
             eligible.append(position)
         if not eligible:
-            return
+            return False
         if len(eligible) == 1:
             durations = [self.prep_model.sample_cycles(self.rng)]
         else:
@@ -610,10 +708,13 @@ class RescqPolicy:
             if self.profile is not None:
                 self.profile.add("sim_prep_cycles", float(duration))
             self.clock.push(finish, "prep", (gate_index, position, finish))
+        return True
 
-    def _injection_resources(self, task: _RzTask, position: Position
+    def _injection_resources(self, task: _RzTask, position: Position,
+                             waits: List[list]
                              ) -> Optional[Tuple[List[Position], int]]:
-        """Resources and duration to inject from ``position`` into the data qubit."""
+        """Resources and duration to inject from ``position`` into the data
+        qubit, or ``None`` (appending the router's wake list to ``waits``)."""
         attachment = task.attachment[position]
         if attachment == "Z":
             return [position], self.costs.zz_injection_cycles
@@ -631,17 +732,24 @@ class RescqPolicy:
                 task.holding.pop(router, None)
                 self.fabric.release_hold(router)
             return [position, router], self.costs.cnot_injection_cycles
+        waits.append(self.queues[router].waiters)
         return None
 
-    def _maybe_start_injection(self, task: _RzTask) -> None:
+    def _maybe_start_injection(self, task: _RzTask, waits: List[list]) -> bool:
+        """Start the injection if a state and its resources are ready.
+
+        ``True`` if it started; otherwise appends the wake lists of the
+        blocking data qubit or routing tiles to ``waits``.
+        """
         if task.injecting or not task.released or not task.holding:
-            return
+            return False
         now = self.clock.now
         if self.fabric.data_free[task.qubit] > now:
-            return
+            waits.append(self._data_waiters[task.qubit])
+            return False
         ready = [pos for pos, lvl in task.holding.items() if lvl == task.level]
         if not ready:
-            return
+            return False
         # Prefer the cheapest attachment (Z edge, then X edge, then diagonal).
         def rank(pos: Position) -> int:
             attachment = task.attachment[pos]
@@ -652,7 +760,7 @@ class RescqPolicy:
             return 2
 
         for position in sorted(ready, key=rank):
-            resources = self._injection_resources(task, position)
+            resources = self._injection_resources(task, position, waits)
             if resources is None:
                 continue
             tiles, duration = resources
@@ -666,18 +774,22 @@ class RescqPolicy:
                 task.first_start = now
             # The consumed state (and any surplus same-level states) are gone;
             # surplus holders immediately become eager-correction preparers.
+            # ``position`` stays busy with the injection; the surplus tiles
+            # are free for other gates now.
             task.holding.pop(position, None)
             self.fabric.release_hold(position)
             for other, level in list(task.holding.items()):
                 if level == task.level:
                     task.holding.pop(other)
                     self.fabric.release_hold(other)
+                    self._wake_tile(self.queues[other])
             if self.profile is not None:
                 self.profile.add("sim_injection_cycles", float(duration))
             self.clock.push(finish, "inject",
                             (task.gate_index, position, finish))
             self._maybe_lookahead_prepare(task.gate_index)
-            return
+            return True
+        return False
 
     def _on_prep_done(self, gate_index: int, position: Position, finish: int) -> None:
         task = self.tasks.get(gate_index)
@@ -687,9 +799,14 @@ class RescqPolicy:
         if info is None or info[0] != finish:
             return  # stale event (preparation was cancelled)
         task.preparing.pop(position)
+        self._wake(task)
         level = info[1]
         if level < task.level:
-            return  # the chain moved past this level; discard the state
+            # The chain moved past this level; discard the state.
+            self._wake_tile(self.queues[position])
+            return
+        # The tile now holds this gate's state: whoever waits on it stays
+        # blocked until the hold is released.
         is_first_at_level = level not in task.holding.values()
         task.holding[position] = level
         self.fabric.hold(position, gate_index)
@@ -707,6 +824,13 @@ class RescqPolicy:
         task = self.tasks.get(gate_index)
         if not isinstance(task, _RzTask) or task.done:
             return
+        queues = self.queues
+        self._wake_tile(queues[position])
+        router = task.attachment[position]
+        if router != "Z" and router != "X":
+            self._wake_tile(queues[router])
+        self._wake_data(task.qubit)
+        self._wake(task)
         self._apply_injection_outcome(task, bool(self.rng.random() < 0.5))
 
     def _apply_injection_outcome(self, task: _RzTask, success: bool) -> None:
@@ -725,9 +849,11 @@ class RescqPolicy:
         for position in task.preparing:
             # Terminate in-flight preparations immediately (Figure 7, t=5).
             self.fabric.truncate_ancilla(position, now)
+            self._wake_tile(self.queues[position])
         task.preparing.clear()
         for position in list(task.holding):
             self.fabric.release_hold(position)
+            self._wake_tile(self.queues[position])
         task.holding.clear()
         scheduled = task.release_cycle if task.release_cycle is not None else now
         start = task.first_start if task.first_start is not None else scheduled
@@ -740,26 +866,30 @@ class RescqPolicy:
     # -- CNOT and Hadamard ----------------------------------------------------------
 
     def _try_start_cnot(self, task: _CnotTask) -> None:
+        # Every plan tile must have this gate at its queue head, be free now
+        # and hold no other gate's state, and both data qubits must be free.
+        # A blocked CNOT parks on the first of these that fails.
+        if task.heads_missing:
+            task.parked = True  # woken when it heads its last queue
+            return
         now = self.clock.now
         fabric = self.fabric
         data_free = fabric.data_free
-        if data_free[task.control] > now or data_free[task.target] > now:
-            return
-        # Every plan tile must be free now, hold no other gate's state and
-        # have this gate at its queue head.  A blocked CNOT is re-polled
-        # every pass, so this is the large-fabric hot loop.
+        for qubit in (task.control, task.target):
+            if data_free[qubit] > now:
+                task.parked = True
+                self._data_waiters[qubit].append(task)
+                return
         gate_index = task.gate_index
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
         resources = task.plan.ancillas_used
         for position, queue in zip(resources, task.queues):
-            if anc_free[position] > now:
-                return
             holder = anc_holding.get(position)
-            if holder is not None and holder != gate_index:
-                return
-            entries = queue.entries
-            if not entries or entries[0].gate_index != gate_index:
+            if anc_free[position] > now or (holder is not None
+                                            and holder != gate_index):
+                task.parked = True
+                queue.waiters.append(task)
                 return
         duration = task.plan.duration(self.costs)
         finish = now + duration
@@ -778,6 +908,11 @@ class RescqPolicy:
         task = self.tasks.get(gate_index)
         if not isinstance(task, _CnotTask):
             return
+        for queue in task.queues:
+            if queue.waiters:
+                self._wake_tile(queue)
+        self._wake_data(task.control)
+        self._wake_data(task.target)
         if task.plan.control_rotation:
             self.orientation.rotate(task.control)
         if task.plan.target_rotation:
@@ -794,9 +929,18 @@ class RescqPolicy:
         now = self.clock.now
         fabric = self.fabric
         ancilla = task.ancilla
-        if (fabric.data_free[task.qubit] > now or fabric.anc_free[ancilla] > now
-                or fabric.anc_holding.get(ancilla) not in (None, task.gate_index)
-                or not task.queues[0].is_at_head(task.gate_index)):
+        queue = task.queues[0]
+        if fabric.data_free[task.qubit] > now:
+            task.parked = True
+            self._data_waiters[task.qubit].append(task)
+            return
+        if (fabric.anc_free[ancilla] > now
+                or fabric.anc_holding.get(ancilla) not in (None, task.gate_index)):
+            task.parked = True
+            queue.waiters.append(task)
+            return
+        if not queue.is_at_head(task.gate_index):
+            task.parked = True  # woken when it becomes the head
             return
         duration = self.costs.hadamard_cycles
         finish = now + duration
@@ -813,6 +957,8 @@ class RescqPolicy:
         task = self.tasks.get(gate_index)
         if not isinstance(task, _HTask):
             return
+        self._wake_tile(task.queues[0])
+        self._wake_data(task.qubit)
         # A logical Hadamard exchanges the patch's X and Z boundaries.
         self.orientation.rotate(task.qubit)
         self._finish_gate(task, GateTrace(
@@ -825,10 +971,18 @@ class RescqPolicy:
     # -- completion plumbing ----------------------------------------------------------
 
     def _finish_gate(self, task, trace: GateTrace) -> None:
-        self.queues.remove_gate_everywhere(task.gate_index, task.queues)
-        self.lifecycle.retire(trace, self.clock.now)
-        self.tasks.pop(trace.gate_index, None)
-        self._ready_dirty = True
+        task.parked = False  # stale wake-list entries now wake nothing
+        tasks = self.tasks
+        for head in self.queues.remove_gate_everywhere(task.gate_index,
+                                                       task.queues):
+            new_head = tasks[head]
+            if type(new_head) is _CnotTask:
+                new_head.heads_missing -= 1
+                if new_head.heads_missing:
+                    continue  # still behind another gate elsewhere
+            self._wake(new_head)
+        self._released.extend(self.lifecycle.retire(trace, self.clock.now))
+        tasks.pop(trace.gate_index, None)
 
 
 class RescqScheduler(Scheduler):

@@ -79,7 +79,8 @@ class TestRelease:
         assert dag.all_completed
         assert dag.num_pending == 0
 
-    def test_ready_by_priority_prefers_critical_path(self):
+    def test_by_priority_prefers_critical_path(self):
         dag = GateDependencyGraph(build_chain())
         # Gate 0 has the longer remaining chain than gate 2.
-        assert dag.ready_by_priority() == [0, 2]
+        assert dag.by_priority(dag.ready) == [0, 2]
+        assert dag.by_priority([2, 0]) == [0, 2]

@@ -58,10 +58,12 @@ def test_golden_suite_covers_all_schedulers_and_variants():
                          RESCQ_CASES, ids=[case[0] for case in RESCQ_CASES])
 def test_rescq_run_drains_every_queue(case_id, circuit_key, scheduler, seed,
                                       variant):
-    """A finished RESCQ run leaves no queue entry and no held state behind.
+    """A finished RESCQ run leaves no queue entry, held state or waiter.
 
     Each finished gate removes itself from the queues on its own task; this
-    checks that those are all the queues it was ever enqueued on.
+    checks that those are all the queues it was ever enqueued on.  Every
+    tile or data qubit a task parked on was freed later, which empties its
+    wake list.
     """
     circuit, layout, config = case_inputs(circuit_key, variant)
     prepared = RescqScheduler.prepare_circuit(circuit)
@@ -77,3 +79,6 @@ def test_rescq_run_drains_every_queue(case_id, circuit_key, scheduler, seed,
                 if len(policy.queues[position])}
     assert not leftover
     assert not kernel.fabric.anc_holding
+    assert not [position for position in kernel.fabric.ancillas
+                if policy.queues[position].waiters]
+    assert not any(policy._data_waiters)

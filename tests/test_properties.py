@@ -96,7 +96,7 @@ class TestCircuitProperties:
         dag = GateDependencyGraph(circuit)
         executed = []
         while not dag.all_completed:
-            ready = dag.ready_by_priority()
+            ready = dag.by_priority(dag.ready)
             assert ready, "DAG starved before completing all gates"
             gate = ready[0]
             executed.append(gate)

@@ -92,11 +92,53 @@ class TestQueues:
         own = [queues.enqueue(pos, QueueEntry(7, "rz"))
                for pos in ((0, 0), (0, 1))]
         queues.enqueue((0, 1), QueueEntry(8, "cnot"))
-        removed = queues.remove_gate_everywhere(7, own)
-        assert removed == 2
+        new_heads = queues.remove_gate_everywhere(7, own)
         assert len(queues[(0, 0)]) == 0
-        # Other gates' entries stay, and the next one becomes the head.
+        # Other gates' entries stay, and the next one becomes the head; the
+        # emptied queue names no head.
         assert queues[(0, 1)].is_at_head(8)
+        assert new_heads == [8]
+
+    def test_remove_gate_reports_only_head_changes(self):
+        queues = QueueSet([(0, 0)])
+        for index in (1, 2, 3):
+            queues.enqueue((0, 0), QueueEntry(index, "rz"))
+        queue = queues[(0, 0)]
+        assert queue.remove_gate(2) is None      # not the head
+        assert queue.remove_gate(1) == 3         # 3 heads the queue now
+        assert queue.remove_gate(3) is None      # queue emptied
+        assert len(queue) == 0
+        with pytest.raises(ValueError, match="gate 3 is not in this queue"):
+            queue.remove_gate(3)
+
+    def test_each_enqueue_is_undone_by_one_removal(self):
+        queues = QueueSet([(0, 0)])
+        own = [queues.enqueue((0, 0), QueueEntry(4, "cnot"))
+               for _ in range(2)]
+        queues.enqueue((0, 0), QueueEntry(5, "h"))
+        queue = queues[(0, 0)]
+        assert queue.remove_gate(4) is None      # 4 still heads the queue
+        assert queue.is_at_head(4)
+        assert queues.remove_gate_everywhere(4, own[1:]) == [5]
+        assert [entry.gate_index for entry in queue.entries] == [5]
+
+    def test_pending_cost_is_memoised_and_invalidated(self):
+        prices = {"rz": 0.1, "cnot": 2, "h": 3}
+        queues = QueueSet([(0, 0)])
+        queue = queues[(0, 0)]
+        assert queue.pending_cost(prices) == 0.0
+        kinds = ["rz", "cnot", "rz", "h", "rz"]
+        for index, kind in enumerate(kinds):
+            queues.enqueue((0, 0), QueueEntry(index, kind))
+            # Each enqueue invalidates; the sum is the left-to-right one.
+            expected = 0.0
+            for entry in queue.entries:
+                expected += prices[entry.gate_kind]
+            assert queue.pending_cost(prices) == expected
+        # A cached sum is returned until the entries change.
+        assert queue.pending_cost({"rz": 9.0, "cnot": 9, "h": 9}) == expected
+        queue.remove_gate(0)
+        assert queue.pending_cost(prices) == 2 + 0.1 + 3 + 0.1
 
 
 class TestMst:
