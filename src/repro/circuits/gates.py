@@ -40,9 +40,10 @@ CLIFFORD_ANGLE_ATOL = 1e-9
 class GateType(enum.Enum):
     """Enumeration of gate types understood by the schedulers.
 
-    Only the members listed in :data:`GateType.BASIS` may appear in a program
-    handed to a scheduler; the other members exist so that workload generators
-    can build circuits naturally and then lower them via
+    Only the members listed in :data:`repro.circuits.transpile.BASIS` may
+    appear in a program handed to a scheduler; the other members exist so that
+    workload generators and the QASM importer can build circuits naturally and
+    then lower them via
     :func:`repro.circuits.transpile.transpile_to_clifford_rz`.
     """
 
@@ -61,7 +62,6 @@ class GateType(enum.Enum):
     RX = "rx"
     RY = "ry"
     RZZ = "rzz"
-    U3 = "u3"
     CCX = "ccx"
     MEASURE = "measure"
     BARRIER = "barrier"
@@ -85,15 +85,6 @@ class GateType(enum.Enum):
 
 _TWO_QUBIT_TYPES = frozenset(
     {GateType.CNOT, GateType.CZ, GateType.SWAP, GateType.RZZ}
-)
-
-#: The scheduler-facing basis (Section 3: "We assume all programs have already
-#: been synthesized into the appropriate gate set").  MEASURE and BARRIER are
-#: tolerated because they are free from the scheduler's point of view.
-BASIS_TYPES = frozenset(
-    {GateType.RZ, GateType.H, GateType.X, GateType.Z, GateType.S,
-     GateType.SDG, GateType.T, GateType.TDG, GateType.CNOT,
-     GateType.MEASURE, GateType.BARRIER}
 )
 
 

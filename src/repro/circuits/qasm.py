@@ -9,14 +9,18 @@ written lexer and recursive-descent parser for the OpenQASM 2.0 grammar
 * ``qreg`` / ``creg`` declarations (multiple registers, offset-mapped onto a
   single flat qubit index space in declaration order);
 * the builtin ``U(theta, phi, lambda)`` and ``CX`` gates plus the full
-  ``qelib1.inc`` standard library (lowered to the reproduction's gate
-  vocabulary, see :data:`_BUILTIN_GATES`);
+  ``qelib1.inc`` standard library: every :class:`GateType` is a builtin under
+  its own name, and the other gates are a QASM prelude (:data:`_PRELUDE`)
+  whose bodies use only GateType names;
 * user-defined ``gate`` macros, expanded recursively at every call site with
-  parameter and operand substitution;
+  parameter and operand substitution (a file's own definition shadows a
+  builtin of the same name);
 * register broadcasting (``h q;`` applies ``h`` to every qubit of ``q``;
   mixed single-qubit/register operands broadcast QASM-style);
 * constant angle expressions with ``pi``, the arithmetic operators
-  ``+ - * / ^`` and the builtin functions ``sin cos tan exp ln sqrt``;
+  ``+ - * / ^`` and the builtin functions ``sin cos tan exp ln sqrt``, parsed
+  by :func:`ast.parse` over the lexed tokens and evaluated in float
+  arithmetic;
 * ``measure`` (including register-to-register form) and ``barrier``.
 
 Constructs the lattice-surgery execution model cannot represent are rejected
@@ -32,14 +36,18 @@ lowers the result into the scheduler basis through
 
 from __future__ import annotations
 
+import ast
 import difflib
+import functools
 import math
+import operator
 import os
+import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .circuit import Circuit
-from .gates import Gate, GateType
+from .gates import _PARAMETERISED, Gate, GateType
 from .transpile import transpile_to_clifford_rz
 
 __all__ = ["QasmImportError", "parse_qasm", "import_qasm_file"]
@@ -81,6 +89,9 @@ class QasmImportError(ValueError):
 
 _SYMBOLS = ("->", ";", ",", "(", ")", "[", "]", "{", "}", "+", "-", "*", "/", "^", "==")
 
+#: A number literal; group 1 is its exponent part (``e``, a sign, digits).
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)([eE][+-]?\d*)?")
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -119,36 +130,20 @@ def _tokenize(text: str, filename: Optional[str]) -> List[_Token]:
             column += end + 1 - index
             index = end + 1
             continue
-        if char.isdigit() or (char == "." and index + 1 < length
-                              and text[index + 1].isdigit()):
-            start = index
-            seen_dot = seen_exp = False
-            while index < length:
-                ch = text[index]
-                if ch.isdigit():
-                    index += 1
-                elif ch == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    index += 1
-                elif ch in "eE" and not seen_exp and index > start:
-                    seen_exp = True
-                    index += 1
-                    if index < length and text[index] in "+-":
-                        index += 1
-                else:
-                    break
-            lexeme = text[start:index]
-            kind = "real" if (seen_dot or seen_exp) else "int"
-            if seen_exp and (lexeme[-1] in "eE+-"):
+        number = _NUMBER.match(text, index) if char.isdigit() or char == "." else None
+        if number:
+            lexeme, exponent = number.group(0), number.group(1)
+            if exponent and not exponent[-1].isdigit():
                 raise QasmImportError(
-                    f"malformed number literal {lexeme!r}: exponent has no "
-                    f"digits",
+                    f"malformed number literal {lexeme!r}: exponent has no digits",
                     line,
                     column,
                     filename,
                 )
+            kind = "real" if "." in lexeme or exponent else "int"
             tokens.append(_Token(kind, lexeme, line, column))
-            column += index - start
+            column += len(lexeme)
+            index += len(lexeme)
             continue
         if char.isalpha() or char == "_":
             start = index
@@ -171,143 +166,48 @@ def _tokenize(text: str, filename: Optional[str]) -> List[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Builtin gate lowering (qelib1.inc + the OpenQASM builtins U and CX)
+# Builtin gates: the GateType vocabulary plus a qelib1-style prelude
 # ---------------------------------------------------------------------------
 
-# An emitter appends Gate objects; builders receive (emit, qubits, params).
-_Emit = Callable[[Gate], None]
-
-
-def _g(gate_type: GateType, *qubits: int, angle: Optional[float] = None) -> Gate:
-    return Gate(gate_type, tuple(qubits), angle=angle)
-
-
-def _emit_u3(emit: _Emit, qubit: int, theta: float, phi: float, lam: float) -> None:
-    # U(theta, phi, lambda) = Rz(phi) Ry(theta) Rz(lambda) up to global phase.
-    emit(_g(GateType.RZ, qubit, angle=lam))
-    emit(_g(GateType.RY, qubit, angle=theta))
-    emit(_g(GateType.RZ, qubit, angle=phi))
-
-
-def _build_u(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    _emit_u3(emit, qubits[0], params[0], params[1], params[2])
-
-
-def _build_u2(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    _emit_u3(emit, qubits[0], math.pi / 2, params[0], params[1])
-
-
-def _build_u1(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    emit(_g(GateType.RZ, qubits[0], angle=params[0]))
-
-
-def _build_id(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    pass  # the identity costs nothing in the execution model
-
-
-def _build_cy(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    control, target = qubits
-    emit(_g(GateType.SDG, target))
-    emit(_g(GateType.CNOT, control, target))
-    emit(_g(GateType.S, target))
-
-
-def _build_ch(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    # qelib1.inc body, expressed in the reproduction's vocabulary.
-    control, target = qubits
-    emit(_g(GateType.H, target))
-    emit(_g(GateType.SDG, target))
-    emit(_g(GateType.CNOT, control, target))
-    emit(_g(GateType.H, target))
-    emit(_g(GateType.T, target))
-    emit(_g(GateType.CNOT, control, target))
-    emit(_g(GateType.T, target))
-    emit(_g(GateType.H, target))
-    emit(_g(GateType.S, target))
-    emit(_g(GateType.X, target))
-    emit(_g(GateType.S, control))
-
-
-def _build_crz(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    control, target = qubits
-    half = params[0] / 2.0
-    emit(_g(GateType.RZ, target, angle=half))
-    emit(_g(GateType.CNOT, control, target))
-    emit(_g(GateType.RZ, target, angle=-half))
-    emit(_g(GateType.CNOT, control, target))
-
-
-def _build_cu1(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    control, target = qubits
-    half = params[0] / 2.0
-    emit(_g(GateType.RZ, control, angle=half))
-    emit(_g(GateType.CNOT, control, target))
-    emit(_g(GateType.RZ, target, angle=-half))
-    emit(_g(GateType.CNOT, control, target))
-    emit(_g(GateType.RZ, target, angle=half))
-
-
-def _build_cu3(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    control, target = qubits
-    theta, phi, lam = params
-    emit(_g(GateType.RZ, target, angle=(lam - phi) / 2.0))
-    emit(_g(GateType.CNOT, control, target))
-    _emit_u3(emit, target, -theta / 2.0, 0.0, -(phi + lam) / 2.0)
-    emit(_g(GateType.CNOT, control, target))
-    _emit_u3(emit, target, theta / 2.0, phi, 0.0)
-    emit(_g(GateType.RZ, control, angle=(lam + phi) / 2.0))
-
-
-def _build_cswap(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-    control, first, second = qubits
-    emit(_g(GateType.CNOT, second, first))
-    emit(_g(GateType.CCX, control, first, second))
-    emit(_g(GateType.CNOT, second, first))
-
-
-def _direct(gate_type: GateType, parameterised: bool = False):
-    def build(emit: _Emit, qubits: Sequence[int], params: Sequence[float]) -> None:
-        angle = params[0] if parameterised else None
-        emit(Gate(gate_type, tuple(qubits), angle=angle))
-
-    return build
-
-
-#: name -> (num_params, num_qubits, builder).  ``p``/``cp`` are the OpenQASM 3
-#: spellings of ``u1``/``cu1`` that newer exporters emit into 2.0 files.
-_BUILTIN_GATES: Dict[str, Tuple[int, int, Callable]] = {
-    "U": (3, 1, _build_u),
-    "CX": (0, 2, _direct(GateType.CNOT)),
-    "u3": (3, 1, _build_u),
-    "u2": (2, 1, _build_u2),
-    "u1": (1, 1, _build_u1),
-    "u": (3, 1, _build_u),
-    "p": (1, 1, _build_u1),
-    "id": (0, 1, _build_id),
-    "x": (0, 1, _direct(GateType.X)),
-    "y": (0, 1, _direct(GateType.Y)),
-    "z": (0, 1, _direct(GateType.Z)),
-    "h": (0, 1, _direct(GateType.H)),
-    "s": (0, 1, _direct(GateType.S)),
-    "sdg": (0, 1, _direct(GateType.SDG)),
-    "t": (0, 1, _direct(GateType.T)),
-    "tdg": (0, 1, _direct(GateType.TDG)),
-    "rx": (1, 1, _direct(GateType.RX, parameterised=True)),
-    "ry": (1, 1, _direct(GateType.RY, parameterised=True)),
-    "rz": (1, 1, _direct(GateType.RZ, parameterised=True)),
-    "cx": (0, 2, _direct(GateType.CNOT)),
-    "cz": (0, 2, _direct(GateType.CZ)),
-    "cy": (0, 2, _build_cy),
-    "ch": (0, 2, _build_ch),
-    "swap": (0, 2, _direct(GateType.SWAP)),
-    "crz": (1, 2, _build_crz),
-    "cu1": (1, 2, _build_cu1),
-    "cp": (1, 2, _build_cu1),
-    "cu3": (3, 2, _build_cu3),
-    "rzz": (1, 2, _direct(GateType.RZZ, parameterised=True)),
-    "ccx": (0, 3, _direct(GateType.CCX)),
-    "cswap": (0, 3, _build_cswap),
+#: Every GateType but measure/barrier is a builtin under its own name
+#: (``cx``, ``rz``, ...); ``CX`` is the OpenQASM spelling of ``cx``.  Arity
+#: and parameter count come from :class:`GateType` itself.
+_GATE_TYPES: Dict[str, GateType] = {
+    gate_type.value: gate_type
+    for gate_type in GateType
+    if gate_type not in (GateType.MEASURE, GateType.BARRIER)
 }
+_GATE_TYPES["CX"] = GateType.CNOT
+
+#: The rest of ``qelib1.inc`` and the builtin ``U``, written over GateType
+#: names.  ``U(theta,phi,lambda)`` is Rz(phi) Ry(theta) Rz(lambda) up to
+#: global phase; ``p``/``cp`` are the OpenQASM 3 spellings of ``u1``/``cu1``
+#: that newer exporters emit into 2.0 files.  Bodies resolve names in the
+#: prelude and the GateType vocabulary only, never in a file's own gates.
+_PRELUDE = """
+gate U(theta,phi,lambda) q { rz(lambda) q; ry(theta) q; rz(phi) q; }
+gate u3(theta,phi,lambda) q { rz(lambda) q; ry(theta) q; rz(phi) q; }
+gate u(theta,phi,lambda) q { rz(lambda) q; ry(theta) q; rz(phi) q; }
+gate u2(phi,lambda) q { rz(lambda) q; ry(pi/2) q; rz(phi) q; }
+gate u1(lambda) q { rz(lambda) q; }
+gate p(lambda) q { rz(lambda) q; }
+gate id q { }
+gate cy a,b { sdg b; cx a,b; s b; }
+gate ch a,b { h b; sdg b; cx a,b; h b; t b; cx a,b; t b; h b; s b; x b; s a; }
+gate crz(lambda) a,b { rz(lambda/2) b; cx a,b; rz(-lambda/2) b; cx a,b; }
+gate cu1(lambda) a,b {
+  rz(lambda/2) a; cx a,b; rz(-lambda/2) b; cx a,b; rz(lambda/2) b;
+}
+gate cp(lambda) a,b {
+  rz(lambda/2) a; cx a,b; rz(-lambda/2) b; cx a,b; rz(lambda/2) b;
+}
+gate cu3(theta,phi,lambda) a,b {
+  rz((lambda-phi)/2) b; cx a,b;
+  rz(-(phi+lambda)/2) b; ry(-theta/2) b; rz(0) b; cx a,b;
+  rz(0) b; ry(theta/2) b; rz(phi) b; rz((lambda+phi)/2) a;
+}
+gate cswap a,b,c { cx c,b; ccx a,b,c; cx c,b; }
+"""
 
 _ANGLE_FUNCTIONS: Dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -318,20 +218,34 @@ _ANGLE_FUNCTIONS: Dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
 }
 
-#: Expansion depth bound for user-defined gate macros (cycles are an error in
+#: Statements the execution model cannot represent, with the reason.
+_UNSUPPORTED = {
+    "opaque": (
+        "opaque gates have no body to lower into lattice-surgery operations; "
+        "define the gate with 'gate' instead"
+    ),
+    "if": (
+        "classically controlled statements (if) are not supported: the "
+        "scheduler model has no classical control flow"
+    ),
+    "reset": (
+        "reset is not supported: the execution model has no mid-circuit "
+        "reinitialisation; remove it or split the circuit"
+    ),
+}
+
+#: Expansion depth bound for ``gate`` macros (cycles are an error in
 #: OpenQASM 2.0, but a malformed file should fail loudly, not recurse forever).
 _MAX_GATE_DEPTH = 64
 
 
 @dataclass
 class _GateDef:
-    """A user-defined ``gate`` macro (name, formal params/qubits, body calls)."""
+    """A ``gate`` macro: formal params and qubits, and its body calls."""
 
-    name: str
     params: Tuple[str, ...]
     qubits: Tuple[str, ...]
     body: List["_Call"]
-    line: int
 
 
 @dataclass
@@ -341,8 +255,6 @@ class _Call:
     name: str
     params: List[List[_Token]]  # unevaluated expression token runs
     operands: List[str]
-    line: int
-    column: int
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +281,41 @@ class _Parser:
             return self.tokens[self.position]
         return None
 
+    def _last(self) -> _Token:
+        return self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
+
     def _next(self) -> _Token:
         token = self._peek()
         if token is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise self._error(
-                "unexpected end of input",
-                last.line if last else 1,
-                last.column if last else 1,
-            )
+            raise self._error("unexpected end of input", self._last())
         self.position += 1
         return token
+
+    def _accept(self, kind: str) -> bool:
+        """Consume the next token if it is a ``kind`` token."""
+        token = self._peek()
+        if token is not None and token.kind == kind:
+            self.position += 1
+            return True
+        return False
 
     def _expect(self, kind: str, what: Optional[str] = None) -> _Token:
         token = self._next()
         if token.kind != kind:
             raise self._error(
-                f"expected {what or kind!r} but found {token.value!r}",
-                token.line,
-                token.column,
+                f"expected {what or kind!r} but found {token.value!r}", token
             )
         return token
 
-    def _error(self, message: str, line: int, column: int) -> QasmImportError:
-        return QasmImportError(message, line, column, self.filename)
+    def _names(self, what: str) -> List[_Token]:
+        """A comma-separated list of identifiers."""
+        names = [self._expect("id", what)]
+        while self._accept(","):
+            names.append(self._expect("id", what))
+        return names
+
+    def _error(self, message: str, token: _Token) -> QasmImportError:
+        return QasmImportError(message, token.line, token.column, self.filename)
 
     # -- program -------------------------------------------------------------
 
@@ -405,17 +328,15 @@ class _Parser:
                 raise self._error(
                     f"unsupported OpenQASM version {version.value!r}; "
                     f"only 2.0 is supported",
-                    version.line,
-                    version.column,
+                    version,
                 )
             self._expect(";")
         while self._peek() is not None:
             self._statement()
         if not self.qreg_offsets:
-            last = self.tokens[-1] if self.tokens else None
             raise QasmImportError(
                 "program declares no qreg; add e.g. 'qreg q[4];'",
-                last.line if last else 1,
+                self._last().line,
                 None,
                 self.filename,
             )
@@ -425,77 +346,44 @@ class _Parser:
     def _statement(self) -> None:
         token = self._next()
         if token.kind != "id":
-            raise self._error(
-                f"expected a statement but found {token.value!r}",
-                token.line,
-                token.column,
-            )
+            raise self._error(f"expected a statement but found {token.value!r}", token)
         keyword = token.value
         if keyword == "include":
-            self._include(token)
+            self._include()
         elif keyword in ("qreg", "creg"):
-            self._register(keyword, token)
+            self._register(keyword)
         elif keyword == "gate":
-            self._gate_definition(token)
+            self._gate_definition()
         elif keyword == "measure":
-            self._measure(token)
+            self._measure()
         elif keyword == "barrier":
             self._barrier()
-        elif keyword == "opaque":
-            raise self._error(
-                "opaque gates have no body to lower into lattice-surgery "
-                "operations; define the gate with 'gate' instead",
-                token.line,
-                token.column,
-            )
-        elif keyword == "if":
-            raise self._error(
-                "classically controlled statements (if) are not supported: "
-                "the scheduler model has no classical control flow",
-                token.line,
-                token.column,
-            )
-        elif keyword == "reset":
-            raise self._error(
-                "reset is not supported: the execution model has no "
-                "mid-circuit reinitialisation; remove it or split the circuit",
-                token.line,
-                token.column,
-            )
+        elif keyword in _UNSUPPORTED:
+            raise self._error(_UNSUPPORTED[keyword], token)
         else:
             self._gate_call(token)
 
-    def _include(self, keyword: _Token) -> None:
+    def _include(self) -> None:
         target = self._expect("string", "an include file name")
         self._expect(";")
         if target.value != "qelib1.inc":
             raise self._error(
                 f"cannot include {target.value!r}: only the standard "
                 f"'qelib1.inc' library is available to the importer",
-                target.line,
-                target.column,
+                target,
             )
 
-    def _register(self, kind: str, keyword: _Token) -> None:
+    def _register(self, kind: str) -> None:
         name_token = self._expect("id", "a register name")
         self._expect("[")
         size_token = self._expect("int", "a register size")
         self._expect("]")
         self._expect(";")
-        size = int(size_token.value)
+        name, size = name_token.value, int(size_token.value)
         if size <= 0:
-            raise self._error(
-                f"{kind} {name_token.value!r} must have a positive size",
-                size_token.line,
-                size_token.column,
-            )
-        name = name_token.value
+            raise self._error(f"{kind} {name!r} must have a positive size", size_token)
         if name in self.qreg_sizes or name in self.creg_sizes:
-            raise self._error(
-                f"register {name!r} is declared twice",
-                name_token.line,
-                name_token.column,
-            )
+            raise self._error(f"register {name!r} is declared twice", name_token)
         if kind == "qreg":
             self.qreg_offsets[name] = sum(self.qreg_sizes.values())
             self.qreg_sizes[name] = size
@@ -504,81 +392,47 @@ class _Parser:
 
     # -- gate definitions ----------------------------------------------------
 
-    def _gate_definition(self, keyword: _Token) -> None:
+    def _gate_definition(self) -> None:
         name_token = self._expect("id", "a gate name")
         name = name_token.value
         params: List[str] = []
-        if self._peek() is not None and self._peek().kind == "(":
-            self._next()
-            if self._peek() is not None and self._peek().kind != ")":
-                params.append(self._expect("id", "a parameter name").value)
-                while self._peek() is not None and self._peek().kind == ",":
-                    self._next()
-                    params.append(self._expect("id", "a parameter name").value)
+        if self._accept("(") and not self._accept(")"):
+            params = [token.value for token in self._names("a parameter name")]
             self._expect(")")
-        qubits = [self._expect("id", "a qubit argument").value]
-        while self._peek() is not None and self._peek().kind == ",":
-            self._next()
-            qubits.append(self._expect("id", "a qubit argument").value)
+        qubits = [token.value for token in self._names("a qubit argument")]
         self._expect("{")
         body: List[_Call] = []
-        while True:
-            token = self._peek()
-            if token is None:
+        while not self._accept("}"):
+            if self._peek() is None:
                 raise self._error(
-                    f"gate {name!r} body is missing its closing '}}'",
-                    name_token.line,
-                    name_token.column,
+                    f"gate {name!r} body is missing its closing '}}'", name_token
                 )
-            if token.kind == "}":
-                self._next()
-                break
-            body.append(self._body_call(set(params), set(qubits)))
+            call = self._body_call(set(qubits))
+            if call is not None:
+                body.append(call)
         if name in self.gate_defs:
-            raise self._error(
-                f"gate {name!r} is defined twice", name_token.line, name_token.column
-            )
-        self.gate_defs[name] = _GateDef(
-            name=name,
-            params=tuple(params),
-            qubits=tuple(qubits),
-            body=body,
-            line=name_token.line,
-        )
+            raise self._error(f"gate {name!r} is defined twice", name_token)
+        self.gate_defs[name] = _GateDef(tuple(params), tuple(qubits), body)
 
-    def _body_call(self, params: set, qubits: set) -> _Call:
+    def _body_call(self, qubits: Set[str]) -> Optional[_Call]:
         token = self._expect("id", "a gate call")
         if token.value == "barrier":
             # Barriers inside gate bodies order the body internally; the
             # execution model only honours top-level barriers, so they are
-            # recorded and dropped at expansion time.
+            # dropped.
             while self._next().kind != ";":
                 pass
-            return _Call(name="barrier", params=[], operands=[], line=token.line,
-                         column=token.column)
-        call = _Call(name=token.value, params=[], operands=[], line=token.line,
-                     column=token.column)
-        if self._peek() is not None and self._peek().kind == "(":
-            self._next()
-            call.params = self._expression_runs()
-        operand = self._expect("id", "a qubit argument")
-        self._check_body_operand(operand, qubits)
-        call.operands.append(operand.value)
-        while self._peek() is not None and self._peek().kind == ",":
-            self._next()
-            operand = self._expect("id", "a qubit argument")
-            self._check_body_operand(operand, qubits)
-            call.operands.append(operand.value)
+            return None
+        params = self._expression_runs() if self._accept("(") else []
+        operands = self._names("a qubit argument")
+        for operand in operands:
+            if operand.value not in qubits:
+                raise self._error(
+                    f"gate body references unknown qubit argument {operand.value!r}",
+                    operand,
+                )
         self._expect(";")
-        return call
-
-    def _check_body_operand(self, token: _Token, qubits: set) -> None:
-        if token.value not in qubits:
-            raise self._error(
-                f"gate body references unknown qubit argument {token.value!r}",
-                token.line,
-                token.column,
-            )
+        return _Call(token.value, params, [operand.value for operand in operands])
 
     def _expression_runs(self) -> List[List[_Token]]:
         """Collect the comma-separated expression token runs up to ')'."""
@@ -596,36 +450,26 @@ class _Parser:
                 runs.append([])
                 continue
             runs[-1].append(token)
-        if runs == [[]]:
-            return []
-        return runs
+        return [] if runs == [[]] else runs
 
     # -- gate application ----------------------------------------------------
 
     def _gate_call(self, name_token: _Token) -> None:
-        name = name_token.value
-        params: List[List[_Token]] = []
-        if self._peek() is not None and self._peek().kind == "(":
-            self._next()
-            params = self._expression_runs()
+        params = self._expression_runs() if self._accept("(") else []
         operands = [self._operand()]
-        while self._peek() is not None and self._peek().kind == ",":
-            self._next()
+        while self._accept(","):
             operands.append(self._operand())
         self._expect(";")
         values = [self._evaluate(run, {}, name_token) for run in params]
-        resolved = [self._resolve_operand(register, index, token)
-                    for register, index, token in operands]
-        for qubit_tuple in self._broadcast(resolved, name_token):
-            self._apply(name, values, qubit_tuple, name_token, depth=0)
+        resolved = [self._resolve_operand(*operand) for operand in operands]
+        for qubits in self._broadcast(resolved, name_token):
+            self._apply(name_token.value, values, qubits, name_token, depth=0)
 
     def _operand(self) -> Tuple[str, Optional[int], _Token]:
         name_token = self._expect("id", "a register operand")
         index: Optional[int] = None
-        if self._peek() is not None and self._peek().kind == "[":
-            self._next()
-            index_token = self._expect("int", "a qubit index")
-            index = int(index_token.value)
+        if self._accept("["):
+            index = int(self._expect("int", "a qubit index").value)
             self._expect("]")
         return name_token.value, index, name_token
 
@@ -634,22 +478,16 @@ class _Parser:
     ) -> List[int]:
         """Map an operand to the flat qubit indices it denotes."""
         if register not in self.qreg_sizes:
-            known = sorted(self.qreg_sizes)
+            known = sorted(self.qreg_sizes) or "none"
             raise self._error(
-                f"unknown qreg {register!r}; declared qregs: {known or 'none'}",
-                token.line,
-                token.column,
+                f"unknown qreg {register!r}; declared qregs: {known}", token
             )
-        offset = self.qreg_offsets[register]
-        size = self.qreg_sizes[register]
+        offset, size = self.qreg_offsets[register], self.qreg_sizes[register]
         if index is None:
             return [offset + i for i in range(size)]
         if not 0 <= index < size:
             raise self._error(
-                f"index {index} is out of range for qreg "
-                f"{register}[{size}]",
-                token.line,
-                token.column,
+                f"index {index} is out of range for qreg {register}[{size}]", token
             )
         return [offset + index]
 
@@ -662,17 +500,13 @@ class _Parser:
             raise self._error(
                 f"cannot broadcast over registers of different sizes "
                 f"{sorted(lengths)}",
-                token.line,
-                token.column,
+                token,
             )
         count = lengths.pop() if lengths else 1
-        applications = []
-        for position in range(count):
-            applications.append(
-                tuple(group[position] if len(group) > 1 else group[0]
-                      for group in resolved)
-            )
-        return applications
+        return [
+            tuple(group[i] if len(group) > 1 else group[0] for group in resolved)
+            for i in range(count)
+        ]
 
     def _apply(
         self,
@@ -681,84 +515,63 @@ class _Parser:
         qubits: Tuple[int, ...],
         token: _Token,
         depth: int,
+        file_gates: bool = True,
     ) -> None:
+        """Apply one gate call.
+
+        ``name`` resolves to this file's ``gate`` definitions (unless
+        ``file_gates`` is off, inside prelude bodies), then the prelude, then
+        the GateType vocabulary.
+        """
         if depth > _MAX_GATE_DEPTH:
             raise self._error(
                 f"gate {name!r} expands deeper than {_MAX_GATE_DEPTH} levels; "
                 f"gate definitions must not be recursive",
-                token.line,
-                token.column,
+                token,
             )
-        definition = self.gate_defs.get(name)
+        own = file_gates and name in self.gate_defs
+        definition = self.gate_defs[name] if own else _prelude().get(name)
+        gate_type = _GATE_TYPES.get(name)
         if definition is not None:
-            self._apply_definition(definition, params, qubits, token, depth)
-            return
-        builtin = _BUILTIN_GATES.get(name)
-        if builtin is None:
-            candidates = sorted(set(_BUILTIN_GATES) | set(self.gate_defs))
-            suggestions = difflib.get_close_matches(name, candidates, n=3)
+            num_params, num_qubits = len(definition.params), len(definition.qubits)
+        elif gate_type is not None:
+            num_params = int(gate_type in _PARAMETERISED)
+            num_qubits = gate_type.num_qubits
+        else:
+            known = set(_GATE_TYPES) | set(_prelude()) | set(self.gate_defs)
+            suggestions = difflib.get_close_matches(name, sorted(known), n=3)
             hint = f"; did you mean {suggestions}?" if suggestions else ""
             raise self._error(
                 f"unknown gate {name!r}{hint} (qelib1.inc gates and 'gate' "
                 f"definitions from this file are available)",
-                token.line,
-                token.column,
+                token,
             )
-        num_params, num_qubits, builder = builtin
         if len(params) != num_params:
             raise self._error(
-                f"gate {name!r} takes {num_params} parameter(s), "
-                f"got {len(params)}",
-                token.line,
-                token.column,
+                f"gate {name!r} takes {num_params} parameter(s), got {len(params)}",
+                token,
             )
         if len(qubits) != num_qubits:
             raise self._error(
-                f"gate {name!r} acts on {num_qubits} qubit(s), "
-                f"got {len(qubits)}",
-                token.line,
-                token.column,
+                f"gate {name!r} acts on {num_qubits} qubit(s), got {len(qubits)}",
+                token,
             )
         if len(set(qubits)) != len(qubits):
             raise self._error(
-                f"gate {name!r} applied to duplicate qubit operands {qubits}",
-                token.line,
-                token.column,
+                f"gate {name!r} applied to duplicate qubit operands {qubits}", token
             )
-        builder(self.gates.append, qubits, params)
-
-    def _apply_definition(
-        self,
-        definition: _GateDef,
-        params: Sequence[float],
-        qubits: Tuple[int, ...],
-        token: _Token,
-        depth: int,
-    ) -> None:
-        if len(params) != len(definition.params):
-            raise self._error(
-                f"gate {definition.name!r} takes {len(definition.params)} "
-                f"parameter(s), got {len(params)}",
-                token.line,
-                token.column,
-            )
-        if len(qubits) != len(definition.qubits):
-            raise self._error(
-                f"gate {definition.name!r} acts on {len(definition.qubits)} "
-                f"qubit(s), got {len(qubits)}",
-                token.line,
-                token.column,
-            )
+        if definition is None:
+            angle = params[0] if num_params else None
+            self.gates.append(Gate(gate_type, qubits, angle=angle))
+            return
         param_env = dict(zip(definition.params, params))
         qubit_env = dict(zip(definition.qubits, qubits))
         for call in definition.body:
-            if call.name == "barrier":
-                continue
             values = [self._evaluate(run, param_env, token) for run in call.params]
             operand_qubits = tuple(qubit_env[operand] for operand in call.operands)
-            self._apply(call.name, values, operand_qubits, token, depth + 1)
+            self._apply(call.name, values, operand_qubits, token, depth + 1, own)
 
-    def _measure(self, keyword: _Token) -> None:
+    def _measure(self) -> None:
         source_register, source_index, source_token = self._operand()
         self._expect("->")
         target_register, target_index, target_token = self._operand()
@@ -766,8 +579,7 @@ class _Parser:
         if target_register not in self.creg_sizes:
             raise self._error(
                 f"measure target {target_register!r} is not a declared creg",
-                target_token.line,
-                target_token.column,
+                target_token,
             )
         qubits = self._resolve_operand(source_register, source_index, source_token)
         target_size = self.creg_sizes[target_register]
@@ -775,22 +587,18 @@ class _Parser:
             raise self._error(
                 "measure operands must both be single bits or both be whole "
                 "registers (e.g. 'measure q[0] -> c[0];' or 'measure q -> c;')",
-                target_token.line,
-                target_token.column,
+                target_token,
             )
         if target_index is not None and not 0 <= target_index < target_size:
             raise self._error(
                 f"index {target_index} is out of range for creg "
                 f"{target_register}[{target_size}]",
-                target_token.line,
-                target_token.column,
+                target_token,
             )
         if target_index is None and target_size < len(qubits):
             raise self._error(
-                f"creg {target_register!r} is smaller than qreg "
-                f"{source_register!r}",
-                target_token.line,
-                target_token.column,
+                f"creg {target_register!r} is smaller than qreg {source_register!r}",
+                target_token,
             )
         for qubit in qubits:
             self.gates.append(Gate(GateType.MEASURE, (qubit,)))
@@ -798,10 +606,8 @@ class _Parser:
     def _barrier(self) -> None:
         # Operand list is parsed but the execution model treats every barrier
         # as a global synchronisation point (Circuit.layers semantics).
-        while True:
-            token = self._next()
-            if token.kind == ";":
-                break
+        while self._next().kind != ";":
+            pass
         self.gates.append(Gate(GateType.BARRIER, ()))
 
     # -- angle expressions ---------------------------------------------------
@@ -809,182 +615,133 @@ class _Parser:
     def _evaluate(
         self, run: List[_Token], env: Dict[str, float], context: _Token
     ) -> float:
+        """Evaluate one constant angle expression to a float.
+
+        The token run is handed to :func:`ast.parse` as Python source in which
+        every atom (number or name) is spelled ``_`` and ``^`` is ``**``, so
+        Python supplies the precedence; each node maps back to its token by
+        column, and numbers evaluate as ``float`` of their literal text.
+        """
         if not run:
-            raise self._error(
-                "empty parameter expression", context.line, context.column
-            )
-        evaluator = _ExpressionEvaluator(run, env, self.filename)
-        value = evaluator.parse()
+            raise self._error("empty parameter expression", context)
+        source, tokens = "", {}
+        for token in run:
+            tokens[len(source)] = token
+            source += _PYTHON_SPELLING.get(token.kind, token.kind) + " "
+        try:
+            value = self._value(_parse_expression(source), tokens, env)
+        except RecursionError:
+            raise self._error("angle expression nests too deeply", run[0]) from None
+        except SyntaxError as exc:
+            offset = (exc.offset or 0) - 1
+            starts = [start for start in tokens if start <= offset]
+            if not starts or offset >= len(source.rstrip()):
+                raise self._error(
+                    "angle expression ends unexpectedly", run[-1]
+                ) from None
+            raise self._unexpected(tokens[max(starts)]) from None
         if not math.isfinite(value):
             raise self._error(
-                f"parameter expression evaluates to {value!r}; angles must "
-                f"be finite",
-                run[0].line,
-                run[0].column,
+                f"parameter expression evaluates to {value!r}; angles must be finite",
+                run[0],
             )
         return value
 
-
-class _ExpressionEvaluator:
-    """Recursive-descent evaluator for constant QASM angle expressions."""
-
-    def __init__(
-        self, tokens: List[_Token], env: Dict[str, float], filename: Optional[str]
-    ) -> None:
-        self.tokens = tokens
-        self.position = 0
-        self.env = env
-        self.filename = filename
-
-    def parse(self) -> float:
-        value = self._expression()
-        if self.position != len(self.tokens):
-            token = self.tokens[self.position]
-            raise QasmImportError(
-                f"unexpected {token.value!r} in angle expression",
-                token.line,
-                token.column,
-                self.filename,
-            )
-        return value
-
-    def _peek(self) -> Optional[_Token]:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
-
-    def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            last = self.tokens[-1]
-            raise QasmImportError(
-                "angle expression ends unexpectedly",
-                last.line,
-                last.column,
-                self.filename,
-            )
-        self.position += 1
-        return token
-
-    def _expression(self) -> float:
-        value = self._term()
-        while self._peek() is not None and self._peek().kind in ("+", "-"):
-            operator = self._next().kind
-            right = self._term()
-            value = value + right if operator == "+" else value - right
-        return value
-
-    def _term(self) -> float:
-        value = self._factor()
-        while self._peek() is not None and self._peek().kind in ("*", "/"):
-            operator = self._next()
-            right = self._factor()
-            if operator.kind == "*":
-                value *= right
-            else:
-                if right == 0:
-                    raise QasmImportError(
-                        "division by zero in angle expression",
-                        operator.line,
-                        operator.column,
-                        self.filename,
-                    )
-                value /= right
-        return value
-
-    def _factor(self) -> float:
-        token = self._peek()
-        if token is not None and token.kind in ("+", "-"):
-            self._next()
-            value = self._factor()
-            return value if token.kind == "+" else -value
-        value = self._atom()
-        if self._peek() is not None and self._peek().kind == "^":
-            operator = self._next()
-            base = value
-            exponent = self._factor()  # right-associative
-            try:
-                value = base**exponent
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise QasmImportError(
-                    f"{base!r} ^ {exponent!r} is undefined: {exc}",
-                    operator.line,
-                    operator.column,
-                    self.filename,
-                ) from None
-            if isinstance(value, complex):
-                # Negative base with fractional exponent; a rotation angle
-                # must be real.
-                raise QasmImportError(
-                    f"{base!r} ^ {exponent!r} is not a real number",
-                    operator.line,
-                    operator.column,
-                    self.filename,
-                )
-        return value
-
-    def _atom(self) -> float:
-        token = self._next()
-        if token.kind in ("int", "real"):
+    def _value(
+        self, node: ast.expr, tokens: Dict[int, _Token], env: Dict[str, float]
+    ) -> float:
+        token = tokens[node.col_offset]
+        if isinstance(node, ast.Name) and token.kind in ("int", "real"):
             return float(token.value)
-        if token.kind == "(":
-            value = self._expression()
-            closing = self._next()
-            if closing.kind != ")":
-                raise QasmImportError(
-                    f"expected ')' but found {closing.value!r}",
-                    closing.line,
-                    closing.column,
-                    self.filename,
-                )
-            return value
-        if token.kind == "id":
+        if isinstance(node, ast.Name) and token.kind == "id":
             if token.value == "pi":
                 return math.pi
-            if token.value in self.env:
-                return self.env[token.value]
-            function = _ANGLE_FUNCTIONS.get(token.value)
-            if function is not None:
-                opening = self._next()
-                if opening.kind != "(":
-                    raise QasmImportError(
-                        f"function {token.value!r} requires parentheses",
-                        token.line,
-                        token.column,
-                        self.filename,
-                    )
-                argument = self._expression()
-                closing = self._next()
-                if closing.kind != ")":
-                    raise QasmImportError(
-                        f"expected ')' but found {closing.value!r}",
-                        closing.line,
-                        closing.column,
-                        self.filename,
-                    )
-                try:
-                    return function(argument)
-                except ValueError as exc:
-                    raise QasmImportError(
-                        f"{token.value}({argument}) is undefined: {exc}",
-                        token.line,
-                        token.column,
-                        self.filename,
-                    ) from None
-            known = sorted(set(self.env) | set(_ANGLE_FUNCTIONS) | {"pi"})
-            raise QasmImportError(
+            if token.value in env:
+                return env[token.value]
+            if token.value in _ANGLE_FUNCTIONS:
+                raise self._error(
+                    f"function {token.value!r} requires parentheses", token
+                )
+            known = sorted(set(env) | set(_ANGLE_FUNCTIONS) | {"pi"})
+            raise self._error(
                 f"unknown identifier {token.value!r} in angle expression; "
                 f"known names: {known}",
-                token.line,
-                token.column,
-                self.filename,
+                token,
             )
-        raise QasmImportError(
-            f"unexpected {token.value!r} in angle expression",
-            token.line,
-            token.column,
-            self.filename,
-        )
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            value = self._value(node.operand, tokens, env)
+            return -value if isinstance(node.op, ast.USub) else value
+        if isinstance(node, ast.BinOp):
+            left = self._value(node.left, tokens, env)
+            right = self._value(node.right, tokens, env)
+            symbol = self._token_after(node.left, tokens)
+            if isinstance(node.op, ast.Div) and right == 0:
+                raise self._error("division by zero in angle expression", symbol)
+            try:
+                value = _ARITHMETIC[type(node.op)](left, right)
+            except (ZeroDivisionError, OverflowError) as exc:  # only ``^`` raises
+                raise self._error(
+                    f"{left!r} ^ {right!r} is undefined: {exc}", symbol
+                ) from None
+            if isinstance(value, complex):  # a negative base, fractional power
+                raise self._error(f"{left!r} ^ {right!r} is not a real number", symbol)
+            return value
+        function = _ANGLE_FUNCTIONS.get(token.value) if token.kind == "id" else None
+        if isinstance(node, ast.Call) and function is not None:
+            if not isinstance(node.func, ast.Name) or len(node.args) != 1:
+                raise self._error(f"function {token.value!r} takes one argument", token)
+            argument = self._value(node.args[0], tokens, env)
+            try:
+                return function(argument)
+            except (ValueError, OverflowError) as exc:
+                raise self._error(
+                    f"{token.value}({argument}) is undefined: {exc}", token
+                ) from None
+        # Any other node is malformed.  When it starts with an operand, as in
+        # ``1==2``, ``q[0]`` or ``pi(2)``, evaluate that operand and blame the
+        # token after it, as a recursive-descent parser would.
+        first = next(ast.iter_child_nodes(node), None)
+        if isinstance(first, ast.expr) and first.col_offset == node.col_offset:
+            self._value(first, tokens, env)
+            token = self._token_after(first, tokens)
+        raise self._unexpected(token)
+
+    @staticmethod
+    def _token_after(node: ast.expr, tokens: Dict[int, _Token]) -> _Token:
+        """The first token after ``node`` that does not close a parenthesis."""
+        offset = node.end_col_offset
+        while offset not in tokens or tokens[offset].kind == ")":
+            offset += 1
+        return tokens[offset]
+
+    def _unexpected(self, token: _Token) -> QasmImportError:
+        return self._error(f"unexpected {token.value!r} in angle expression", token)
+
+
+#: How each token kind is spelled in the source handed to :func:`ast.parse`.
+_PYTHON_SPELLING = {"id": "_", "int": "_", "real": "_", "string": "_", "^": "**"}
+
+_ARITHMETIC: Dict[type, Callable[[float, float], float]] = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_expression(source: str) -> ast.expr:
+    return ast.parse(source, mode="eval").body
+
+
+@functools.lru_cache(maxsize=None)
+def _prelude() -> Dict[str, _GateDef]:
+    """The prelude's gate definitions, parsed once per process."""
+    parser = _Parser(_PRELUDE, "qelib1", "<qelib1 prelude>")
+    while parser._peek() is not None:
+        parser._statement()
+    return parser.gate_defs
 
 
 # ---------------------------------------------------------------------------

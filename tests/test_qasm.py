@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.circuits import (
@@ -198,6 +198,22 @@ class TestGateMacros:
             parse_qasm(header(
                 "gate g1 a { h a; }", "gate g1 a { x a; }", "qreg q[1];"))
 
+    def test_macro_applied_to_duplicate_operands_rejected(self):
+        with pytest.raises(QasmImportError, match="duplicate qubit"):
+            parse_qasm(header(
+                "gate twice a,b { h a; h b; }", "qreg q[2];", "twice q[0],q[0];"))
+
+    def test_file_gate_shadows_builtin_but_not_inside_the_prelude(self):
+        circuit = parse_qasm(header(
+            "gate rz(t) a { rx(t) a; }",
+            "qreg q[1];",
+            "rz(0.5) q[0];",
+            "u1(0.5) q[0];",
+        ))
+        # The file's rz replaces the builtin for the file's own calls; u1's
+        # prelude body still means the GateType rz.
+        assert [g.gate_type for g in circuit] == [GateType.RX, GateType.RZ]
+
 
 class TestAngleExpressions:
     @pytest.mark.parametrize("expression,expected", [
@@ -228,6 +244,7 @@ class TestAngleExpressions:
         ("0^(0-1)", "undefined"),             # ZeroDivisionError
         ("(1e200)^2", "undefined"),           # OverflowError
         ("1e308*1e308", "finite"),            # silent float overflow to inf
+        ("exp(1000)", "undefined"),           # math.exp OverflowError
     ])
     def test_power_and_overflow_stay_inside_the_error_contract(
             self, expression, needle):
@@ -239,6 +256,26 @@ class TestAngleExpressions:
             parse_qasm(header("qreg q[1];", "rz(1e+) q[0];"))
         assert "exponent has no digits" in str(excinfo.value)
         assert excinfo.value.line == 4
+
+    def test_overlong_expression_rejected(self):
+        chain = "+".join(["1"] * 5000)
+        with pytest.raises(QasmImportError, match="nests too deeply"):
+            parse_qasm(header("qreg q[1];", f"rz({chain}) q[0];"))
+
+    @pytest.mark.parametrize("expression,needle", [
+        ("1+", "ends unexpectedly"),
+        ("2*(1+)", "unexpected '\\)'"),
+        ("1 2", "unexpected '2'"),
+        ("1==2", "unexpected '=='"),
+        ("pi(2)", "unexpected '\\('"),
+        ("sin(1,2)", "takes one argument"),
+        ("sin", "requires parentheses"),
+        ('"a"', "unexpected 'a'"),
+    ])
+    def test_malformed_expression_names_the_offending_token(
+            self, expression, needle):
+        with pytest.raises(QasmImportError, match=needle):
+            parse_qasm(header("qreg q[1];", f"rz({expression}) q[0];"))
 
     def test_unknown_identifier_rejected(self):
         with pytest.raises(QasmImportError, match="unknown identifier"):
@@ -379,3 +416,120 @@ class TestRoundTrip:
         # path reproduces them gate for gate (angles via exact float repr).
         reimported = transpile_to_clifford_rz(parse_qasm(to_qasm(original)))
         assert reimported == original
+
+
+# -- random angle expressions --------------------------------------------------
+
+_BINARY = {"+": (1, lambda a, b: a + b), "-": (1, lambda a, b: a - b),
+           "*": (2, lambda a, b: a * b), "/": (2, lambda a, b: a / b),
+           "^": (4, lambda a, b: a ** b)}
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
+              "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
+_ATOM = 5  # literals, pi, calls and parenthesised expressions
+
+_leaves = st.one_of(
+    st.just(("pi",)),
+    st.integers(0, 40).map(lambda v: ("num", str(v))),
+    st.floats(0, 1e6, allow_nan=False).map(lambda v: ("num", repr(v))),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("unary"), st.sampled_from("+-"), children),
+        st.tuples(st.just("binary"), st.sampled_from(sorted(_BINARY)),
+                  children, children),
+        st.tuples(st.just("call"), st.sampled_from(sorted(_FUNCTIONS)),
+                  children),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=10)
+
+
+def _render(tree, wrap):
+    """QASM text and precedence of ``tree``, with minimal parentheses.
+
+    ``wrap`` draws whether to add redundant parentheses around a subtree.
+    """
+    kind = tree[0]
+    if kind == "pi":
+        text, level = "pi", _ATOM
+    elif kind == "num":
+        text, level = tree[1], _ATOM
+    elif kind == "call":
+        text, level = f"{tree[1]}({_render(tree[2], wrap)[0]})", _ATOM
+    elif kind == "unary":
+        inner, inner_level = _render(tree[2], wrap)
+        if inner_level < 3:
+            inner = f"({inner})"
+        text, level = tree[1] + inner, 3
+    else:
+        level = _BINARY[tree[1]][0]
+        left, left_level = _render(tree[2], wrap)
+        right, right_level = _render(tree[3], wrap)
+        if tree[1] == "^":
+            # The base of a power is an atom; the exponent may be unary.
+            left_bound, right_bound = _ATOM, 3
+        else:
+            left_bound, right_bound = level, level + 1
+        if left_level < left_bound:
+            left = f"({left})"
+        if right_level < right_bound:
+            right = f"({right})"
+        text = f"{left}{tree[1]}{right}"
+    if wrap():
+        return f"({text})", _ATOM
+    return text, level
+
+
+def _evaluate(tree):
+    """Python float evaluation of ``tree`` in the importer's operation order."""
+    kind = tree[0]
+    if kind == "pi":
+        return math.pi
+    if kind == "num":
+        return float(tree[1])
+    if kind == "call":
+        return _FUNCTIONS[tree[1]](_evaluate(tree[2]))
+    if kind == "unary":
+        value = _evaluate(tree[2])
+        return -value if tree[1] == "-" else value
+    value = _BINARY[tree[1]][1](_evaluate(tree[2]), _evaluate(tree[3]))
+    if isinstance(value, complex):
+        raise ValueError("a negative base to a fractional power is not real")
+    return value
+
+
+def _outcome(tree):
+    """Python's value for ``tree``, or ``None`` when it is no finite angle."""
+    try:
+        value = _evaluate(tree)
+    except (ArithmeticError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+class TestExpressionTrees:
+    """Random expression trees, rendered to QASM, against Python arithmetic."""
+
+    @seed(23)
+    @settings(max_examples=400, deadline=2_000, derandomize=True,
+              database=None)
+    @given(tree=_trees, data=st.data())
+    def test_angle_matches_python_evaluation_bitwise(self, tree, data):
+        expected = _outcome(tree)
+        assume(expected is not None)  # the error cases are the next test's
+        text, _ = _render(tree, lambda: data.draw(st.booleans()))
+        circuit = parse_qasm(header("qreg q[1];", f"rz({text}) q[0];"))
+        assert float.hex(circuit[0].angle) == float.hex(expected)
+
+    @seed(23)
+    @settings(max_examples=100, deadline=2_000, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(tree=_trees, data=st.data())
+    def test_undefined_expression_raises_import_error(self, tree, data):
+        assume(_outcome(tree) is None)
+        text, _ = _render(tree, lambda: data.draw(st.booleans()))
+        with pytest.raises(QasmImportError):
+            parse_qasm(header("qreg q[1];", f"rz({text}) q[0];"))

@@ -91,12 +91,6 @@ class TestCircuitTranspilation:
         assert len(lowered) == 1
         assert lowered[0].angle == pytest.approx(0.5)
 
-    def test_identity_rotations_kept_when_requested(self):
-        circuit = Circuit(1)
-        circuit.append(Gate(GateType.RZ, (0,), angle=2 * math.pi))
-        lowered = transpile_to_clifford_rz(circuit, drop_identity=False)
-        assert len(lowered) == 1
-
     def test_qubit_count_preserved(self):
         circuit = Circuit(5)
         circuit.append(Gate(GateType.SWAP, (0, 4)))
