@@ -11,7 +11,7 @@ workload, this benchmark pins the large-fabric scale points:
   largest fabric's wall is tracked.
 
 Each point gets a FRESH layout and is timed twice: the ``cold`` run pays
-for every routing query (``RoutingIndex.for_layout`` memoises BFS trees,
+for every routing query (``RoutingIndex.for_layout`` memoises shortest
 paths, plans and attachment candidates on the layout, so a warm run mostly
 bypasses routing), and the ``warm`` run shows the steady-state seed-sweep
 cost.  The regression baseline gates the cold numbers.

@@ -87,7 +87,8 @@ class QasmImportError(ValueError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("->", ";", ",", "(", ")", "[", "]", "{", "}", "+", "-", "*", "/", "^", "==")
+#: The symbols by first character, longest first (``->`` before ``-``).
+_SYMBOLS = {"-": ("->", "-"), "=": ("==",), **{c: (c,) for c in ";,()[]{}+*/^"}}
 
 #: A number literal; group 1 is its exponent part (``e``, a sign, digits).
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)([eE][+-]?\d*)?")
@@ -152,7 +153,7 @@ def _tokenize(text: str, filename: Optional[str]) -> List[_Token]:
             tokens.append(_Token("id", text[start:index], line, column))
             column += index - start
             continue
-        for symbol in _SYMBOLS:
+        for symbol in _SYMBOLS.get(char, ()):
             if text.startswith(symbol, index):
                 tokens.append(_Token(symbol, symbol, line, column))
                 index += len(symbol)

@@ -64,9 +64,10 @@ class SimulationKernel:
         #: Shared per-layout routing cache (reused across runs and seeds).
         self.routing = RoutingIndex.for_layout(layout)
         # The routing index is shared across runs; remember its counters so
-        # the profile reports only this run's queries.
-        self._routing_queries_start = self.routing.queries
-        self._routing_hits_start = self.routing.plan_cache_hits
+        # the profile reports only this run's routing work.
+        self._routing_start = {
+            name: getattr(self.routing, name) for name in
+            ("queries", "plan_cache_hits", "bfs_runs", "bfs_tiles")}
         self.profile: Optional[KernelProfile] = (
             KernelProfile() if config.profile_enabled else None)
 
@@ -87,12 +88,9 @@ class SimulationKernel:
         profile: Dict[str, float] = {}
         if self.profile is not None:
             self.profile.add("events", float(self.clock.events_processed))
-            self.profile.add("routing_queries",
-                             float(self.routing.queries
-                                   - self._routing_queries_start))
-            self.profile.add("routing_plan_cache_hits",
-                             float(self.routing.plan_cache_hits
-                                   - self._routing_hits_start))
+            for name, start in self._routing_start.items():
+                self.profile.add(f"routing_{name}",
+                                 float(getattr(self.routing, name) - start))
             profile = self.profile.as_dict()
         return SimulationResult(
             benchmark=self.benchmark,

@@ -9,13 +9,13 @@ enumerating and validating plans are shared and live here.
 
 :func:`bfs_ancilla_path` and :func:`enumerate_cnot_plans` are the reference
 implementations over the object-graph layout.  Schedulers query
-:class:`RoutingIndex`, which answers the same questions from memoised state
+:class:`RoutingIndex`, which answers the same questions from memoised paths
 and a FIFO BFS over the :class:`~repro.fabric.flat.FlatGrid` flat indices.
-That BFS is byte-identical to the reference: it pops nodes in discovery order
-and scans each node's neighbours in ``Edge`` declaration order, exactly as
-the reference does, so every node gets the same parent.  Parents are never
-reassigned, so a full parent tree (computed without early termination)
-reconstructs the same path the early-terminating reference returns.
+One BFS serves a source and all its goals and stops once the last goal is
+discovered.  It pops nodes in discovery order and scans neighbours in
+``Edge`` order, as the reference does, so every node gets the same parent.
+Parents are fixed at discovery and ancestors are discovered first, so every
+goal's path is final when the search stops: byte-identical to the reference.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from ..fabric import Edge, GridLayout, Position
 from ..fabric.flat import FlatGrid
@@ -68,8 +66,8 @@ class RoutePlan:
     def ancillas_used(self) -> Tuple[Position, ...]:
         """Every ancilla tile the plan touches (path plus rotation helpers).
 
-        Cached: schedulers poll this every pass while the plan waits for its
-        tiles, and the tuple is a pure function of the frozen fields.
+        Cached: a pure function of the frozen fields, read by every plan
+        score and task visit of a plan the routing index shares across runs.
         """
         extra = [pos for pos in (self.rotation_ancilla_control,
                                  self.rotation_ancilla_target)
@@ -216,28 +214,6 @@ def enumerate_cnot_plans(layout: GridLayout, orientation: OrientationTracker,
         blocked, path_finder)
 
 
-def _bfs_parent_tree(flat: FlatGrid, source: int) -> np.ndarray:
-    """Full BFS parent tree from ``source`` over ``flat``'s ancilla tiles.
-
-    Entry ``i`` is the flat index of tile ``i``'s parent (``source`` for the
-    source itself, ``-1`` when unreached).  Stored as int32: 4 bytes per tile
-    and not GC-tracked, so hundreds of memoised trees on a large fabric stay
-    cheap to hold.
-    """
-    adjacency = flat.route_adjacency
-    parents = [-1] * flat.size
-    parents[source] = source
-    queue = [source]
-    # Appending while iterating is a FIFO queue: nodes pop in discovery
-    # order, neighbours scan in Edge order — the reference BFS order.
-    for current in queue:
-        for neighbor in adjacency[current]:
-            if parents[neighbor] < 0:
-                parents[neighbor] = current
-                queue.append(neighbor)
-    return np.fromiter(parents, dtype=np.int32, count=flat.size)
-
-
 class RoutingIndex:
     """Incremental routing over one layout: flat-index BFS and memoised plan
     enumeration.
@@ -246,9 +222,8 @@ class RoutingIndex:
     ``blocked``) and :func:`enumerate_cnot_plans` but caches everything that
     is a pure function of the layout and the qubits' edge orientations:
 
-    * **BFS parent trees** keyed on the source tile (one full tree serves
-      every goal);
-    * **shortest ancilla paths** keyed on ``(start, goal)``;
+    * **shortest ancilla paths** keyed on ``(start, goal)``, filled by
+      goal-bounded BFS runs whose parent lists are dropped afterwards;
     * **attachment candidates** keyed on ``(qubit, pauli, flipped)``;
     * **full plan enumerations** keyed on
       ``(control, target, flipped_c, flipped_t)``.
@@ -265,8 +240,6 @@ class RoutingIndex:
     def __init__(self, layout: GridLayout) -> None:
         self.layout = layout
         self._version = layout.version
-        #: source flat index -> BFS parent tree for the current revision.
-        self._parent_trees: Dict[int, np.ndarray] = {}
         #: (start, goal) -> shortest ancilla path (or None when unreachable).
         self._paths: Dict[Tuple[Position, Position],
                           Optional[List[Position]]] = {}
@@ -277,6 +250,9 @@ class RoutingIndex:
         self._plans: Dict[Tuple[int, int, bool, bool], List[RoutePlan]] = {}
         self.queries = 0
         self.plan_cache_hits = 0
+        #: Goal-bounded BFS runs and the tiles they discovered.
+        self.bfs_runs = 0
+        self.bfs_tiles = 0
 
     @classmethod
     def for_layout(cls, layout: GridLayout) -> "RoutingIndex":
@@ -293,7 +269,6 @@ class RoutingIndex:
         if self.layout.version == self._version:
             return
         self._version = self.layout.version
-        self._parent_trees.clear()
         self._paths.clear()
         self._attachments.clear()
         self._plans.clear()
@@ -308,35 +283,57 @@ class RoutingIndex:
         try:
             return self._paths[key]
         except KeyError:
-            path = self._shortest_path(start, goal)
-            self._paths[key] = path
-            return path
+            self._route(start, (goal,))
+            return self._paths[key]
 
-    def _shortest_path(self, start: Position,
-                       goal: Position) -> Optional[List[Position]]:
+    def _route(self, start: Position, goals: Sequence[Position]) -> None:
+        """Memoise the shortest path from ``start`` to every unmemoised goal
+        with one BFS that stops after the scan discovering the last goal."""
         flat = FlatGrid.for_layout(self.layout)
-        start_flat = flat.flat_index(start)
-        goal_flat = flat.flat_index(goal)
-        if (start_flat < 0 or goal_flat < 0
-                or not flat.ancilla_mask[start_flat]
-                or not flat.ancilla_mask[goal_flat]):
-            return None
-        if start_flat == goal_flat:
-            return [start]
-        parents = self._parent_trees.get(start_flat)
-        if parents is None:
-            parents = _bfs_parent_tree(flat, start_flat)
-            self._parent_trees[start_flat] = parents
-        if parents[goal_flat] < 0:
-            return None
+        paths = self._paths
+        source = flat.flat_index(start)
+        routable = source >= 0 and flat.ancilla_mask[source]
+        pending: Dict[int, Position] = {}
+        for goal in goals:
+            key = (start, goal)
+            if key in paths:
+                continue
+            paths[key] = None  # until the BFS reaches it
+            target = flat.flat_index(goal)
+            if routable and target == source:
+                paths[key] = [start]
+            elif routable and target >= 0 and flat.ancilla_mask[target]:
+                pending[target] = goal
+        if not pending:
+            return
+        adjacency = flat.route_adjacency
+        parents = [-1] * flat.size
+        parents[source] = source
+        queue = [source]
+        remaining = len(pending)
+        # Appending while iterating is a FIFO queue: nodes pop in discovery
+        # order, neighbours scan in Edge order — the reference BFS order.
+        for current in queue:
+            for neighbor in adjacency[current]:
+                if parents[neighbor] < 0:
+                    parents[neighbor] = current
+                    queue.append(neighbor)
+                    if neighbor in pending:
+                        remaining -= 1
+            if not remaining:
+                break
+        self.bfs_runs += 1
+        self.bfs_tiles += len(queue)
         positions = flat._positions
-        path = [positions[goal_flat]]
-        current = goal_flat
-        while current != start_flat:
-            current = int(parents[current])
-            path.append(positions[current])
-        path.reverse()
-        return path
+        for target, goal in pending.items():
+            if parents[target] < 0:
+                continue
+            path, current = [positions[target]], target
+            while current != source:
+                current = parents[current]
+                path.append(positions[current])
+            path.reverse()
+            paths[(start, goal)] = path
 
     def attachments(self, orientation: OrientationTracker, qubit: int,
                     pauli: str) -> List[Tuple[Position, bool]]:
@@ -369,10 +366,14 @@ class RoutingIndex:
             self.plan_cache_hits += 1
             return plans
         except KeyError:
+            control_candidates = self.attachments(orientation, control, "Z")
+            target_candidates = self.attachments(orientation, target, "X")
+            # One bounded BFS per control attachment fills the path memo.
+            for control_attach, _ in control_candidates:
+                self._route(control_attach,
+                            [attach for attach, _ in target_candidates])
             plans = _plans_from_candidates(
-                control, target,
-                self.attachments(orientation, control, "Z"),
-                self.attachments(orientation, target, "X"),
+                control, target, control_candidates, target_candidates,
                 set(), self.path)
             self._plans[key] = plans
             return plans

@@ -388,7 +388,6 @@ class TestRoutingIndex:
         index.path(start, goal)
         index.enumerate_plans(orientation, 0, 1)
         assert index._plans and index._paths and index._attachments
-        assert index._parent_trees
 
         if mutation == "enable":
             star9.enable_ancilla(tile)
@@ -396,10 +395,11 @@ class TestRoutingIndex:
             star9.disable(tile)
         # Every query syncs first; a moved version clears every cache.
         index._sync()
-        assert not (index._plans or index._paths or index._attachments
-                    or index._parent_trees)
+        assert not (index._plans or index._paths or index._attachments)
 
+        runs = index.bfs_runs
         fresh = index.enumerate_plans(orientation, 0, 8)
+        assert index.bfs_runs > runs
         assert fresh == enumerate_cnot_plans(star9, orientation, 0, 8)
         if mutation == "disable":
             assert all(tile not in plan.ancillas_used for plan in fresh)
@@ -407,6 +407,16 @@ class TestRoutingIndex:
                    for a, b in ((start, goal), (ancillas[2], ancillas[5])))
         assert (index.enumerate_plans(orientation, 0, 1)
                 == enumerate_cnot_plans(star9, orientation, 0, 1))
+
+    def test_enumeration_runs_one_search_per_control_attachment(self, star9):
+        index = RoutingIndex(star9)
+        orientation = OrientationTracker(9)
+        index.enumerate_plans(orientation, 0, 8)
+        assert index.bfs_runs == len(index.attachments(orientation, 0, "Z"))
+        # Re-enumerating with every path memoised runs no further search.
+        index._plans.clear()
+        index.enumerate_plans(orientation, 0, 8)
+        assert index.bfs_runs == len(index.attachments(orientation, 0, "Z"))
 
     def test_path_matches_bfs(self, star9):
         index = RoutingIndex(star9)

@@ -10,17 +10,16 @@ scheduler runs over random scenario-generator circuits.
 from __future__ import annotations
 
 import contextlib
-import gc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro import SimulationConfig
 from repro.analysis.export import result_to_dict
-from repro.fabric import StarVariant, star_layout
+from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.fabric.flat import FlatGrid
 from repro.lattice import RoutingIndex, bfs_ancilla_path
 from repro.scheduling import SCHEDULER_REGISTRY
@@ -108,16 +107,27 @@ class TestShortestPathParity:
         assert index.path(data, ancilla) is None
         assert bfs_ancilla_path(layout, data, ancilla) is None
 
-    def test_memoised_trees_are_compact(self, layout):
+    def test_no_search_state_survives_a_query(self, layout):
         index = RoutingIndex(layout)
         ancillas = layout.ancilla_positions()
         for start in ancillas[:3]:
             index.path(start, ancillas[-1])
-        trees = list(index._parent_trees.values())
-        assert len(trees) == 3
-        for tree in trees:
-            assert tree.itemsize == 4
-            assert not gc.is_tracked(tree)
+        assert index.bfs_runs == 3
+        # Only the memoised paths remain: no parent lists, no per-source
+        # state.
+        assert set(vars(index)) == {
+            "layout", "_version", "_paths", "_attachments", "_plans",
+            "queries", "plan_cache_hits", "bfs_runs", "bfs_tiles"}
+        assert list(index._paths) == [(start, ancillas[-1])
+                                      for start in ancillas[:3]]
+
+    def test_search_stops_at_its_last_goal(self, layout):
+        index = RoutingIndex(layout)
+        start = layout.ancilla_positions()[0]
+        neighbor = layout.ancilla_neighbors(start)[0]
+        assert index.path(start, neighbor) == [start, neighbor]
+        assert index.bfs_runs == 1
+        assert index.bfs_tiles < FlatGrid.for_layout(layout).num_ancilla
 
     def test_survives_layout_mutation(self, layout):
         index = RoutingIndex(layout)
@@ -125,15 +135,56 @@ class TestShortestPathParity:
         start, goal = ancillas[0], ancillas[-1]
         before = index.path(start, goal)
         assert before == bfs_ancilla_path(layout, start, goal)
-        assert index._parent_trees
         victim = before[len(before) // 2]
         layout.disable(victim)
         after = index.path(start, goal)
         assert after == bfs_ancilla_path(layout, start, goal)
         assert victim not in (after or ())
-        # The trees built before the mutation were dropped, not reused.
-        assert all(tree[FlatGrid.for_layout(layout).flat_index(victim)] < 0
-                   for tree in index._parent_trees.values())
+        # The path memoised before the mutation was dropped, not reused.
+        assert index.bfs_runs == 2
+        assert list(index._paths) == [(start, goal)]
+
+
+def _walled_compressed_layout():
+    """Compressed STAR fabric with one ancilla walled off from the rest, so
+    some goals are unreachable."""
+    layout, _ = compress_layout(star_layout(8, StarVariant.STAR), 0.5, seed=3)
+    ancillas = layout.ancilla_positions()
+    island = ancillas[len(ancillas) // 2]
+    for neighbor in layout.ancilla_neighbors(island):
+        layout.disable(neighbor)
+    assert layout.is_ancilla(island) and not layout.ancilla_neighbors(island)
+    return layout, island
+
+
+_COMPRESSED, _ISLAND = _walled_compressed_layout()
+_FABRICS = {"intact": star_layout(8, StarVariant.STAR),
+            "compressed": _COMPRESSED}
+
+
+@seed(20241)
+@settings(max_examples=80, deadline=2000)
+@given(data=st.data(), fabric=st.sampled_from(sorted(_FABRICS)))
+def test_goal_list_paths_match_reference(data, fabric):
+    """One bounded search to a goal list memoises the reference path for
+    every goal: duplicates, the start itself, data tiles, off-grid and
+    unreachable positions included."""
+    layout = _FABRICS[fabric]
+    ancillas = st.sampled_from(layout.ancilla_positions())
+    tiles = st.tuples(st.integers(-1, layout.rows),
+                      st.integers(-1, layout.cols))
+    start = data.draw(st.one_of(ancillas, tiles, st.just(_ISLAND)), "start")
+    goals = data.draw(st.lists(
+        st.one_of(ancillas, tiles, st.just(start), st.just(_ISLAND)),
+        min_size=1, max_size=8), "goals")
+    goals.append(goals[0])
+    index = RoutingIndex(layout)
+    index._route(start, goals)
+    assert index.bfs_runs <= 1
+    for goal in goals:
+        assert index.path(start, goal) == bfs_ancilla_path(layout, start, goal)
+    # Every goal was answered by that one search.
+    assert index.bfs_runs <= 1
 
 
 # ---------------------------------------------------------------------------
