@@ -5,17 +5,22 @@ of the last ``c`` cycles during which the ancilla was busy.  The tracker
 records busy intervals as they are scheduled and answers window queries at MST
 (re)computation time; old intervals are pruned lazily.
 
-Intervals are stored struct-of-arrays style — three parallel flat lists
-``(slot, start, end)`` plus a position<->slot interning map — so the bulk
-:meth:`ActivityTracker.snapshot` query (one per MST build, over every ancilla)
-runs as a single vectorised clip-and-bincount instead of a per-position python
-loop.  The arithmetic is pure integer clipping, so the numbers are identical
-to the historical per-position scan.
+Tiles are numbered by their **slot**: the index of the position in the
+ancilla list the tracker is built over.  :class:`~repro.kernel.FabricState`
+passes its ``ancillas`` (``GridLayout.ancilla_positions()``, row-major),
+which is exactly the :class:`~repro.fabric.flat.FlatGrid` slot order the MST
+consumes, so a snapshot goes from here to Kruskal without any per-position
+translation.  Intervals are stored struct-of-arrays style — three parallel
+flat lists ``(slot, start, end)`` — and :meth:`ActivityTracker.snapshot` is
+one vectorised clip-and-bincount.  The clipping is integer arithmetic and
+``busy / effective_window`` is one IEEE division per slot, so every value
+equals the per-position ``min(1, busy / effective_window)`` of the
+historical scalar scan bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -25,36 +30,38 @@ __all__ = ["ActivityTracker"]
 
 
 class ActivityTracker:
-    """Records per-ancilla busy intervals and answers windowed activity queries."""
+    """Records per-ancilla busy intervals and answers windowed activity queries.
 
-    def __init__(self, window: int = 100) -> None:
+    ``ancillas`` fixes the slot numbering: slot ``i`` is ``ancillas[i]``,
+    and :meth:`snapshot` returns one value per slot in that order.
+    """
+
+    def __init__(self, ancillas: Sequence[Position], window: int = 100) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        #: Position -> dense slot index (assigned on first record).
-        self._slots: Dict[Position, int] = {}
-        # Parallel interval arrays: interval i is tile _slot_list[i] busy
+        #: Position -> slot (index into ``ancillas``).
+        self._slots: Dict[Position, int] = {
+            position: slot for slot, position in enumerate(ancillas)}
+        self._num_slots = len(ancillas)
+        # Parallel interval arrays: interval i is slot _slot_list[i] busy
         # during [_start_list[i], _end_list[i]).
         self._slot_list: List[int] = []
         self._start_list: List[int] = []
         self._end_list: List[int] = []
 
     def record_busy(self, position: Position, start: int, end: int) -> None:
-        """Record that ``position`` is busy during cycles ``[start, end)``."""
+        """Record that ancilla ``position`` is busy during ``[start, end)``."""
         if end <= start:
             return
-        slot = self._slots.get(position)
-        if slot is None:
-            slot = len(self._slots)
-            self._slots[position] = slot
-        self._slot_list.append(slot)
+        self._slot_list.append(self._slots[position])
         self._start_list.append(start)
         self._end_list.append(end)
 
-    def snapshot(self, positions: Iterable[Position], now: int) -> Dict[Position, float]:
-        """Activity of every listed position at cycle ``now`` (one numpy pass)."""
+    def snapshot(self, now: int) -> np.ndarray:
+        """Activity of every slot at cycle ``now``: a fresh float64 array."""
         if now <= 0 or not self._slot_list:
-            return {position: 0.0 for position in positions}
+            return np.zeros(self._num_slots, dtype=np.float64)
         horizon = now - self.window
         slots = np.asarray(self._slot_list, dtype=np.int64)
         starts = np.asarray(self._start_list, dtype=np.int64)
@@ -72,14 +79,9 @@ class ActivityTracker:
         contrib = np.minimum(ends, now) - np.maximum(starts, horizon)
         np.clip(contrib, 0, None, out=contrib)
         busy = np.bincount(slots, weights=contrib.astype(np.float64),
-                           minlength=len(self._slots))
-        effective_window = min(self.window, now)
-        slot_of = self._slots.get
-        result: Dict[Position, float] = {}
-        for position in positions:
-            slot = slot_of(position)
-            if slot is None:
-                result[position] = 0.0
-            else:
-                result[position] = min(1.0, int(busy[slot]) / effective_window)
-        return result
+                           minlength=self._num_slots)
+        # Integer-valued float64 sums are exact, so this is the scalar
+        # ``min(1.0, busy / effective_window)`` per slot.
+        activity = busy / min(self.window, now)
+        np.minimum(activity, 1.0, out=activity)
+        return activity

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..fabric import GridLayout, Position
 from ..lattice import OrientationTracker
 from .activity import ActivityTracker
@@ -30,14 +32,16 @@ class FabricState:
     activity_window:
         When given, an :class:`~repro.kernel.activity.ActivityTracker`
         over that window records every busy interval (RESCQ's MST routing
-        metric); layer-synchronous policies pass ``None`` and skip the
-        bookkeeping entirely.
+        metric), numbering tiles in :attr:`ancillas` order;
+        layer-synchronous policies pass ``None`` and skip the bookkeeping
+        entirely.
     """
 
     def __init__(self, layout: GridLayout, num_qubits: int,
                  activity_window: Optional[int] = None) -> None:
         self.layout = layout
-        #: Ancilla positions, cached once (sorted row-major, stable order).
+        #: Ancilla positions, cached once (sorted row-major, stable order):
+        #: the slot order of activity snapshots and of the layout's FlatGrid.
         self.ancillas: List[Position] = layout.ancilla_positions()
         #: Cycle until which each ancilla tile is busy (exclusive).
         self.anc_free: Dict[Position, int] = {pos: 0 for pos in self.ancillas}
@@ -49,7 +53,8 @@ class FabricState:
         self.data_busy: Dict[int, int] = {q: 0 for q in range(num_qubits)}
         self.orientation = OrientationTracker(num_qubits)
         self.activity: Optional[ActivityTracker] = (
-            ActivityTracker(activity_window) if activity_window else None)
+            ActivityTracker(self.ancillas, activity_window)
+            if activity_window else None)
 
     # -- ancilla occupancy -------------------------------------------------------
 
@@ -96,8 +101,9 @@ class FabricState:
             if self.data_free[qubit] < cycle:
                 self.data_free[qubit] = cycle
 
-    def activity_snapshot(self, now: int) -> Dict[Position, float]:
-        """Per-ancilla activity at ``now`` (requires an activity window)."""
+    def activity_snapshot(self, now: int) -> np.ndarray:
+        """Activity at ``now`` per ancilla, in :attr:`ancillas` order
+        (requires an activity window)."""
         if self.activity is None:
             raise RuntimeError("this FabricState tracks no activity")
-        return self.activity.snapshot(self.ancillas, now)
+        return self.activity.snapshot(now)

@@ -6,8 +6,9 @@ A :class:`KernelProfile` accumulates two kinds of counters for one run:
   of hardware work each phase scheduled (preparation, injection, CNOT
   merges, Hadamards, edge rotations);
 * **wall-time counters** (``wall_*_s``) — real seconds spent in the
-  classical-controller phases worth watching (routing queries, MST builds,
-  and the whole run), measured with :func:`time.perf_counter`.  Nested
+  classical-controller phases worth watching (routing queries, the MST
+  pipeline's activity snapshots and tree builds, and the whole run),
+  measured with :func:`time.perf_counter`.  Nested
   :meth:`KernelProfile.timer` phases are **exclusive**: time accumulated by
   an inner timer is subtracted from every enclosing timer, so phase seconds
   add up without double-counting (an MST build that issues routing queries
@@ -16,7 +17,10 @@ A :class:`KernelProfile` accumulates two kinds of counters for one run:
   it is the denominator for per-phase shares;
 * **event counters** — scheduling passes, processed events, routing queries
   and routing-plan cache hits; RESCQ adds ``task_visits`` (task visits over
-  all sweeps) and ``tasks_woken`` (wakes of parked tasks).
+  all sweeps), ``tasks_woken`` (wakes of parked tasks), ``mst_builds`` (MST
+  computations *started*, one activity snapshot each) and ``mst_trees``
+  (trees actually built; computations still in flight when the run ends
+  never build one).
 
 Profiles are cheap (a few thousand float additions per run) but still
 opt-in: schedulers build one only when

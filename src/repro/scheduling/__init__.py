@@ -15,7 +15,8 @@ scheduler names through::
 
 from ..api.registry import Registry
 from .base import Scheduler, gate_kind
-from .mst import AncillaMst, AsyncMstPipeline, IncrementalMst, build_activity_graph
+from .mst import (AncillaMst, AsyncMstPipeline, IncrementalMst, activity_array,
+                  build_activity_graph)
 from .queues import AncillaQueue, QueueEntry, QueueSet
 from .rescq import RescqScheduler
 from .static import AutoBraidScheduler, GreedyScheduler, StaticLayerScheduler
@@ -32,6 +33,7 @@ __all__ = [
     "AncillaMst",
     "AsyncMstPipeline",
     "IncrementalMst",
+    "activity_array",
     "build_activity_graph",
     "AncillaQueue",
     "QueueEntry",

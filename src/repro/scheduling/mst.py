@@ -11,29 +11,52 @@ target attachment ancillas.  The classical controller:
   ``tau_mst`` cycles, so the tree the scheduler queries is always somewhat
   stale (Figure 8) but quantum execution never stalls.
 
+The scheduler's path stays in slot-indexed arrays end to end: an activity
+snapshot is a float64 array in the layout's ancilla slot order
+(:class:`~repro.fabric.flat.FlatGrid`, equal to
+``GridLayout.ancilla_positions()``), :class:`AncillaMst` runs Kruskal on it
+directly and walks its tree as Python lists.  :func:`activity_array`
+converts a ``{Position: activity}`` map for callers that hold one.
+
 The module also provides the incremental-update structure analysed in
 Section 5.4.1 (O(1) insertions on grid cycles, O(max(rows, cols)) deletions)
-used by the classical-overhead benchmark.
+used by the classical-overhead benchmark.  It and :func:`build_activity_graph`
+are the only networkx users in the product, so they import it on first use
+and a simulation never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Tuple, Union)
 
-import networkx as nx
 import numpy as np
 
 from ..fabric import GridLayout, Position
 from ..fabric.flat import FlatGrid
 
-__all__ = ["build_activity_graph", "AncillaMst", "AsyncMstPipeline",
-           "IncrementalMst"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
+
+__all__ = ["activity_array", "build_activity_graph", "AncillaMst",
+           "AsyncMstPipeline", "IncrementalMst"]
+
+
+def activity_array(layout: GridLayout,
+                   activity: Mapping[Position, float]) -> np.ndarray:
+    """A ``{Position: activity}`` map as a slot-ordered array (missing = 0)."""
+    get = activity.get
+    return np.array([get(position, 0.0)
+                     for position in FlatGrid.for_layout(layout).anc_positions],
+                    dtype=np.float64)
 
 
 def build_activity_graph(layout: GridLayout,
-                         activity: Dict[Position, float]) -> nx.Graph:
+                         activity: Mapping[Position, float]) -> "nx.Graph":
     """Weighted graph over ancilla tiles: w(u, v) = max(activity_u, activity_v)."""
+    import networkx as nx
+
     graph = nx.Graph()
     ancillas = layout.ancilla_positions()
     graph.add_nodes_from(ancillas)
@@ -50,71 +73,64 @@ def build_activity_graph(layout: GridLayout,
 class AncillaMst:
     """An immutable activity-weighted MST snapshot with path queries.
 
-    Construction is array-based over the layout's
-    :class:`~repro.fabric.flat.FlatGrid`: edge weights are computed in one
-    numpy pass, Kruskal runs as a stable argsort plus a union-find sweep,
-    and the resulting forest is rooted once so that path queries are LCA
-    walks over parent/depth arrays instead of per-pair BFS.
+    ``activity`` is one float per ancilla slot of the layout's
+    :class:`~repro.fabric.flat.FlatGrid` (see :func:`activity_array`).
+    Edge weights are computed in one numpy pass, Kruskal runs as a stable
+    argsort plus an inlined union-find sweep (path halving) that writes
+    accepted edges straight into the tree adjacency, and the resulting
+    forest is rooted once so that path queries are LCA walks over
+    parent/depth lists instead of per-pair BFS.
 
-    Tree identity with the historical networkx implementation: the flat
-    edge arrays enumerate edges in the exact insertion order of
+    Tree identity with the networkx reference: the flat edge arrays
+    enumerate edges in the exact insertion order of
     :func:`build_activity_graph` (slot-ascending, then Edge order), and
     ``nx.minimum_spanning_tree(..., algorithm="kruskal")`` processes edges
     with a *stable* sort over that same order — so a stable argsort admits
-    the identical edge set.  Tree paths are unique, so path queries agree
-    regardless of traversal order.
+    the identical edge set (acceptance depends only on connectivity, not on
+    how the union-find compresses).  Tree paths are unique, so path queries
+    agree regardless of traversal order.
     """
 
-    def __init__(self, layout: GridLayout,
-                 activity: Dict[Position, float],
+    def __init__(self, layout: GridLayout, activity: np.ndarray,
                  snapshot_cycle: int = 0) -> None:
         self.snapshot_cycle = snapshot_cycle
         flat = FlatGrid.for_layout(layout)
         self._flat = flat
         num = flat.num_ancilla
-        positions = flat.anc_positions
-
-        act = np.zeros(num, dtype=np.float64)
-        for slot, position in enumerate(positions):
-            value = activity.get(position)
-            if value:
-                act[slot] = value
+        if len(activity) != num:
+            raise ValueError(f"activity has {len(activity)} values, the "
+                             f"layout has {num} ancilla slots")
 
         # Kruskal over the flat edge arrays (see class docstring).
-        tree_u: List[int] = []
-        tree_v: List[int] = []
+        adjacency: List[List[int]] = [[] for _ in range(num)]
         if flat.edge_u.size:
-            weights = np.maximum(act[flat.edge_u], act[flat.edge_v])
+            weights = np.maximum(activity[flat.edge_u], activity[flat.edge_v])
             order = np.argsort(weights, kind="stable")
             uf_parent = list(range(num))
-
-            def find(node: int) -> int:
-                root = node
-                while uf_parent[root] != root:
-                    root = uf_parent[root]
-                while uf_parent[node] != root:
-                    uf_parent[node], node = root, uf_parent[node]
-                return root
-
-            edge_u = flat.edge_u.tolist()
-            edge_v = flat.edge_v.tolist()
-            for edge_index in order.tolist():
-                root_u = find(edge_u[edge_index])
-                root_v = find(edge_v[edge_index])
+            missing = num - 1
+            for u, v in zip(flat.edge_u[order].tolist(),
+                            flat.edge_v[order].tolist()):
+                # Find both roots, pointing each node passed at its
+                # grandparent on the way up (path halving).
+                root_u = u
+                while uf_parent[root_u] != root_u:
+                    uf_parent[root_u] = root_u = uf_parent[uf_parent[root_u]]
+                root_v = v
+                while uf_parent[root_v] != root_v:
+                    uf_parent[root_v] = root_v = uf_parent[uf_parent[root_v]]
                 if root_u != root_v:
                     uf_parent[root_u] = root_v
-                    tree_u.append(edge_u[edge_index])
-                    tree_v.append(edge_v[edge_index])
+                    adjacency[u].append(v)
+                    adjacency[v].append(u)
+                    missing -= 1
+                    if not missing:
+                        break  # spanning tree complete
 
         # Root every component at its smallest slot: parent/depth/component
-        # arrays answer any path query with an LCA walk.
-        adjacency: List[List[int]] = [[] for _ in range(num)]
-        for u, v in zip(tree_u, tree_v):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        parent = np.full(num, -1, dtype=np.int32)
-        depth = np.zeros(num, dtype=np.int32)
-        component = np.full(num, -1, dtype=np.int32)
+        # lists answer any path query with an LCA walk.
+        parent = [-1] * num
+        depth = [0] * num
+        component = [-1] * num
         for root in range(num):
             if component[root] >= 0:
                 continue
@@ -123,11 +139,12 @@ class AncillaMst:
             stack = [root]
             while stack:
                 node = stack.pop()
+                child_depth = depth[node] + 1
                 for neighbor in adjacency[node]:
                     if component[neighbor] < 0:
                         component[neighbor] = root
                         parent[neighbor] = node
-                        depth[neighbor] = depth[node] + 1
+                        depth[neighbor] = child_depth
                         stack.append(neighbor)
         self._parent = parent
         self._depth = depth
@@ -157,26 +174,29 @@ class AncillaMst:
     def _compute_path(self, start: Position,
                       goal: Position) -> Optional[List[Position]]:
         flat = self._flat
-        start_slot = flat.slot_of(start)
-        goal_slot = flat.slot_of(goal)
-        if start_slot < 0 or goal_slot < 0:
+        a = flat.slot_of(start)
+        b = flat.slot_of(goal)
+        if a < 0 or b < 0:
             return None
-        if start_slot == goal_slot:
+        if a == b:
             return [start]
         component = self._component
-        if component[start_slot] != component[goal_slot]:
+        if component[a] != component[b]:
             return None
         parent = self._parent
         depth = self._depth
-        up_from_start = [start_slot]
-        up_from_goal = [goal_slot]
-        a, b = start_slot, goal_slot
-        while depth[a] > depth[b]:
+        up_from_start = [a]
+        up_from_goal = [b]
+        depth_a = depth[a]
+        depth_b = depth[b]
+        while depth_a > depth_b:
             a = parent[a]
             up_from_start.append(a)
-        while depth[b] > depth[a]:
+            depth_a -= 1
+        while depth_b > depth_a:
             b = parent[b]
             up_from_goal.append(b)
+            depth_b -= 1
         while a != b:
             a = parent[a]
             up_from_start.append(a)
@@ -196,7 +216,7 @@ _PATH_MISS = object()
 class _PendingComputation:
     started_cycle: int
     available_cycle: int
-    activity_snapshot: Dict[Position, float]
+    activity_snapshot: np.ndarray
 
 
 class AsyncMstPipeline:
@@ -207,6 +227,9 @@ class AsyncMstPipeline:
     (= ``tau_mst``) cycles later.  The scheduler always queries the most
     recently *available* tree — never stalling the quantum machine, at the
     cost of acting on information up to ``latency + period`` cycles old.
+    ``computations_started`` counts snapshots taken and
+    ``computations_completed`` the trees built from them; a run ends with up
+    to ``latency / period`` computations still pending.
     """
 
     def __init__(self, layout: GridLayout, period: int, latency: int) -> None:
@@ -229,16 +252,16 @@ class AsyncMstPipeline:
         return self._current
 
     def tick(self, cycle: int,
-             activity: Union[Dict[Position, float],
-                             Callable[[], Dict[Position, float]]]) -> None:
+             activity: Union[np.ndarray, Callable[[], np.ndarray]]) -> None:
         """Advance the pipeline to ``cycle``.
 
         Starts a new computation if a period boundary has been crossed and
         publishes any computation whose latency has elapsed.  ``activity`` is
-        the live activity snapshot used for a newly started computation — or
-        a zero-argument callable producing it, which is only invoked when a
-        computation actually starts (snapshots are expensive and most ticks
-        start nothing).
+        the live slot-ordered activity array used for a newly started
+        computation — or a zero-argument callable producing it, which is only
+        invoked when a computation actually starts (snapshots are expensive
+        and most ticks start nothing).  The pipeline keeps the array itself,
+        so it must not be mutated afterwards.
         """
         # Publish finished computations (oldest first).
         still_pending: List[_PendingComputation] = []
@@ -253,11 +276,10 @@ class AsyncMstPipeline:
 
         # Start a new computation at period boundaries.
         if self._last_started is None or cycle - self._last_started >= self.period:
-            snapshot = activity() if callable(activity) else activity
             self._pending.append(_PendingComputation(
                 started_cycle=cycle,
                 available_cycle=cycle + self.latency,
-                activity_snapshot=dict(snapshot),
+                activity_snapshot=activity() if callable(activity) else activity,
             ))
             self._last_started = cycle
             self.computations_started += 1
@@ -272,14 +294,17 @@ class IncrementalMst:
       heaviest edge of the (grid-bounded, O(1)-size) cycle it creates;
     * an edge *on* the MST whose weight increased — remove it and reconnect the
       two components with the lightest crossing edge (O(max(rows, cols)) work
-      in the paper's analysis; here a component-labelling pass).
+      in the paper's analysis; here a search of the smaller component and of
+      the graph edges leaving it).
 
     The implementation favours clarity over raw speed; the benchmark compares
     it against full recomputation to demonstrate the asymptotic win.
     """
 
     def __init__(self, layout: GridLayout,
-                 activity: Optional[Dict[Position, float]] = None) -> None:
+                 activity: Optional[Mapping[Position, float]] = None) -> None:
+        import networkx as nx
+
         self.layout = layout
         self.graph = build_activity_graph(layout, activity or {})
         self._tree = nx.minimum_spanning_tree(self.graph, weight="weight")
@@ -289,6 +314,8 @@ class IncrementalMst:
 
     def update_edge(self, u: Position, v: Position, weight: float) -> None:
         """Update the weight of edge ``(u, v)`` and repair the MST."""
+        import networkx as nx
+
         if not self.graph.has_edge(u, v):
             raise KeyError(f"({u}, {v}) is not an edge of the ancilla graph")
         old_weight = self.graph.edges[u, v]["weight"]
@@ -300,12 +327,13 @@ class IncrementalMst:
             if weight > old_weight:
                 # Case 2: removal + cheapest reconnecting edge.
                 self._tree.remove_edge(u, v)
-                component_u = nx.node_connected_component(self._tree, u)
+                side = self._smaller_side(u, v)
                 best = None
-                for a, b, data in self.graph.edges(data=True):
-                    crosses = (a in component_u) != (b in component_u)
-                    if crosses and (best is None or data["weight"] < best[2]):
-                        best = (a, b, data["weight"])
+                for a in side:
+                    for b, data in self.graph.adj[a].items():
+                        if b not in side and (best is None
+                                              or data["weight"] < best[2]):
+                            best = (a, b, data["weight"])
                 if best is None:  # pragma: no cover - disconnected ancilla graph
                     self._tree.add_edge(u, v, weight=weight)
                 else:
@@ -324,8 +352,27 @@ class IncrementalMst:
                     self._tree.remove_edge(*heaviest)
                     self._tree.add_edge(u, v, weight=weight)
 
+    def _smaller_side(self, u: Position, v: Position) -> set:
+        """The tree component of ``u`` or of ``v``, whichever is smaller.
+
+        Grows both searches one node at a time, so the work is proportional
+        to the smaller component rather than to the whole tree.
+        """
+        adjacency = self._tree.adj
+        searches = (({u}, [u]), ({v}, [v]))
+        while True:
+            for seen, frontier in searches:
+                if not frontier:
+                    return seen
+                for neighbor in adjacency[frontier.pop()]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        frontier.append(neighbor)
+
     def matches_full_recompute(self) -> bool:
         """Sanity check: incremental tree weight equals a fresh Kruskal run."""
+        import networkx as nx
+
         fresh = nx.minimum_spanning_tree(self.graph, weight="weight")
         fresh_weight = sum(d["weight"] for _, _, d in fresh.edges(data=True))
         return abs(self.total_weight() - fresh_weight) < 1e-9

@@ -21,8 +21,8 @@ inherit the accepted client sockets, so the server's close never sends
 FIN and clients streaming an NDJSON response hang waiting for EOF.
 ``spawn`` children inherit nothing but the two queues they are handed,
 and are immune to fork-from-a-thread lock inheritance as a bonus.  The
-price is start-up: each worker imports repro, numpy and networkx afresh
-(about 1 s per pool), and re-imports the main module, so a script that
+price is start-up: each worker imports repro and numpy afresh (about
+1 s per pool), and re-imports the main module, so a script that
 starts workers must do so under an ``if __name__ == "__main__":`` guard.
 
 No failure leaves a future pending.  If :meth:`ServiceExecutor.start`

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro import SimulationConfig, default_layout
 from repro.circuits import Circuit
 from repro.fabric import StarVariant, star_layout
+from repro.fabric.flat import FlatGrid
 from repro.kernel import (FabricState, GateLifecycle, KernelProfile,
                           SimulationClock)
 from repro.lattice import (OrientationTracker, RoutingIndex,
@@ -128,10 +129,15 @@ class TestFabricState:
             fabric.activity_snapshot(0)
 
     def test_activity_snapshot_reflects_busy_intervals(self, fabric):
-        tile = fabric.ancillas[0]
+        tile = fabric.ancillas[2]
         fabric.occupy_ancilla(tile, 0, 25)
         snapshot = fabric.activity_snapshot(50)
-        assert snapshot[tile] == pytest.approx(0.5)
+        # One value per ancilla, in ``fabric.ancillas`` (FlatGrid slot) order.
+        assert snapshot.shape == (len(fabric.ancillas),)
+        assert (FlatGrid.for_layout(fabric.layout).anc_positions
+                == fabric.ancillas)
+        assert snapshot[2] == pytest.approx(0.5)
+        assert snapshot.sum() == snapshot[2]
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +242,28 @@ class TestKernelProfile:
         rows = ResultSet.from_jobs(jobs, [job.run() for job in jobs]) \
             .profile_rows()
         row = rows[0]
-        assert "share_routing" in row and "share_mst" in row
+        # The MST tick is booked as its activity snapshot plus its builds.
+        assert "share_routing" in row and "share_mst_build" in row
+        assert "share_mst_snapshot" in row and "share_mst" not in row
         assert "share_total" not in row  # the denominator gets no share
-        for phase in ("routing", "mst"):
+        for phase in ("routing", "mst_snapshot", "mst_build"):
             expected = row[f"wall_{phase}_s"] / row["wall_total_s"]
             assert row[f"share_{phase}"] == pytest.approx(expected, abs=1e-4)
             assert 0.0 <= row[f"share_{phase}"] <= 1.0
+
+    def test_mst_counters_separate_started_from_built(self, qft6):
+        config = SimulationConfig(mst_period=10, mst_latency=20,
+                                  profile_enabled=True)
+        result = RescqScheduler().run(qft6, default_layout(qft6), config,
+                                      seed=3)
+        profile = result.profile
+        # ``mst_builds`` counts computations started; a run ends with the
+        # last ``latency / period`` of them still pending, never built.
+        assert profile["mst_trees"] == result.metadata["mst_computations"]
+        assert 0 < profile["mst_trees"] < profile["mst_builds"]
+        assert profile["mst_builds"] - profile["mst_trees"] <= 20 // 10
+        assert profile["wall_mst_snapshot_s"] > 0.0
+        assert profile["wall_mst_build_s"] > 0.0
 
     def test_profile_enabled_runs_are_bit_identical(self, qft6):
         layout = default_layout(qft6)

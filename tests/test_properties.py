@@ -194,9 +194,7 @@ class TestFabricProperties:
     def test_mst_paths_stay_on_ancillas(self, num_qubits, seed):
         layout = star_layout(num_qubits, StarVariant.STAR)
         rng = np.random.default_rng(seed)
-        activity = {pos: float(rng.random())
-                    for pos in layout.ancilla_positions()}
-        mst = AncillaMst(layout, activity)
+        mst = AncillaMst(layout, rng.random(layout.num_ancilla))
         ancillas = layout.ancilla_positions()
         start = ancillas[int(rng.integers(len(ancillas)))]
         goal = ancillas[int(rng.integers(len(ancillas)))]
@@ -215,12 +213,12 @@ class TestActivityProperties:
            st.integers(1, 100))
     @settings(max_examples=50, deadline=None)
     def test_activity_always_within_unit_interval(self, intervals, window):
-        tracker = ActivityTracker(window=window)
+        tracker = ActivityTracker([(0, 0)], window=window)
         now = 0
         for start, length in intervals:
             tracker.record_busy((0, 0), start, start + length)
             now = max(now, start + length)
-        activity = tracker.snapshot([(0, 0)], now=now)[(0, 0)]
+        activity = tracker.snapshot(now)[0]
         assert 0.0 <= activity <= 1.0
         # Brute force: count every (interval, cycle) pair in the window.
         busy = sum(1 for start, length in intervals

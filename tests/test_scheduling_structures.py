@@ -1,10 +1,17 @@
 """Tests for activity tracking, ancilla queues and MST maintenance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from repro.fabric import StarVariant, star_layout
+from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.kernel import ActivityTracker
 from repro.scheduling import (
     AncillaMst,
@@ -12,61 +19,108 @@ from repro.scheduling import (
     IncrementalMst,
     QueueEntry,
     QueueSet,
+    activity_array,
     build_activity_graph,
 )
 
+#: Slot order of the trackers below: slot 0 is (0, 0), slot 1 is (0, 1).
+SLOTS = [(0, 0), (0, 1)]
+
+
+def new_tracker(window):
+    return ActivityTracker(SLOTS, window=window)
+
 
 def activity(tracker, position, now):
-    """One tile's activity, read through the bulk ``snapshot`` query."""
-    return tracker.snapshot([position], now)[position]
+    """One tile's activity, read from the slot-ordered snapshot array."""
+    return tracker.snapshot(now)[SLOTS.index(position)]
+
+
+def reference_snapshot(intervals, num_slots, window, now):
+    """Per-slot activity from ``(slot, start, end)`` busy intervals, one
+    interval at a time in plain Python."""
+    values = []
+    for slot in range(num_slots):
+        if now <= 0:
+            values.append(0.0)
+            continue
+        busy = 0
+        for interval_slot, start, end in intervals:
+            if interval_slot == slot:
+                busy += max(0, min(end, now) - max(start, now - window))
+        values.append(min(1.0, busy / min(window, now)))
+    return values
 
 
 class TestActivityTracker:
     def test_activity_zero_before_any_work(self):
-        tracker = ActivityTracker(window=100)
-        assert activity(tracker, (0, 0), now=50) == 0.0
+        assert activity(new_tracker(100), (0, 0), now=50) == 0.0
 
     def test_activity_ratio(self):
-        tracker = ActivityTracker(window=100)
-        tracker.record_busy((0, 0), 0, 30)
-        assert activity(tracker, (0, 0), now=100) == pytest.approx(0.3)
+        busy = new_tracker(100)
+        busy.record_busy((0, 0), 0, 30)
+        assert activity(busy, (0, 0), now=100) == pytest.approx(0.3)
 
     def test_old_intervals_fall_out_of_window(self):
-        tracker = ActivityTracker(window=10)
-        tracker.record_busy((0, 0), 0, 5)
-        assert activity(tracker, (0, 0), now=100) == 0.0
+        busy = new_tracker(10)
+        busy.record_busy((0, 0), 0, 5)
+        assert activity(busy, (0, 0), now=100) == 0.0
 
     def test_partial_overlap_with_window(self):
-        tracker = ActivityTracker(window=10)
-        tracker.record_busy((0, 0), 0, 15)
+        busy = new_tracker(10)
+        busy.record_busy((0, 0), 0, 15)
         # window is [10, 20): 5 busy cycles
-        assert activity(tracker, (0, 0), now=20) == pytest.approx(0.5)
+        assert activity(busy, (0, 0), now=20) == pytest.approx(0.5)
 
     def test_activity_clamped_to_one(self):
-        tracker = ActivityTracker(window=10)
-        tracker.record_busy((0, 0), 0, 10)
-        tracker.record_busy((0, 0), 0, 10)
-        assert activity(tracker, (0, 0), now=10) == 1.0
+        busy = new_tracker(10)
+        busy.record_busy((0, 0), 0, 10)
+        busy.record_busy((0, 0), 0, 10)
+        assert activity(busy, (0, 0), now=10) == 1.0
 
     def test_early_window_uses_elapsed_time(self):
-        tracker = ActivityTracker(window=100)
-        tracker.record_busy((0, 0), 0, 5)
-        assert activity(tracker, (0, 0), now=10) == pytest.approx(0.5)
+        busy = new_tracker(100)
+        busy.record_busy((0, 0), 0, 5)
+        assert activity(busy, (0, 0), now=10) == pytest.approx(0.5)
 
     def test_empty_interval_ignored(self):
-        tracker = ActivityTracker(window=10)
-        tracker.record_busy((0, 0), 5, 5)
-        assert activity(tracker, (0, 0), now=10) == 0.0
+        busy = new_tracker(10)
+        busy.record_busy((0, 0), 5, 5)
+        assert activity(busy, (0, 0), now=10) == 0.0
 
     def test_snapshot(self):
-        tracker = ActivityTracker(window=10)
-        tracker.record_busy((0, 0), 0, 10)
-        snap = tracker.snapshot([(0, 0), (0, 1)], now=10)
-        assert snap[(0, 0)] == 1.0 and snap[(0, 1)] == 0.0
+        """A slot-ordered float64 array, fresh on every call."""
+        busy = new_tracker(10)
+        busy.record_busy((0, 1), 0, 10)
+        snap = busy.snapshot(now=10)
+        assert snap.dtype == np.float64 and snap.shape == (len(SLOTS),)
+        assert snap.tolist() == [0.0, 1.0]
+        # Each call returns a fresh array (the MST pipeline keeps them).
+        assert busy.snapshot(now=10) is not snap
+        assert new_tracker(10).snapshot(now=0).tolist() == [0.0, 0.0]
+
+    def test_unknown_position_rejected(self):
+        with pytest.raises(KeyError):
+            new_tracker(10).record_busy((5, 5), 0, 3)
+
+    def test_snapshot_matches_per_interval_reference(self):
+        """Bit-identical to the scalar ``min(1, busy / effective_window)`` at
+        ``now == 0``, with ``now < window``, and with intervals ending or
+        starting exactly on the window edge (``now - window == 30`` at
+        ``now == 80``); ``now`` grows, so the lazy prune runs too."""
+        window = 50
+        intervals = [(0, 0, 3), (0, 5, 30), (1, 30, 31), (0, 29, 61),
+                     (1, 2, 9), (1, 45, 80), (0, 70, 90), (1, 31, 33)]
+        busy = new_tracker(window)
+        for slot, start, end in intervals:
+            busy.record_busy(SLOTS[slot], start, end)
+        for now in (0, 7, 30, 49, 50, 51, 80, 81, 200):
+            assert busy.snapshot(now).tolist() == reference_snapshot(
+                intervals, len(SLOTS), window, now), now
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            ActivityTracker(window=0)
+            ActivityTracker(SLOTS, window=0)
 
 
 class TestQueues:
@@ -151,6 +205,17 @@ class TestMst:
         assert graph.number_of_nodes() == layout.num_ancilla
         assert nx.is_connected(graph)
 
+    def test_activity_array_is_slot_ordered(self):
+        layout = self.layout()
+        ancillas = layout.ancilla_positions()
+        values = activity_array(layout, {ancillas[3]: 0.25, (0, 0): 0.5})
+        assert values.dtype == np.float64 and len(values) == len(ancillas)
+        assert values[3] == 0.25 and values.sum() == 0.25
+
+    def test_activity_length_must_match_slots(self):
+        with pytest.raises(ValueError, match="ancilla slots"):
+            AncillaMst(self.layout(), np.zeros(3))
+
     def test_mst_paths_match_networkx_reference(self):
         """Every tree path equals the path on networkx's Kruskal MST, under
         zero activity and under four random activity maps."""
@@ -160,17 +225,11 @@ class TestMst:
         activities = [{}] + [{pos: float(rng.random()) for pos in ancillas}
                              for _ in range(4)]
         for activity in activities:
-            mst = AncillaMst(layout, activity)
-            reference = nx.minimum_spanning_tree(
-                build_activity_graph(layout, activity), algorithm="kruskal")
-            for index, start in enumerate(ancillas):
-                for goal in ancillas[index + 1:]:
-                    assert mst.path(start, goal) == nx.shortest_path(
-                        reference, start, goal), (start, goal)
+            assert_paths_match_reference(layout, activity)
 
     def test_path_query_endpoints(self):
         layout = self.layout()
-        mst = AncillaMst(layout, {})
+        mst = AncillaMst(layout, np.zeros(layout.num_ancilla))
         start, goal = (0, 1), (4, 5)
         path = mst.path(start, goal)
         assert path[0] == start and path[-1] == goal
@@ -180,29 +239,28 @@ class TestMst:
 
     def test_path_to_unknown_node_is_none(self):
         layout = self.layout()
-        mst = AncillaMst(layout, {})
+        mst = AncillaMst(layout, np.zeros(layout.num_ancilla))
         assert mst.path((0, 1), (99, 99)) is None
 
     def test_mst_avoids_high_activity_edges(self):
         """The minimax property: the bottleneck activity along the MST path is
         never worse than the direct (shortest) route through a hot ancilla."""
         layout = self.layout()
-        activity = {pos: 0.0 for pos in layout.ancilla_positions()}
         hot = (2, 1)
-        activity[hot] = 1.0
-        mst = AncillaMst(layout, activity)
+        mst = AncillaMst(layout, activity_array(layout, {hot: 1.0}))
         # (1, 1) and (3, 1) have a direct route through the hot tile and a
         # detour around it; the minimax tree must pick the detour.
         assert hot not in mst.path((1, 1), (3, 1))
 
     def test_async_pipeline_latency(self):
         layout = self.layout()
+        idle = np.zeros(layout.num_ancilla)
         pipeline = AsyncMstPipeline(layout, period=25, latency=50)
-        pipeline.tick(0, {})
+        pipeline.tick(0, idle)
         assert pipeline.current is None
-        pipeline.tick(25, {})
+        pipeline.tick(25, idle)
         assert pipeline.current is None  # first result lands at t=50
-        pipeline.tick(50, {})
+        pipeline.tick(50, idle)
         assert pipeline.current is not None
         assert pipeline.current.snapshot_cycle == 0
         assert pipeline.computations_started >= 2
@@ -210,12 +268,25 @@ class TestMst:
     def test_async_pipeline_uses_stale_snapshot(self):
         layout = self.layout()
         pipeline = AsyncMstPipeline(layout, period=10, latency=30)
-        pipeline.tick(0, {pos: 0.0 for pos in layout.ancilla_positions()})
+        pipeline.tick(0, np.zeros(layout.num_ancilla))
         for cycle in range(10, 80, 10):
-            pipeline.tick(cycle, {pos: 0.9 for pos in layout.ancilla_positions()})
+            pipeline.tick(cycle, np.full(layout.num_ancilla, 0.9))
         # The currently available tree corresponds to a snapshot taken
         # latency cycles before it became available.
         assert pipeline.current.snapshot_cycle <= 80 - 30
+
+    def test_pipeline_snapshots_lazily(self):
+        layout = self.layout()
+        pipeline = AsyncMstPipeline(layout, period=10, latency=0)
+        calls = []
+
+        def snapshot():
+            calls.append(1)
+            return np.zeros(layout.num_ancilla)
+
+        for cycle in (0, 3, 9, 10, 15):
+            pipeline.tick(cycle, snapshot)
+        assert len(calls) == pipeline.computations_started == 2
 
     def test_pipeline_rejects_bad_parameters(self):
         layout = self.layout()
@@ -229,7 +300,6 @@ class TestMst:
         activity = {pos: 0.1 for pos in layout.ancilla_positions()}
         incremental = IncrementalMst(layout, activity)
         edges = list(incremental.graph.edges())[:20]
-        import numpy as np
         rng = np.random.default_rng(0)
         for u, v in edges:
             incremental.update_edge(u, v, float(rng.random()))
@@ -240,3 +310,66 @@ class TestMst:
         incremental = IncrementalMst(layout)
         with pytest.raises(KeyError):
             incremental.update_edge((0, 1), (5, 5), 0.3)
+
+
+def assert_paths_match_reference(layout, activity):
+    """Every ``AncillaMst.path`` equals the path on networkx's Kruskal
+    spanning forest of the same activity map; ``None`` across components."""
+    mst = AncillaMst(layout, activity_array(layout, activity))
+    reference = nx.minimum_spanning_tree(
+        build_activity_graph(layout, activity), algorithm="kruskal")
+    paths = dict(nx.all_pairs_shortest_path(reference))
+    ancillas = layout.ancilla_positions()
+    for index, start in enumerate(ancillas):
+        for goal in ancillas[index:]:
+            assert mst.path(start, goal) == paths[start].get(goal), (
+                start, goal)
+
+
+def _walled_compressed_layout():
+    """Compressed STAR fabric with one ancilla walled off from the rest, so
+    the activity graph is disconnected and its MST is a forest."""
+    layout, _ = compress_layout(star_layout(8, StarVariant.STAR), 0.5, seed=3)
+    ancillas = layout.ancilla_positions()
+    island = ancillas[len(ancillas) // 2]
+    for neighbor in layout.ancilla_neighbors(island):
+        layout.disable(neighbor)
+    assert layout.is_ancilla(island) and not layout.ancilla_neighbors(island)
+    return layout
+
+
+_TIE_FABRICS = {"intact": star_layout(8, StarVariant.STAR),
+                "compressed": _walled_compressed_layout()}
+
+
+@seed(25)
+@settings(max_examples=40, deadline=5_000, derandomize=True, database=None)
+@given(data=st.data(), fabric=st.sampled_from(sorted(_TIE_FABRICS)))
+def test_mst_paths_match_networkx_under_ties(data, fabric):
+    """Real snapshots take few distinct ``k/100`` levels and are mostly
+    zero, so most edge weights tie and Kruskal's result rests on the stable
+    order of equal-weight edges."""
+    layout = _TIE_FABRICS[fabric]
+    levels = data.draw(st.lists(st.integers(1, 100), min_size=1, max_size=4),
+                       "levels")
+    values = data.draw(st.lists(
+        st.one_of(st.just(0), st.just(0), st.sampled_from(levels)),
+        min_size=layout.num_ancilla, max_size=layout.num_ancilla), "values")
+    activity = {position: value / 100 for position, value
+                in zip(layout.ancilla_positions(), values)}
+    assert_paths_match_reference(layout, activity)
+
+
+def test_product_imports_do_not_load_networkx():
+    """Only the Section 5.4.1 overhead study (``build_activity_graph``,
+    ``IncrementalMst``) needs networkx, and it imports it on first use:
+    the package, the simulation runner and the CLI never load it."""
+    code = ("import sys, repro, repro.sim.runner, repro.cli; "
+            "print('networkx' in sys.modules)")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
