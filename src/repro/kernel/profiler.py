@@ -18,9 +18,10 @@ A :class:`KernelProfile` accumulates two kinds of counters for one run:
 * **event counters** — scheduling passes, processed events, routing queries
   and routing-plan cache hits; RESCQ adds ``task_visits`` (task visits over
   all sweeps), ``tasks_woken`` (wakes of parked tasks), ``mst_builds`` (MST
-  computations *started*, one activity snapshot each) and ``mst_trees``
-  (trees actually built; computations still in flight when the run ends
-  never build one).
+  computations *started*, one activity snapshot each), ``mst_trees``
+  (snapshots *published*; computations still in flight when the run ends
+  never publish) and ``mst_trees_built`` (published snapshots built into a
+  tree, which happens on the first read: at most ``mst_trees``).
 
 Profiles are cheap (a few thousand float additions per run) but still
 opt-in: schedulers build one only when

@@ -17,6 +17,10 @@ snapshot is a float64 array in the layout's ancilla slot order
 ``GridLayout.ancilla_positions()``), :class:`AncillaMst` runs Kruskal on it
 directly and walks its tree as Python lists.  :func:`activity_array`
 converts a ``{Position: activity}`` map for callers that hold one.
+:class:`AsyncMstPipeline` builds a published snapshot's tree only when the
+scheduler first reads it, and :meth:`AncillaMst.pair_scores` scores every
+candidate CNOT attachment pair over shared tree walks without building any
+pair's path.
 
 The module also provides the incremental-update structure analysed in
 Section 5.4.1 (O(1) insertions on grid cycles, O(max(rows, cols)) deletions)
@@ -29,12 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
-                    Tuple, Union)
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from ..fabric import GridLayout, Position
 from ..fabric.flat import FlatGrid
+from ..kernel.profiler import KernelProfile, profile_timer
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import networkx as nx
@@ -79,7 +84,9 @@ class AncillaMst:
     argsort plus an inlined union-find sweep (path halving) that writes
     accepted edges straight into the tree adjacency, and the resulting
     forest is rooted once so that path queries are LCA walks over
-    parent/depth lists instead of per-pair BFS.
+    parent/depth lists instead of per-pair BFS.  Path queries are not
+    memoised: plan choice builds only the winning pair's path, so a pair is
+    rarely asked for twice.
 
     Tree identity with the networkx reference: the flat edge arrays
     enumerate edges in the exact insertion order of
@@ -150,29 +157,12 @@ class AncillaMst:
         self._depth = depth
         self._component = component
 
-        #: Memoised path queries — the tree is immutable, so every
-        #: (start, goal) pair resolves to the same unique path forever.
-        self._path_cache: Dict[Tuple[Position, Position],
-                               Optional[List[Position]]] = {}
-
     def path(self, start: Position, goal: Position) -> Optional[List[Position]]:
         """The unique tree path between two ancilla tiles (inclusive).
 
         Returns ``None`` when either endpoint is not in the tree or the tree
         is disconnected between them (possible only for degenerate layouts).
-        Paths are memoised (the tree never changes); treat the returned list
-        as read-only.
         """
-        key = (start, goal)
-        cached = self._path_cache.get(key, _PATH_MISS)
-        if cached is not _PATH_MISS:
-            return cached
-        path = self._compute_path(start, goal)
-        self._path_cache[key] = path
-        return path
-
-    def _compute_path(self, start: Position,
-                      goal: Position) -> Optional[List[Position]]:
         flat = self._flat
         a = flat.slot_of(start)
         b = flat.slot_of(goal)
@@ -207,9 +197,105 @@ class AncillaMst:
         path.extend(positions[slot] for slot in reversed(up_from_goal[:-1]))
         return path
 
+    def pair_scores(self, starts: Sequence[Position], goals: Sequence[Position],
+                    cost: Callable[[Position], float]
+                    ) -> List[Tuple[int, int, float, int]]:
+        """Bottleneck cost and length of the tree path of every routable pair.
 
-#: Distinct sentinel: path caches legitimately store ``None`` values.
-_PATH_MISS = object()
+        Returns ``(i, j, worst, length)`` for each ``(starts[i], goals[j])``
+        that :meth:`path` connects, in nested start-then-goal order, where
+        ``worst`` is the largest ``cost`` of a tile on that path and
+        ``length`` its tile count.  Each endpoint is walked up the tree once,
+        to the common ancestor of the endpoints in its component, keeping a
+        prefix max of ``cost``; a pair's LCA is found by binary search on its
+        two walks, so no pair's path is built.
+        """
+        slot_of = self._flat.slot_of
+        start_slots = [slot_of(position) for position in starts]
+        goal_slots = [slot_of(position) for position in goals]
+        walks = self._walks(start_slots + goal_slots, cost)
+        scores = []
+        for i, slot_a in enumerate(start_slots):
+            walk_a = walks.get(slot_a)
+            if walk_a is None:
+                continue
+            chain_a, prefix_a = walk_a
+            top = chain_a[-1]
+            for j, slot_b in enumerate(goal_slots):
+                walk_b = walks.get(slot_b)
+                if walk_b is None:
+                    continue
+                chain_b, prefix_b = walk_b
+                if chain_b[-1] != top:
+                    continue  # different components
+                # Both walks end at the same ancestor, so tile k of walk a
+                # and tile k - shift of walk b sit at the same depth; the
+                # LCA is the first such tile the two walks share.
+                shift = len(chain_a) - len(chain_b)
+                low = shift if shift > 0 else 0
+                high = len(chain_a) - 1
+                while low < high:
+                    middle = (low + high) // 2
+                    if chain_a[middle] == chain_b[middle - shift]:
+                        high = middle
+                    else:
+                        low = middle + 1
+                worst_a = prefix_a[low]
+                worst_b = prefix_b[low - shift]
+                scores.append((i, j, worst_a if worst_a >= worst_b else worst_b,
+                               2 * low - shift + 1))
+        return scores
+
+    def _walks(self, slots: List[int], cost: Callable[[Position], float]
+               ) -> Dict[int, Tuple[List[int], List[float]]]:
+        """Per tree slot in ``slots``: its walk up to the common ancestor of
+        the given slots in its component, and the prefix max of ``cost``
+        along that walk.  Slots outside the tree (``-1``) get no walk, and
+        each tile is priced once however many walks pass it."""
+        parent = self._parent
+        depth = self._depth
+        component = self._component
+        positions = self._flat.anc_positions
+        # Common ancestor per component: fold the slots in by LCA walks.
+        tops: Dict[int, int] = {}
+        for slot in slots:
+            if slot < 0:
+                continue
+            root = component[slot]
+            a = tops.get(root, slot)
+            b = slot
+            while depth[a] > depth[b]:
+                a = parent[a]
+            while depth[b] > depth[a]:
+                b = parent[b]
+            while a != b:
+                a = parent[a]
+                b = parent[b]
+            tops[root] = a
+        values: Dict[int, float] = {}
+        walks: Dict[int, Tuple[List[int], List[float]]] = {}
+        for slot in slots:
+            if slot < 0 or slot in walks:
+                continue
+            stop = tops[component[slot]]
+            node = slot
+            chain = [node]
+            value = values.get(node)
+            if value is None:
+                value = values[node] = cost(positions[node])
+            worst = value
+            prefix = [worst]
+            while node != stop:
+                node = parent[node]
+                chain.append(node)
+                value = values.get(node)
+                if value is None:
+                    value = values[node] = cost(positions[node])
+                if value > worst:
+                    worst = value
+                prefix.append(worst)
+            walks[slot] = (chain, prefix)
+        return walks
 
 
 @dataclass
@@ -227,12 +313,20 @@ class AsyncMstPipeline:
     (= ``tau_mst``) cycles later.  The scheduler always queries the most
     recently *available* tree — never stalling the quantum machine, at the
     cost of acting on information up to ``latency + period`` cycles old.
-    ``computations_started`` counts snapshots taken and
-    ``computations_completed`` the trees built from them; a run ends with up
-    to ``latency / period`` computations still pending.
+
+    A published snapshot is built into an :class:`AncillaMst` on the first
+    read of :attr:`current`; one replaced by a newer publication before any
+    read is never built.  The tree is a pure function of the layout and the
+    snapshot, so every path is the one an eager build gives.
+    ``computations_started`` counts snapshots taken,
+    ``computations_completed`` snapshots published (a run ends with up to
+    ``latency / period`` still pending) and ``trees_built`` the published
+    snapshots built.  With a ``profile``, each build is booked under the
+    nested ``mst_build`` phase of whatever timer encloses the read.
     """
 
-    def __init__(self, layout: GridLayout, period: int, latency: int) -> None:
+    def __init__(self, layout: GridLayout, period: int, latency: int,
+                 profile: Optional[KernelProfile] = None) -> None:
         if period <= 0:
             raise ValueError("period must be positive")
         if latency < 0:
@@ -240,15 +334,27 @@ class AsyncMstPipeline:
         self.layout = layout
         self.period = period
         self.latency = latency
+        self.profile = profile
         self._pending: List[_PendingComputation] = []
         self._current: Optional[AncillaMst] = None
+        #: The latest publication while it is not built yet.
+        self._unbuilt: Optional[_PendingComputation] = None
         self._last_started: Optional[int] = None
         self.computations_started = 0
         self.computations_completed = 0
+        self.trees_built = 0
 
     @property
     def current(self) -> Optional[AncillaMst]:
         """The latest available MST (``None`` until the first one finishes)."""
+        unbuilt = self._unbuilt
+        if unbuilt is not None:
+            self._unbuilt = None
+            with profile_timer(self.profile, "mst_build"):
+                self._current = AncillaMst(
+                    self.layout, unbuilt.activity_snapshot,
+                    snapshot_cycle=unbuilt.started_cycle)
+            self.trees_built += 1
         return self._current
 
     def tick(self, cycle: int,
@@ -267,8 +373,7 @@ class AsyncMstPipeline:
         still_pending: List[_PendingComputation] = []
         for pending in self._pending:
             if pending.available_cycle <= cycle:
-                self._current = AncillaMst(self.layout, pending.activity_snapshot,
-                                           snapshot_cycle=pending.started_cycle)
+                self._unbuilt = pending
                 self.computations_completed += 1
             else:
                 still_pending.append(pending)

@@ -47,7 +47,7 @@ class QueueEntry:
 class AncillaQueue:
     """FIFO queue of :class:`QueueEntry` for a single ancilla tile."""
 
-    __slots__ = ("entries", "waiters", "_pending")
+    __slots__ = ("entries", "waiters", "_pending", "_priced")
 
     def __init__(self) -> None:
         #: The entry list, oldest first.  Shared, not copied: callers may
@@ -56,15 +56,15 @@ class AncillaQueue:
         self.entries: List[QueueEntry] = []
         #: Tasks parked until this tile frees or drops a held state.
         self.waiters: list = []
-        #: Memoised :meth:`pending_cost`; ``None`` after the entries change.
-        self._pending: Optional[float] = None
+        #: Memoised :meth:`pending_cost` of the first ``_priced`` entries.
+        self._pending = 0.0
+        self._priced = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def append(self, entry: QueueEntry) -> None:
         self.entries.append(entry)
-        self._pending = None
 
     def remove_gate(self, gate_index: int) -> Optional[int]:
         """Remove the oldest entry for ``gate_index``.
@@ -76,7 +76,8 @@ class AncillaQueue:
         a head pop rather than a scan.
         """
         entries = self.entries
-        self._pending = None
+        self._pending = 0.0
+        self._priced = 0
         if entries and entries[0].gate_index == gate_index:
             del entries[0]
             if entries and entries[0].gate_index != gate_index:
@@ -95,17 +96,20 @@ class AncillaQueue:
     def pending_cost(self, prices: Dict[str, float]) -> float:
         """Sum of ``prices[entry.gate_kind]`` over the entries, oldest first.
 
-        Memoised until the next :meth:`append` or :meth:`remove_gate`; a
-        queue must always be priced with the same table.  The sum is
-        recomputed in entry order, so the float result is the one a fresh
-        left-to-right summation gives.
+        Memoised: entries appended since the last call are added to the
+        memo in entry order, and a :meth:`remove_gate` starts the sum over,
+        so the float result is the one a fresh left-to-right summation
+        gives.  A queue must always be priced with the same table.
         """
+        entries = self.entries
+        priced = self._priced
+        if priced == len(entries):
+            return self._pending
         pending = self._pending
-        if pending is None:
-            pending = 0.0
-            for entry in self.entries:
-                pending += prices[entry.gate_kind]
-            self._pending = pending
+        for entry in entries[priced:]:
+            pending += prices[entry.gate_kind]
+        self._pending = pending
+        self._priced = len(entries)
         return pending
 
 

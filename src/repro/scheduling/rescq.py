@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..circuits import Circuit, Gate
 from ..fabric import Edge, GridLayout, Position
@@ -200,7 +200,7 @@ class RescqPolicy:
         self.mst: Optional[AsyncMstPipeline] = None
         if self.config.use_mst_routing:
             self.mst = AsyncMstPipeline(self.layout, self.config.mst_period,
-                                        self.config.mst_latency)
+                                        self.config.mst_latency, self.profile)
 
         self.tasks: Dict[int, object] = {}
         #: Gates released since the last pass created their tasks; filled by
@@ -221,8 +221,6 @@ class RescqPolicy:
         #: Profile counters (reported when profiling is on).
         self.task_visits = 0
         self.tasks_woken = 0
-        self._mst_tick_ns = 0
-        self._mst_snapshot_ns = 0
         #: Per-entry queue cost by gate kind in :meth:`_expected_free_time`.
         #: ``expected_cycles()`` is a pure function of the preparation model,
         #: so the same float is produced every call.
@@ -284,15 +282,15 @@ class RescqPolicy:
             profile.add("task_visits", float(self.task_visits))
             profile.add("tasks_woken", float(self.tasks_woken))
             if self.mst is not None:
-                # The MST tick splits into the activity snapshot taken when
-                # a computation starts and everything else, i.e. the trees
-                # built when computations complete.  ``mst_builds`` counts
-                # computations started, ``mst_trees`` trees built.
-                profile.add_wall("mst_snapshot", self._mst_snapshot_ns * 1e-9)
-                profile.add_wall("mst_build", (self._mst_tick_ns
-                                               - self._mst_snapshot_ns) * 1e-9)
+                # ``mst_builds`` counts computations started, ``mst_trees``
+                # snapshots published and ``mst_trees_built`` the published
+                # snapshots whose tree plan choice read (and so built).
                 profile.add("mst_builds", float(self.mst.computations_started))
                 profile.add("mst_trees", float(self.mst.computations_completed))
+                profile.add("mst_trees_built", float(self.mst.trees_built))
+                # A run that never read a tree still lists the build
+                # phase, so profile rows keep one set of columns.
+                profile.add_wall("mst_build", 0.0)
         return kernel.build_result({
             "mst_computations": float(self.mst.computations_completed
                                       if self.mst else 0),
@@ -312,21 +310,14 @@ class RescqPolicy:
     # -- MST pipeline ------------------------------------------------------------
 
     def _tick_mst(self) -> None:
+        """Advance the MST pipeline; the tick (the activity snapshots and
+        the publication bookkeeping) is booked under ``mst_snapshot``, while
+        trees are built, under ``mst_build``, when plan choice reads one."""
         if self.mst is None:
             return
         now = self.clock.now
-        if self.profile is None:
+        with profile_timer(self.profile, "mst_snapshot"):
             self.mst.tick(now, lambda: self.fabric.activity_snapshot(now))
-            return
-        start = time.perf_counter_ns()
-        self.mst.tick(now, lambda: self._timed_activity_snapshot(now))
-        self._mst_tick_ns += time.perf_counter_ns() - start
-
-    def _timed_activity_snapshot(self, now: int):
-        start = time.perf_counter_ns()
-        snapshot = self.fabric.activity_snapshot(now)
-        self._mst_snapshot_ns += time.perf_counter_ns() - start
-        return snapshot
 
     # -- task creation -----------------------------------------------------------
 
@@ -465,74 +456,65 @@ class RescqPolicy:
                            if released else None),
         )
 
-    def _expected_free_time(self, position: Position) -> float:
-        """Expected cycle at which ``position`` frees up (Section 4.2)."""
-        fabric = self.fabric
-        free = fabric.anc_free[position]
+    def _expected_free_time(self) -> Callable[[Position], float]:
+        """Expected cycle at which a tile frees up (Section 4.2).
+
+        Returns the lookup for the current fabric and queue state; it is
+        valid until either changes (one plan choice).
+        """
+        anc_free = self.fabric.anc_free
+        anc_holding = self.fabric.anc_holding
+        queues = self.queues
+        prices = self._queue_prices
         now = self.clock.now
-        base = float(free if free > now else now)
-        if position in fabric.anc_holding:
-            base += 1.0
-        queue = self.queues[position]
-        if not queue.entries:
-            return base
-        # Keep the historical accumulation order (pending summed apart in
-        # entry order, added to base once): float addition is not
-        # associative, and the golden traces pin the exact eft values.
-        return base + queue.pending_cost(self._queue_prices)
+
+        def expected_free_time(position: Position) -> float:
+            free = anc_free[position]
+            value = float(free if free > now else now)
+            if position in anc_holding:
+                value += 1.0
+            queue = queues[position]
+            if queue.entries:
+                # Pending work is summed apart in entry order and added
+                # once: float addition is not associative, and the golden
+                # traces pin the exact values.
+                value += queue.pending_cost(prices)
+            return value
+
+        return expected_free_time
 
     def _choose_cnot_plan(self, control: int, target: int) -> RoutePlan:
-        rotation_cost = self.costs.edge_rotation_cycles
-        cnot_cycles = self.costs.cnot_cycles
-        # Fabric state is frozen while scoring, so each tile's expected free
-        # time is computed once even when candidate paths overlap.
-        eft_cache: Dict[Position, float] = {}
-        eft = self._expected_free_time
+        """The plan with the lowest ``(expected finish, path length)``.
 
+        The expected finish is the rotation and CNOT cost plus the largest
+        expected free time of a path tile.  Candidates are the attachment
+        pairs routed on the latest MST, or, before the first tree exists or
+        when it routes no pair, the cached BFS plans; the first candidate
+        wins a tie.
+        """
+        eft = self._expected_free_time()
         tree = self.mst.current if self.mst is not None else None
         if tree is not None:
-            # Hot path: rank the candidate attachment pairs directly over the
-            # memoised tree paths and materialise only the winning RoutePlan —
-            # identical selection to scoring a full plan list with min()
-            # (same nested iteration order, strict-< tie-breaking), without
-            # constructing the ~16 losing plans.
             routing = self.routing
             routing.queries += 1
             control_candidates = routing.attachments(self.orientation,
                                                      control, "Z")
             target_candidates = routing.attachments(self.orientation,
                                                     target, "X")
-            tree_path = tree.path
-            best = None
-            best_score: Optional[Tuple[float, int]] = None
-            for control_attach, control_rotation in control_candidates:
-                for target_attach, target_rotation in target_candidates:
-                    path = tree_path(control_attach, target_attach)
-                    if path is None:
-                        continue
-                    worst: Optional[float] = None
-                    for pos in path:
-                        value = eft_cache.get(pos)
-                        if value is None:
-                            value = eft(pos)
-                            eft_cache[pos] = value
-                        if worst is None or value > worst:
-                            worst = value
-                    rotations = ((1 if control_rotation else 0)
-                                 + (1 if target_rotation else 0))
-                    score = (rotation_cost * rotations + cnot_cycles + worst,
-                             len(path))
-                    if best_score is None or score < best_score:
-                        best_score = score
-                        best = (control_attach, control_rotation,
-                                target_attach, target_rotation, path)
+            pairs = tree.pair_scores(
+                [attach for attach, _ in control_candidates],
+                [attach for attach, _ in target_candidates], eft)
+            # The rotation flags are bools: their sum counts the rotations.
+            best = self._rank(
+                (control_candidates[i][1] + target_candidates[j][1], worst,
+                 length, (i, j)) for i, j, worst, length in pairs)
             if best is not None:
-                (control_attach, control_rotation,
-                 target_attach, target_rotation, path) = best
+                control_attach, control_rotation = control_candidates[best[0]]
+                target_attach, target_rotation = target_candidates[best[1]]
                 return RoutePlan(
                     control=control,
                     target=target,
-                    path=tuple(path),
+                    path=tuple(tree.path(control_attach, target_attach)),
                     control_rotation=control_rotation,
                     target_rotation=target_rotation,
                     rotation_ancilla_control=(control_attach
@@ -547,20 +529,36 @@ class RescqPolicy:
         if not plans:
             raise RuntimeError(
                 f"no ancilla path between qubits {control} and {target}")
+        # Plans overlap heavily: price each distinct tile once.
+        prices: Dict[Position, float] = {}
 
-        def score(plan: RoutePlan) -> Tuple[float, int]:
-            worst: Optional[float] = None
-            for pos in plan.path:
-                value = eft_cache.get(pos)
+        def worst_price(path: Tuple[Position, ...]) -> float:
+            worst = None
+            for tile in path:
+                value = prices.get(tile)
                 if value is None:
-                    value = eft(pos)
-                    eft_cache[pos] = value
+                    value = prices[tile] = eft(tile)
                 if worst is None or value > worst:
                     worst = value
-            expected = rotation_cost * plan.num_rotations + cnot_cycles + worst
-            return (expected, len(plan.path))
+            return worst
 
-        return min(plans, key=score)
+        return self._rank((plan.num_rotations, worst_price(plan.path),
+                           len(plan.path), plan) for plan in plans)
+
+    def _rank(self, candidates: Iterable[Tuple[int, float, int, object]]
+              ) -> object:
+        """The payload of the first lowest-scoring ``(rotations, worst tile
+        eft, path length, payload)`` candidate, or ``None`` if there is none."""
+        rotation_cost = self.costs.edge_rotation_cycles
+        cnot_cycles = self.costs.cnot_cycles
+        best = None
+        best_score: Optional[Tuple[float, int]] = None
+        for rotations, worst, length, payload in candidates:
+            score = (rotation_cost * rotations + cnot_cycles + worst, length)
+            if best_score is None or score < best_score:
+                best_score = score
+                best = payload
+        return best
 
     def _create_cnot_task(self, index: int, gate: Gate) -> _CnotTask:
         with profile_timer(self.profile, "routing"):
@@ -577,7 +575,7 @@ class RescqPolicy:
         neighbors = self.layout.ancilla_neighbors_of_qubit(qubit)
         if not neighbors:
             raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
-        ancilla = min(neighbors, key=self._expected_free_time)
+        ancilla = min(neighbors, key=self._expected_free_time())
         return _HTask(index, qubit, ancilla,
                       queues=[self.queues.enqueue(ancilla,
                                                   QueueEntry(index, "h"))],

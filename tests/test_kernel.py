@@ -262,6 +262,9 @@ class TestKernelProfile:
         assert profile["mst_trees"] == result.metadata["mst_computations"]
         assert 0 < profile["mst_trees"] < profile["mst_builds"]
         assert profile["mst_builds"] - profile["mst_trees"] <= 20 // 10
+        # A published tree is built on its first read only, so no more
+        # trees are built than were published.
+        assert 0 < profile["mst_trees_built"] <= profile["mst_trees"]
         assert profile["wall_mst_snapshot_s"] > 0.0
         assert profile["wall_mst_build_s"] > 0.0
 
