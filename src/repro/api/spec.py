@@ -45,8 +45,7 @@ class SpecValidationError(ValueError):
 #: (the enum/cost-table fields are excluded: they are not plain JSON values).
 _CONFIG_FIELDS = tuple(
     f.name for f in dataclasses.fields(SimulationConfig)
-    if f.name not in ("injection_strategy", "baseline_injection_strategy",
-                      "costs"))
+    if f.name not in ("baseline_injection_strategy", "costs"))
 
 #: Grid keys that drive the layout instead of the config.
 _LAYOUT_KEYS = ("compression",)

@@ -64,8 +64,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
 from ..canonical import canonical_dumps
-from ..service.httpcore import (HttpError, http_request, iter_ndjson,
-                                open_http_stream, read_request, send_head,
+from ..service.httpcore import (HttpError, connection_handler, http_request,
+                                iter_ndjson, open_http_stream, send_head,
                                 send_json, send_line)
 from .hashring import rank_nodes
 from .membership import DRAINING, ShardSet
@@ -146,7 +146,8 @@ class ShardRouter:
     async def start(self) -> None:
         """Bind and start accepting connections; updates ``self.port``."""
         self._server = await asyncio.start_server(
-            self._on_connection, host=self.host, port=self.port)
+            connection_handler(self._route, self._handlers),
+            host=self.host, port=self.port)
         for sock in self._server.sockets or ():
             self.port = sock.getsockname()[1]
             break
@@ -211,37 +212,7 @@ class ShardRouter:
         except ValueError:
             return "unhealthy: bad healthz payload", None
 
-    # -- connection handling ---------------------------------------------------
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._handle(reader, writer))
-        self._handlers.add(task)
-        task.add_done_callback(self._handlers.discard)
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, _headers, body = await read_request(reader)
-                await self._route(method, path, body, writer)
-            except HttpError as exc:
-                await send_json(writer, exc.status, {"error": exc.message},
-                                headers=exc.headers)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                pass
-            except Exception as exc:  # noqa: BLE001 - last-resort handler
-                try:
-                    await send_json(
-                        writer, 500, {"error": f"internal error: {exc}"})
-                except (ConnectionError, RuntimeError):
-                    pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
+    # -- routing ---------------------------------------------------------------
 
     async def _route(self, method: str, path: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:

@@ -15,9 +15,9 @@ into numpy arrays:
   BFS;
 * ancilla tiles additionally get a dense **slot** numbering in row-major
   order (matching :meth:`GridLayout.ancilla_positions`) and the
-  activity-graph edge list (``edge_u``/``edge_v``) in the same enumeration
-  order the networkx graph builder used, so stable sorts over these arrays
-  reproduce its tie-breaks.
+  activity-graph edge list (``edge_u``/``edge_v``) in the insertion order
+  of the networkx activity graph the tests use as the MST oracle, so stable
+  sorts over these arrays reproduce its tie-breaks.
 
 A ``FlatGrid`` is immutable and keyed to ``layout.version``:
 :meth:`for_layout` caches one per layout and rebuilds it after any
@@ -100,7 +100,7 @@ class FlatGrid:
 
         # Activity-graph edges (u, v) with u < v, enumerated u-ascending then
         # Edge order — the insertion (and hence iteration) order of the
-        # networkx graph historically built by build_activity_graph.
+        # networkx graph the tests build as the MST oracle.
         u_col = np.repeat(np.arange(self.num_ancilla, dtype=np.int32), 4)
         v_col = anc_neighbor_slots.ravel()
         keep = (v_col >= 0) & (v_col > u_col)

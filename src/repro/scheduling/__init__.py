@@ -15,8 +15,7 @@ scheduler names through::
 
 from ..api.registry import Registry
 from .base import Scheduler, gate_kind
-from .mst import (AncillaMst, AsyncMstPipeline, IncrementalMst, activity_array,
-                  build_activity_graph)
+from .mst import AncillaMst, AsyncMstPipeline, IncrementalMst, activity_array
 from .queues import AncillaQueue, QueueEntry, QueueSet
 from .rescq import RescqScheduler
 from .static import AutoBraidScheduler, GreedyScheduler, StaticLayerScheduler
@@ -34,7 +33,6 @@ __all__ = [
     "AsyncMstPipeline",
     "IncrementalMst",
     "activity_array",
-    "build_activity_graph",
     "AncillaQueue",
     "QueueEntry",
     "QueueSet",

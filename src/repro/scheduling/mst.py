@@ -22,18 +22,17 @@ scheduler first reads it, and :meth:`AncillaMst.pair_scores` scores every
 candidate CNOT attachment pair over shared tree walks without building any
 pair's path.
 
-The module also provides the incremental-update structure analysed in
+:class:`IncrementalMst` is the incremental-update structure analysed in
 Section 5.4.1 (O(1) insertions on grid cycles, O(max(rows, cols)) deletions)
-used by the classical-overhead benchmark.  It and :func:`build_activity_graph`
-are the only networkx users in the product, so they import it on first use
-and a simulation never loads it.
+used by the classical-overhead benchmark.  It starts from the same Kruskal
+sweep (:func:`_kruskal`) over the same slot edge arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Collection, Dict, List, Mapping, Optional,
+                    Sequence, Set, Tuple, Union)
 
 import numpy as np
 
@@ -41,11 +40,8 @@ from ..fabric import GridLayout, Position
 from ..fabric.flat import FlatGrid
 from ..kernel.profiler import KernelProfile, profile_timer
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    import networkx as nx
-
-__all__ = ["activity_array", "build_activity_graph", "AncillaMst",
-           "AsyncMstPipeline", "IncrementalMst"]
+__all__ = ["activity_array", "AncillaMst", "AsyncMstPipeline",
+           "IncrementalMst"]
 
 
 def activity_array(layout: GridLayout,
@@ -57,22 +53,43 @@ def activity_array(layout: GridLayout,
                     dtype=np.float64)
 
 
-def build_activity_graph(layout: GridLayout,
-                         activity: Mapping[Position, float]) -> "nx.Graph":
-    """Weighted graph over ancilla tiles: w(u, v) = max(activity_u, activity_v)."""
-    import networkx as nx
+def _edge_weights(flat: FlatGrid, activity: np.ndarray) -> np.ndarray:
+    """w(u, v) = max(activity_u, activity_v) for every flat edge."""
+    if len(activity) != flat.num_ancilla:
+        raise ValueError(f"activity has {len(activity)} values, the "
+                         f"layout has {flat.num_ancilla} ancilla slots")
+    return np.maximum(activity[flat.edge_u], activity[flat.edge_v])
 
-    graph = nx.Graph()
-    ancillas = layout.ancilla_positions()
-    graph.add_nodes_from(ancillas)
-    ancilla_set = set(ancillas)
-    for position in ancillas:
-        for neighbor in layout.neighbors(position):
-            if neighbor in ancilla_set and position < neighbor:
-                weight = max(activity.get(position, 0.0),
-                             activity.get(neighbor, 0.0))
-                graph.add_edge(position, neighbor, weight=weight)
-    return graph
+
+def _kruskal(flat: FlatGrid, weights: Sequence[float]) -> List[List[int]]:
+    """Minimum spanning forest over ``flat``'s edges as per-slot neighbour
+    lists: a stable argsort of ``weights`` plus a union-find sweep (path
+    halving).  Ties keep edge-array order, the insertion order of the
+    networkx graph the tests use as the MST oracle, so the forest is
+    ``nx.minimum_spanning_tree(..., algorithm="kruskal")``'s edge for edge.
+    """
+    num = flat.num_ancilla
+    adjacency: List[List[int]] = [[] for _ in range(num)]
+    order = np.argsort(weights, kind="stable")
+    uf_parent = list(range(num))
+    missing = num - 1
+    for u, v in zip(flat.edge_u[order].tolist(), flat.edge_v[order].tolist()):
+        # Find both roots, pointing each node passed at its grandparent on
+        # the way up (path halving).
+        root_u = u
+        while uf_parent[root_u] != root_u:
+            uf_parent[root_u] = root_u = uf_parent[uf_parent[root_u]]
+        root_v = v
+        while uf_parent[root_v] != root_v:
+            uf_parent[root_v] = root_v = uf_parent[uf_parent[root_v]]
+        if root_u != root_v:
+            uf_parent[root_u] = root_v
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            missing -= 1
+            if not missing:
+                break  # spanning tree complete
+    return adjacency
 
 
 class AncillaMst:
@@ -80,22 +97,12 @@ class AncillaMst:
 
     ``activity`` is one float per ancilla slot of the layout's
     :class:`~repro.fabric.flat.FlatGrid` (see :func:`activity_array`).
-    Edge weights are computed in one numpy pass, Kruskal runs as a stable
-    argsort plus an inlined union-find sweep (path halving) that writes
-    accepted edges straight into the tree adjacency, and the resulting
-    forest is rooted once so that path queries are LCA walks over
-    parent/depth lists instead of per-pair BFS.  Path queries are not
-    memoised: plan choice builds only the winning pair's path, so a pair is
-    rarely asked for twice.
-
-    Tree identity with the networkx reference: the flat edge arrays
-    enumerate edges in the exact insertion order of
-    :func:`build_activity_graph` (slot-ascending, then Edge order), and
-    ``nx.minimum_spanning_tree(..., algorithm="kruskal")`` processes edges
-    with a *stable* sort over that same order — so a stable argsort admits
-    the identical edge set (acceptance depends only on connectivity, not on
-    how the union-find compresses).  Tree paths are unique, so path queries
-    agree regardless of traversal order.
+    The tree is :func:`_kruskal` over edge weights computed in one numpy
+    pass, rooted once so that path queries are LCA walks over parent/depth
+    lists instead of per-pair BFS.  Path queries are not memoised: plan
+    choice builds only the winning pair's path, so a pair is rarely asked
+    for twice.  Tree paths are unique, so path queries agree with the
+    networkx oracle's whatever the traversal order.
     """
 
     def __init__(self, layout: GridLayout, activity: np.ndarray,
@@ -104,34 +111,7 @@ class AncillaMst:
         flat = FlatGrid.for_layout(layout)
         self._flat = flat
         num = flat.num_ancilla
-        if len(activity) != num:
-            raise ValueError(f"activity has {len(activity)} values, the "
-                             f"layout has {num} ancilla slots")
-
-        # Kruskal over the flat edge arrays (see class docstring).
-        adjacency: List[List[int]] = [[] for _ in range(num)]
-        if flat.edge_u.size:
-            weights = np.maximum(activity[flat.edge_u], activity[flat.edge_v])
-            order = np.argsort(weights, kind="stable")
-            uf_parent = list(range(num))
-            missing = num - 1
-            for u, v in zip(flat.edge_u[order].tolist(),
-                            flat.edge_v[order].tolist()):
-                # Find both roots, pointing each node passed at its
-                # grandparent on the way up (path halving).
-                root_u = u
-                while uf_parent[root_u] != root_u:
-                    uf_parent[root_u] = root_u = uf_parent[uf_parent[root_u]]
-                root_v = v
-                while uf_parent[root_v] != root_v:
-                    uf_parent[root_v] = root_v = uf_parent[uf_parent[root_v]]
-                if root_u != root_v:
-                    uf_parent[root_u] = root_v
-                    adjacency[u].append(v)
-                    adjacency[v].append(u)
-                    missing -= 1
-                    if not missing:
-                        break  # spanning tree complete
+        adjacency = _kruskal(flat, _edge_weights(flat, activity))
 
         # Root every component at its smallest slot: parent/depth/component
         # lists answer any path query with an LCA walk.
@@ -393,7 +373,10 @@ class AsyncMstPipeline:
 class IncrementalMst:
     """Incrementally maintained MST used for the Section 5.4.1 overhead study.
 
-    Two update cases matter on a grid graph:
+    :func:`_kruskal` over the slot edge arrays builds the first tree from a
+    slot-ordered ``activity`` array (zero when omitted); each edge then
+    carries its own weight.  :meth:`update_edge` repairs the tree in the two
+    cases that matter on a grid graph:
 
     * an edge *not* on the MST whose weight decreased — insert it and evict the
       heaviest edge of the (grid-bounded, O(1)-size) cycle it creates;
@@ -401,83 +384,101 @@ class IncrementalMst:
       two components with the lightest crossing edge (O(max(rows, cols)) work
       in the paper's analysis; here a search of the smaller component and of
       the graph edges leaving it).
-
-    The implementation favours clarity over raw speed; the benchmark compares
-    it against full recomputation to demonstrate the asymptotic win.
     """
 
     def __init__(self, layout: GridLayout,
-                 activity: Optional[Mapping[Position, float]] = None) -> None:
-        import networkx as nx
+                 activity: Optional[np.ndarray] = None) -> None:
+        flat = FlatGrid.for_layout(layout)
+        num = flat.num_ancilla
+        self._flat = flat
+        self._pairs = list(zip(flat.edge_u.tolist(), flat.edge_v.tolist()))
+        weights = _edge_weights(
+            flat, np.zeros(num) if activity is None else activity)
+        self._weights: List[float] = weights.tolist()
+        #: Per slot: neighbour slot -> index of the graph edge between them.
+        self._graph: List[Dict[int, int]] = [{} for _ in range(num)]
+        for edge, (u, v) in enumerate(self._pairs):
+            self._graph[u][v] = self._graph[v][u] = edge
+        #: Per slot: its tree neighbours.
+        self._tree: List[Set[int]] = [
+            set(neighbors) for neighbors in _kruskal(flat, weights)]
 
-        self.layout = layout
-        self.graph = build_activity_graph(layout, activity or {})
-        self._tree = nx.minimum_spanning_tree(self.graph, weight="weight")
+    def edges(self) -> List[Tuple[Position, Position]]:
+        """Every edge of the ancilla graph, in edge-array order."""
+        positions = self._flat.anc_positions
+        return [(positions[u], positions[v]) for u, v in self._pairs]
 
     def total_weight(self) -> float:
-        return sum(data["weight"] for _, _, data in self._tree.edges(data=True))
+        return self._weight_of(self._tree)
+
+    def _weight_of(self, adjacency: Sequence[Collection[int]]) -> float:
+        return sum(weight for (u, v), weight in zip(self._pairs, self._weights)
+                   if v in adjacency[u])
 
     def update_edge(self, u: Position, v: Position, weight: float) -> None:
         """Update the weight of edge ``(u, v)`` and repair the MST."""
-        import networkx as nx
-
-        if not self.graph.has_edge(u, v):
+        a = self._flat.slot_of(u)
+        b = self._flat.slot_of(v)
+        graph = self._graph
+        edge = graph[a].get(b) if a >= 0 and b >= 0 else None
+        if edge is None:
             raise KeyError(f"({u}, {v}) is not an edge of the ancilla graph")
-        old_weight = self.graph.edges[u, v]["weight"]
-        self.graph.edges[u, v]["weight"] = weight
-        on_tree = self._tree.has_edge(u, v)
-
-        if on_tree:
-            self._tree.edges[u, v]["weight"] = weight
+        weights = self._weights
+        old_weight = weights[edge]
+        weights[edge] = weight
+        tree = self._tree
+        if b in tree[a]:
             if weight > old_weight:
-                # Case 2: removal + cheapest reconnecting edge.
-                self._tree.remove_edge(u, v)
-                side = self._smaller_side(u, v)
-                best = None
-                for a in side:
-                    for b, data in self.graph.adj[a].items():
-                        if b not in side and (best is None
-                                              or data["weight"] < best[2]):
-                            best = (a, b, data["weight"])
-                if best is None:  # pragma: no cover - disconnected ancilla graph
-                    self._tree.add_edge(u, v, weight=weight)
-                else:
-                    self._tree.add_edge(best[0], best[1], weight=best[2])
-        else:
-            if weight < old_weight:
-                # Case 1: insertion + evict the heaviest edge of the new cycle.
-                try:
-                    cycle_path = nx.shortest_path(self._tree, u, v)
-                except nx.NetworkXNoPath:  # pragma: no cover - degenerate
-                    self._tree.add_edge(u, v, weight=weight)
-                    return
-                heaviest = max(zip(cycle_path, cycle_path[1:]),
-                               key=lambda edge: self._tree.edges[edge]["weight"])
-                if self._tree.edges[heaviest]["weight"] > weight:
-                    self._tree.remove_edge(*heaviest)
-                    self._tree.add_edge(u, v, weight=weight)
+                # Case 2: removal + cheapest reconnecting edge (the cut edge
+                # itself still crosses, so there always is one).
+                tree[a].remove(b)
+                tree[b].remove(a)
+                side = self._smaller_side(a, b)
+                crossing = [(weights[index], x, y) for x in side
+                            for y, index in graph[x].items() if y not in side]
+                _, x, y = min(crossing)
+                tree[x].add(y)
+                tree[y].add(x)
+        elif weight < old_weight:
+            # Case 1: insertion + evict the heaviest edge of the new cycle.
+            # a and b are graph neighbours, so one tree component holds both.
+            parent = {a: a}
+            stack = [a]
+            while b not in parent:
+                node = stack.pop()
+                for neighbor in tree[node]:
+                    if neighbor not in parent:
+                        parent[neighbor] = node
+                        stack.append(neighbor)
+            cycle = [b]
+            while cycle[-1] != a:
+                cycle.append(parent[cycle[-1]])
+            x, y = max(zip(cycle, cycle[1:]),
+                       key=lambda pair: weights[graph[pair[0]][pair[1]]])
+            if weights[graph[x][y]] > weight:
+                tree[x].remove(y)
+                tree[y].remove(x)
+                tree[a].add(b)
+                tree[b].add(a)
 
-    def _smaller_side(self, u: Position, v: Position) -> set:
+    def _smaller_side(self, u: int, v: int) -> Set[int]:
         """The tree component of ``u`` or of ``v``, whichever is smaller.
 
         Grows both searches one node at a time, so the work is proportional
         to the smaller component rather than to the whole tree.
         """
-        adjacency = self._tree.adj
+        tree = self._tree
         searches = (({u}, [u]), ({v}, [v]))
         while True:
             for seen, frontier in searches:
                 if not frontier:
                     return seen
-                for neighbor in adjacency[frontier.pop()]:
+                for neighbor in tree[frontier.pop()]:
                     if neighbor not in seen:
                         seen.add(neighbor)
                         frontier.append(neighbor)
 
     def matches_full_recompute(self) -> bool:
         """Sanity check: incremental tree weight equals a fresh Kruskal run."""
-        import networkx as nx
-
-        fresh = nx.minimum_spanning_tree(self.graph, weight="weight")
-        fresh_weight = sum(d["weight"] for _, _, d in fresh.edges(data=True))
-        return abs(self.total_weight() - fresh_weight) < 1e-9
+        fresh = _kruskal(self._flat, self._weights)
+        return abs(self.total_weight() - self._weight_of(fresh)) < 1e-9

@@ -1027,9 +1027,11 @@ class RescqScheduler(Scheduler):
             config: SimulationConfig, seed: int = 0) -> SimulationResult:
         prepared = self.prepare_circuit(circuit)
         prepared.name = circuit.name
+        # Only MST snapshots read activity: without them, record none.
+        window = config.activity_window if config.use_mst_routing else None
         kernel = SimulationKernel(prepared, layout, config, seed,
                                   scheduler_name=self.name,
                                   benchmark=circuit.name,
-                                  activity_window=config.activity_window)
+                                  activity_window=window)
         return RescqPolicy(
             kernel, lookahead_preparation=self.lookahead_preparation).run()

@@ -5,9 +5,9 @@ Both :class:`~repro.service.server.ExperimentServer` and
 dialect: ``Connection: close`` framing (one request per connection, the end
 of the response is the end of the stream), bounded request heads and bodies,
 canonical-JSON payloads.  This module is the single home for that dialect —
-the parsing/writing helpers, the status table, the size limits (one
-``MAX_BODY`` constant guards every process in a cluster) and the minimal
-asyncio client the router uses to talk to its shards.
+the connection loop, the parsing/writing helpers, the status table, the
+size limits (one ``MAX_BODY`` constant guards every process in a cluster)
+and the minimal asyncio client the router uses to talk to its shards.
 
 Nothing here knows about experiments; it is transport only.
 """
@@ -15,13 +15,15 @@ Nothing here knows about experiments; it is transport only.
 from __future__ import annotations
 
 import asyncio
-from typing import AsyncIterator, Dict, Mapping, Optional, Tuple
+from typing import (AsyncIterator, Awaitable, Callable, Dict, Mapping,
+                    Optional, Set, Tuple)
 from urllib.parse import urlsplit
 
 from ..canonical import canonical_dumps
 
 __all__ = [
     "HttpError",
+    "connection_handler",
     "MAX_BODY",
     "MAX_HEADERS",
     "MAX_REQUEST_LINE",
@@ -122,6 +124,53 @@ async def _read_body(reader: asyncio.StreamReader,
         raise HttpError(413, f"body of {length} bytes exceeds the "
                              f"{MAX_BODY} byte limit")
     return await reader.readexactly(length)
+
+
+# -- connection handling -------------------------------------------------------
+
+def connection_handler(
+        route: Callable[[str, str, bytes, asyncio.StreamWriter],
+                        Awaitable[None]],
+        handlers: Set["asyncio.Task"]) -> Callable[..., None]:
+    """An ``asyncio.start_server`` callback for one front end.
+
+    Each connection runs as a task kept in ``handlers`` until it ends (so
+    ``stop`` can await the requests in flight): it reads one request, hands
+    ``(method, path, body, writer)`` to the front end's ``route`` table and
+    closes.  An :class:`HttpError` becomes its status with ``{"error":
+    message}``, any other exception a 500 ``internal error: ...``; a client
+    that hangs up mid-request gets nothing.
+    """
+    async def serve(reader: asyncio.StreamReader,
+                    writer: asyncio.StreamWriter) -> None:
+        try:
+            try:
+                method, path, _headers, body = await read_request(reader)
+                await route(method, path, body, writer)
+            except HttpError as exc:
+                await send_json(writer, exc.status, {"error": exc.message},
+                                headers=exc.headers)
+            except (asyncio.IncompleteReadError, ConnectionError):
+                pass
+            except Exception as exc:  # noqa: BLE001 - last-resort handler
+                try:
+                    await send_json(
+                        writer, 500, {"error": f"internal error: {exc}"})
+                except (ConnectionError, RuntimeError):
+                    pass
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, RuntimeError):
+                pass
+
+    def on_connection(reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        task = asyncio.ensure_future(serve(reader, writer))
+        handlers.add(task)
+        task.add_done_callback(handlers.discard)
+    return on_connection
 
 
 # -- server-side writing -------------------------------------------------------

@@ -1,9 +1,10 @@
 """The asyncio HTTP front end of ``rescq serve``.
 
 A deliberately small HTTP/1.1 implementation on ``asyncio.start_server`` —
-no framework, no new dependencies.  The transport dialect (framing, limits,
-status table) lives in :mod:`repro.service.httpcore`, shared with the
-cluster's :class:`~repro.cluster.router.ShardRouter`.  Routes:
+no framework, no new dependencies.  The transport dialect (the connection
+loop, framing, limits, status table) lives in :mod:`repro.service.httpcore`,
+shared with the cluster's :class:`~repro.cluster.router.ShardRouter`.
+Routes:
 
 ``POST /experiments``
     Body: an :class:`~repro.api.spec.ExperimentSpec` JSON document or a
@@ -39,7 +40,7 @@ from typing import Dict, Optional
 
 from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
 from ..api.resultset import ResultRow
-from .httpcore import (HttpError, read_request, send_head, send_json,
+from .httpcore import (HttpError, connection_handler, send_head, send_json,
                        send_line)
 from .executor import COLLAPSE_MESSAGE
 from .service import AdmissionError, ExperimentService
@@ -74,7 +75,8 @@ class ExperimentServer:
         loop = asyncio.get_event_loop()
         await loop.run_in_executor(None, self.service.executor.start)
         self._server = await asyncio.start_server(
-            self._on_connection, host=self.host, port=self.port)
+            connection_handler(self._route, self._handlers),
+            host=self.host, port=self.port)
         sockets = self._server.sockets or ()
         for sock in sockets:
             self.port = sock.getsockname()[1]
@@ -90,38 +92,6 @@ class ExperimentServer:
                                  return_exceptions=True)
         loop = asyncio.get_event_loop()
         await loop.run_in_executor(None, lambda: self.service.shutdown(drain))
-
-    # -- connection handling ---------------------------------------------------
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._handle(reader, writer))
-        self._handlers.add(task)
-        task.add_done_callback(self._handlers.discard)
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, _headers, body = await read_request(reader)
-                await self._route(method, path, body, writer)
-            except HttpError as exc:
-                await send_json(writer, exc.status, {"error": exc.message},
-                                headers=exc.headers)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                pass
-            except Exception as exc:  # noqa: BLE001 - last-resort handler
-                try:
-                    await send_json(
-                        writer, 500, {"error": f"internal error: {exc}"})
-                except (ConnectionError, RuntimeError):
-                    pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
 
     # -- routing ---------------------------------------------------------------
 

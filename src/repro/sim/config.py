@@ -30,9 +30,6 @@ class SimulationConfig:
         ``tau_mst``, cycles one MST computation takes before it becomes
         available (~100 lattice-surgery cycles on the paper's hardware
         estimate).
-    injection_strategy:
-        Which injection circuit RESCQ prefers when the prepared ancilla sits
-        on the data qubit's Z edge (Table 1).
     baseline_injection_strategy:
         The injection circuit used by the static baselines (Figure 1d uses
         the CNOT strategy).
@@ -57,7 +54,6 @@ class SimulationConfig:
     activity_window: int = 100
     mst_period: int = 25
     mst_latency: int = 100
-    injection_strategy: InjectionStrategy = InjectionStrategy.ZZ
     baseline_injection_strategy: InjectionStrategy = InjectionStrategy.CNOT
     costs: LatticeSurgeryCosts = field(default_factory=lambda: DEFAULT_COSTS)
     max_cycles: int = 2_000_000

@@ -1,6 +1,7 @@
 """Tests for the static baselines and the RESCQ realtime scheduler."""
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro import SimulationConfig, default_layout
 from repro.circuits import Circuit
 from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
+from repro.scheduling.rescq import RescqPolicy
 from repro.exec import plan_jobs
 from repro.service import ExperimentService
 from repro.workloads import dnn_circuit, ising_circuit, qft_circuit
@@ -122,6 +124,23 @@ class TestRescqScheduler:
         config = CONFIG.with_updates(use_mst_routing=False)
         result = run_one(RescqScheduler(), qft6, config=config)
         assert result.num_gates == len(qft6.without_free_gates())
+
+    @pytest.mark.parametrize("use_mst_routing", [True, False])
+    def test_activity_recorded_only_for_mst_routing(self, qft6,
+                                                    use_mst_routing):
+        """Activity feeds only the MST snapshots, so a run without MST
+        routing keeps no tracker: nothing would read or prune it."""
+        policies = []
+        original = RescqPolicy.run
+
+        def run(policy):
+            policies.append(policy)
+            return original(policy)
+
+        config = CONFIG.with_updates(use_mst_routing=use_mst_routing)
+        with mock.patch.object(RescqPolicy, "run", run):
+            run_one(RescqScheduler(), qft6, config=config)
+        assert (policies[0].fabric.activity is None) is not use_mst_routing
 
     def test_ablation_no_parallel_prep_is_slower(self):
         circuit = dnn_circuit(8, layers=3)

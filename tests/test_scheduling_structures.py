@@ -1,8 +1,10 @@
 """Tests for activity tracking, ancilla queues and MST maintenance."""
 
+import itertools
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import networkx as nx
@@ -12,6 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.fabric import StarVariant, compress_layout, star_layout
+from repro.fabric.flat import FlatGrid
 from repro.kernel import ActivityTracker
 from repro.scheduling import (
     AncillaMst,
@@ -20,8 +23,26 @@ from repro.scheduling import (
     QueueEntry,
     QueueSet,
     activity_array,
-    build_activity_graph,
 )
+from repro.scheduling.mst import _kruskal
+
+
+def build_activity_graph(layout, activity):
+    """The networkx MST oracle's graph over ancilla tiles, w(u, v) =
+    max(activity_u, activity_v).  Edges are inserted slot-ascending, then
+    in Edge order: the order of ``FlatGrid.edge_u``/``edge_v``."""
+    graph = nx.Graph()
+    ancillas = layout.ancilla_positions()
+    graph.add_nodes_from(ancillas)
+    ancilla_set = set(ancillas)
+    for position in ancillas:
+        for neighbor in layout.neighbors(position):
+            if neighbor in ancilla_set and position < neighbor:
+                weight = max(activity.get(position, 0.0),
+                             activity.get(neighbor, 0.0))
+                graph.add_edge(position, neighbor, weight=weight)
+    return graph
+
 
 #: Slot order of the trackers below: slot 0 is (0, 0), slot 1 is (0, 1).
 SLOTS = [(0, 0), (0, 1)]
@@ -297,9 +318,9 @@ class TestMst:
 
     def test_incremental_update_matches_recompute(self):
         layout = self.layout()
-        activity = {pos: 0.1 for pos in layout.ancilla_positions()}
-        incremental = IncrementalMst(layout, activity)
-        edges = list(incremental.graph.edges())[:20]
+        incremental = IncrementalMst(layout,
+                                     np.full(layout.num_ancilla, 0.1))
+        edges = incremental.edges()[:20]
         rng = np.random.default_rng(0)
         for u, v in edges:
             incremental.update_edge(u, v, float(rng.random()))
@@ -310,6 +331,27 @@ class TestMst:
         incremental = IncrementalMst(layout)
         with pytest.raises(KeyError):
             incremental.update_edge((0, 1), (5, 5), 0.3)
+
+    def test_incremental_edges_are_the_oracle_graph_edges(self):
+        """``edges()`` lists the activity graph's edges in the oracle
+        graph's iteration order, and the initial tree is the oracle's."""
+        layout = self.layout()
+        rng = np.random.default_rng(1)
+        values = rng.random(layout.num_ancilla)
+        incremental = IncrementalMst(layout, values)
+        positions = layout.ancilla_positions()
+        activity = dict(zip(positions, values.tolist()))
+        reference = nx.minimum_spanning_tree(
+            build_activity_graph(layout, activity), algorithm="kruskal")
+        assert incremental.edges() == list(
+            build_activity_graph(layout, {}).edges())
+        assert {frozenset((positions[u], positions[v]))
+                for u, neighbors in enumerate(incremental._tree)
+                for v in neighbors} == set(map(frozenset, reference.edges()))
+
+    def test_incremental_activity_length_must_match_slots(self):
+        with pytest.raises(ValueError, match="ancilla slots"):
+            IncrementalMst(self.layout(), np.zeros(3))
 
 
 def assert_paths_match_reference(layout, activity):
@@ -360,16 +402,91 @@ def test_mst_paths_match_networkx_under_ties(data, fabric):
     assert_paths_match_reference(layout, activity)
 
 
-def test_product_imports_do_not_load_networkx():
-    """Only the Section 5.4.1 overhead study (``build_activity_graph``,
-    ``IncrementalMst``) needs networkx, and it imports it on first use:
-    the package, the simulation runner and the CLI never load it."""
-    code = ("import sys, repro, repro.sim.runner, repro.cli; "
-            "print('networkx' in sys.modules)")
+def oracle_forest_weight(layout, weights):
+    """networkx's MST weight over the activity graph with per-edge
+    ``weights`` (in ``FlatGrid`` edge order)."""
+    graph = build_activity_graph(layout, {})
+    for (u, v), weight in zip(list(graph.edges()), weights):
+        graph.edges[u, v]["weight"] = weight
+    return nx.minimum_spanning_tree(graph, algorithm="kruskal").size(
+        weight="weight")
+
+
+@seed(27)
+@settings(max_examples=40, deadline=5_000, derandomize=True, database=None)
+@given(data=st.data(), fabric=st.sampled_from(sorted(_TIE_FABRICS)),
+       distinct=st.booleans())
+def test_incremental_mst_tracks_full_recompute(data, fabric, distinct):
+    """After a random ``update_edge`` sequence the incremental tree's weight
+    equals networkx's and a fresh ``_kruskal``'s on the same edge weights.
+
+    Tied runs draw weights from a few ``k/100`` levels, as real snapshots
+    do.  Distinct runs first give every edge its own weight (in a random
+    order), and every later update a value no other update uses; the MST is
+    then unique, so the edge sets must match too."""
+    layout = _TIE_FABRICS[fabric]
+    incremental = IncrementalMst(layout)
+    edges = incremental.edges()
+    weights = [0.0] * len(edges)
+    levels = data.draw(st.lists(st.integers(0, 100), min_size=1, max_size=4),
+                       "levels")
+    steps = itertools.count(1)
+
+    def update(index, level):
+        # A per-step offset below the level granularity keeps values unique.
+        weights[index] = level / 100 + (next(steps) / 10**6 if distinct
+                                        else 0.0)
+        incremental.update_edge(*edges[index], weights[index])
+
+    if distinct:
+        for index in data.draw(st.permutations(range(len(edges))), "order"):
+            update(index, data.draw(st.integers(0, 100)))
+    for index, level in data.draw(st.lists(st.tuples(
+            st.integers(0, len(edges) - 1), st.sampled_from(levels)),
+            min_size=1, max_size=80), "updates"):
+        update(index, level)
+
+    flat = FlatGrid.for_layout(layout)
+    fresh = _kruskal(flat, weights)
+    pairs = zip(flat.edge_u.tolist(), flat.edge_v.tolist())
+    total = incremental.total_weight()
+    assert total == pytest.approx(sum(
+        weight for (u, v), weight in zip(pairs, weights) if v in fresh[u]))
+    assert total == pytest.approx(oracle_forest_weight(layout, weights))
+    assert incremental.matches_full_recompute()
+    if distinct:
+        assert incremental._tree == [set(neighbors) for neighbors in fresh]
+
+
+def test_product_runs_with_networkx_blocked():
+    """networkx is a test-only dependency: with it unimportable, the
+    package, the runner and the CLI import, a RESCQ job runs and the
+    Section 5.4.1 incremental MST updates."""
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["networkx"] = None
+        import repro, repro.cli, repro.sim.runner
+        from repro.fabric import StarVariant, star_layout
+        from repro.scheduling import IncrementalMst, RescqScheduler
+        from repro.sim.config import SimulationConfig
+        from repro.sim.runner import default_layout
+        from repro.workloads.scenarios import clifford_t_circuit
+
+        circuit = clifford_t_circuit(n=4, depth=4, seed=1)
+        result = RescqScheduler().run(
+            circuit, default_layout(circuit),
+            SimulationConfig(mst_period=10, mst_latency=10), seed=0)
+        assert result.total_cycles > 0
+        incremental = IncrementalMst(star_layout(9, StarVariant.STAR))
+        for index, (u, v) in enumerate(incremental.edges()[:30]):
+            incremental.update_edge(u, v, (index * 7 % 11) / 10)
+        assert incremental.matches_full_recompute()
+        print("ok")
+    """)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "ok"

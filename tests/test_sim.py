@@ -4,7 +4,6 @@ import pytest
 
 from repro import SimulationConfig, default_layout
 from repro.exec import plan_jobs
-from repro.rus import InjectionStrategy
 from repro.scheduling import AutoBraidScheduler, RescqScheduler
 from repro.service import ExperimentService
 from repro.sim import (
@@ -24,7 +23,6 @@ class TestConfig:
         assert config.physical_error_rate == 1e-4
         assert config.activity_window == 100
         assert config.mst_period == 25
-        assert config.injection_strategy is InjectionStrategy.ZZ
 
     def test_validation(self):
         with pytest.raises(ValueError):
