@@ -41,8 +41,7 @@ def run_ablations(engine):
         config = base_config.with_updates(**overrides)
         per_benchmark = []
         for circuit in circuits:
-            results = run_scheduler(RescqScheduler(name="rescq"), circuit,
-                                    config, engine)
+            results = run_scheduler(RescqScheduler(), circuit, config, engine)
             per_benchmark.append(
                 sum(r.total_cycles for r in results) / len(results))
         mean_cycles = geometric_mean(per_benchmark)

@@ -16,22 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..api.resultset import ResultSet
 from ..circuits import Circuit
 from ..exec import SimJob, plan_jobs
 from ..scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
 from ..service.service import ExperimentService
-from ..sim import (
-    SimulationConfig,
-    aggregate_comparison,
-    default_layout,
-    geometric_mean,
-)
+from ..sim import SimulationConfig, default_layout, geometric_mean
 
 __all__ = ["default_schedulers", "ExecutionSummary", "run_execution_comparison",
            "latency_histograms"]
 
 
-def default_schedulers(mst_period: int = 25):
+def default_schedulers():
     """The three schedulers the paper compares: greedy, AutoBraid, RESCQ."""
     return [SCHEDULER_REGISTRY.create(name)
             for name in DEFAULT_SCHEDULER_NAMES]
@@ -94,7 +90,8 @@ def _run_grid(circuits: Sequence[Circuit], schedulers,
     for circuit, circuit_jobs in plans:
         chunk = results[cursor:cursor + len(circuit_jobs)]
         cursor += len(circuit_jobs)
-        yield circuit, aggregate_comparison(circuit_jobs, chunk)
+        yield circuit, ResultSet.from_jobs(circuit_jobs,
+                                           chunk).comparison_rows()
 
 
 def run_execution_comparison(circuits: Sequence[Circuit],

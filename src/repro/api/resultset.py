@@ -5,10 +5,10 @@ A :class:`ResultSet` wraps the flat list of
 :class:`~repro.service.service.ExperimentService` run produced, with each row
 carrying its experiment coordinates (benchmark, scheduler, seed, and any
 grid-point parameters the planner tagged the job with).  It is the one
-aggregation path in the reproduction: the legacy
-:func:`~repro.sim.runner.aggregate_comparison` and the sweep folds are both
-thin views over :meth:`ResultSet.comparison_rows` / :meth:`ResultSet.sweep_rows`,
-so every caller slices, groups and averages results the same way.
+aggregation path in the reproduction: the Figure 10 drivers call
+:meth:`ResultSet.comparison_rows` and the sweep folds
+:meth:`ResultSet.sweep_rows`, so every caller slices, groups and averages
+results the same way.
 
 Typical use::
 
@@ -211,10 +211,9 @@ class ResultSet:
     def comparison_rows(self) -> Dict[str, ComparisonRow]:
         """The Figure 10 comparison cells, keyed and sorted by scheduler name.
 
-        Semantics match the original ``aggregate_comparison`` exactly: each
-        cell's per-seed results are sorted by seed and the row's benchmark is
-        the last one seen for that scheduler, so this is byte-identical to
-        the pre-ResultSet aggregation for every legacy caller.
+        Each cell's per-seed results are sorted by seed, so the rows do not
+        depend on the executor that produced them, and the row's benchmark
+        is the last one seen for that scheduler.
         """
         per_scheduler: Dict[str, List[ResultRow]] = {}
         benchmarks: Dict[str, str] = {}

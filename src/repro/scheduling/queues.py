@@ -8,15 +8,18 @@ tile only while it heads that tile's queue.
 
 An entry holds only the gate and its kind; the kind prices the entry when
 RESCQ estimates a tile's expected free time.  The rest of Table 2 lives on
-the RESCQ task that owns the entry (:mod:`repro.scheduling.rescq`): a
-task's ``preparing``/``holding``/``injecting``/``started`` state gives the
-head's status, ``preparing[position][1]`` gives the angle level being
-prepared on a tile, and ``task.queues`` lists the queues the gate sits on.
+the RESCQ task that owns the entry (:mod:`repro.scheduling.rescq`): an Rz
+task's ``preparing``/``holding``/``injecting`` state, or the ``started``
+flag of the one gate task a CNOT or Hadamard has, gives the head's status;
+``preparing[position][1]`` gives the angle level being prepared on a tile,
+and ``task.queues`` lists the queues the gate sits on.
 
 A queue also keeps the tile's wake list: RESCQ tasks parked because the
 tile is busy or holds another gate's state wait in ``waiters`` until the
-policy frees the tile.  A task parked behind another gate at the head is
-woken when :meth:`AncillaQueue.remove_gate` reports it as the new head.
+policy frees the tile.  Nothing parks here for a queue another gate heads:
+:meth:`AncillaQueue.remove_gate` reports the new head when the head changes,
+and RESCQ wakes that gate's task (a gate task once it heads every queue it
+sits on).
 """
 
 from __future__ import annotations
@@ -88,10 +91,6 @@ class AncillaQueue:
                 del entries[position]
                 return None
         raise ValueError(f"gate {gate_index} is not in this queue")
-
-    def is_at_head(self, gate_index: int) -> bool:
-        entries = self.entries
-        return bool(entries) and entries[0].gate_index == gate_index
 
     def pending_cost(self, prices: Dict[str, float]) -> float:
         """Sum of ``prices[entry.gate_kind]`` over the entries, oldest first.

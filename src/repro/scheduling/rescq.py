@@ -30,31 +30,39 @@ preparation latencies are drawn in vectorised batches through
 :meth:`~repro.rus.preparation.PreparationModel.sample_cycles_batch` (which is
 stream-equivalent to the historical scalar draws, so traces are unchanged).
 
+There are two task kinds.  An Rz task runs the preparation and injection
+chain.  A CNOT or a Hadamard is a *gate task*: it waits until it heads the
+queue of each tile it was given, those tiles are free and hold no other
+gate's state, and its data qubits are free; then it occupies all of them
+for a fixed time.  Only its tiles (a CNOT's routed plan, a Hadamard's one
+ancilla), its duration and the orientation flips applied on completion
+depend on the gate.
+
 The scheduling pass is event-woken, not polled.  A task visit that can do
 nothing *parks* the task on what blocks it: the tile's wake list
 (``AncillaQueue.waiters``) for a busy tile or one holding another gate's
 state, the data qubit's wake list for a busy data qubit, and for a tile
 whose queue another gate heads, nothing — :meth:`AncillaQueue.remove_gate`
 names the new head when the head changes, and that gate's task is woken.
-A CNOT counts the queues another gate heads and is woken only when it
-heads the last of them; after that it parks, like a Hadamard, on its first
-blocker.  An Rz task parks on every candidate's blocker and is also woken
-by its own preparation and injection events and by its release.  The
-event handlers and the pass itself wake a list when they free its tile or
-qubit.  A sweep visits only awake tasks, in creation (seniority) order; a
-task woken mid-sweep is visited later in the same sweep when it is younger
-than the task being visited, otherwise in the next one, and tasks created
-mid-sweep wait for the next sweep.  Those are exactly the visits that
-would do anything if every task were visited on every sweep, so the
-schedule is the same.
+A gate task counts the queues another gate heads and is woken only when
+it heads the last of them; after that it parks on its first blocker.  An
+Rz task parks on every candidate's blocker and is also woken by its own
+preparation and injection events and by its release.  The event handlers
+and the pass itself wake a list when they free its tile or qubit.  A sweep
+visits only awake tasks, in creation (seniority) order; a task woken
+mid-sweep is visited later in the same sweep when it is younger than the
+task being visited, otherwise in the next one, and tasks created mid-sweep
+wait for the next sweep.  Those are exactly the visits that would do
+anything if every task were visited on every sweep, so the schedule is the
+same.
 
 Table 2's per-entry status and angle level are read off task state, not
 stored on the queue entries: an Rz task's ``preparing`` map gives the tiles
 preparing (``P``) and the level each prepares, ``holding`` the tiles done
-preparing (``D``), ``injecting`` an injection in progress; a CNOT or
-Hadamard task's ``started`` flag marks its tiles executing (``E``).  Every
-task keeps the queues it was enqueued on in ``task.queues``, and a finished
-gate removes itself from exactly those.
+preparing (``D``), ``injecting`` an injection in progress; a gate task's
+``started`` flag marks its tiles executing (``E``).  Every task keeps the
+queues it was enqueued on in ``task.queues``, and a finished gate removes
+itself from exactly those.
 
 The ablation switches in :class:`~repro.sim.config.SimulationConfig`
 (``parallel_preparation``, ``eager_correction_prep``, ``use_mst_routing``)
@@ -128,20 +136,29 @@ class _RzTask:
         self.parked = False
 
 
-class _CnotTask:
-    __slots__ = ("gate_index", "control", "target", "plan", "queues",
-                 "heads_missing", "release_cycle", "started", "start_cycle",
-                 "seq", "parked")
+class _GateTask:
+    """CNOT or Hadamard state (``kind`` "cnot" / "h"): the gate occupies
+    its ``tiles`` and data ``qubits`` for ``duration`` once it may (see the
+    module docstring)."""
 
-    def __init__(self, gate_index: int, control: int, target: int,
-                 plan: RoutePlan, queues: List["AncillaQueue"],
+    __slots__ = ("gate_index", "kind", "qubits", "tiles", "queues",
+                 "duration", "rotate", "edge_rotations", "heads_missing",
+                 "release_cycle", "started", "start_cycle", "seq", "parked")
+
+    def __init__(self, gate_index: int, kind: str, qubits: Tuple[int, ...],
+                 tiles: Tuple[Position, ...], queues: List["AncillaQueue"],
+                 duration: int, rotate: Tuple[int, ...], edge_rotations: int,
                  release_cycle: int) -> None:
         self.gate_index = gate_index
-        self.control = control
-        self.target = target
-        self.plan = plan
-        #: Queues of ``plan.ancillas_used``, aligned — resolved once.
+        self.kind = kind
+        self.qubits = qubits
+        self.tiles = tiles
+        #: Queues of ``tiles``, aligned — resolved once.
         self.queues = queues
+        self.duration = duration
+        #: Data qubits whose patch orientation flips when the gate completes.
+        self.rotate = rotate
+        self.edge_rotations = edge_rotations
         #: How many of those queues another gate heads.  A gate leaves a
         #: queue's head only by finishing, so this only counts down.
         self.heads_missing = len({queue for queue in queues
@@ -153,22 +170,8 @@ class _CnotTask:
         self.parked = False
 
 
-class _HTask:
-    __slots__ = ("gate_index", "qubit", "ancilla", "queues", "release_cycle",
-                 "started", "start_cycle", "seq", "parked")
-
-    def __init__(self, gate_index: int, qubit: int, ancilla: Position,
-                 queues: List["AncillaQueue"], release_cycle: int) -> None:
-        self.gate_index = gate_index
-        self.qubit = qubit
-        self.ancilla = ancilla
-        #: ``[queue of ancilla]`` — the same shape as the other task kinds.
-        self.queues = queues
-        self.release_cycle = release_cycle
-        self.started = False
-        self.start_cycle: Optional[int] = None
-        self.seq = 0
-        self.parked = False
+#: Profile counter of the simulated cycles each gate-task kind occupies.
+_CYCLE_COUNTERS = {"cnot": "sim_cnot_cycles", "h": "sim_hadamard_cycles"}
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +181,12 @@ class _HTask:
 class RescqPolicy:
     """One seeded RESCQ execution of a circuit on a :class:`SimulationKernel`."""
 
-    def __init__(self, kernel: SimulationKernel,
-                 lookahead_preparation: bool = True) -> None:
+    def __init__(self, kernel: SimulationKernel) -> None:
         self.kernel = kernel
         self.circuit = kernel.circuit
         self.layout = kernel.layout
         self.config = kernel.config
         self.costs = kernel.config.costs
-        self.lookahead_preparation = lookahead_preparation
         self.rng = kernel.rng
         self.prep_model = kernel.config.preparation_model()
 
@@ -302,10 +303,8 @@ class RescqPolicy:
             self._on_prep_done(*payload)
         elif tag == "inject":
             self._on_injection_done(*payload)
-        elif tag == "cnot":
-            self._on_cnot_done(*payload)
-        elif tag == "h":
-            self._on_hadamard_done(*payload)
+        elif tag == "gate":
+            self._on_gate_done(*payload)
 
     # -- MST pipeline ------------------------------------------------------------
 
@@ -560,32 +559,41 @@ class RescqPolicy:
                 best = payload
         return best
 
-    def _create_cnot_task(self, index: int, gate: Gate) -> _CnotTask:
+    def _create_cnot_task(self, index: int, gate: Gate) -> _GateTask:
         with profile_timer(self.profile, "routing"):
             plan = self._choose_cnot_plan(gate.control, gate.target)
-        return _CnotTask(index, gate.control, gate.target, plan,
-                         queues=[self.queues.enqueue(position,
-                                                     QueueEntry(index, "cnot"))
-                                 for position in plan.ancillas_used],
-                         release_cycle=self.lifecycle.release_cycle.get(
-                             index, self.clock.now))
+        rotate = tuple(qubit for qubit, flips in (
+            (gate.control, plan.control_rotation),
+            (gate.target, plan.target_rotation)) if flips)
+        return self._create_gate_task(
+            index, "cnot", (gate.control, gate.target), plan.ancillas_used,
+            plan.duration(self.costs), rotate, plan.num_rotations)
 
-    def _create_h_task(self, index: int, gate: Gate) -> _HTask:
+    def _create_h_task(self, index: int, gate: Gate) -> _GateTask:
         qubit = gate.qubits[0]
         neighbors = self.layout.ancilla_neighbors_of_qubit(qubit)
         if not neighbors:
             raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
         ancilla = min(neighbors, key=self._expected_free_time())
-        return _HTask(index, qubit, ancilla,
-                      queues=[self.queues.enqueue(ancilla,
-                                                  QueueEntry(index, "h"))],
-                      release_cycle=self.lifecycle.release_cycle.get(
-                          index, self.clock.now))
+        # A logical Hadamard exchanges the patch's X and Z boundaries.
+        return self._create_gate_task(index, "h", (qubit,), (ancilla,),
+                                      self.costs.hadamard_cycles, (qubit,), 0)
+
+    def _create_gate_task(self, index: int, kind: str,
+                          qubits: Tuple[int, ...],
+                          tiles: Tuple[Position, ...], duration: int,
+                          rotate: Tuple[int, ...],
+                          edge_rotations: int) -> _GateTask:
+        """Enqueue gate ``index`` on each of ``tiles`` and return its task."""
+        queues = [self.queues.enqueue(position, QueueEntry(index, kind))
+                  for position in tiles]
+        return _GateTask(index, kind, qubits, tiles, queues, duration, rotate,
+                         edge_rotations,
+                         self.lifecycle.release_cycle.get(index,
+                                                          self.clock.now))
 
     def _maybe_lookahead_prepare(self, index: int) -> None:
         """Pre-enqueue the next Rz on each operand qubit of a starting gate."""
-        if not self.lookahead_preparation:
-            return
         gate = self.circuit[index]
         for qubit in gate.qubits:
             nxt = self._next_on_qubit.get((index, qubit))
@@ -628,13 +636,9 @@ class RescqPolicy:
                     if not task.done:
                         visits += 1
                         self._advance_rz(task)
-                elif type(task) is _CnotTask:
-                    if not task.started:
-                        visits += 1
-                        self._try_start_cnot(task)
                 elif not task.started:
                     visits += 1
-                    self._try_start_hadamard(task)
+                    self._try_start_gate(task)
             self._sweep_bound = -1
             self.task_visits += visits
             if len(traces) == completed_before:
@@ -879,19 +883,19 @@ class RescqPolicy:
             injections=task.injections,
             preparation_attempts=task.prep_attempts))
 
-    # -- CNOT and Hadamard ----------------------------------------------------------
+    # -- gate tasks (CNOT and Hadamard) ----------------------------------------------
 
-    def _try_start_cnot(self, task: _CnotTask) -> None:
-        # Every plan tile must have this gate at its queue head, be free now
-        # and hold no other gate's state, and both data qubits must be free.
-        # A blocked CNOT parks on the first of these that fails.
+    def _try_start_gate(self, task: _GateTask) -> None:
+        # Every tile must have this gate at its queue head, be free now and
+        # hold no other gate's state, and every data qubit must be free.  A
+        # blocked gate parks on the first of these that fails.
         if task.heads_missing:
             task.parked = True  # woken when it heads its last queue
             return
         now = self.clock.now
         fabric = self.fabric
         data_free = fabric.data_free
-        for qubit in (task.control, task.target):
+        for qubit in task.qubits:
             if data_free[qubit] > now:
                 task.parked = True
                 self._data_waiters[qubit].append(task)
@@ -899,90 +903,39 @@ class RescqPolicy:
         gate_index = task.gate_index
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
-        resources = task.plan.ancillas_used
-        for position, queue in zip(resources, task.queues):
+        for position, queue in zip(task.tiles, task.queues):
             holder = anc_holding.get(position)
             if anc_free[position] > now or (holder is not None
                                             and holder != gate_index):
                 task.parked = True
                 queue.waiters.append(task)
                 return
-        duration = task.plan.duration(self.costs)
+        duration = task.duration
         finish = now + duration
-        for position in resources:
+        for position in task.tiles:
             fabric.occupy_ancilla(position, now, finish)
-        self.fabric.occupy_data(task.control, now, finish)
-        self.fabric.occupy_data(task.target, now, finish)
+        for qubit in task.qubits:
+            fabric.occupy_data(qubit, now, finish)
         task.started = True
         task.start_cycle = now
         if self.profile is not None:
-            self.profile.add("sim_cnot_cycles", float(duration))
-        self.clock.push(finish, "cnot", (task.gate_index, finish))
-        self._maybe_lookahead_prepare(task.gate_index)
+            self.profile.add(_CYCLE_COUNTERS[task.kind], float(duration))
+        self.clock.push(finish, "gate", (gate_index, finish))
+        self._maybe_lookahead_prepare(gate_index)
 
-    def _on_cnot_done(self, gate_index: int, finish: int) -> None:
-        task = self.tasks.get(gate_index)
-        if not isinstance(task, _CnotTask):
-            return
+    def _on_gate_done(self, gate_index: int, finish: int) -> None:
+        task = self.tasks[gate_index]
         for queue in task.queues:
             if queue.waiters:
                 self._wake_tile(queue)
-        self._wake_data(task.control)
-        self._wake_data(task.target)
-        if task.plan.control_rotation:
-            self.orientation.rotate(task.control)
-        if task.plan.target_rotation:
-            self.orientation.rotate(task.target)
+        for qubit in task.qubits:
+            self._wake_data(qubit)
+        for qubit in task.rotate:
+            self.orientation.rotate(qubit)
         self._finish_gate(task, GateTrace(
-            gate_index, "cnot", (task.control, task.target),
-            scheduled_cycle=task.release_cycle,
-            start_cycle=task.start_cycle if task.start_cycle is not None
-            else task.release_cycle,
-            end_cycle=finish,
-            edge_rotations=task.plan.num_rotations))
-
-    def _try_start_hadamard(self, task: _HTask) -> None:
-        now = self.clock.now
-        fabric = self.fabric
-        ancilla = task.ancilla
-        queue = task.queues[0]
-        if fabric.data_free[task.qubit] > now:
-            task.parked = True
-            self._data_waiters[task.qubit].append(task)
-            return
-        if (fabric.anc_free[ancilla] > now
-                or fabric.anc_holding.get(ancilla) not in (None, task.gate_index)):
-            task.parked = True
-            queue.waiters.append(task)
-            return
-        if not queue.is_at_head(task.gate_index):
-            task.parked = True  # woken when it becomes the head
-            return
-        duration = self.costs.hadamard_cycles
-        finish = now + duration
-        fabric.occupy_ancilla(ancilla, now, finish)
-        fabric.occupy_data(task.qubit, now, finish)
-        task.started = True
-        task.start_cycle = now
-        if self.profile is not None:
-            self.profile.add("sim_hadamard_cycles", float(duration))
-        self.clock.push(finish, "h", (task.gate_index, finish))
-        self._maybe_lookahead_prepare(task.gate_index)
-
-    def _on_hadamard_done(self, gate_index: int, finish: int) -> None:
-        task = self.tasks.get(gate_index)
-        if not isinstance(task, _HTask):
-            return
-        self._wake_tile(task.queues[0])
-        self._wake_data(task.qubit)
-        # A logical Hadamard exchanges the patch's X and Z boundaries.
-        self.orientation.rotate(task.qubit)
-        self._finish_gate(task, GateTrace(
-            gate_index, "h", (task.qubit,),
-            scheduled_cycle=task.release_cycle,
-            start_cycle=task.start_cycle if task.start_cycle is not None
-            else task.release_cycle,
-            end_cycle=finish))
+            gate_index, task.kind, task.qubits,
+            scheduled_cycle=task.release_cycle, start_cycle=task.start_cycle,
+            end_cycle=finish, edge_rotations=task.edge_rotations))
 
     # -- completion plumbing ----------------------------------------------------------
 
@@ -992,7 +945,7 @@ class RescqPolicy:
         for head in self.queues.remove_gate_everywhere(task.gate_index,
                                                        task.queues):
             new_head = tasks[head]
-            if type(new_head) is _CnotTask:
+            if type(new_head) is _GateTask:
                 new_head.heads_missing -= 1
                 if new_head.heads_missing:
                     continue  # still behind another gate elsewhere
@@ -1002,26 +955,9 @@ class RescqPolicy:
 
 
 class RescqScheduler(Scheduler):
-    """The realtime scheduler proposed by the paper.
-
-    Parameters
-    ----------
-    lookahead_preparation:
-        Enable preemptive enqueueing of the next Rz gate on a qubit while the
-        previous gate is still executing (on by default; exposed for
-        ablations).
-    name:
-        Override the scheduler name recorded in results (used when running
-        ablated variants side by side).
-    """
+    """The realtime scheduler proposed by the paper."""
 
     name = "rescq"
-
-    def __init__(self, lookahead_preparation: bool = True,
-                 name: Optional[str] = None) -> None:
-        self.lookahead_preparation = lookahead_preparation
-        if name is not None:
-            self.name = name
 
     def run(self, circuit: Circuit, layout: GridLayout,
             config: SimulationConfig, seed: int = 0) -> SimulationResult:
@@ -1033,5 +969,4 @@ class RescqScheduler(Scheduler):
                                   scheduler_name=self.name,
                                   benchmark=circuit.name,
                                   activity_window=window)
-        return RescqPolicy(
-            kernel, lookahead_preparation=self.lookahead_preparation).run()
+        return RescqPolicy(kernel).run()

@@ -2,11 +2,7 @@
 
 from .config import SimulationConfig
 from .results import GateTrace, SimulationResult, aggregate_results, geometric_mean
-from .runner import (
-    ComparisonRow,
-    aggregate_comparison,
-    default_layout,
-)
+from .runner import ComparisonRow, default_layout
 
 __all__ = [
     "SimulationConfig",
@@ -15,6 +11,5 @@ __all__ = [
     "aggregate_results",
     "geometric_mean",
     "ComparisonRow",
-    "aggregate_comparison",
     "default_layout",
 ]

@@ -1,4 +1,4 @@
-"""Layout defaults and comparison-row aggregation for simulation results.
+"""Layout defaults and the comparison-row record for simulation results.
 
 Work is planned as :class:`~repro.exec.jobs.SimJob` lists and executed
 through an :class:`~repro.service.service.ExperimentService`; experiments are
@@ -9,14 +9,13 @@ described declaratively with :class:`repro.api.ExperimentSpec` and run via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List
 
 from ..circuits import Circuit
-from ..exec.jobs import SimJob
 from ..fabric import GridLayout, StarVariant, compress_layout, star_layout
 from .results import SimulationResult
 
-__all__ = ["default_layout", "ComparisonRow", "aggregate_comparison"]
+__all__ = ["default_layout", "ComparisonRow"]
 
 
 def default_layout(circuit: Circuit, compression: float = 0.0,
@@ -38,7 +37,10 @@ def default_layout(circuit: Circuit, compression: float = 0.0,
 
 @dataclass
 class ComparisonRow:
-    """Aggregate of one (benchmark, scheduler) cell of Figure 10."""
+    """Aggregate of one (benchmark, scheduler) cell of Figure 10.
+
+    Built by :meth:`repro.api.resultset.ResultSet.comparison_rows`.
+    """
 
     benchmark: str
     scheduler: str
@@ -48,18 +50,3 @@ class ComparisonRow:
     mean_idle_fraction: float
     runs: int
     results: List[SimulationResult] = field(default_factory=list, repr=False)
-
-
-def aggregate_comparison(jobs: Sequence[SimJob],
-                         results: Sequence[SimulationResult]
-                         ) -> Dict[str, ComparisonRow]:
-    """Fold positionally-aligned ``(jobs, results)`` into comparison rows.
-
-    Rows are keyed and ordered by scheduler name (ascending), and each row's
-    ``results`` list is ordered by seed — deterministic regardless of the
-    executor that produced ``results``.  This is a view over
-    :meth:`repro.api.resultset.ResultSet.comparison_rows`, the canonical
-    aggregation.
-    """
-    from ..api.resultset import ResultSet
-    return ResultSet.from_jobs(jobs, results).comparison_rows()

@@ -26,7 +26,6 @@ from repro.api.axes import get_axis
 from repro.service import ExperimentService, ServiceExecutor
 from repro.scheduling import RescqScheduler
 from repro.sim import SimulationConfig
-from repro.sim.runner import aggregate_comparison
 from repro.workloads import BenchmarkSpec, register_benchmark
 from repro.workloads.qft import qft_circuit
 
@@ -296,17 +295,27 @@ class TestResultSet:
                    for row in summary)
 
     def test_comparison_rows_match_legacy_aggregation(self):
+        """The per-scheduler fold the Figure 10 drivers have always used:
+        rows keyed by sorted scheduler name, results ordered by seed."""
         spec = small_spec(seeds=2)
         jobs = spec.expand()
         results = ExperimentService().run(jobs)
-        legacy = aggregate_comparison(jobs, results)
-        modern = ResultSet.from_jobs(jobs, results).comparison_rows()
-        assert list(legacy) == list(modern)
-        for name in legacy:
-            assert legacy[name].mean_cycles == modern[name].mean_cycles
-            assert legacy[name].min_cycles == modern[name].min_cycles
-            assert legacy[name].max_cycles == modern[name].max_cycles
-            assert legacy[name].runs == modern[name].runs
+        rows = ResultSet.from_jobs(jobs, results).comparison_rows()
+        per_scheduler = {}
+        for job, result in zip(jobs, results):
+            per_scheduler.setdefault(job.scheduler_name, []).append(
+                (job.seed, result))
+        assert list(rows) == sorted(per_scheduler)
+        for name, pairs in per_scheduler.items():
+            ordered = [result for _seed, result in sorted(
+                pairs, key=lambda pair: pair[0])]
+            cycles = [result.total_cycles for result in ordered]
+            row = rows[name]
+            assert row.results == ordered
+            assert row.mean_cycles == sum(cycles) / len(cycles)
+            assert row.min_cycles == min(cycles)
+            assert row.max_cycles == max(cycles)
+            assert row.runs == len(cycles)
 
     def test_sweep_rows_order_and_values(self, sweep_results):
         _spec, results = sweep_results

@@ -11,11 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationConfig, default_layout
-from repro.api import ExperimentSpec, build_engine, run_experiment
+from repro.api import ExperimentSpec, ResultSet, build_engine, run_experiment
 from repro.exec import DirectoryCache, SimJob, job_fingerprint, plan_jobs
-from repro.scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
+from repro.scheduling import (
+    AutoBraidScheduler,
+    GreedyScheduler,
+    RescqScheduler,
+    Scheduler,
+)
 from repro.service import ExperimentService, ServiceExecutor
-from repro.sim import aggregate_comparison
 from repro.workloads import qft_circuit
 
 FAST = SimulationConfig(mst_period=10, mst_latency=10)
@@ -115,14 +119,22 @@ class TestSimJob:
         assert len(prints) == 2
 
     def test_fingerprint_sees_scheduler_parameters(self):
+        class Probe(Scheduler):
+            name = "probe"
+
+            def __init__(self, knob=0):
+                self.knob = knob
+
+            def run(self, circuit, layout, config, seed=0):
+                raise NotImplementedError
+
+        # Same class name as ``Probe``: only the result name differs.
+        Renamed = type("Probe", (Probe,), {"name": "probe-v2"})
         base = make_jobs(num_seeds=1)[0]
-        ablated = SimJob(base.circuit,
-                         RescqScheduler(lookahead_preparation=False),
-                         base.config, base.layout, base.seed)
-        renamed = SimJob(base.circuit, RescqScheduler(name="rescq-v2"),
-                         base.config, base.layout, base.seed)
-        assert len({base.fingerprint(), ablated.fingerprint(),
-                    renamed.fingerprint()}) == 3
+        prints = {SimJob(base.circuit, scheduler, base.config, base.layout,
+                         base.seed).fingerprint()
+                  for scheduler in (Probe(), Probe(knob=1), Renamed())}
+        assert len(prints) == 3
 
     @settings(max_examples=10, deadline=None)
     @given(distance=st.sampled_from([3, 5, 7, 9]),
@@ -308,14 +320,16 @@ class TestRunnerIntegration:
         jobs = plan_jobs(
             [RescqScheduler(), GreedyScheduler(), AutoBraidScheduler()],
             circuit, FAST, default_layout(circuit), 1)
-        rows = aggregate_comparison(jobs, ExperimentService().run(jobs))
+        results = ExperimentService().run(jobs)
+        rows = ResultSet.from_jobs(jobs, results).comparison_rows()
         assert list(rows) == ["autobraid", "greedy", "rescq"]
 
     def test_comparison_results_sorted_by_seed(self):
         circuit = qft_circuit(5)
         jobs = plan_jobs([RescqScheduler()], circuit, FAST,
                          default_layout(circuit), [2, 0, 1])
-        rows = aggregate_comparison(jobs, ExperimentService().run(jobs))
+        results = ExperimentService().run(jobs)
+        rows = ResultSet.from_jobs(jobs, results).comparison_rows()
         assert [r.seed for r in rows["rescq"].results] == [0, 1, 2]
 
     def test_comparison_identical_across_engines(self, pooled, tmp_path):
@@ -325,7 +339,8 @@ class TestRunnerIntegration:
 
         def run(engine=None):
             engine = engine or ExperimentService()
-            return aggregate_comparison(jobs, engine.run(jobs))
+            results = engine.run(jobs)
+            return ResultSet.from_jobs(jobs, results).comparison_rows()
 
         reference = run()
         parallel = run(pooled)

@@ -3,11 +3,11 @@
 
 from repro import SimulationConfig, default_layout, geometric_mean
 from repro.analysis import run_execution_comparison
+from repro.api import ResultSet
 from repro.circuits import from_artifact_format, to_artifact_format
 from repro.exec import plan_jobs
 from repro.scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
 from repro.service import ExperimentService
-from repro.sim import aggregate_comparison
 from repro.workloads import (
     get_benchmark,
     hamiltonian_simulation_circuit,
@@ -27,7 +27,8 @@ class TestEndToEnd:
         jobs = plan_jobs(
             [GreedyScheduler(), AutoBraidScheduler(), RescqScheduler()],
             circuit, FAST, default_layout(circuit), 2)
-        rows = aggregate_comparison(jobs, ExperimentService().run(jobs))
+        results = ExperimentService().run(jobs)
+        rows = ResultSet.from_jobs(jobs, results).comparison_rows()
         assert rows["rescq"].mean_cycles < rows["greedy"].mean_cycles
         assert rows["rescq"].mean_cycles < rows["autobraid"].mean_cycles
 

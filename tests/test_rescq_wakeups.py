@@ -27,12 +27,16 @@ from repro.analysis.export import result_to_dict
 from repro.circuits import Circuit
 from repro.kernel import DeadlockError, SimulationKernel
 from repro.scheduling import RescqScheduler
-from repro.scheduling.rescq import RescqPolicy, _CnotTask, _HTask, _RzTask
+from repro.scheduling.rescq import RescqPolicy, _GateTask, _RzTask
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import default_layout
 from repro.workloads.scenarios import clifford_rz_circuit
 
 RESCQ_CASES = [case for case in golden_cases() if case[2] == "rescq"]
+
+
+def heads_queue(queue, gate: int) -> bool:
+    return bool(queue.entries) and queue.entries[0].gate_index == gate
 
 
 def could_progress(policy: RescqPolicy, task) -> bool:
@@ -49,17 +53,13 @@ def could_progress(policy: RescqPolicy, task) -> bool:
                 and fabric.anc_holding.get(position) in (None, gate))
 
     def heads(position) -> bool:
-        return policy.queues[position].is_at_head(gate)
+        return heads_queue(policy.queues[position], gate)
 
-    if isinstance(task, _CnotTask):
+    if isinstance(task, _GateTask):
         return (not task.started
-                and fabric.data_free[task.control] <= now
-                and fabric.data_free[task.target] <= now
-                and all(usable(pos) and heads(pos)
-                        for pos in task.plan.ancillas_used))
-    if isinstance(task, _HTask):
-        return (not task.started and fabric.data_free[task.qubit] <= now
-                and usable(task.ancilla) and heads(task.ancilla))
+                and all(fabric.data_free[qubit] <= now
+                        for qubit in task.qubits)
+                and all(usable(pos) and heads(pos) for pos in task.tiles))
     assert isinstance(task, _RzTask)
     if task.done:
         return False
@@ -126,8 +126,8 @@ class PollingPolicy(RescqPolicy):
 
     Same visits in the same order as the wake-list sweep whenever a parked
     task's visit is a no-op, so both must produce identical results.  A
-    CNOT's queue-head count is recomputed from the queues before each visit
-    rather than trusted.
+    gate task's queue-head count is recomputed from the queues before each
+    visit rather than trusted.
     """
 
     def schedule_pass(self):
@@ -145,25 +145,21 @@ class PollingPolicy(RescqPolicy):
                     if not task.done:
                         self._advance_rz(task)
                 elif not task.started:
-                    if isinstance(task, _CnotTask):
-                        task.heads_missing = sum(
-                            not queue.is_at_head(task.gate_index)
-                            for queue in set(task.queues))
-                        self._try_start_cnot(task)
-                    else:
-                        self._try_start_hadamard(task)
+                    task.heads_missing = sum(
+                        not heads_queue(queue, task.gate_index)
+                        for queue in set(task.queues))
+                    self._try_start_gate(task)
             self._awake = []
             if len(traces) == completed_before:
                 break
 
 
-def run_policy(circuit, layout, config, seed, lookahead=True,
-               policy_class=RescqPolicy):
+def run_policy(circuit, layout, config, seed, policy_class=RescqPolicy):
     prepared = RescqScheduler.prepare_circuit(circuit)
     kernel = SimulationKernel(prepared, layout, config, seed,
                               scheduler_name="rescq", benchmark=circuit.name,
                               activity_window=config.activity_window)
-    policy = policy_class(kernel, lookahead_preparation=lookahead)
+    policy = policy_class(kernel)
     return policy, policy.run()
 
 
@@ -195,21 +191,18 @@ _VARIANTS = {
 @given(n=st.integers(2, 40), depth=st.integers(1, 16),
        cx_fraction=st.sampled_from([0.2, 0.35, 0.6]),
        circuit_seed=st.integers(0, 10_000), sim_seed=st.integers(0, 3),
-       variant=st.sampled_from(sorted(_VARIANTS)),
-       lookahead=st.booleans())
+       variant=st.sampled_from(sorted(_VARIANTS)))
 def test_no_lost_wakeup_on_random_circuits(n, depth, cx_fraction,
-                                           circuit_seed, sim_seed, variant,
-                                           lookahead):
+                                           circuit_seed, sim_seed, variant):
     circuit = clifford_rz_circuit(n, depth, cx_fraction=cx_fraction,
                                   seed=circuit_seed)
     config = GOLDEN_CONFIG.with_updates(**_VARIANTS[variant])
     layout = default_layout(circuit)
     with checked_passes():
-        policy, result = run_policy(circuit, layout, config, sim_seed,
-                                    lookahead)
+        policy, result = run_policy(circuit, layout, config, sim_seed)
     assert len(result.traces) == len(policy.lifecycle.dag)
     assert not policy.tasks
-    _, polled = run_policy(circuit, layout, config, sim_seed, lookahead,
+    _, polled = run_policy(circuit, layout, config, sim_seed,
                            policy_class=PollingPolicy)
     assert result_to_dict(result) == result_to_dict(polled)
 
@@ -228,7 +221,7 @@ def test_run_names_the_stuck_gate_on_deadlock():
 
     def create_and_hold(index, gate):
         task = create(index, gate)
-        kernel.fabric.hold(task.plan.ancillas_used[0], phantom)
+        kernel.fabric.hold(task.tiles[0], phantom)
         return task
 
     policy._create_cnot_task = create_and_hold
@@ -268,12 +261,30 @@ def test_blocked_tasks_join_the_wake_list_of_their_blocker():
     policy = _bare_policy(Circuit(4, name="cx").cnot(0, 3))
     policy._create_task(0, released=True)
     cnot = policy.tasks[0]
-    tile = cnot.plan.ancillas_used[-1]
+    tile = cnot.tiles[-1]
     policy.fabric.occupy_ancilla(tile, 0, 10)
-    policy._try_start_cnot(cnot)
+    policy._try_start_gate(cnot)
     assert cnot.parked and policy.queues[tile].waiters == [cnot]
     policy._wake_tile(policy.queues[tile])
     assert not cnot.parked and policy._awake[-1] is cnot
+
+    # A Hadamard queued behind another gate on its tile joins no wake list:
+    # it is woken when that gate retires and it heads the queue.
+    policy = _bare_policy(Circuit(4, name="h").rz(0, 0.3).h(0))
+    policy._create_task(0, released=True)
+    policy._create_task(1, released=True)
+    rz, hadamard = policy.tasks[0], policy.tasks[1]
+    (tile,) = hadamard.tiles
+    assert hadamard.heads_missing == 1
+    policy._try_start_gate(hadamard)
+    assert hadamard.parked and not hadamard.started
+    assert all(hadamard not in queue.waiters
+               for queue in policy.queues.values())
+    assert hadamard not in policy._data_waiters[0]
+    policy._complete_rz(rz)
+    assert heads_queue(policy.queues[tile], 1)
+    assert hadamard.heads_missing == 0
+    assert not hadamard.parked and policy._awake[-1] is hadamard
 
     # An Rz whose only ready state sits on a diagonal candidate waits on the
     # busy routing tile it would inject through (preparing the correction

@@ -147,8 +147,7 @@ class TestRescqScheduler:
         fast = run_one(RescqScheduler(), circuit)
         ablated_config = CONFIG.with_updates(parallel_preparation=False,
                                              eager_correction_prep=False)
-        slow = run_one(RescqScheduler(name="rescq-ablated"), circuit,
-                       config=ablated_config)
+        slow = run_one(RescqScheduler(), circuit, config=ablated_config)
         assert slow.total_cycles >= fast.total_cycles
 
     def test_works_on_compressed_grid(self):

@@ -144,6 +144,11 @@ class TestActivityTracker:
             ActivityTracker(SLOTS, window=0)
 
 
+def heads(queue, gate_index):
+    """Does ``gate_index`` head ``queue``?"""
+    return bool(queue.entries) and queue.entries[0].gate_index == gate_index
+
+
 class TestQueues:
     def test_enqueue_and_head(self):
         queues = QueueSet([(0, 0), (0, 1)])
@@ -151,16 +156,16 @@ class TestQueues:
         queue = queues.enqueue((0, 0), entry)
         assert queue is queues[(0, 0)]
         assert queue.entries == [entry]
-        assert queue.is_at_head(5)
-        assert not queues[(0, 1)].is_at_head(5)
+        assert heads(queue, 5)
+        assert not heads(queues[(0, 1)], 5)
 
     def test_seniority_order_preserved(self):
         queues = QueueSet([(0, 0)])
         queues.enqueue((0, 0), QueueEntry(1, "rz"))
         queues.enqueue((0, 0), QueueEntry(2, "cnot"))
         assert [e.gate_index for e in queues[(0, 0)].entries] == [1, 2]
-        assert queues[(0, 0)].is_at_head(1)
-        assert not queues[(0, 0)].is_at_head(2)
+        assert heads(queues[(0, 0)], 1)
+        assert not heads(queues[(0, 0)], 2)
 
     def test_remove_gate_everywhere(self):
         queues = QueueSet([(0, 0), (0, 1), (1, 0)])
@@ -171,7 +176,7 @@ class TestQueues:
         assert len(queues[(0, 0)]) == 0
         # Other gates' entries stay, and the next one becomes the head; the
         # emptied queue names no head.
-        assert queues[(0, 1)].is_at_head(8)
+        assert heads(queues[(0, 1)], 8)
         assert new_heads == [8]
 
     def test_remove_gate_reports_only_head_changes(self):
@@ -193,7 +198,7 @@ class TestQueues:
         queues.enqueue((0, 0), QueueEntry(5, "h"))
         queue = queues[(0, 0)]
         assert queue.remove_gate(4) is None      # 4 still heads the queue
-        assert queue.is_at_head(4)
+        assert heads(queue, 4)
         assert queues.remove_gate_everywhere(4, own[1:]) == [5]
         assert [entry.gate_index for entry in queue.entries] == [5]
 

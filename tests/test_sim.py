@@ -3,13 +3,13 @@
 import pytest
 
 from repro import SimulationConfig, default_layout
+from repro.api import ResultSet
 from repro.exec import plan_jobs
 from repro.scheduling import AutoBraidScheduler, RescqScheduler
 from repro.service import ExperimentService
 from repro.sim import (
     GateTrace,
     SimulationResult,
-    aggregate_comparison,
     aggregate_results,
     geometric_mean,
 )
@@ -124,7 +124,8 @@ class TestRunner:
         config = SimulationConfig(mst_period=10, mst_latency=10)
         jobs = plan_jobs([AutoBraidScheduler(), RescqScheduler()], circuit,
                          config, default_layout(circuit), seeds)
-        return aggregate_comparison(jobs, ExperimentService().run(jobs))
+        results = ExperimentService().run(jobs)
+        return ResultSet.from_jobs(jobs, results).comparison_rows()
 
     def test_comparison_shares_layout_and_seeds(self):
         rows = self._comparison(seeds=2)
