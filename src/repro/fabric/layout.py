@@ -106,7 +106,7 @@ class GridLayout:
 
     @property
     def num_ancilla(self) -> int:
-        return sum(1 for tile in self._tiles.values() if tile.is_ancilla)
+        return len(self._ancilla_positions)
 
     @property
     def ancilla_per_data(self) -> float:
@@ -117,9 +117,10 @@ class GridLayout:
     # -- adjacency ---------------------------------------------------------------
     #
     # Neighbour lists are precomputed once at construction and maintained by
-    # delta on disable/enable, so the routing inner loops never rebuild them.
-    # The cached lists are shared (not copied) on return: callers must treat
-    # them as read-only.
+    # delta on disable/enable.  They serve compression's connectivity check,
+    # the reference BFS, per-qubit neighbour lookups and the FlatGrid build
+    # (routing itself walks the FlatGrid's slot lists).  The cached lists are
+    # shared (not copied) on return: callers must treat them as read-only.
 
     @property
     def version(self) -> int:

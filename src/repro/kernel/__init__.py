@@ -9,9 +9,11 @@ baselines used to hand-roll separately into four layers (bottom to top):
 
 ``FabricState`` (:mod:`repro.kernel.fabric_state`)
     Runtime state of the tile grid shared by all policies: per-ancilla
-    busy-until times and held states, per-data-qubit busy-until times and
-    busy-cycle accounting, edge orientations, and (for policies that route
-    on it) the sliding-window :class:`~repro.kernel.activity.ActivityTracker`.
+    busy-until times and held states (indexed by
+    :class:`~repro.fabric.flat.FlatGrid` slot), per-data-qubit busy-until
+    times and busy-cycle accounting, edge orientations, and (for policies
+    that route on it) the sliding-window
+    :class:`~repro.kernel.activity.ActivityTracker`.
 
 ``GateLifecycle`` (:mod:`repro.kernel.lifecycle`)
     The gate state machine: dependency releases, per-gate release cycles,

@@ -5,26 +5,24 @@ of the last ``c`` cycles during which the ancilla was busy.  The tracker
 records busy intervals as they are scheduled and answers window queries at MST
 (re)computation time; old intervals are pruned lazily.
 
-Tiles are numbered by their **slot**: the index of the position in the
-ancilla list the tracker is built over.  :class:`~repro.kernel.FabricState`
-passes its ``ancillas`` (``GridLayout.ancilla_positions()``, row-major),
-which is exactly the :class:`~repro.fabric.flat.FlatGrid` slot order the MST
-consumes, so a snapshot goes from here to Kruskal without any per-position
-translation.  Intervals are stored struct-of-arrays style — three parallel
-flat lists ``(slot, start, end)`` — and :meth:`ActivityTracker.snapshot` is
-one vectorised clip-and-bincount.  The clipping is integer arithmetic and
-``busy / effective_window`` is one IEEE division per slot, so every value
-equals the per-position ``min(1, busy / effective_window)`` of the
-historical scalar scan bit for bit.
+Tiles are numbered by their :class:`~repro.fabric.flat.FlatGrid` **slot**,
+the one tile identity inside a run: :class:`~repro.kernel.FabricState`
+records each busy interval under the slot it occupies, and a snapshot is in
+the slot order the MST consumes, so activity goes from here to Kruskal
+without any per-position translation.  Intervals are stored
+struct-of-arrays style — three parallel flat lists ``(slot, start, end)``
+— and :meth:`ActivityTracker.snapshot` is one vectorised clip-and-bincount.
+The clipping is integer arithmetic and ``busy / effective_window`` is one
+IEEE division per slot, so every value equals the per-tile
+``min(1, busy / effective_window)`` of the historical scalar scan bit for
+bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List
 
 import numpy as np
-
-from ..fabric import Position
 
 __all__ = ["ActivityTracker"]
 
@@ -32,29 +30,26 @@ __all__ = ["ActivityTracker"]
 class ActivityTracker:
     """Records per-ancilla busy intervals and answers windowed activity queries.
 
-    ``ancillas`` fixes the slot numbering: slot ``i`` is ``ancillas[i]``,
-    and :meth:`snapshot` returns one value per slot in that order.
+    Tiles are slots ``0 .. num_slots - 1``, and :meth:`snapshot` returns
+    one value per slot in that order.
     """
 
-    def __init__(self, ancillas: Sequence[Position], window: int = 100) -> None:
+    def __init__(self, num_slots: int, window: int = 100) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        #: Position -> slot (index into ``ancillas``).
-        self._slots: Dict[Position, int] = {
-            position: slot for slot, position in enumerate(ancillas)}
-        self._num_slots = len(ancillas)
+        self._num_slots = num_slots
         # Parallel interval arrays: interval i is slot _slot_list[i] busy
         # during [_start_list[i], _end_list[i]).
         self._slot_list: List[int] = []
         self._start_list: List[int] = []
         self._end_list: List[int] = []
 
-    def record_busy(self, position: Position, start: int, end: int) -> None:
-        """Record that ancilla ``position`` is busy during ``[start, end)``."""
+    def record_busy(self, slot: int, start: int, end: int) -> None:
+        """Record that ancilla ``slot`` is busy during ``[start, end)``."""
         if end <= start:
             return
-        self._slot_list.append(self._slots[position])
+        self._slot_list.append(slot)
         self._start_list.append(start)
         self._end_list.append(end)
 

@@ -8,14 +8,16 @@ The *policies* differ in how they pick among candidate plans; the mechanics of
 enumerating and validating plans are shared and live here.
 
 :func:`bfs_ancilla_path` and :func:`enumerate_cnot_plans` are the reference
-implementations over the object-graph layout.  Schedulers query
-:class:`RoutingIndex`, which answers the same questions from memoised paths
-and a FIFO BFS over the :class:`~repro.fabric.flat.FlatGrid` flat indices.
-One BFS serves a source and all its goals and stops once the last goal is
-discovered.  It pops nodes in discovery order and scans neighbours in
-``Edge`` order, as the reference does, so every node gets the same parent.
-Parents are fixed at discovery and ancestors are discovered first, so every
-goal's path is final when the search stops: byte-identical to the reference.
+implementations over the object-graph layout, in positions.  Schedulers
+query :class:`RoutingIndex`, which answers the same questions in
+:class:`~repro.fabric.flat.FlatGrid` slots, the one tile identity inside a
+run: its plans' tiles and paths are slots, from memoised paths and a FIFO
+BFS over the per-slot neighbour lists.  One BFS serves a source and all its
+goals and stops once the last goal is discovered.  It pops nodes in
+discovery order and scans neighbours in ``Edge`` order, as the reference
+does, so every node gets the same parent.  Parents are fixed at discovery
+and ancestors are discovered first, so every goal's path is final when the
+search stops: the reference's path, tile for tile.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..fabric import Edge, GridLayout, Position
 from ..fabric.flat import FlatGrid
@@ -33,10 +36,17 @@ from .orientation import OrientationTracker
 __all__ = ["RoutePlan", "RoutingIndex", "bfs_ancilla_path",
            "enumerate_cnot_plans"]
 
+#: A tile in a plan: a FlatGrid slot, or a position in the reference plans.
+Tile = Union[int, Position]
+
 
 @dataclass(frozen=True)
 class RoutePlan:
     """A concrete way to execute one CNOT.
+
+    Tiles are :class:`~repro.fabric.flat.FlatGrid` slots in the plans of
+    :class:`RoutingIndex` (and of the policies), and positions in the
+    plans of the reference :func:`enumerate_cnot_plans`.
 
     Attributes
     ----------
@@ -56,14 +66,14 @@ class RoutePlan:
 
     control: int
     target: int
-    path: Tuple[Position, ...]
+    path: Tuple[Tile, ...]
     control_rotation: bool = False
     target_rotation: bool = False
-    rotation_ancilla_control: Optional[Position] = None
-    rotation_ancilla_target: Optional[Position] = None
+    rotation_ancilla_control: Optional[Tile] = None
+    rotation_ancilla_target: Optional[Tile] = None
 
     @cached_property
-    def ancillas_used(self) -> Tuple[Position, ...]:
+    def ancillas_used(self) -> Tuple[Tile, ...]:
         """Every ancilla tile the plan touches (path plus rotation helpers).
 
         Cached: a pure function of the frozen fields, read by every plan
@@ -154,17 +164,18 @@ def _attachment_candidates(layout: GridLayout, orientation: OrientationTracker,
 
 
 def _plans_from_candidates(control: int, target: int,
-                           control_candidates: Sequence[Tuple[Position, bool]],
-                           target_candidates: Sequence[Tuple[Position, bool]],
-                           blocked: Set[Position],
-                           path_finder: Callable[[Position, Position],
-                                                 Optional[List[Position]]]
+                           control_candidates: Sequence[Tuple[Tile, bool]],
+                           target_candidates: Sequence[Tuple[Tile, bool]],
+                           blocked: Set[Tile],
+                           path_finder: Callable[[Tile, Tile],
+                                                 Optional[List[Tile]]]
                            ) -> List[RoutePlan]:
     """Build the plan list for every routable attachment pair.
 
-    The one plan-construction loop shared by the cached
-    (:class:`RoutingIndex`) and uncached (:func:`enumerate_cnot_plans`)
-    enumeration paths — keep them from drifting apart.
+    The one plan-construction loop shared by the cached slot
+    (:class:`RoutingIndex`) and uncached position
+    (:func:`enumerate_cnot_plans`) enumerations — keep them from drifting
+    apart.
     """
     plans: List[RoutePlan] = []
     for control_attach, control_rotation in control_candidates:
@@ -215,11 +226,12 @@ def enumerate_cnot_plans(layout: GridLayout, orientation: OrientationTracker,
 
 
 class RoutingIndex:
-    """Incremental routing over one layout: flat-index BFS and memoised plan
+    """Incremental routing over one layout: slot BFS and memoised plan
     enumeration.
 
     The index answers the same queries as :func:`bfs_ancilla_path` (without
-    ``blocked``) and :func:`enumerate_cnot_plans` but caches everything that
+    ``blocked``) and :func:`enumerate_cnot_plans`, in
+    :class:`~repro.fabric.flat.FlatGrid` slots, and caches everything that
     is a pure function of the layout and the qubits' edge orientations:
 
     * **shortest ancilla paths** keyed on ``(start, goal)``, filled by
@@ -230,8 +242,9 @@ class RoutingIndex:
 
     Layouts do not change during a run: grid compression works on a copy
     before any kernel builds an index.  :meth:`_sync` still checks
-    :attr:`GridLayout.version` before every query and drops every cache when
-    it has moved, so a mutated layout can never serve a stale route.
+    :attr:`GridLayout.version` before every query and drops every cache
+    (and takes the new revision's slot numbering) when it has moved, so a
+    mutated layout can never serve a stale route.
 
     One index per layout is typically shared via :meth:`for_layout`, so
     repeated runs (seed sweeps) reuse each other's routing work.
@@ -240,12 +253,12 @@ class RoutingIndex:
     def __init__(self, layout: GridLayout) -> None:
         self.layout = layout
         self._version = layout.version
+        self.flat = FlatGrid.for_layout(layout)
         #: (start, goal) -> shortest ancilla path (or None when unreachable).
-        self._paths: Dict[Tuple[Position, Position],
-                          Optional[List[Position]]] = {}
+        self._paths: Dict[Tuple[int, int], Optional[List[int]]] = {}
         #: (qubit, pauli, flipped) -> [(ancilla, needs_rotation), ...]
         self._attachments: Dict[Tuple[int, str, bool],
-                                List[Tuple[Position, bool]]] = {}
+                                List[Tuple[int, bool]]] = {}
         #: (control, target, flipped_c, flipped_t) -> cached plan list.
         self._plans: Dict[Tuple[int, int, bool, bool], List[RoutePlan]] = {}
         self.queries = 0
@@ -269,15 +282,20 @@ class RoutingIndex:
         if self.layout.version == self._version:
             return
         self._version = self.layout.version
+        self.flat = FlatGrid.for_layout(self.layout)
         self._paths.clear()
         self._attachments.clear()
         self._plans.clear()
 
     # -- cached primitives ------------------------------------------------------
 
-    def path(self, start: Position, goal: Position) -> Optional[List[Position]]:
-        """Shortest ancilla path, equal to :func:`bfs_ancilla_path`'s
-        (memoised; treat as read-only)."""
+    def path(self, start: int, goal: int) -> Optional[List[int]]:
+        """Shortest ancilla path between two slots, equal to
+        :func:`bfs_ancilla_path`'s (memoised; treat as read-only).
+
+        A ``-1`` endpoint (no ancilla, see :meth:`FlatGrid.slot_of`) has no
+        path.
+        """
         self._sync()
         key = (start, goal)
         try:
@@ -286,30 +304,28 @@ class RoutingIndex:
             self._route(start, (goal,))
             return self._paths[key]
 
-    def _route(self, start: Position, goals: Sequence[Position]) -> None:
+    def _route(self, start: int, goals: Sequence[int]) -> None:
         """Memoise the shortest path from ``start`` to every unmemoised goal
         with one BFS that stops after the scan discovering the last goal."""
-        flat = FlatGrid.for_layout(self.layout)
         paths = self._paths
-        source = flat.flat_index(start)
-        routable = source >= 0 and flat.ancilla_mask[source]
-        pending: Dict[int, Position] = {}
+        pending: Set[int] = set()
         for goal in goals:
             key = (start, goal)
             if key in paths:
                 continue
             paths[key] = None  # until the BFS reaches it
-            target = flat.flat_index(goal)
-            if routable and target == source:
+            if start < 0 or goal < 0:
+                continue
+            if goal == start:
                 paths[key] = [start]
-            elif routable and target >= 0 and flat.ancilla_mask[target]:
-                pending[target] = goal
+            else:
+                pending.add(goal)
         if not pending:
             return
-        adjacency = flat.route_adjacency
-        parents = [-1] * flat.size
-        parents[source] = source
-        queue = [source]
+        adjacency = self.flat.neighbors
+        parents = [-1] * len(adjacency)
+        parents[start] = start
+        queue = [start]
         remaining = len(pending)
         # Appending while iterating is a FIFO queue: nodes pop in discovery
         # order, neighbours scan in Edge order — the reference BFS order.
@@ -324,27 +340,30 @@ class RoutingIndex:
                 break
         self.bfs_runs += 1
         self.bfs_tiles += len(queue)
-        positions = flat._positions
-        for target, goal in pending.items():
-            if parents[target] < 0:
+        for goal in pending:
+            if parents[goal] < 0:
                 continue
-            path, current = [positions[target]], target
-            while current != source:
+            path, current = [goal], goal
+            while current != start:
                 current = parents[current]
-                path.append(positions[current])
+                path.append(current)
             path.reverse()
             paths[(start, goal)] = path
 
     def attachments(self, orientation: OrientationTracker, qubit: int,
-                    pauli: str) -> List[Tuple[Position, bool]]:
-        """Cached :func:`_attachment_candidates` (treat as read-only)."""
+                    pauli: str) -> List[Tuple[int, bool]]:
+        """Cached :func:`_attachment_candidates`, in slots (treat as
+        read-only)."""
         self._sync()
         key = (qubit, pauli, orientation.is_flipped(qubit))
         try:
             return self._attachments[key]
         except KeyError:
-            candidates = _attachment_candidates(self.layout, orientation,
-                                                qubit, pauli)
+            slot_of = self.flat.slot_of
+            candidates = [(slot_of(position), needs_rotation)
+                          for position, needs_rotation
+                          in _attachment_candidates(self.layout, orientation,
+                                                    qubit, pauli)]
             self._attachments[key] = candidates
             return candidates
 
@@ -352,10 +371,11 @@ class RoutingIndex:
 
     def enumerate_plans(self, orientation: OrientationTracker, control: int,
                         target: int) -> List[RoutePlan]:
-        """Candidate CNOT plans, identical to :func:`enumerate_cnot_plans`.
+        """Candidate CNOT plans: :func:`enumerate_cnot_plans`'s, in slots.
 
-        The returned list is cached: treat it (and the plans inside) as
-        read-only.
+        Where the reference finds no plan this raises, so every scheduler
+        fails a CNOT it cannot route with one message.  The returned list is
+        cached: treat it (and the plans inside) as read-only.
         """
         self._sync()
         self.queries += 1
@@ -375,5 +395,9 @@ class RoutingIndex:
             plans = _plans_from_candidates(
                 control, target, control_candidates, target_candidates,
                 set(), self.path)
+            if not plans:
+                raise RuntimeError(
+                    f"no ancilla path between qubits {control} and {target}; "
+                    "the layout's ancilla fabric is disconnected")
             self._plans[key] = plans
             return plans

@@ -11,12 +11,12 @@ target attachment ancillas.  The classical controller:
   ``tau_mst`` cycles, so the tree the scheduler queries is always somewhat
   stale (Figure 8) but quantum execution never stalls.
 
-The scheduler's path stays in slot-indexed arrays end to end: an activity
-snapshot is a float64 array in the layout's ancilla slot order
-(:class:`~repro.fabric.flat.FlatGrid`, equal to
-``GridLayout.ancilla_positions()``), :class:`AncillaMst` runs Kruskal on it
-directly and walks its tree as Python lists.  :func:`activity_array`
-converts a ``{Position: activity}`` map for callers that hold one.
+Tiles are :class:`~repro.fabric.flat.FlatGrid` slots, the one tile
+identity inside a run, end to end: an activity snapshot is a float64 array
+in slot order, :class:`AncillaMst` runs Kruskal on it directly, walks its
+tree as Python lists and answers path and pair queries in slots.
+:func:`activity_array` converts a ``{Position: activity}`` map for callers
+that hold one.
 :class:`AsyncMstPipeline` builds a published snapshot's tree only when the
 scheduler first reads it, and :meth:`AncillaMst.pair_scores` scores every
 candidate CNOT attachment pair over shared tree walks without building any
@@ -25,7 +25,8 @@ pair's path.
 :class:`IncrementalMst` is the incremental-update structure analysed in
 Section 5.4.1 (O(1) insertions on grid cycles, O(max(rows, cols)) deletions)
 used by the classical-overhead benchmark.  It starts from the same Kruskal
-sweep (:func:`_kruskal`) over the same slot edge arrays.
+sweep (:func:`_kruskal`) over the same slot edge arrays, and its API takes
+and returns positions.
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ class AncillaMst:
                  snapshot_cycle: int = 0) -> None:
         self.snapshot_cycle = snapshot_cycle
         flat = FlatGrid.for_layout(layout)
-        self._flat = flat
         num = flat.num_ancilla
         adjacency = _kruskal(flat, _edge_weights(flat, activity))
 
@@ -137,19 +137,17 @@ class AncillaMst:
         self._depth = depth
         self._component = component
 
-    def path(self, start: Position, goal: Position) -> Optional[List[Position]]:
-        """The unique tree path between two ancilla tiles (inclusive).
+    def path(self, a: int, b: int) -> Optional[List[int]]:
+        """The unique tree path between two ancilla slots (inclusive).
 
-        Returns ``None`` when either endpoint is not in the tree or the tree
-        is disconnected between them (possible only for degenerate layouts).
+        Returns ``None`` when either endpoint is ``-1`` (no ancilla, see
+        :meth:`FlatGrid.slot_of`) or the tree is disconnected between them
+        (possible only for degenerate layouts).
         """
-        flat = self._flat
-        a = flat.slot_of(start)
-        b = flat.slot_of(goal)
         if a < 0 or b < 0:
             return None
         if a == b:
-            return [start]
+            return [a]
         component = self._component
         if component[a] != component[b]:
             return None
@@ -172,13 +170,11 @@ class AncillaMst:
             up_from_start.append(a)
             b = parent[b]
             up_from_goal.append(b)
-        positions = flat.anc_positions
-        path = [positions[slot] for slot in up_from_start]
-        path.extend(positions[slot] for slot in reversed(up_from_goal[:-1]))
-        return path
+        up_from_start.extend(reversed(up_from_goal[:-1]))
+        return up_from_start
 
-    def pair_scores(self, starts: Sequence[Position], goals: Sequence[Position],
-                    cost: Callable[[Position], float]
+    def pair_scores(self, starts: Sequence[int], goals: Sequence[int],
+                    cost: Callable[[int], float]
                     ) -> List[Tuple[int, int, float, int]]:
         """Bottleneck cost and length of the tree path of every routable pair.
 
@@ -190,18 +186,15 @@ class AncillaMst:
         prefix max of ``cost``; a pair's LCA is found by binary search on its
         two walks, so no pair's path is built.
         """
-        slot_of = self._flat.slot_of
-        start_slots = [slot_of(position) for position in starts]
-        goal_slots = [slot_of(position) for position in goals]
-        walks = self._walks(start_slots + goal_slots, cost)
+        walks = self._walks(list(starts) + list(goals), cost)
         scores = []
-        for i, slot_a in enumerate(start_slots):
+        for i, slot_a in enumerate(starts):
             walk_a = walks.get(slot_a)
             if walk_a is None:
                 continue
             chain_a, prefix_a = walk_a
             top = chain_a[-1]
-            for j, slot_b in enumerate(goal_slots):
+            for j, slot_b in enumerate(goals):
                 walk_b = walks.get(slot_b)
                 if walk_b is None:
                     continue
@@ -226,7 +219,7 @@ class AncillaMst:
                                2 * low - shift + 1))
         return scores
 
-    def _walks(self, slots: List[int], cost: Callable[[Position], float]
+    def _walks(self, slots: List[int], cost: Callable[[int], float]
                ) -> Dict[int, Tuple[List[int], List[float]]]:
         """Per tree slot in ``slots``: its walk up to the common ancestor of
         the given slots in its component, and the prefix max of ``cost``
@@ -235,7 +228,6 @@ class AncillaMst:
         parent = self._parent
         depth = self._depth
         component = self._component
-        positions = self._flat.anc_positions
         # Common ancestor per component: fold the slots in by LCA walks.
         tops: Dict[int, int] = {}
         for slot in slots:
@@ -252,7 +244,7 @@ class AncillaMst:
                 a = parent[a]
                 b = parent[b]
             tops[root] = a
-        values: Dict[int, float] = {}
+        values: List[Optional[float]] = [None] * len(parent)
         walks: Dict[int, Tuple[List[int], List[float]]] = {}
         for slot in slots:
             if slot < 0 or slot in walks:
@@ -260,17 +252,17 @@ class AncillaMst:
             stop = tops[component[slot]]
             node = slot
             chain = [node]
-            value = values.get(node)
+            value = values[node]
             if value is None:
-                value = values[node] = cost(positions[node])
+                value = values[node] = cost(node)
             worst = value
             prefix = [worst]
             while node != stop:
                 node = parent[node]
                 chain.append(node)
-                value = values.get(node)
+                value = values[node]
                 if value is None:
-                    value = values[node] = cost(positions[node])
+                    value = values[node] = cost(node)
                 if value > worst:
                     worst = value
                 prefix.append(worst)

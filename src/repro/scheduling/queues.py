@@ -1,7 +1,9 @@
 """Per-ancilla queues and their entries (Section 4.1, Table 2).
 
 Every ancilla tile owns a queue of the gates it has been asked to help
-execute.  The queue provides the seniority ordering the paper relies on
+execute; the queues of a fabric are a list indexed by the tile's
+:class:`~repro.fabric.flat.FlatGrid` slot, the one tile identity inside a
+run.  The queue provides the seniority ordering the paper relies on
 ("gates that have already been added to the queue must have been scheduled
 earlier and thus are executed before more recent gates"): a gate may use a
 tile only while it heads that tile's queue.
@@ -11,7 +13,7 @@ RESCQ estimates a tile's expected free time.  The rest of Table 2 lives on
 the RESCQ task that owns the entry (:mod:`repro.scheduling.rescq`): an Rz
 task's ``preparing``/``holding``/``injecting`` state, or the ``started``
 flag of the one gate task a CNOT or Hadamard has, gives the head's status;
-``preparing[position][1]`` gives the angle level being prepared on a tile,
+``preparing[slot][1]`` gives the angle level being prepared on a tile,
 and ``task.queues`` lists the queues the gate sits on.
 
 A queue also keeps the tile's wake list: RESCQ tasks parked because the
@@ -25,8 +27,6 @@ sits on).
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
-
-from ..fabric import Position
 
 __all__ = ["QueueEntry", "AncillaQueue", "QueueSet"]
 
@@ -112,19 +112,19 @@ class AncillaQueue:
         return pending
 
 
-class QueueSet(dict):
-    """The ancilla queues of one fabric: tile position -> :class:`AncillaQueue`.
+class QueueSet(list):
+    """The ancilla queues of one fabric: slot -> :class:`AncillaQueue`.
 
-    A ``dict`` so that the per-tile lookups on the scheduling hot path are
-    plain dictionary reads.
+    A ``list`` so that the per-tile lookups on the scheduling hot path are
+    plain list reads.
     """
 
-    def __init__(self, positions: Iterable[Position]) -> None:
-        super().__init__((position, AncillaQueue()) for position in positions)
+    def __init__(self, num_slots: int) -> None:
+        super().__init__(AncillaQueue() for _ in range(num_slots))
 
-    def enqueue(self, position: Position, entry: QueueEntry) -> AncillaQueue:
-        """Append ``entry`` to the queue at ``position`` and return that queue."""
-        queue = self[position]
+    def enqueue(self, slot: int, entry: QueueEntry) -> AncillaQueue:
+        """Append ``entry`` to the queue of ``slot`` and return that queue."""
+        queue = self[slot]
         queue.append(entry)
         return queue
 

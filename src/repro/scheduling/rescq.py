@@ -56,6 +56,11 @@ wait for the next sweep.  Those are exactly the visits that would do
 anything if every task were visited on every sweep, so the schedule is the
 same.
 
+Tiles are :class:`~repro.fabric.flat.FlatGrid` slots throughout, the one
+tile identity inside a run: tasks, events, queues, fabric occupancy, plans
+and MST queries all carry slot ints, and positions appear only where an Rz
+task's candidates are read off the layout's geometry.
+
 Table 2's per-entry status and angle level are read off task state, not
 stored on the queue entries: an Rz task's ``preparing`` map gives the tiles
 preparing (``P``) and the level each prepares, ``holding`` the tiles done
@@ -76,7 +81,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..circuits import Circuit, Gate
-from ..fabric import Edge, GridLayout, Position
+from ..fabric import Edge, GridLayout
 from ..kernel import DeadlockError, SimulationKernel, profile_timer
 from ..lattice import RoutePlan
 from ..sim.config import SimulationConfig
@@ -103,8 +108,8 @@ class _RzTask:
                  "prep_attempts", "injections", "done", "seq", "parked")
 
     def __init__(self, gate_index: int, qubit: int, theta: float, limit: int,
-                 candidates: List[Position],
-                 attachment: Dict[Position, object],
+                 candidates: List[int],
+                 attachment: Dict[int, object],
                  queues: List["AncillaQueue"], released: bool,
                  release_cycle: Optional[int] = None) -> None:
         self.gate_index = gate_index
@@ -113,18 +118,18 @@ class _RzTask:
         self.limit = limit
         self.candidates = candidates
         #: 'Z' / 'X' for edge-adjacent candidates, or the routing ancilla
-        #: position for diagonal candidates.
+        #: slot for diagonal candidates.
         self.attachment = attachment
         #: The candidates' ancilla queues, aligned with ``candidates`` —
-        #: resolved once at creation so passes skip the per-position lookup.
+        #: resolved once at creation so passes skip the per-slot lookup.
         self.queues = queues
         self.released = released
         self.release_cycle = release_cycle
         self.level = 0
         #: ancilla -> [finish_cycle, level] for in-flight preparations.
-        self.preparing: Dict[Position, List[int]] = {}
+        self.preparing: Dict[int, List[int]] = {}
         #: ancilla -> level of the |m_theta> state it is holding.
-        self.holding: Dict[Position, int] = {}
+        self.holding: Dict[int, int] = {}
         self.injecting = False
         self.first_start: Optional[int] = None
         self.prep_attempts = 0
@@ -146,7 +151,7 @@ class _GateTask:
                  "release_cycle", "started", "start_cycle", "seq", "parked")
 
     def __init__(self, gate_index: int, kind: str, qubits: Tuple[int, ...],
-                 tiles: Tuple[Position, ...], queues: List["AncillaQueue"],
+                 tiles: Tuple[int, ...], queues: List["AncillaQueue"],
                  duration: int, rotate: Tuple[int, ...], edge_rotations: int,
                  release_cycle: int) -> None:
         self.gate_index = gate_index
@@ -197,7 +202,7 @@ class RescqPolicy:
         self.profile = kernel.profile
         self.orientation = self.fabric.orientation
 
-        self.queues = QueueSet(self.fabric.ancillas)
+        self.queues = QueueSet(self.fabric.flat.num_ancilla)
         self.mst: Optional[AsyncMstPipeline] = None
         if self.config.use_mst_routing:
             self.mst = AsyncMstPipeline(self.layout, self.config.mst_period,
@@ -242,8 +247,8 @@ class RescqPolicy:
         #: of Figure 7 is a pure function of layout + orientation, so repeated
         #: Rz gates on the same qubit reuse it.
         self._rz_candidate_cache: Dict[Tuple[int, bool],
-                                       Tuple[List[Position],
-                                             Dict[Position, object]]] = {}
+                                       Tuple[List[int],
+                                             Dict[int, object]]] = {}
 
     # -- the drive loop ------------------------------------------------------------
 
@@ -385,7 +390,7 @@ class RescqPolicy:
             self._data_waiters[qubit] = []
             self._wake_all(waiters)
 
-    def _rz_candidates(self, qubit: int) -> Tuple[List[Position], Dict[Position, object]]:
+    def _rz_candidates(self, qubit: int) -> Tuple[List[int], Dict[int, object]]:
         """Candidate preparation ancillas for an Rz on ``qubit``.
 
         All edge-adjacent ancillas are candidates (they can inject directly);
@@ -398,39 +403,41 @@ class RescqPolicy:
         cached = self._rz_candidate_cache.get(key)
         if cached is not None:
             return cached
-        position = self.layout.data_position(qubit)
-        attachment: Dict[Position, object] = {}
-        adjacent: List[Position] = []
-        for edge in Edge:
-            neighbor = edge.neighbor(position)
-            if self.layout.is_ancilla(neighbor):
-                adjacent.append(neighbor)
-                attachment[neighbor] = self.orientation.edge_pauli(qubit, edge)
+        flat = self.fabric.flat
+        positions = flat.anc_positions
+        row, col = self.layout.data_position(qubit)
+        attachment: Dict[int, object] = {}
+        adjacent = flat.qubit_neighbors(qubit)
+        for slot in adjacent:
+            n_row, n_col = positions[slot]
+            edge = Edge((n_row - row, n_col - col))
+            attachment[slot] = self.orientation.edge_pauli(qubit, edge)
         # Prefer Z-edge neighbours (cheapest, 1-cycle ZZ injection).
-        adjacent.sort(key=lambda pos: attachment[pos] != "Z")
+        adjacent.sort(key=lambda slot: attachment[slot] != "Z")
         if not self.config.parallel_preparation:
             chosen = adjacent[:1]
-            result = (chosen, {pos: attachment[pos] for pos in chosen})
+            result = (chosen, {slot: attachment[slot] for slot in chosen})
             self._rz_candidate_cache[key] = result
             return result
 
         candidates = list(adjacent)
         budget = max(0, self.config.max_parallel_preparations - len(candidates))
         if budget:
-            row, col = position
             diagonals = [(row - 1, col - 1), (row - 1, col + 1),
                          (row + 1, col - 1), (row + 1, col + 1)]
             for diag in diagonals:
                 if budget == 0:
                     break
-                if not self.layout.is_ancilla(diag):
+                slot = flat.slot_of(diag)
+                if slot < 0:
                     continue
-                routers = [pos for pos in adjacent
-                           if abs(pos[0] - diag[0]) + abs(pos[1] - diag[1]) == 1]
+                routers = [router for router in adjacent
+                           if abs(positions[router][0] - diag[0])
+                           + abs(positions[router][1] - diag[1]) == 1]
                 if not routers:
                     continue
-                candidates.append(diag)
-                attachment[diag] = routers[0]
+                candidates.append(slot)
+                attachment[slot] = routers[0]
                 budget -= 1
         result = (candidates, attachment)
         self._rz_candidate_cache[key] = result
@@ -439,8 +446,6 @@ class RescqPolicy:
     def _create_rz_task(self, index: int, gate: Gate, released: bool) -> _RzTask:
         qubit = gate.qubits[0]
         candidates, attachment = self._rz_candidates(qubit)
-        if not candidates:
-            raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
         return _RzTask(
             gate_index=index,
             qubit=qubit,
@@ -448,14 +453,14 @@ class RescqPolicy:
             limit=Scheduler.injection_limit(gate),
             candidates=candidates,
             attachment=attachment,
-            queues=[self.queues.enqueue(position, QueueEntry(index, "rz"))
-                    for position in candidates],
+            queues=[self.queues.enqueue(slot, QueueEntry(index, "rz"))
+                    for slot in candidates],
             released=released,
             release_cycle=(self.lifecycle.release_cycle.get(index)
                            if released else None),
         )
 
-    def _expected_free_time(self) -> Callable[[Position], float]:
+    def _expected_free_time(self) -> Callable[[int], float]:
         """Expected cycle at which a tile frees up (Section 4.2).
 
         Returns the lookup for the current fabric and queue state; it is
@@ -467,12 +472,12 @@ class RescqPolicy:
         prices = self._queue_prices
         now = self.clock.now
 
-        def expected_free_time(position: Position) -> float:
-            free = anc_free[position]
+        def expected_free_time(slot: int) -> float:
+            free = anc_free[slot]
             value = float(free if free > now else now)
-            if position in anc_holding:
+            if anc_holding[slot] is not None:
                 value += 1.0
-            queue = queues[position]
+            queue = queues[slot]
             if queue.entries:
                 # Pending work is summed apart in entry order and added
                 # once: float addition is not associative, and the golden
@@ -525,16 +530,13 @@ class RescqPolicy:
             # (e.g. it predates a layout quirk) — use the cached BFS plans.
 
         plans = self.routing.enumerate_plans(self.orientation, control, target)
-        if not plans:
-            raise RuntimeError(
-                f"no ancilla path between qubits {control} and {target}")
         # Plans overlap heavily: price each distinct tile once.
-        prices: Dict[Position, float] = {}
+        prices: List[Optional[float]] = [None] * len(self.queues)
 
-        def worst_price(path: Tuple[Position, ...]) -> float:
+        def worst_price(path: Tuple[int, ...]) -> float:
             worst = None
             for tile in path:
-                value = prices.get(tile)
+                value = prices[tile]
                 if value is None:
                     value = prices[tile] = eft(tile)
                 if worst is None or value > worst:
@@ -571,22 +573,20 @@ class RescqPolicy:
 
     def _create_h_task(self, index: int, gate: Gate) -> _GateTask:
         qubit = gate.qubits[0]
-        neighbors = self.layout.ancilla_neighbors_of_qubit(qubit)
-        if not neighbors:
-            raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
-        ancilla = min(neighbors, key=self._expected_free_time())
+        ancilla = min(self.fabric.flat.qubit_neighbors(qubit),
+                      key=self._expected_free_time())
         # A logical Hadamard exchanges the patch's X and Z boundaries.
         return self._create_gate_task(index, "h", (qubit,), (ancilla,),
                                       self.costs.hadamard_cycles, (qubit,), 0)
 
     def _create_gate_task(self, index: int, kind: str,
                           qubits: Tuple[int, ...],
-                          tiles: Tuple[Position, ...], duration: int,
+                          tiles: Tuple[int, ...], duration: int,
                           rotate: Tuple[int, ...],
                           edge_rotations: int) -> _GateTask:
         """Enqueue gate ``index`` on each of ``tiles`` and return its task."""
-        queues = [self.queues.enqueue(position, QueueEntry(index, kind))
-                  for position in tiles]
+        queues = [self.queues.enqueue(slot, QueueEntry(index, kind))
+                  for slot in tiles]
         return _GateTask(index, kind, qubits, tiles, queues, duration, rotate,
                          edge_rotations,
                          self.lifecycle.release_cycle.get(index,
@@ -694,22 +694,22 @@ class RescqPolicy:
         holding = task.holding
         current_level = task.level
         eligible = []
-        for position, queue in zip(task.candidates, task.queues):
-            if position in preparing:
+        for slot, queue in zip(task.candidates, task.queues):
+            if slot in preparing:
                 continue
-            if holding.get(position, -1) >= current_level:
+            if holding.get(slot, -1) >= current_level:
                 continue
-            if anc_free[position] > now:
+            if anc_free[slot] > now:
                 waits.append(queue.waiters)
                 continue
-            holder = anc_holding.get(position)
+            holder = anc_holding[slot]
             if holder is not None and holder != gate_index:
                 waits.append(queue.waiters)
                 continue
             entries = queue.entries
             if not entries or entries[0].gate_index != gate_index:
                 continue
-            eligible.append(position)
+            eligible.append(slot)
         if not eligible:
             return False
         if len(eligible) == 1:
@@ -717,31 +717,31 @@ class RescqPolicy:
         else:
             durations = self.prep_model.sample_cycles_batch(self.rng,
                                                             len(eligible))
-        for position, duration in zip(eligible, durations):
+        for slot, duration in zip(eligible, durations):
             duration = int(duration)
             finish = now + duration
-            preparing[position] = [finish, level]
+            preparing[slot] = [finish, level]
             task.prep_attempts += 1
             if task.first_start is None:
                 task.first_start = now
-            fabric.occupy_ancilla(position, now, finish)
+            fabric.occupy_ancilla(slot, now, finish)
             if self.profile is not None:
                 self.profile.add("sim_prep_cycles", float(duration))
-            self.clock.push(finish, "prep", (gate_index, position, finish))
+            self.clock.push(finish, "prep", (gate_index, slot, finish))
         return True
 
-    def _injection_resources(self, task: _RzTask, position: Position,
+    def _injection_resources(self, task: _RzTask, slot: int,
                              waits: List[list]
-                             ) -> Optional[Tuple[List[Position], int]]:
-        """Resources and duration to inject from ``position`` into the data
+                             ) -> Optional[Tuple[List[int], int]]:
+        """Resources and duration to inject from ``slot`` into the data
         qubit, or ``None`` (appending the router's wake list to ``waits``)."""
-        attachment = task.attachment[position]
+        attachment = task.attachment[slot]
         if attachment == "Z":
-            return [position], self.costs.zz_injection_cycles
+            return [slot], self.costs.zz_injection_cycles
         if attachment == "X":
-            return [position], self.costs.cnot_injection_cycles
-        router: Position = attachment  # diagonal candidate: route through this tile
-        holder = self.fabric.anc_holding.get(router)
+            return [slot], self.costs.cnot_injection_cycles
+        router: int = attachment  # diagonal candidate: route through this tile
+        holder = self.fabric.anc_holding[router]
         if (self.fabric.anc_free[router] <= self.clock.now
                 and holder in (None, task.gate_index)):
             # The router may be holding one of *our own* eagerly prepared
@@ -751,7 +751,7 @@ class RescqPolicy:
             if holder == task.gate_index:
                 task.holding.pop(router, None)
                 self.fabric.release_hold(router)
-            return [position, router], self.costs.cnot_injection_cycles
+            return [slot, router], self.costs.cnot_injection_cycles
         waits.append(self.queues[router].waiters)
         return None
 
@@ -767,20 +767,20 @@ class RescqPolicy:
         if self.fabric.data_free[task.qubit] > now:
             waits.append(self._data_waiters[task.qubit])
             return False
-        ready = [pos for pos, lvl in task.holding.items() if lvl == task.level]
+        ready = [slot for slot, lvl in task.holding.items() if lvl == task.level]
         if not ready:
             return False
         # Prefer the cheapest attachment (Z edge, then X edge, then diagonal).
-        def rank(pos: Position) -> int:
-            attachment = task.attachment[pos]
+        def rank(slot: int) -> int:
+            attachment = task.attachment[slot]
             if attachment == "Z":
                 return 0
             if attachment == "X":
                 return 1
             return 2
 
-        for position in sorted(ready, key=rank):
-            resources = self._injection_resources(task, position, waits)
+        for slot in sorted(ready, key=rank):
+            resources = self._injection_resources(task, slot, waits)
             if resources is None:
                 continue
             tiles, duration = resources
@@ -794,10 +794,10 @@ class RescqPolicy:
                 task.first_start = now
             # The consumed state (and any surplus same-level states) are gone;
             # surplus holders immediately become eager-correction preparers.
-            # ``position`` stays busy with the injection; the surplus tiles
+            # ``slot`` stays busy with the injection; the surplus tiles
             # are free for other gates now.
-            task.holding.pop(position, None)
-            self.fabric.release_hold(position)
+            task.holding.pop(slot, None)
+            self.fabric.release_hold(slot)
             for other, level in list(task.holding.items()):
                 if level == task.level:
                     task.holding.pop(other)
@@ -806,30 +806,30 @@ class RescqPolicy:
             if self.profile is not None:
                 self.profile.add("sim_injection_cycles", float(duration))
             self.clock.push(finish, "inject",
-                            (task.gate_index, position, finish))
+                            (task.gate_index, slot, finish))
             self._maybe_lookahead_prepare(task.gate_index)
             return True
         return False
 
-    def _on_prep_done(self, gate_index: int, position: Position, finish: int) -> None:
+    def _on_prep_done(self, gate_index: int, slot: int, finish: int) -> None:
         task = self.tasks.get(gate_index)
         if not isinstance(task, _RzTask) or task.done:
             return
-        info = task.preparing.get(position)
+        info = task.preparing.get(slot)
         if info is None or info[0] != finish:
             return  # stale event (preparation was cancelled)
-        task.preparing.pop(position)
+        task.preparing.pop(slot)
         self._wake(task)
         level = info[1]
         if level < task.level:
             # The chain moved past this level; discard the state.
-            self._wake_tile(self.queues[position])
+            self._wake_tile(self.queues[slot])
             return
         # The tile now holds this gate's state: whoever waits on it stays
         # blocked until the hold is released.
         is_first_at_level = level not in task.holding.values()
-        task.holding[position] = level
-        self.fabric.hold(position, gate_index)
+        task.holding[slot] = level
+        self.fabric.hold(slot, gate_index)
         if (is_first_at_level and level == task.level
                 and self.config.eager_correction_prep):
             # In-place retarget of the other in-flight preparations to the
@@ -839,14 +839,14 @@ class RescqPolicy:
                 if other_info[1] == task.level:
                     other_info[1] = next_level
 
-    def _on_injection_done(self, gate_index: int, position: Position,
+    def _on_injection_done(self, gate_index: int, slot: int,
                            finish: int) -> None:
         task = self.tasks.get(gate_index)
         if not isinstance(task, _RzTask) or task.done:
             return
         queues = self.queues
-        self._wake_tile(queues[position])
-        router = task.attachment[position]
+        self._wake_tile(queues[slot])
+        router = task.attachment[slot]
         if router != "Z" and router != "X":
             self._wake_tile(queues[router])
         self._wake_data(task.qubit)
@@ -866,14 +866,14 @@ class RescqPolicy:
     def _complete_rz(self, task: _RzTask) -> None:
         task.done = True
         now = self.clock.now
-        for position in task.preparing:
+        for slot in task.preparing:
             # Terminate in-flight preparations immediately (Figure 7, t=5).
-            self.fabric.truncate_ancilla(position, now)
-            self._wake_tile(self.queues[position])
+            self.fabric.truncate_ancilla(slot, now)
+            self._wake_tile(self.queues[slot])
         task.preparing.clear()
-        for position in list(task.holding):
-            self.fabric.release_hold(position)
-            self._wake_tile(self.queues[position])
+        for slot in list(task.holding):
+            self.fabric.release_hold(slot)
+            self._wake_tile(self.queues[slot])
         task.holding.clear()
         scheduled = task.release_cycle if task.release_cycle is not None else now
         start = task.first_start if task.first_start is not None else scheduled
@@ -903,17 +903,17 @@ class RescqPolicy:
         gate_index = task.gate_index
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
-        for position, queue in zip(task.tiles, task.queues):
-            holder = anc_holding.get(position)
-            if anc_free[position] > now or (holder is not None
-                                            and holder != gate_index):
+        for slot, queue in zip(task.tiles, task.queues):
+            holder = anc_holding[slot]
+            if anc_free[slot] > now or (holder is not None
+                                        and holder != gate_index):
                 task.parked = True
                 queue.waiters.append(task)
                 return
         duration = task.duration
         finish = now + duration
-        for position in task.tiles:
-            fabric.occupy_ancilla(position, now, finish)
+        for slot in task.tiles:
+            fabric.occupy_ancilla(slot, now, finish)
         for qubit in task.qubits:
             fabric.occupy_data(qubit, now, finish)
         task.started = True

@@ -28,7 +28,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits import Circuit, Gate
-from ..fabric import GridLayout, Position
+from ..fabric import GridLayout
 from ..kernel import SimulationKernel, profile_timer
 from ..lattice import RoutePlan
 from ..rus import InjectionStrategy
@@ -61,12 +61,13 @@ class _StaticLayerPolicy:
         self.routing = kernel.routing
         self.profile = kernel.profile
         self.orientation = kernel.fabric.orientation
-        #: How many times each ancilla has been claimed within the open layer
-        #: (AutoBraid uses this to spread paths out).
-        self.claimed: Dict[Position, int] = {}
-        #: qubit -> (prep ancilla, injection helper, injection cycles); the
-        #: dedicated-block geometry is static, so it is resolved once.
-        self._rz_geometry: Dict[int, Tuple[Position, Optional[Position], int]] = {}
+        #: How many times each ancilla slot has been claimed within the open
+        #: layer (AutoBraid uses this to spread paths out).
+        self.claimed: Dict[int, int] = {}
+        #: qubit -> (prep ancilla, injection helper, injection cycles) as
+        #: slots; the dedicated-block geometry is static, so it is resolved
+        #: once.
+        self._rz_geometry: Dict[int, Tuple[int, Optional[int], int]] = {}
 
     # -- the drive loop ------------------------------------------------------------
 
@@ -111,21 +112,17 @@ class _StaticLayerPolicy:
         with profile_timer(self.profile, "routing"):
             plans = self.routing.enumerate_plans(self.orientation,
                                                  control, target)
-        if not plans:
-            raise RuntimeError(
-                f"no ancilla path between qubits {control} and {target}; "
-                "the layout's ancilla fabric is disconnected")
         plan = self.scheduler._choose_plan(plans, self.claimed, self.config)
         duration = plan.duration(self.costs)
         resources = plan.ancillas_used
         anc_free = self.fabric.anc_free
         start = max(layer_start, self.fabric.data_free[control],
                     self.fabric.data_free[target],
-                    *(anc_free[pos] for pos in resources))
+                    *(anc_free[slot] for slot in resources))
         end = start + duration
-        for position in resources:
-            self.fabric.occupy_ancilla(position, start, end)
-            self.claimed[position] = self.claimed.get(position, 0) + 1
+        for slot in resources:
+            self.fabric.occupy_ancilla(slot, start, end)
+            self.claimed[slot] = self.claimed.get(slot, 0) + 1
         self.fabric.occupy_data(control, start, end)
         self.fabric.occupy_data(target, start, end)
         if plan.control_rotation:
@@ -141,23 +138,22 @@ class _StaticLayerPolicy:
             edge_rotations=plan.num_rotations))
         return end
 
-    def _dedicated_prep_ancilla(self, qubit: int) -> Position:
+    def _dedicated_prep_ancilla(self, qubit: int) -> int:
         """The single ancilla the STAR baseline uses for this qubit's |m_theta>.
 
         Figure 1d always prepares in one fixed ancilla of the atomic block;
         we use the first available block ancilla (east, then south, then
         south-east), falling back to any ancilla neighbour after compression.
         """
+        flat = self.fabric.flat
         row, col = self.layout.data_position(qubit)
         for candidate in ((row, col + 1), (row + 1, col), (row + 1, col + 1)):
-            if self.layout.is_ancilla(candidate):
-                return candidate
-        neighbors = self.layout.ancilla_neighbors_of_qubit(qubit)
-        if not neighbors:
-            raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
-        return neighbors[0]
+            slot = flat.slot_of(candidate)
+            if slot >= 0:
+                return slot
+        return flat.qubit_neighbors(qubit)[0]
 
-    def _rz_resources(self, qubit: int) -> Tuple[Position, Optional[Position], int]:
+    def _rz_resources(self, qubit: int) -> Tuple[int, Optional[int], int]:
         """(prep ancilla, helper, injection cycles) for the qubit — memoised.
 
         A CNOT-style injection needs a second ancilla (Table 1); use another
@@ -170,17 +166,17 @@ class _StaticLayerPolicy:
         prep_ancilla = self._dedicated_prep_ancilla(qubit)
         strategy = self.config.baseline_injection_strategy
         injection_cycles = self.costs.injection_cycles(strategy.value)
-        helper: Optional[Position] = None
+        helper: Optional[int] = None
         if strategy is InjectionStrategy.CNOT:
-            for candidate in self.layout.ancilla_neighbors_of_qubit(qubit):
+            # The qubit's own neighbours first (it may have none when the
+            # block's diagonal ancilla prepares), then the prep tile's.
+            flat = self.fabric.flat
+            for candidate in ([flat.slot_of(position) for position in
+                               self.layout.ancilla_neighbors_of_qubit(qubit)]
+                              + flat.neighbors[prep_ancilla]):
                 if candidate != prep_ancilla:
                     helper = candidate
                     break
-            if helper is None:
-                for candidate in self.layout.ancilla_neighbors(prep_ancilla):
-                    if candidate != prep_ancilla:
-                        helper = candidate
-                        break
             if helper is None:
                 injection_cycles = self.costs.zz_injection_cycles
         result = (prep_ancilla, helper, injection_cycles)
@@ -239,11 +235,9 @@ class _StaticLayerPolicy:
     def _execute_hadamard(self, gate_index: int, gate: Gate,
                           layer_start: int) -> int:
         qubit = gate.qubits[0]
-        neighbors = self.layout.ancilla_neighbors_of_qubit(qubit)
-        if not neighbors:
-            raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
         anc_free = self.fabric.anc_free
-        helper = min(neighbors, key=lambda pos: anc_free[pos])
+        helper = min(self.fabric.flat.qubit_neighbors(qubit),
+                     key=anc_free.__getitem__)
         start = max(layer_start, self.fabric.data_free[qubit], anc_free[helper])
         end = start + self.costs.hadamard_cycles
         self.fabric.occupy_ancilla(helper, start, end)
@@ -272,7 +266,7 @@ class StaticLayerScheduler(Scheduler):
     # -- CNOT path selection (policy hook) -----------------------------------------
 
     def _choose_plan(self, plans: List[RoutePlan],
-                     claimed: Dict[Position, int],
+                     claimed: Dict[int, int],
                      config: SimulationConfig) -> RoutePlan:
         raise NotImplementedError
 
@@ -293,7 +287,7 @@ class GreedyScheduler(StaticLayerScheduler):
     name = "greedy"
 
     def _choose_plan(self, plans: List[RoutePlan],
-                     claimed: Dict[Position, int],
+                     claimed: Dict[int, int],
                      config: SimulationConfig) -> RoutePlan:
         return min(plans, key=lambda plan: (plan.duration(config.costs),
                                             len(plan.path)))
@@ -311,10 +305,10 @@ class AutoBraidScheduler(StaticLayerScheduler):
     name = "autobraid"
 
     def _choose_plan(self, plans: List[RoutePlan],
-                     claimed: Dict[Position, int],
+                     claimed: Dict[int, int],
                      config: SimulationConfig) -> RoutePlan:
         def overlap(plan: RoutePlan) -> int:
-            return sum(claimed.get(pos, 0) for pos in plan.ancillas_used)
+            return sum(claimed.get(slot, 0) for slot in plan.ancillas_used)
 
         return min(plans, key=lambda plan: (overlap(plan),
                                             plan.duration(config.costs),

@@ -6,11 +6,13 @@ without building it; :meth:`AncillaQueue.pending_cost` must stay the float
 that a fresh left-to-right sum gives while it prices only new entries.
 """
 
+import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_scheduling_structures import _TIE_FABRICS
 
-from repro.scheduling import AncillaMst, QueueEntry, QueueSet, activity_array
+from repro.fabric.flat import FlatGrid
+from repro.scheduling import AncillaMst, QueueEntry, QueueSet
 
 #: Expected-free-time levels: few, so that bottleneck ties are common.
 EFT_LEVELS = [0.0, 1 / 3, 2.5, 7.0]
@@ -35,18 +37,17 @@ def test_pair_scores_match_brute_force(data, fabric):
     """Covers a spanning forest (the compressed fabric), endpoints off the
     tree, and two endpoints on one slot."""
     layout = _TIE_FABRICS[fabric]
-    ancillas = layout.ancilla_positions()
-    count = len(ancillas)
+    flat = FlatGrid.for_layout(layout)
+    count = flat.num_ancilla
     activity = data.draw(
         st.lists(st.integers(0, 3), min_size=count, max_size=count), "activity"
     )
-    levels = dict(zip(ancillas, [value / 3 for value in activity]))
-    tree = AncillaMst(layout, activity_array(layout, levels))
-    eft_values = data.draw(
+    tree = AncillaMst(layout, np.array(activity) / 3)
+    eft = data.draw(
         st.lists(st.sampled_from(EFT_LEVELS), min_size=count, max_size=count), "eft"
     )
-    eft = dict(zip(ancillas, eft_values))
-    endpoint = st.one_of(st.sampled_from(ancillas), st.just(OFF_TREE))
+    # Endpoints are slots, the position off the fabric included (-1).
+    endpoint = st.one_of(st.integers(0, count - 1), st.just(flat.slot_of(OFF_TREE)))
     starts = data.draw(st.lists(endpoint, min_size=1, max_size=4), "starts")
     goals = data.draw(st.lists(endpoint, min_size=1, max_size=4), "goals")
     if data.draw(st.booleans(), "shared slot"):
@@ -82,11 +83,11 @@ def test_pending_cost_is_bit_identical_to_a_fresh_sum(ops):
     """Mixed appends and removals, read after some of them: the memo that
     prices only new entries matches a fresh left-to-right sum bit for bit."""
     prices = {"rz": 0.1, "cnot": 1 / 3, "h": 0.7}
-    queues = QueueSet([(0, 0)])
-    queue = queues[(0, 0)]
+    queues = QueueSet(1)
+    queue = queues[0]
     for action, kind, choice, read in ops:
         if action == "append" or not queue.entries:
-            queues.enqueue((0, 0), QueueEntry(choice, kind))
+            queues.enqueue(0, QueueEntry(choice, kind))
         else:
             queue.remove_gate(queue.entries[choice % len(queue)].gate_index)
         if read:

@@ -73,12 +73,11 @@ def test_rescq_run_drains_every_queue(case_id, circuit_key, scheduler, seed,
     policy = RescqPolicy(kernel)
     result = policy.run()
     assert result_to_dict(result) == load_golden(case_id)
-    leftover = {position: [entry.gate_index
-                           for entry in policy.queues[position].entries]
-                for position in kernel.fabric.ancillas
-                if len(policy.queues[position])}
+    leftover = {slot: [entry.gate_index for entry in queue.entries]
+                for slot, queue in enumerate(policy.queues) if len(queue)}
     assert not leftover
-    assert not kernel.fabric.anc_holding
-    assert not [position for position in kernel.fabric.ancillas
-                if policy.queues[position].waiters]
+    assert len(policy.queues) == kernel.fabric.flat.num_ancilla
+    assert kernel.fabric.anc_holding == [None] * len(policy.queues)
+    assert not [slot for slot, queue in enumerate(policy.queues)
+                if queue.waiters]
     assert not any(policy._data_waiters)

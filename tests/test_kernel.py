@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_routing_backends import index_path, position_plans
 
 from repro import SimulationConfig, default_layout
 from repro.circuits import Circuit
@@ -88,11 +89,15 @@ class TestFabricState:
         return FabricState(star9, 9, activity_window=50)
 
     def test_initial_state_is_idle(self, fabric):
-        assert all(fabric.anc_free[pos] <= 0 for pos in fabric.ancillas)
+        # One entry per ancilla slot of the layout's FlatGrid.
+        assert fabric.flat is FlatGrid.for_layout(fabric.layout)
+        assert len(fabric.anc_free) == fabric.flat.num_ancilla
+        assert all(free <= 0 for free in fabric.anc_free)
+        assert fabric.anc_holding == [None] * fabric.flat.num_ancilla
         assert all(free <= 0 for free in fabric.data_free)
 
     def test_occupy_and_truncate_ancilla(self, fabric):
-        tile = fabric.ancillas[0]
+        tile = 0
         fabric.occupy_ancilla(tile, 0, 10)
         assert fabric.anc_free[tile] > 5
         fabric.truncate_ancilla(tile, 5)
@@ -108,20 +113,22 @@ class TestFabricState:
         assert fabric.data_busy[3] == 8
 
     def test_layer_barrier_raises_floors_only(self, fabric):
-        tile = fabric.ancillas[0]
+        tile = 0
+        anc_free = fabric.anc_free
         fabric.occupy_ancilla(tile, 0, 30)
         fabric.layer_barrier(20)
+        assert fabric.anc_free is anc_free  # updated in place
         assert fabric.anc_free[tile] == 30  # already past the barrier
-        assert all(fabric.anc_free[pos] >= 20 for pos in fabric.ancillas)
+        assert all(free >= 20 for free in fabric.anc_free)
         assert all(free >= 20 for free in fabric.data_free)
 
     def test_holds(self, fabric):
-        tile = fabric.ancillas[0]
-        assert tile not in fabric.anc_holding
+        tile = 0
+        assert fabric.anc_holding[tile] is None
         fabric.hold(tile, 42)
         assert fabric.anc_holding[tile] == 42
         fabric.release_hold(tile)
-        assert tile not in fabric.anc_holding
+        assert fabric.anc_holding[tile] is None
 
     def test_activity_snapshot_requires_window(self, star9):
         fabric = FabricState(star9, 9)
@@ -129,13 +136,10 @@ class TestFabricState:
             fabric.activity_snapshot(0)
 
     def test_activity_snapshot_reflects_busy_intervals(self, fabric):
-        tile = fabric.ancillas[2]
-        fabric.occupy_ancilla(tile, 0, 25)
+        fabric.occupy_ancilla(2, 0, 25)
         snapshot = fabric.activity_snapshot(50)
-        # One value per ancilla, in ``fabric.ancillas`` (FlatGrid slot) order.
-        assert snapshot.shape == (len(fabric.ancillas),)
-        assert (FlatGrid.for_layout(fabric.layout).anc_positions
-                == fabric.ancillas)
+        # One value per ancilla, in FlatGrid slot order.
+        assert snapshot.shape == (fabric.flat.num_ancilla,)
         assert snapshot[2] == pytest.approx(0.5)
         assert snapshot.sum() == snapshot[2]
 
@@ -371,9 +375,9 @@ class TestRoutingIndex:
         for control, target in ((0, 1), (0, 8), (3, 5), (7, 2)):
             cached = index.enumerate_plans(orientation, control, target)
             fresh = enumerate_cnot_plans(star9, orientation, control, target)
-            assert cached == fresh
+            assert position_plans(star9, cached) == fresh
         orientation.rotate(0)
-        assert (index.enumerate_plans(orientation, 0, 1)
+        assert (position_plans(star9, index.enumerate_plans(orientation, 0, 1))
                 == enumerate_cnot_plans(star9, orientation, 0, 1))
 
     def test_repeat_queries_hit_the_cache(self, star9):
@@ -389,7 +393,7 @@ class TestRoutingIndex:
         import pickle
         index = RoutingIndex.for_layout(star9)
         assert RoutingIndex.for_layout(star9) is index
-        index.path(*star9.ancilla_positions()[:2])  # attaches the FlatGrid
+        index.path(0, 1)
         # The caches really are attached, so the checks below can fail.
         assert hasattr(star9, "_routing_index")
         assert hasattr(star9, "_flat_grid")
@@ -403,14 +407,14 @@ class TestRoutingIndex:
     def test_layout_mutation_clears_every_cache(self, star9, mutation):
         index = RoutingIndex(star9)
         orientation = OrientationTracker(9)
-        plans = index.enumerate_plans(orientation, 0, 8)
+        plans = position_plans(star9, index.enumerate_plans(orientation, 0, 8))
         tile = plans[0].path[len(plans[0].path) // 2]
         if mutation == "enable":
             star9.disable(tile)
             index.enumerate_plans(orientation, 0, 8)
         ancillas = star9.ancilla_positions()
         start, goal = ancillas[0], ancillas[-1]
-        index.path(start, goal)
+        index_path(index, start, goal)
         index.enumerate_plans(orientation, 0, 1)
         assert index._plans and index._paths and index._attachments
 
@@ -423,14 +427,14 @@ class TestRoutingIndex:
         assert not (index._plans or index._paths or index._attachments)
 
         runs = index.bfs_runs
-        fresh = index.enumerate_plans(orientation, 0, 8)
+        fresh = position_plans(star9, index.enumerate_plans(orientation, 0, 8))
         assert index.bfs_runs > runs
         assert fresh == enumerate_cnot_plans(star9, orientation, 0, 8)
         if mutation == "disable":
             assert all(tile not in plan.ancillas_used for plan in fresh)
-        assert all(index.path(a, b) == bfs_ancilla_path(star9, a, b)
+        assert all(index_path(index, a, b) == bfs_ancilla_path(star9, a, b)
                    for a, b in ((start, goal), (ancillas[2], ancillas[5])))
-        assert (index.enumerate_plans(orientation, 0, 1)
+        assert (position_plans(star9, index.enumerate_plans(orientation, 0, 1))
                 == enumerate_cnot_plans(star9, orientation, 0, 1))
 
     def test_enumeration_runs_one_search_per_control_attachment(self, star9):
@@ -448,7 +452,7 @@ class TestRoutingIndex:
         ancillas = star9.ancilla_positions()
         for start, goal in ((ancillas[0], ancillas[-1]),
                             (ancillas[2], ancillas[5])):
-            assert index.path(start, goal) == bfs_ancilla_path(
+            assert index_path(index, start, goal) == bfs_ancilla_path(
                 star9, start, goal)
 
 

@@ -14,9 +14,9 @@ from repro.kernel import KernelProfile
 from repro.scheduling import AncillaMst, AsyncMstPipeline
 
 LAYOUT = star_layout(8, StarVariant.STAR)
-ANCILLAS = LAYOUT.ancilla_positions()
-#: Tile pairs whose tree paths are compared at every read.
-PAIRS = [(a, b) for a in ANCILLAS[::4] for b in ANCILLAS[1::3]]
+SLOTS = range(LAYOUT.num_ancilla)
+#: Slot pairs whose tree paths are compared at every read.
+PAIRS = [(a, b) for a in SLOTS[::4] for b in SLOTS[1::3]]
 
 
 class EagerPipeline:
@@ -46,7 +46,7 @@ class EagerPipeline:
 def few_level_activity(snapshot_seed):
     """Activity from four levels, so that most edge weights tie."""
     rng = np.random.default_rng(snapshot_seed)
-    return rng.integers(0, 4, size=len(ANCILLAS)) / 4
+    return rng.integers(0, 4, size=len(SLOTS)) / 4
 
 
 @seed(26)

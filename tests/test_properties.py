@@ -18,6 +18,7 @@ from repro.circuits import (
 )
 from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.fabric.compression import ancilla_subgraph_connected
+from repro.fabric.flat import FlatGrid
 from repro.kernel import ActivityTracker
 from repro.rus import InjectionModel, PreparationModel, expected_injections
 from repro.scheduling import AncillaMst, RescqScheduler
@@ -195,12 +196,14 @@ class TestFabricProperties:
         layout = star_layout(num_qubits, StarVariant.STAR)
         rng = np.random.default_rng(seed)
         mst = AncillaMst(layout, rng.random(layout.num_ancilla))
-        ancillas = layout.ancilla_positions()
-        start = ancillas[int(rng.integers(len(ancillas)))]
-        goal = ancillas[int(rng.integers(len(ancillas)))]
+        start = int(rng.integers(layout.num_ancilla))
+        goal = int(rng.integers(layout.num_ancilla))
         path = mst.path(start, goal)
-        assert path is not None
-        assert all(layout.is_ancilla(pos) for pos in path)
+        assert path is not None and path[0] == start and path[-1] == goal
+        flat = FlatGrid.for_layout(layout)
+        assert all(layout.is_ancilla(flat.anc_positions[slot]) for slot in path)
+        # Consecutive tiles are grid neighbours.
+        assert all(b in flat.neighbors[a] for a, b in zip(path, path[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +216,10 @@ class TestActivityProperties:
            st.integers(1, 100))
     @settings(max_examples=50, deadline=None)
     def test_activity_always_within_unit_interval(self, intervals, window):
-        tracker = ActivityTracker([(0, 0)], window=window)
+        tracker = ActivityTracker(1, window=window)
         now = 0
         for start, length in intervals:
-            tracker.record_busy((0, 0), start, start + length)
+            tracker.record_busy(0, start, start + length)
             now = max(now, start + length)
         activity = tracker.snapshot(now)[0]
         assert 0.0 <= activity <= 1.0

@@ -48,18 +48,18 @@ def could_progress(policy: RescqPolicy, task) -> bool:
     now = policy.clock.now
     gate = task.gate_index
 
-    def usable(position) -> bool:
-        return (fabric.anc_free[position] <= now
-                and fabric.anc_holding.get(position) in (None, gate))
+    def usable(slot) -> bool:
+        return (fabric.anc_free[slot] <= now
+                and fabric.anc_holding[slot] in (None, gate))
 
-    def heads(position) -> bool:
-        return heads_queue(policy.queues[position], gate)
+    def heads(slot) -> bool:
+        return heads_queue(policy.queues[slot], gate)
 
     if isinstance(task, _GateTask):
         return (not task.started
                 and all(fabric.data_free[qubit] <= now
                         for qubit in task.qubits)
-                and all(usable(pos) and heads(pos) for pos in task.tiles))
+                and all(usable(slot) and heads(slot) for slot in task.tiles))
     assert isinstance(task, _RzTask)
     if task.done:
         return False
@@ -70,21 +70,21 @@ def could_progress(policy: RescqPolicy, task) -> bool:
             task.injecting or level in task.holding.values()):
         level += 1
     if level < task.limit:
-        for position in task.candidates:
-            if position in task.preparing:
+        for slot in task.candidates:
+            if slot in task.preparing:
                 continue
-            if task.holding.get(position, -1) >= task.level:
+            if task.holding.get(slot, -1) >= task.level:
                 continue
-            if usable(position) and heads(position):
+            if usable(slot) and heads(slot):
                 return True
     if task.injecting or not task.released or not task.holding:
         return False
     if fabric.data_free[task.qubit] > now:
         return False
-    for position, held_level in task.holding.items():
+    for slot, held_level in task.holding.items():
         if held_level != task.level:
             continue
-        attachment = task.attachment[position]
+        attachment = task.attachment[slot]
         if attachment in ("Z", "X") or usable(attachment):
             return True
     return False
@@ -278,8 +278,7 @@ def test_blocked_tasks_join_the_wake_list_of_their_blocker():
     assert hadamard.heads_missing == 1
     policy._try_start_gate(hadamard)
     assert hadamard.parked and not hadamard.started
-    assert all(hadamard not in queue.waiters
-               for queue in policy.queues.values())
+    assert all(hadamard not in queue.waiters for queue in policy.queues)
     assert hadamard not in policy._data_waiters[0]
     policy._complete_rz(rz)
     assert heads_queue(policy.queues[tile], 1)
@@ -292,28 +291,28 @@ def test_blocked_tasks_join_the_wake_list_of_their_blocker():
     policy = _bare_policy(Circuit(4, name="rz").rz(0, 0.3))
     policy._create_task(0, released=True)
     rz = policy.tasks[0]
-    diagonal = next(pos for pos in rz.candidates
-                    if rz.attachment[pos] not in ("Z", "X"))
+    diagonal = next(slot for slot in rz.candidates
+                    if rz.attachment[slot] not in ("Z", "X"))
     router = rz.attachment[diagonal]
-    others = [pos for pos in rz.candidates if pos not in (diagonal, router)]
+    others = [slot for slot in rz.candidates if slot not in (diagonal, router)]
     assert others
     rz.preparing[router] = [10, 1]
-    for position in [router] + others:
-        policy.fabric.occupy_ancilla(position, 0, 10)
+    for slot in [router] + others:
+        policy.fabric.occupy_ancilla(slot, 0, 10)
     rz.holding[diagonal] = 0
     policy.fabric.hold(diagonal, 0)
     policy._advance_rz(rz)
     assert rz.parked
-    for position in [router] + others:
-        assert policy.queues[position].waiters == [rz]
+    for slot in [router] + others:
+        assert policy.queues[slot].waiters == [rz]
 
 
 def test_injection_done_wakes_the_routing_tile():
     policy = _bare_policy(Circuit(4, name="rz").rz(0, 0.3))
     policy._create_task(0, released=True)
     rz = policy.tasks[0]
-    diagonal = next(pos for pos in rz.candidates
-                    if rz.attachment[pos] not in ("Z", "X"))
+    diagonal = next(slot for slot in rz.candidates
+                    if rz.attachment[slot] not in ("Z", "X"))
     router = rz.attachment[diagonal]
     waiter = types.SimpleNamespace(seq=99, parked=True)
     policy.queues[router].waiters.append(waiter)

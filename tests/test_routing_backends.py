@@ -1,15 +1,17 @@
-"""Routing-index equivalence: the flat-index BFS against the reference BFS.
+"""Routing-index equivalence: the slot BFS against the reference BFS.
 
-:class:`RoutingIndex` answers shortest-path queries with a FIFO BFS over the
-struct-of-arrays :class:`FlatGrid`; it must agree byte-for-byte with
-:func:`bfs_ancilla_path`.  These tests pin that from three angles — raw
-shortest-path queries, the FlatGrid array representation, and whole
-scheduler runs over random scenario-generator circuits.
+:class:`RoutingIndex` answers shortest-path queries in :class:`FlatGrid`
+slots with a FIFO BFS over the per-slot neighbour lists; mapped back to
+positions through ``FlatGrid.anc_positions`` its paths must equal
+:func:`bfs_ancilla_path`'s.  These tests pin that from three angles — raw
+shortest-path queries, the FlatGrid slot numbering, and whole scheduler
+runs over random scenario-generator circuits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -27,26 +29,53 @@ from repro.sim.runner import default_layout
 from repro.workloads.scenarios import clifford_rz_circuit
 
 
+def index_path(index, start, goal):
+    """``index.path`` between two positions, mapped back to positions."""
+    flat = FlatGrid.for_layout(index.layout)
+    path = index.path(flat.slot_of(start), flat.slot_of(goal))
+    return None if path is None else [flat.anc_positions[slot]
+                                      for slot in path]
+
+
+def position_plans(layout, plans):
+    """Slot plans with every tile mapped to its position, comparable with
+    the reference enumeration's plans."""
+    positions = FlatGrid.for_layout(layout).anc_positions
+
+    def tile(slot):
+        return None if slot is None else positions[slot]
+
+    return [dataclasses.replace(
+        plan, path=tuple(positions[slot] for slot in plan.path),
+        rotation_ancilla_control=tile(plan.rotation_ancilla_control),
+        rotation_ancilla_target=tile(plan.rotation_ancilla_target))
+        for plan in plans]
+
+
 # ---------------------------------------------------------------------------
-# FlatGrid: the struct-of-arrays layout projection
+# FlatGrid: the slot numbering of a layout revision
 # ---------------------------------------------------------------------------
 
 class TestFlatGrid:
     def test_neighbor_table_matches_layout_adjacency(self):
-        layout = star_layout(6, StarVariant.STAR)
-        flat = FlatGrid.for_layout(layout)
-        for position in layout.ancilla_positions():
-            index = flat.flat_index(position)
-            neighbors = {flat._positions[n]
-                         for n in flat.route_adjacency[index]}
-            expected = set(layout.ancilla_neighbors(position))
-            assert neighbors == expected
+        """Per slot, the neighbour slots are the layout's ancilla
+        neighbours, in the same (Edge) order, on an intact and on a
+        compressed fabric."""
+        intact = star_layout(6, StarVariant.STAR)
+        for layout in (intact, compress_layout(intact, 0.5, seed=3)[0]):
+            flat = FlatGrid.for_layout(layout)
+            for slot, position in enumerate(flat.anc_positions):
+                assert [flat.anc_positions[n]
+                        for n in flat.neighbors[slot]] == \
+                    layout.ancilla_neighbors(position)
 
-    def test_flat_index_position_round_trip(self):
+    def test_slot_position_round_trip(self):
         layout = star_layout(4, StarVariant.STAR)
         flat = FlatGrid.for_layout(layout)
-        for position in layout.ancilla_positions():
-            assert flat.position(flat.flat_index(position)) == position
+        assert [flat.slot_of(position) for position in flat.anc_positions] \
+            == list(range(flat.num_ancilla))
+        for position in (layout.data_position(0), (-1, 0), (99, 99)):
+            assert flat.slot_of(position) == -1
 
     def test_for_layout_is_cached_until_version_bump(self):
         layout = star_layout(4, StarVariant.STAR)
@@ -56,8 +85,8 @@ class TestFlatGrid:
         layout.disable(victim)
         rebuilt = FlatGrid.for_layout(layout)
         assert rebuilt is not flat
-        assert rebuilt.flat_index(victim) == -1 or \
-            rebuilt.anc_slot[rebuilt.flat_index(victim)] == -1
+        assert rebuilt.slot_of(victim) == -1
+        assert rebuilt.num_ancilla == flat.num_ancilla - 1
 
     def test_ancilla_slots_are_row_major(self):
         layout = star_layout(5, StarVariant.STAR)
@@ -97,35 +126,37 @@ class TestShortestPathParity:
         ancillas = layout.ancilla_positions()
         for start in ancillas:
             for goal in ancillas:
-                assert (index.path(start, goal)
+                assert (index_path(index, start, goal)
                         == bfs_ancilla_path(layout, start, goal))
 
     def test_non_ancilla_endpoints_return_none(self, layout):
+        """A data tile has no slot (-1), and a -1 endpoint has no path."""
         index = RoutingIndex(layout)
         data = layout.data_position(0)
         ancilla = layout.ancilla_positions()[0]
-        assert index.path(data, ancilla) is None
+        assert index.flat.slot_of(data) == -1
+        assert index.path(-1, 0) is None and index.path(0, -1) is None
+        assert index_path(index, data, ancilla) is None
         assert bfs_ancilla_path(layout, data, ancilla) is None
 
     def test_no_search_state_survives_a_query(self, layout):
         index = RoutingIndex(layout)
-        ancillas = layout.ancilla_positions()
-        for start in ancillas[:3]:
-            index.path(start, ancillas[-1])
+        last = index.flat.num_ancilla - 1
+        for start in range(3):
+            index.path(start, last)
         assert index.bfs_runs == 3
         # Only the memoised paths remain: no parent lists, no per-source
         # state.
         assert set(vars(index)) == {
-            "layout", "_version", "_paths", "_attachments", "_plans",
+            "layout", "_version", "flat", "_paths", "_attachments", "_plans",
             "queries", "plan_cache_hits", "bfs_runs", "bfs_tiles"}
-        assert list(index._paths) == [(start, ancillas[-1])
-                                      for start in ancillas[:3]]
+        assert list(index._paths) == [(start, last) for start in range(3)]
 
     def test_search_stops_at_its_last_goal(self, layout):
         index = RoutingIndex(layout)
         start = layout.ancilla_positions()[0]
         neighbor = layout.ancilla_neighbors(start)[0]
-        assert index.path(start, neighbor) == [start, neighbor]
+        assert index_path(index, start, neighbor) == [start, neighbor]
         assert index.bfs_runs == 1
         assert index.bfs_tiles < FlatGrid.for_layout(layout).num_ancilla
 
@@ -133,16 +164,18 @@ class TestShortestPathParity:
         index = RoutingIndex(layout)
         ancillas = layout.ancilla_positions()
         start, goal = ancillas[0], ancillas[-1]
-        before = index.path(start, goal)
+        before = index_path(index, start, goal)
         assert before == bfs_ancilla_path(layout, start, goal)
         victim = before[len(before) // 2]
         layout.disable(victim)
-        after = index.path(start, goal)
+        after = index_path(index, start, goal)
         assert after == bfs_ancilla_path(layout, start, goal)
         assert victim not in (after or ())
         # The path memoised before the mutation was dropped, not reused.
         assert index.bfs_runs == 2
-        assert list(index._paths) == [(start, goal)]
+        flat = FlatGrid.for_layout(layout)
+        assert list(index._paths) == [(flat.slot_of(start),
+                                       flat.slot_of(goal))]
 
 
 def _walled_compressed_layout():
@@ -179,10 +212,12 @@ def test_goal_list_paths_match_reference(data, fabric):
         min_size=1, max_size=8), "goals")
     goals.append(goals[0])
     index = RoutingIndex(layout)
-    index._route(start, goals)
+    slot_of = index.flat.slot_of
+    index._route(slot_of(start), [slot_of(goal) for goal in goals])
     assert index.bfs_runs <= 1
     for goal in goals:
-        assert index.path(start, goal) == bfs_ancilla_path(layout, start, goal)
+        assert index_path(index, start, goal) == \
+            bfs_ancilla_path(layout, start, goal)
     # Every goal was answered by that one search.
     assert index.bfs_runs <= 1
 
@@ -192,12 +227,16 @@ def test_goal_list_paths_match_reference(data, fabric):
 # ---------------------------------------------------------------------------
 
 def _reference_path(index, start, goal):
-    return bfs_ancilla_path(index.layout, start, goal)
+    """The reference BFS between two slots, in slots."""
+    flat = index.flat
+    path = bfs_ancilla_path(index.layout, flat.anc_positions[start],
+                            flat.anc_positions[goal])
+    return None if path is None else [flat.slot_of(tile) for tile in path]
 
 
 def _run(circuit, seed: int, reference: bool = False):
     """One RESCQ run; ``reference`` routes every path query through the
-    reference BFS instead of the index's flat BFS."""
+    reference BFS instead of the index's slot BFS."""
     config = SimulationConfig(mst_period=10, mst_latency=20)
     layout = default_layout(circuit)
     scheduler = SCHEDULER_REGISTRY.create("rescq")

@@ -7,7 +7,7 @@ import pytest
 
 from repro import SimulationConfig, default_layout
 from repro.circuits import Circuit
-from repro.fabric import StarVariant, compress_layout, star_layout
+from repro.fabric import GridLayout, StarVariant, compress_layout, star_layout
 from repro.scheduling import AutoBraidScheduler, GreedyScheduler, RescqScheduler
 from repro.scheduling.rescq import RescqPolicy
 from repro.exec import plan_jobs
@@ -220,3 +220,36 @@ class TestMaxCycles:
         with pytest.raises(RuntimeError,
                            match=r"past max_cycles=20; raise .*max_cycles"):
             run_one(RescqScheduler(), qft6, config=self.BOUNDED)
+
+
+class TestUnroutableLayouts:
+    """A layout the schedulers cannot use fails with one message that says
+    what is wrong, whichever scheduler runs."""
+
+    SCHEDULERS = [GreedyScheduler, AutoBraidScheduler, RescqScheduler]
+
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    def test_cnot_across_a_cut_fabric_names_the_qubits(self, scheduler_cls):
+        # 1x5: D . x . D -- the disabled middle tile cuts the fabric.
+        layout = GridLayout(1, 5, {0: (0, 0), 1: (0, 4)})
+        layout.disable((0, 2))
+        circuit = Circuit(2, name="cut").cnot(0, 1)
+        with pytest.raises(RuntimeError, match=(
+                r"^no ancilla path between qubits 0 and 1; the layout's "
+                r"ancilla fabric is disconnected$")):
+            run_one(scheduler_cls(), circuit, layout=layout)
+
+    @pytest.mark.parametrize("gate", ["h", "rz"])
+    @pytest.mark.parametrize("scheduler_cls", [GreedyScheduler, RescqScheduler])
+    def test_gate_on_an_isolated_qubit_names_it(self, scheduler_cls, gate):
+        # 1x3: D x . -- qubit 0 keeps no adjacent ancilla tile.
+        layout = GridLayout(1, 3, {0: (0, 0)})
+        layout.disable((0, 1))
+        circuit = Circuit(1, name="isolated")
+        if gate == "h":
+            circuit.h(0)
+        else:
+            circuit.rz(0, 0.3)
+        with pytest.raises(RuntimeError,
+                           match=r"^data qubit 0 has no ancilla neighbour; "):
+            run_one(scheduler_cls(), circuit, layout=layout)

@@ -44,17 +44,25 @@ def build_activity_graph(layout, activity):
     return graph
 
 
-#: Slot order of the trackers below: slot 0 is (0, 0), slot 1 is (0, 1).
-SLOTS = [(0, 0), (0, 1)]
+#: Slot count of the trackers below.
+SLOTS = 2
 
 
 def new_tracker(window):
     return ActivityTracker(SLOTS, window=window)
 
 
-def activity(tracker, position, now):
+def activity(tracker, slot, now):
     """One tile's activity, read from the slot-ordered snapshot array."""
-    return tracker.snapshot(now)[SLOTS.index(position)]
+    return tracker.snapshot(now)[slot]
+
+
+def tree_path(mst, layout, start, goal):
+    """``mst.path`` between two positions, mapped back to positions."""
+    flat = FlatGrid.for_layout(layout)
+    path = mst.path(flat.slot_of(start), flat.slot_of(goal))
+    return None if path is None else [flat.anc_positions[slot]
+                                      for slot in path]
 
 
 def reference_snapshot(intervals, num_slots, window, now):
@@ -75,54 +83,59 @@ def reference_snapshot(intervals, num_slots, window, now):
 
 class TestActivityTracker:
     def test_activity_zero_before_any_work(self):
-        assert activity(new_tracker(100), (0, 0), now=50) == 0.0
+        assert activity(new_tracker(100), 0, now=50) == 0.0
 
     def test_activity_ratio(self):
         busy = new_tracker(100)
-        busy.record_busy((0, 0), 0, 30)
-        assert activity(busy, (0, 0), now=100) == pytest.approx(0.3)
+        busy.record_busy(0, 0, 30)
+        assert activity(busy, 0, now=100) == pytest.approx(0.3)
 
     def test_old_intervals_fall_out_of_window(self):
         busy = new_tracker(10)
-        busy.record_busy((0, 0), 0, 5)
-        assert activity(busy, (0, 0), now=100) == 0.0
+        busy.record_busy(0, 0, 5)
+        assert activity(busy, 0, now=100) == 0.0
 
     def test_partial_overlap_with_window(self):
         busy = new_tracker(10)
-        busy.record_busy((0, 0), 0, 15)
+        busy.record_busy(0, 0, 15)
         # window is [10, 20): 5 busy cycles
-        assert activity(busy, (0, 0), now=20) == pytest.approx(0.5)
+        assert activity(busy, 0, now=20) == pytest.approx(0.5)
 
     def test_activity_clamped_to_one(self):
         busy = new_tracker(10)
-        busy.record_busy((0, 0), 0, 10)
-        busy.record_busy((0, 0), 0, 10)
-        assert activity(busy, (0, 0), now=10) == 1.0
+        busy.record_busy(0, 0, 10)
+        busy.record_busy(0, 0, 10)
+        assert activity(busy, 0, now=10) == 1.0
 
     def test_early_window_uses_elapsed_time(self):
         busy = new_tracker(100)
-        busy.record_busy((0, 0), 0, 5)
-        assert activity(busy, (0, 0), now=10) == pytest.approx(0.5)
+        busy.record_busy(0, 0, 5)
+        assert activity(busy, 0, now=10) == pytest.approx(0.5)
 
     def test_empty_interval_ignored(self):
         busy = new_tracker(10)
-        busy.record_busy((0, 0), 5, 5)
-        assert activity(busy, (0, 0), now=10) == 0.0
+        busy.record_busy(0, 5, 5)
+        assert activity(busy, 0, now=10) == 0.0
 
     def test_snapshot(self):
         """A slot-ordered float64 array, fresh on every call."""
         busy = new_tracker(10)
-        busy.record_busy((0, 1), 0, 10)
+        busy.record_busy(1, 0, 10)
         snap = busy.snapshot(now=10)
-        assert snap.dtype == np.float64 and snap.shape == (len(SLOTS),)
+        assert snap.dtype == np.float64 and snap.shape == (SLOTS,)
         assert snap.tolist() == [0.0, 1.0]
         # Each call returns a fresh array (the MST pipeline keeps them).
         assert busy.snapshot(now=10) is not snap
         assert new_tracker(10).snapshot(now=0).tolist() == [0.0, 0.0]
 
     def test_unknown_position_rejected(self):
-        with pytest.raises(KeyError):
-            new_tracker(10).record_busy((5, 5), 0, 3)
+        """A position off the fabric has no slot (-1), and a snapshot
+        refuses an interval recorded under it."""
+        flat = FlatGrid.for_layout(star_layout(4, StarVariant.STAR))
+        tracker = ActivityTracker(flat.num_ancilla, window=10)
+        tracker.record_busy(flat.slot_of((99, 99)), 0, 3)
+        with pytest.raises(ValueError):
+            tracker.snapshot(5)
 
     def test_snapshot_matches_per_interval_reference(self):
         """Bit-identical to the scalar ``min(1, busy / effective_window)`` at
@@ -134,10 +147,10 @@ class TestActivityTracker:
                      (1, 2, 9), (1, 45, 80), (0, 70, 90), (1, 31, 33)]
         busy = new_tracker(window)
         for slot, start, end in intervals:
-            busy.record_busy(SLOTS[slot], start, end)
+            busy.record_busy(slot, start, end)
         for now in (0, 7, 30, 49, 50, 51, 80, 81, 200):
             assert busy.snapshot(now).tolist() == reference_snapshot(
-                intervals, len(SLOTS), window, now), now
+                intervals, SLOTS, window, now), now
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -151,39 +164,38 @@ def heads(queue, gate_index):
 
 class TestQueues:
     def test_enqueue_and_head(self):
-        queues = QueueSet([(0, 0), (0, 1)])
+        queues = QueueSet(2)
         entry = QueueEntry(5, "rz")
-        queue = queues.enqueue((0, 0), entry)
-        assert queue is queues[(0, 0)]
+        queue = queues.enqueue(0, entry)
+        assert queue is queues[0]
         assert queue.entries == [entry]
         assert heads(queue, 5)
-        assert not heads(queues[(0, 1)], 5)
+        assert not heads(queues[1], 5)
 
     def test_seniority_order_preserved(self):
-        queues = QueueSet([(0, 0)])
-        queues.enqueue((0, 0), QueueEntry(1, "rz"))
-        queues.enqueue((0, 0), QueueEntry(2, "cnot"))
-        assert [e.gate_index for e in queues[(0, 0)].entries] == [1, 2]
-        assert heads(queues[(0, 0)], 1)
-        assert not heads(queues[(0, 0)], 2)
+        queues = QueueSet(1)
+        queues.enqueue(0, QueueEntry(1, "rz"))
+        queues.enqueue(0, QueueEntry(2, "cnot"))
+        assert [e.gate_index for e in queues[0].entries] == [1, 2]
+        assert heads(queues[0], 1)
+        assert not heads(queues[0], 2)
 
     def test_remove_gate_everywhere(self):
-        queues = QueueSet([(0, 0), (0, 1), (1, 0)])
-        own = [queues.enqueue(pos, QueueEntry(7, "rz"))
-               for pos in ((0, 0), (0, 1))]
-        queues.enqueue((0, 1), QueueEntry(8, "cnot"))
+        queues = QueueSet(3)
+        own = [queues.enqueue(slot, QueueEntry(7, "rz")) for slot in (0, 1)]
+        queues.enqueue(1, QueueEntry(8, "cnot"))
         new_heads = queues.remove_gate_everywhere(7, own)
-        assert len(queues[(0, 0)]) == 0
+        assert len(queues[0]) == 0
         # Other gates' entries stay, and the next one becomes the head; the
         # emptied queue names no head.
-        assert heads(queues[(0, 1)], 8)
+        assert heads(queues[1], 8)
         assert new_heads == [8]
 
     def test_remove_gate_reports_only_head_changes(self):
-        queues = QueueSet([(0, 0)])
+        queues = QueueSet(1)
         for index in (1, 2, 3):
-            queues.enqueue((0, 0), QueueEntry(index, "rz"))
-        queue = queues[(0, 0)]
+            queues.enqueue(0, QueueEntry(index, "rz"))
+        queue = queues[0]
         assert queue.remove_gate(2) is None      # not the head
         assert queue.remove_gate(1) == 3         # 3 heads the queue now
         assert queue.remove_gate(3) is None      # queue emptied
@@ -192,11 +204,10 @@ class TestQueues:
             queue.remove_gate(3)
 
     def test_each_enqueue_is_undone_by_one_removal(self):
-        queues = QueueSet([(0, 0)])
-        own = [queues.enqueue((0, 0), QueueEntry(4, "cnot"))
-               for _ in range(2)]
-        queues.enqueue((0, 0), QueueEntry(5, "h"))
-        queue = queues[(0, 0)]
+        queues = QueueSet(1)
+        own = [queues.enqueue(0, QueueEntry(4, "cnot")) for _ in range(2)]
+        queues.enqueue(0, QueueEntry(5, "h"))
+        queue = queues[0]
         assert queue.remove_gate(4) is None      # 4 still heads the queue
         assert heads(queue, 4)
         assert queues.remove_gate_everywhere(4, own[1:]) == [5]
@@ -204,12 +215,12 @@ class TestQueues:
 
     def test_pending_cost_is_memoised_and_invalidated(self):
         prices = {"rz": 0.1, "cnot": 2, "h": 3}
-        queues = QueueSet([(0, 0)])
-        queue = queues[(0, 0)]
+        queues = QueueSet(1)
+        queue = queues[0]
         assert queue.pending_cost(prices) == 0.0
         kinds = ["rz", "cnot", "rz", "h", "rz"]
         for index, kind in enumerate(kinds):
-            queues.enqueue((0, 0), QueueEntry(index, kind))
+            queues.enqueue(0, QueueEntry(index, kind))
             # Each enqueue invalidates; the sum is the left-to-right one.
             expected = 0.0
             for entry in queue.entries:
@@ -257,7 +268,7 @@ class TestMst:
         layout = self.layout()
         mst = AncillaMst(layout, np.zeros(layout.num_ancilla))
         start, goal = (0, 1), (4, 5)
-        path = mst.path(start, goal)
+        path = tree_path(mst, layout, start, goal)
         assert path[0] == start and path[-1] == goal
         # every hop is grid-adjacent
         for a, b in zip(path, path[1:]):
@@ -266,7 +277,10 @@ class TestMst:
     def test_path_to_unknown_node_is_none(self):
         layout = self.layout()
         mst = AncillaMst(layout, np.zeros(layout.num_ancilla))
-        assert mst.path((0, 1), (99, 99)) is None
+        flat = FlatGrid.for_layout(layout)
+        assert flat.slot_of((99, 99)) == -1
+        assert mst.path(flat.slot_of((0, 1)), -1) is None
+        assert tree_path(mst, layout, (0, 1), (99, 99)) is None
 
     def test_mst_avoids_high_activity_edges(self):
         """The minimax property: the bottleneck activity along the MST path is
@@ -276,7 +290,7 @@ class TestMst:
         mst = AncillaMst(layout, activity_array(layout, {hot: 1.0}))
         # (1, 1) and (3, 1) have a direct route through the hot tile and a
         # detour around it; the minimax tree must pick the detour.
-        assert hot not in mst.path((1, 1), (3, 1))
+        assert hot not in tree_path(mst, layout, (1, 1), (3, 1))
 
     def test_async_pipeline_latency(self):
         layout = self.layout()
@@ -369,8 +383,8 @@ def assert_paths_match_reference(layout, activity):
     ancillas = layout.ancilla_positions()
     for index, start in enumerate(ancillas):
         for goal in ancillas[index:]:
-            assert mst.path(start, goal) == paths[start].get(goal), (
-                start, goal)
+            assert tree_path(mst, layout, start, goal) == \
+                paths[start].get(goal), (start, goal)
 
 
 def _walled_compressed_layout():
