@@ -32,7 +32,7 @@ import pytest
 from repro import SimulationConfig
 from repro.api import build_engine
 from repro.circuits import Circuit
-from repro.scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
+from repro.scheduling import DEFAULT_SCHEDULER_NAMES
 from repro.service import ExperimentService
 from repro.workloads import (
     dnn_circuit,
@@ -118,8 +118,8 @@ def headline_config() -> SimulationConfig:
 
 @pytest.fixture(scope="session")
 def schedulers():
-    return [SCHEDULER_REGISTRY.create(name)
-            for name in DEFAULT_SCHEDULER_NAMES]
+    """The paper's three schedulers, by registered name."""
+    return DEFAULT_SCHEDULER_NAMES
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,14 @@ def test_bench_fig11_distance_sensitivity(benchmark, schedulers, engine):
         return run_axis_sweep("distance", schedulers, circuits,
                               values=DISTANCES, seeds=SEEDS, engine=engine)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(format_table([row.as_dict() for row in rows],
+    print(format_table(results.grid_rows(["distance"]),
                        title="Figure 11: sensitivity to code distance"))
 
-    by_key = {(r.benchmark, r.scheduler, r.value): r.mean_cycles for r in rows}
-    benchmarks_names = sorted({r.benchmark for r in rows})
+    by_key = {(r["benchmark"], r["scheduler"], r["distance"]): r["mean_cycles"]
+              for r in results.aggregate("benchmark", "scheduler", "distance")}
+    benchmarks_names = sorted(results.benchmarks())
     for name in benchmarks_names:
         # Execution time improves (or at least does not get worse) as d grows,
         # for every scheduler (Section 5.2.1).

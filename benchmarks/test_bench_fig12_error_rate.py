@@ -14,13 +14,16 @@ def test_bench_fig12_error_rate_sensitivity(benchmark, schedulers, engine):
         return run_axis_sweep("error-rate", schedulers, circuits,
                               values=ERROR_RATES, seeds=SEEDS, engine=engine)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(format_table([row.as_dict() for row in rows],
+    print(format_table(results.grid_rows(["physical_error_rate"]),
                        title="Figure 12: sensitivity to physical error rate"))
 
-    by_key = {(r.benchmark, r.scheduler, r.value): r.mean_cycles for r in rows}
-    names = sorted({r.benchmark for r in rows})
+    by_key = {(r["benchmark"], r["scheduler"], r["physical_error_rate"]):
+              r["mean_cycles"]
+              for r in results.aggregate("benchmark", "scheduler",
+                                         "physical_error_rate")}
+    names = sorted(results.benchmarks())
     for name in names:
         # All schemes are relatively insensitive to p (Section 5.2.2): the
         # swing between the worst and best error rate stays small.

@@ -24,9 +24,9 @@ def test_bench_fig14_compression_sensitivity(benchmark, schedulers, engine):
         return run_axis_sweep("compression", schedulers, circuits,
                               values=COMPRESSIONS, seeds=SEEDS, engine=engine)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(format_table([row.as_dict() for row in rows],
+    print(format_table(results.grid_rows(["compression"]),
                        title="Figure 14: sensitivity to grid compression"))
 
     # Report requested vs achieved compression for one representative grid.
@@ -41,8 +41,11 @@ def test_bench_fig14_compression_sensitivity(benchmark, schedulers, engine):
         })
     print(format_table(achieved_rows, title="Requested vs achieved compression"))
 
-    by_key = {(r.benchmark, r.scheduler, r.value): r.mean_cycles for r in rows}
-    names = sorted({r.benchmark for r in rows})
+    by_key = {(r["benchmark"], r["scheduler"], r["compression"]):
+              r["mean_cycles"]
+              for r in results.aggregate("benchmark", "scheduler",
+                                         "compression")}
+    names = sorted(results.benchmarks())
     # RESCQ keeps a healthy advantage at the most constrained point.
     ratios = [by_key[(name, "autobraid", 1.0)] / by_key[(name, "rescq", 1.0)]
               for name in names]

@@ -7,7 +7,6 @@ values thanks to parallel/eager preparation.
 """
 
 from repro.analysis import format_histogram, latency_histograms
-from repro.scheduling import AutoBraidScheduler, RescqScheduler
 
 from conftest import SEEDS, sensitivity_suite
 
@@ -22,7 +21,7 @@ def test_bench_fig5_latency_histograms(benchmark, headline_config, engine):
 
     def run():
         return latency_histograms(
-            circuits, schedulers=[AutoBraidScheduler(), RescqScheduler()],
+            circuits, schedulers=["autobraid", "rescq"],
             config=headline_config, seeds=SEEDS, engine=engine)
 
     histograms = benchmark.pedantic(run, rounds=1, iterations=1)

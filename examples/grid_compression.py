@@ -12,12 +12,9 @@ Run with::
 """
 
 from repro import SimulationConfig
-from repro.analysis import format_table
-from repro.api import ResultSet
-from repro.exec import plan_jobs
+from repro.analysis import format_table, run_axis_sweep
+from repro.api import SWEEP_AXES
 from repro.fabric import StarVariant, compress_layout, star_layout
-from repro.scheduling import AutoBraidScheduler, RescqScheduler
-from repro.service import ExperimentService
 from repro.workloads import dnn_circuit
 
 
@@ -25,16 +22,18 @@ def main() -> None:
     circuit = dnn_circuit(8, layers=3)
     config = SimulationConfig()
     base_layout = star_layout(circuit.num_qubits, StarVariant.STAR)
-    schedulers = [AutoBraidScheduler(), RescqScheduler()]
-    engine = ExperimentService()
+    axis = SWEEP_AXES.get("compression")
 
-    # Unregistered circuit + hand-built layouts: plan jobs explicitly and
-    # fold them through ResultSet (the declarative spec path needs names).
+    # The Figure 14 sweep on an unregistered circuit: one planned job list,
+    # then one comparison per compression point.
+    results = run_axis_sweep(axis, ["autobraid", "rescq"], [circuit],
+                             base=config, seeds=3)
     rows = []
-    for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
-        layout, report = compress_layout(base_layout, fraction, seed=13)
-        jobs = plan_jobs(schedulers, circuit, config, layout, seeds=3)
-        point = ResultSet.from_jobs(jobs, engine.run(jobs))
+    for fraction in axis.default_values:
+        # The same compressed grid the sweep ran on, for its report and art.
+        layout, report = compress_layout(base_layout, fraction,
+                                         seed=axis.layout_seed)
+        point = results.filter(compression=fraction)
         cells = {name: cell.mean_cycles
                  for name, cell in point.comparison_rows().items()}
         rows.append({

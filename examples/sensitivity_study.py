@@ -20,7 +20,7 @@ Run with::
 import argparse
 
 from repro.analysis import format_table, run_axis_sweep
-from repro.scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
+from repro.scheduling import DEFAULT_SCHEDULER_NAMES
 from repro.workloads import dnn_circuit, gcm_circuit, get_benchmark, qft_circuit
 
 
@@ -41,24 +41,22 @@ def main() -> None:
     args = parser.parse_args()
 
     circuits = build_circuits(args.full)
-    schedulers = [SCHEDULER_REGISTRY.create(name)
-                  for name in DEFAULT_SCHEDULER_NAMES]
+    schedulers = DEFAULT_SCHEDULER_NAMES
 
     print("=== Figure 11: sensitivity to code distance (p = 1e-4) ===")
-    rows = run_axis_sweep("distance", schedulers, circuits,
-                          values=(5, 7, 9, 11, 13), seeds=args.seeds)
-    print(format_table([row.as_dict() for row in rows]))
+    results = run_axis_sweep("distance", schedulers, circuits,
+                             values=(5, 7, 9, 11, 13), seeds=args.seeds)
+    print(format_table(results.grid_rows()))
 
     print("=== Figure 12: sensitivity to physical error rate (d = 7) ===")
-    rows = run_axis_sweep("error-rate", schedulers, circuits,
-                          values=(1e-3, 1e-4, 1e-5), seeds=args.seeds)
-    print(format_table([row.as_dict() for row in rows]))
+    results = run_axis_sweep("error-rate", schedulers, circuits,
+                             values=(1e-3, 1e-4, 1e-5), seeds=args.seeds)
+    print(format_table(results.grid_rows()))
 
     print("=== Figure 13: RESCQ sensitivity to MST recomputation period ===")
-    rows = run_axis_sweep("mst-period", [SCHEDULER_REGISTRY.create("rescq")],
-                          circuits, values=(25, 50, 100, 200),
-                          seeds=args.seeds)
-    print(format_table([row.as_dict() for row in rows]))
+    results = run_axis_sweep("mst-period", ["rescq"], circuits,
+                             values=(25, 50, 100, 200), seeds=args.seeds)
+    print(format_table(results.grid_rows()))
 
 
 if __name__ == "__main__":

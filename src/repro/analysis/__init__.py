@@ -2,7 +2,6 @@
 
 from .experiments import (
     ExecutionSummary,
-    default_schedulers,
     latency_histograms,
     run_execution_comparison,
 )
@@ -19,13 +18,12 @@ from .report import (
     format_normalised_summary,
     format_table,
 )
-from .sweep import SweepRow, run_axis_sweep
+from .sweep import run_axis_sweep
 
 __all__ = [
     "ExecutionSummary",
     "run_execution_comparison",
     "latency_histograms",
-    "default_schedulers",
     "LogicalErrorModel",
     "result_to_dict",
     "result_from_dict",
@@ -37,6 +35,5 @@ __all__ = [
     "format_comparison",
     "format_histogram",
     "format_normalised_summary",
-    "SweepRow",
     "run_axis_sweep",
 ]

@@ -5,10 +5,12 @@ benchmark under every scheduler, normalise execution times to a baseline and
 report the geometric mean speed-up (Figure 10), and accumulate post-schedule
 completion-latency histograms for CNOT and Rz gates (Figure 5).
 
-Every driver plans its full (circuit x scheduler x seed) grid as one job
-list and executes it through a single
-:meth:`~repro.service.service.ExperimentService.run` call, so a pooled or
-cached engine accelerates the whole experiment, not one benchmark at a time.
+Every driver plans its full (circuit x scheduler x seed) grid through
+:func:`~repro.api.spec.plan_experiment`, the planner behind
+:meth:`~repro.api.spec.ExperimentSpec.expand`, and executes it through a
+single :meth:`~repro.service.service.ExperimentService.run` call, so a
+pooled or cached engine accelerates the whole experiment, not one benchmark
+at a time.
 """
 
 from __future__ import annotations
@@ -17,20 +19,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..api.resultset import ResultSet
+from ..api.spec import plan_experiment
 from ..circuits import Circuit
-from ..exec import SimJob, plan_jobs
-from ..scheduling import DEFAULT_SCHEDULER_NAMES, SCHEDULER_REGISTRY
+from ..scheduling import DEFAULT_SCHEDULER_NAMES
 from ..service.service import ExperimentService
-from ..sim import SimulationConfig, default_layout, geometric_mean
+from ..sim import SimulationConfig, geometric_mean
 
-__all__ = ["default_schedulers", "ExecutionSummary", "run_execution_comparison",
+__all__ = ["ExecutionSummary", "run_execution_comparison",
            "latency_histograms"]
-
-
-def default_schedulers():
-    """The three schedulers the paper compares: greedy, AutoBraid, RESCQ."""
-    return [SCHEDULER_REGISTRY.create(name)
-            for name in DEFAULT_SCHEDULER_NAMES]
 
 
 @dataclass
@@ -74,24 +70,16 @@ class ExecutionSummary:
         return names
 
 
-def _run_grid(circuits: Sequence[Circuit], schedulers,
-              config: SimulationConfig, seeds: int,
-              engine: ExperimentService):
-    """Plan circuits x schedulers x seeds, run once, yield per-circuit rows."""
-    plans = []
-    jobs: List[SimJob] = []
-    for circuit in circuits:
-        layout = default_layout(circuit)
-        circuit_jobs = plan_jobs(schedulers, circuit, config, layout, seeds)
-        plans.append((circuit, circuit_jobs))
-        jobs.extend(circuit_jobs)
-    results = engine.run(jobs)
-    cursor = 0
-    for circuit, circuit_jobs in plans:
-        chunk = results[cursor:cursor + len(circuit_jobs)]
-        cursor += len(circuit_jobs)
-        yield circuit, ResultSet.from_jobs(circuit_jobs,
-                                           chunk).comparison_rows()
+def _run(circuits: Sequence[Circuit], schedulers,
+         config: Optional[SimulationConfig], seeds: int,
+         engine: Optional[ExperimentService]) -> ResultSet:
+    """Plan circuits x schedulers x seeds at one config and run it once."""
+    jobs = plan_experiment(
+        circuits,
+        schedulers if schedulers is not None else DEFAULT_SCHEDULER_NAMES,
+        config or SimulationConfig(), seeds=seeds)
+    engine = engine if engine is not None else ExperimentService()
+    return ResultSet.from_jobs(jobs, engine.run(jobs))
 
 
 def run_execution_comparison(circuits: Sequence[Circuit],
@@ -103,18 +91,17 @@ def run_execution_comparison(circuits: Sequence[Circuit],
                              ) -> ExecutionSummary:
     """Run the Figure 10 experiment over ``circuits``.
 
-    The paper normalises to the static baselines and reports a ~2x geometric
-    mean improvement for RESCQ at d=7, p=1e-4.
+    ``schedulers`` are scheduler instances or registered names (default:
+    the paper's three).  The paper normalises to the static baselines and
+    reports a ~2x geometric mean improvement for RESCQ at d=7, p=1e-4.
     """
-    schedulers = schedulers if schedulers is not None else default_schedulers()
-    config = config or SimulationConfig()
-    engine = engine or ExperimentService()
+    results = _run(circuits, schedulers, config, seeds, engine)
     summary = ExecutionSummary(baseline=baseline)
-    for circuit, comparison in _run_grid(circuits, schedulers, config, seeds,
-                                         engine):
-        summary.cycles[circuit.name] = {
+    for (benchmark,), subset in results.group_by("benchmark").items():
+        comparison = subset.comparison_rows()
+        summary.cycles[benchmark] = {
             name: cell.mean_cycles for name, cell in comparison.items()}
-        summary.spread[circuit.name] = {
+        summary.spread[benchmark] = {
             name: (cell.min_cycles, cell.max_cycles)
             for name, cell in comparison.items()}
     return summary
@@ -132,22 +119,13 @@ def latency_histograms(circuits: Sequence[Circuit],
     Returns ``{scheduler: {"cnot": {cycles: count}, "rz": {cycles: count}}}``
     accumulated over all provided benchmarks.
     """
-    schedulers = schedulers if schedulers is not None else default_schedulers()
-    config = config or SimulationConfig()
-    engine = engine or ExperimentService()
     histograms: Dict[str, Dict[str, Dict[int, int]]] = {}
-    for scheduler in schedulers:
-        histograms[scheduler.name] = {"cnot": {}, "rz": {}}
-    for _circuit, comparison in _run_grid(circuits, schedulers, config, seeds,
-                                          engine):
-        for scheduler in schedulers:
-            cell = comparison[scheduler.name]
-            for result in cell.results:
-                for kind in ("cnot", "rz"):
-                    for bucket, count in result.latency_histogram(
-                            kind, max_cycles=max_cycles).items():
-                        store = histograms[scheduler.name][kind]
-                        store[bucket] = store.get(bucket, 0) + count
+    for row in _run(circuits, schedulers, config, seeds, engine):
+        per_kind = histograms.setdefault(row.scheduler, {"cnot": {}, "rz": {}})
+        for kind, store in per_kind.items():
+            for bucket, count in row.result.latency_histogram(
+                    kind, max_cycles=max_cycles).items():
+                store[bucket] = store.get(bucket, 0) + count
     for per_scheduler in histograms.values():
         for kind in per_scheduler:
             per_scheduler[kind] = dict(sorted(per_scheduler[kind].items()))

@@ -1,57 +1,31 @@
 """Parameter sweeps behind the sensitivity figures (Section 5.2, 5.3).
 
-A sweep runs a set of schedulers on a set of benchmarks while varying one
+A sweep runs a set of schedulers on a set of circuits while varying one
 registered :class:`~repro.api.axes.SweepAxis` (code distance, physical error
-rate, MST period, or grid compression), returning flat :class:`SweepRow`
-records that the benchmark harnesses and examples print as the series of
-Figures 11-14.
-
-Sweeps are planned as one flat job list — every
+rate, MST period, or grid compression).  It is planned by
+:func:`~repro.api.spec.plan_experiment` as one flat job list — every
 (circuit, value, scheduler, seed) point — and executed in a single
 :meth:`~repro.service.service.ExperimentService.run` call, so a pooled
-engine fans the *entire* grid out at once instead of parallelising one
-comparison cell at a time.  Row order is deterministic: circuits in input
-order, values in input order, schedulers by name.  For registered benchmarks
-the same sweep can be written as an :class:`~repro.api.spec.ExperimentSpec`
-grid and run with :func:`repro.api.run_experiment`.
+engine fans the *entire* grid out at once.  The returned
+:class:`~repro.api.resultset.ResultSet` prints as the series of Figures
+11-14 through :meth:`~repro.api.resultset.ResultSet.grid_rows`.  For
+registered benchmarks the same sweep is an
+:class:`~repro.api.spec.ExperimentSpec` grid with that axis's values and
+``layout_seed``, and plans the same jobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
+from ..api.axes import get_axis
+from ..api.resultset import ResultSet
+from ..api.spec import plan_experiment
 from ..circuits import Circuit
-from ..exec import SimJob, plan_jobs
 from ..service.service import ExperimentService
-from ..sim import SimulationConfig, default_layout
+from ..sim import SimulationConfig
 
-__all__ = ["SweepRow", "run_axis_sweep"]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One measured point of a sensitivity sweep."""
-
-    benchmark: str
-    scheduler: str
-    parameter: str
-    value: float
-    mean_cycles: float
-    min_cycles: float
-    max_cycles: float
-    idle_fraction: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "benchmark": self.benchmark,
-            "scheduler": self.scheduler,
-            self.parameter: self.value,
-            "mean_cycles": round(self.mean_cycles, 2),
-            "min_cycles": self.min_cycles,
-            "max_cycles": self.max_cycles,
-            "idle_fraction": round(self.idle_fraction, 4),
-        }
+__all__ = ["run_axis_sweep"]
 
 
 def run_axis_sweep(axis, schedulers, circuits: Sequence[Circuit],
@@ -59,34 +33,22 @@ def run_axis_sweep(axis, schedulers, circuits: Sequence[Circuit],
                    base: Optional[SimulationConfig] = None,
                    seeds: int = 3,
                    engine: Optional[ExperimentService] = None
-                   ) -> List[SweepRow]:
+                   ) -> ResultSet:
     """Sweep one :class:`~repro.api.axes.SweepAxis` over ``circuits``.
 
-    ``axis`` decides which config field (or layout property) each value
-    drives and how the layout is built per point; ``values`` defaults to the
-    axis's paper values and ``base`` to the headline configuration.  This is
-    the single engine behind the benchmark harnesses and the ``rescq sweep``
-    subcommand.
+    ``axis`` is a :class:`SweepAxis` or its name; it names the config field
+    (or ``compression``) each value drives and the layout seed.  ``values``
+    defaults to the axis's paper values and ``base`` to the headline
+    configuration; ``schedulers`` are scheduler instances or registered
+    names.  Rows are tagged with the axis parameter, so
+    ``results.grid_rows([axis.parameter])`` is the figure's table.
     """
-    from ..api.resultset import ResultSet
     if isinstance(axis, str):
-        from ..api.axes import get_axis
         axis = get_axis(axis)
+    jobs = plan_experiment(
+        circuits, schedulers, base or SimulationConfig(),
+        grid={axis.parameter: tuple(values if values is not None
+                                    else axis.default_values)},
+        seeds=seeds, layout_seed=axis.layout_seed)
     engine = engine if engine is not None else ExperimentService()
-    base = base or SimulationConfig()
-    swept = list(values if values is not None else axis.default_values)
-    # Plan the whole grid up front ...
-    jobs: List[SimJob] = []
-    for circuit in circuits:
-        for value in swept:
-            config = axis.config_for(base, value)
-            compression = (axis.value_type(value)
-                           if axis.parameter == "compression" else 0.0)
-            layout = default_layout(circuit, compression,
-                                    seed=axis.layout_seed)
-            jobs.extend(plan_jobs(schedulers, circuit, config, layout, seeds,
-                                  tags={axis.parameter: value}))
-    # ... execute it in one engine call (order-preserving) and fold the
-    # tagged results back into rows.
-    results = engine.run(jobs)
-    return ResultSet.from_jobs(jobs, results).sweep_rows(axis.parameter)
+    return ResultSet.from_jobs(jobs, engine.run(jobs))

@@ -4,10 +4,10 @@ A :class:`SweepAxis` captures everything one sensitivity sweep varies — which
 :class:`~repro.sim.config.SimulationConfig` field (or layout property) it
 drives, the values the paper evaluates, which schedulers the figure compares,
 and the layout seed grid compression uses.  The four paper axes (Figures 11-14)
-are registered in :data:`AXIS_REGISTRY`; the CLI's ``sweep`` subcommand, the
-legacy ``sweep_*`` shims and grid keys in :class:`~repro.api.spec.ExperimentSpec`
-all resolve through it, so adding a new axis is one registration instead of a
-new function plus CLI dispatch arm.
+are registered in :data:`AXIS_REGISTRY`; the CLI's ``sweep`` subcommand,
+:func:`~repro.analysis.run_axis_sweep` and the grid-value casts of
+:func:`~repro.api.spec.plan_experiment` all resolve through it, so adding a
+new axis is one registration instead of a new function plus CLI dispatch arm.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from ..scheduling import DEFAULT_SCHEDULER_NAMES
-from ..sim.config import SimulationConfig
 from .registry import Registry
 
 __all__ = ["SweepAxis", "AXIS_REGISTRY", "get_axis"]
@@ -37,7 +36,7 @@ class SweepAxis:
         The values the corresponding paper figure sweeps.
     value_type:
         Values are cast through this before entering the config, so JSON
-        numbers round-trip to the exact legacy behaviour (``int(d)`` etc.).
+        numbers (always floats) give the same config as ``int(d)`` etc.
     default_schedulers:
         The schedulers the paper's figure compares on this axis.
     layout_seed:
@@ -54,12 +53,6 @@ class SweepAxis:
     default_schedulers: Tuple[str, ...] = DEFAULT_SCHEDULER_NAMES
     layout_seed: int = 0
     figure: str = ""
-
-    def config_for(self, base: SimulationConfig, value) -> SimulationConfig:
-        """The simulation config at one swept point."""
-        if self.parameter == "compression":
-            return base
-        return base.with_updates(**{self.parameter: self.value_type(value)})
 
     def describe(self) -> str:
         values = ", ".join(str(v) for v in self.default_values)

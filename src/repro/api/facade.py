@@ -1,8 +1,10 @@
-"""run_experiment and friends: the one door every experiment goes through.
+"""run_experiment and friends: running and printing a spec.
 
-``spec -> jobs -> engine -> ResultSet`` is the whole pipeline; the CLI
-subcommands, the benchmark harnesses and user scripts differ only in how they
-build the spec and the engine.
+``spec -> jobs -> engine -> ResultSet`` is the whole pipeline.  The jobs
+come from :func:`~repro.api.spec.plan_experiment`, which the figure drivers
+in :mod:`repro.analysis` also call on their own circuits; the CLI
+subcommands, the benchmark harnesses and user scripts differ only in how
+they build the spec (or circuits) and the engine.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ def run_experiment(spec: ExperimentSpec,
 def render_experiment(spec: ExperimentSpec, results: ResultSet) -> str:
     """Render a result set the way the ``rescq`` CLI prints it.
 
-    Grid-less specs print one comparison table per benchmark — byte-identical
-    to the legacy ``rescq run`` table for the same point.  Specs with one
-    grid axis print the matching sweep table; wider grids print the generic
-    grid table.
+    Grid-less specs print one comparison table per benchmark (the ``rescq
+    run`` table).  Specs with a grid print :meth:`ResultSet.grid_rows`,
+    titled ``"<axis> sweep for <benchmark>"`` for one axis (the ``rescq
+    sweep`` table) and ``"<name>: <benchmark> grid"`` for more.
     """
     from ..analysis.report import format_comparison, format_table
     blocks: List[str] = []
-    parameters = [key for key in spec.grid]
+    parameters = list(spec.grid)
     for benchmark in spec.benchmarks:
         subset = results.filter(benchmark=benchmark)
         if not parameters:
@@ -72,18 +74,15 @@ def render_experiment(spec: ExperimentSpec, results: ResultSet) -> str:
             blocks.append(format_comparison(
                 subset.comparison_rows(),
                 title=f"{benchmark} ({config.describe()})"))
-        elif len(parameters) == 1:
+            continue
+        if len(parameters) == 1:
             from .axes import AXIS_REGISTRY
             # Title by axis name ("error-rate"), not config field
-            # ("physical_error_rate"), matching the sweep subcommand.
+            # ("physical_error_rate").
             kind = next((axis.name for _name, axis in AXIS_REGISTRY.items()
                          if axis.parameter == parameters[0]), parameters[0])
-            axis_rows = subset.sweep_rows(parameters[0])
-            blocks.append(format_table(
-                [row.as_dict() for row in axis_rows],
-                title=f"{kind} sweep for {benchmark}"))
+            title = f"{kind} sweep for {benchmark}"
         else:
-            blocks.append(format_table(
-                subset.grid_rows(parameters),
-                title=f"{spec.name}: {benchmark} grid"))
+            title = f"{spec.name}: {benchmark} grid"
+        blocks.append(format_table(subset.grid_rows(parameters), title=title))
     return "\n".join(blocks)

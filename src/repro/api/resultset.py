@@ -6,8 +6,8 @@ A :class:`ResultSet` wraps the flat list of
 carrying its experiment coordinates (benchmark, scheduler, seed, and any
 grid-point parameters the planner tagged the job with).  It is the one
 aggregation path in the reproduction: the Figure 10 drivers call
-:meth:`ResultSet.comparison_rows` and the sweep folds
-:meth:`ResultSet.sweep_rows`, so every caller slices, groups and averages
+:meth:`ResultSet.comparison_rows` and every sweep table is
+:meth:`ResultSet.grid_rows`, so every caller slices, groups and averages
 results the same way.
 
 Typical use::
@@ -239,37 +239,16 @@ class ResultSet:
             )
         return cells
 
-    def sweep_rows(self, parameter: str) -> List["SweepRow"]:
-        """Fold a one-axis sweep into the Figure 11-14 ``SweepRow`` list.
-
-        Points appear in first-appearance (benchmark, value) order with
-        schedulers sorted by name within each point — the exact row order of
-        the legacy ``sweep_*`` functions.
-        """
-        from ..analysis.sweep import SweepRow
-        rows: List[SweepRow] = []
-        for (benchmark, value), point in self.group_by("benchmark",
-                                                       parameter).items():
-            for name, cell in point.comparison_rows().items():
-                rows.append(SweepRow(
-                    benchmark=benchmark,
-                    scheduler=name,
-                    parameter=parameter,
-                    value=value,
-                    mean_cycles=cell.mean_cycles,
-                    min_cycles=cell.min_cycles,
-                    max_cycles=cell.max_cycles,
-                    idle_fraction=cell.mean_idle_fraction,
-                ))
-        return rows
-
     def grid_rows(self, parameters: Optional[Sequence[str]] = None
                   ) -> List[Dict[str, object]]:
         """Aggregated table rows over an arbitrary parameter grid.
 
-        One dict per (benchmark, grid point, scheduler) with the same
-        rounding conventions as ``SweepRow.as_dict`` — the multi-axis
-        generalisation the ``exp`` subcommand prints.
+        One dict per (benchmark, grid point, scheduler), points in
+        first-appearance order and schedulers sorted by name within each:
+        the table of Figures 11-14, ``rescq sweep`` and ``rescq exp``.
+        ``mean_cycles`` is rounded to 2 decimals and ``idle_fraction`` to 4,
+        so compare unrounded means through :meth:`comparison_rows` or
+        :meth:`aggregate`.
         """
         parameters = list(parameters if parameters is not None
                           else self.parameters())

@@ -20,6 +20,11 @@ expands to the cartesian product benchmarks x grid points x schedulers x
 seeds as a flat :class:`~repro.exec.jobs.SimJob` plan, each job tagged with
 its grid-point values so the resulting
 :class:`~repro.api.resultset.ResultSet` can group and pivot on them.
+
+:func:`plan_experiment` is the one planner behind that expansion: the
+figure drivers in :mod:`repro.analysis` call it with their own
+:class:`~repro.circuits.Circuit` objects, so a spec and a driver that name
+the same experiment plan the same jobs.
 """
 
 from __future__ import annotations
@@ -28,13 +33,20 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..canonical import canonical_dumps
 from ..scheduling import DEFAULT_SCHEDULER_NAMES
 from ..sim.config import SimulationConfig
 
-__all__ = ["ExperimentSpec", "SpecValidationError"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..circuits import Circuit
+    from ..exec.jobs import SimJob
+    from ..scheduling.base import Scheduler
+
+__all__ = ["ExperimentSpec", "SpecValidationError", "grid_points",
+           "plan_experiment"]
 
 
 class SpecValidationError(ValueError):
@@ -47,8 +59,63 @@ _CONFIG_FIELDS = tuple(
     f.name for f in dataclasses.fields(SimulationConfig)
     if f.name not in ("baseline_injection_strategy", "costs"))
 
-#: Grid keys that drive the layout instead of the config.
-_LAYOUT_KEYS = ("compression",)
+
+def grid_points(grid: Mapping[str, Sequence]) -> List[Dict[str, object]]:
+    """Cartesian product of the grid axes (one dict per point).
+
+    Axes expand in insertion order, later axes fastest.  An empty grid
+    yields one empty point.
+    """
+    keys = list(grid)
+    return [dict(zip(keys, values))
+            for values in itertools.product(*(grid[key] for key in keys))]
+
+
+def plan_experiment(circuits: Sequence["Circuit"],
+                    schedulers: Sequence[Union[str, "Scheduler"]],
+                    config: SimulationConfig,
+                    grid: Optional[Mapping[str, Sequence]] = None,
+                    seeds: Union[int, Sequence[int]] = 3,
+                    layout: str = "star",
+                    compression: float = 0.0,
+                    layout_seed: int = 0) -> List["SimJob"]:
+    """Plan circuits x grid points x schedulers x seeds as one job list.
+
+    ``schedulers`` are registered names or scheduler instances; ``config``
+    is the base every grid point overrides.  A grid key is a
+    :class:`SimulationConfig` field or ``"compression"``; a grid
+    compression replaces the ``compression`` argument for that point's
+    ``layout``.  Values of a field that backs a registered sweep axis are
+    cast through the axis's value type, so JSON numbers (always floats)
+    land on the same configs, and hence cache fingerprints, as
+    integer-typed values.  Jobs come out circuit-major, then grid point,
+    then scheduler, then seed, each tagged with its grid point.
+    """
+    from ..exec.jobs import plan_jobs
+    from .axes import AXIS_REGISTRY
+    from .registries import LAYOUTS, SCHEDULERS
+    instances = [SCHEDULERS.create(scheduler)
+                 if isinstance(scheduler, str) else scheduler
+                 for scheduler in schedulers]
+    casts = {axis.parameter: axis.value_type
+             for _name, axis in AXIS_REGISTRY.items()}
+    points = []
+    for point in grid_points(grid or {}):
+        overrides = {key: casts[key](value) if key in casts else value
+                     for key, value in point.items() if key != "compression"}
+        points.append((point,
+                       config.with_updates(**overrides) if overrides
+                       else config,
+                       float(point.get("compression", compression))))
+    jobs: List["SimJob"] = []
+    for circuit in circuits:
+        for point, point_config, point_compression in points:
+            point_layout = LAYOUTS.create(layout, circuit,
+                                          compression=point_compression,
+                                          seed=layout_seed)
+            jobs.extend(plan_jobs(instances, circuit, point_config,
+                                  point_layout, seeds, tags=point))
+    return jobs
 
 
 def _canonical_benchmark(name: str) -> str:
@@ -188,12 +255,17 @@ class ExperimentSpec:
                     raise SpecValidationError(
                         f"unknown {kind} {name!r}; known {kind}s: "
                         f"{registry.names()}")
+        if "compression" in self.config:
+            raise SpecValidationError(
+                "compression is a layout parameter, not a config field; "
+                "set the top-level 'compression' field, or sweep it in "
+                "'grid'")
         for key in list(self.config) + list(self.grid):
-            if key not in _CONFIG_FIELDS and key not in _LAYOUT_KEYS:
+            if key not in _CONFIG_FIELDS and key != "compression":
                 raise SpecValidationError(
                     f"unknown parameter {key!r}; config/grid keys must be "
-                    f"SimulationConfig fields {sorted(_CONFIG_FIELDS)} or "
-                    f"layout keys {sorted(_LAYOUT_KEYS)}")
+                    f"SimulationConfig fields {sorted(_CONFIG_FIELDS)}, "
+                    f"or 'compression' in grid")
         for key, values in self.grid.items():
             if not values:
                 raise SpecValidationError(
@@ -227,12 +299,6 @@ class ExperimentSpec:
                 self.layout_seed, int):
             raise SpecValidationError(
                 f"layout_seed must be an integer, got {self.layout_seed!r}")
-        config_compression = self.config.get("compression")
-        if config_compression is not None and (
-                isinstance(config_compression, bool)
-                or not isinstance(config_compression, (int, float))):
-            raise SpecValidationError(
-                f"compression must be a number, got {config_compression!r}")
         try:
             self.base_config()
         except (TypeError, ValueError) as exc:
@@ -303,48 +369,7 @@ class ExperimentSpec:
 
     def base_config(self) -> SimulationConfig:
         """The :class:`SimulationConfig` before grid overrides."""
-        overrides = {key: value for key, value in self.config.items()
-                     if key not in _LAYOUT_KEYS}
-        return SimulationConfig(**overrides)
-
-    def grid_points(self) -> List[Dict[str, object]]:
-        """Cartesian product of the grid axes (one dict per point).
-
-        Axes expand in insertion order, later axes fastest — the nesting
-        order of the legacy nested-loop sweeps.  A grid-less spec yields one
-        empty point.
-        """
-        if not self.grid:
-            return [{}]
-        keys = list(self.grid)
-        return [dict(zip(keys, values))
-                for values in itertools.product(*(self.grid[key]
-                                                  for key in keys))]
-
-    def config_for(self, point: Mapping[str, object]) -> SimulationConfig:
-        """The simulation config at one grid point.
-
-        Values of parameters that back a registered sweep axis are cast
-        through the axis's value type, so JSON numbers (always floats) land
-        on the exact configs — and hence cache fingerprints — the legacy
-        integer-typed sweeps produce.
-        """
-        from .axes import AXIS_REGISTRY
-        casts = {axis.parameter: axis.value_type
-                 for _name, axis in AXIS_REGISTRY.items()}
-        base = self.base_config()
-        overrides = {}
-        for key, value in point.items():
-            if key in _LAYOUT_KEYS:
-                continue
-            cast = casts.get(key)
-            overrides[key] = cast(value) if cast is not None else value
-        return base.with_updates(**overrides) if overrides else base
-
-    def compression_for(self, point: Mapping[str, object]) -> float:
-        value = point.get("compression",
-                          self.config.get("compression", self.compression))
-        return float(value)
+        return SimulationConfig(**self.config)
 
     def job_count(self) -> int:
         """Number of jobs :meth:`expand` will plan (without planning them)."""
@@ -363,23 +388,13 @@ class ExperimentSpec:
         slices back positionally.  Each job is tagged with its grid-point
         values.
         """
-        from ..exec.jobs import plan_jobs
         from ..workloads.registry import resolve_benchmark
-        from .registries import LAYOUTS, SCHEDULERS
         self.validate()
-        schedulers = [SCHEDULERS.create(name) for name in self.schedulers]
-        jobs: List["SimJob"] = []
-        for benchmark in self.benchmarks:
-            circuit = resolve_benchmark(benchmark).build()
-            for point in self.grid_points():
-                config = self.config_for(point)
-                layout = LAYOUTS.create(
-                    self.layout, circuit,
-                    compression=self.compression_for(point),
-                    seed=self.layout_seed)
-                jobs.extend(plan_jobs(schedulers, circuit, config, layout,
-                                      self.seeds, tags=point))
-        return jobs
+        return plan_experiment(
+            [resolve_benchmark(name).build() for name in self.benchmarks],
+            self.schedulers, self.base_config(), self.grid, self.seeds,
+            layout=self.layout, compression=self.compression,
+            layout_seed=self.layout_seed)
 
     def describe(self) -> str:
         grid = (" x ".join(f"{key}[{len(values)}]"

@@ -387,9 +387,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     )
     with _engine_from_args(args) as engine:
         results = _run_spec(spec, engine)
-    rows = results.sweep_rows(axis.parameter)
-    print(format_table([row.as_dict() for row in rows],
-                       title=f"{args.kind} sweep for {args.benchmark}"))
+    print(render_experiment(spec, results))
     print(_exec_line(engine))
     return 0
 

@@ -57,42 +57,51 @@ class TestSweeps:
         return [AutoBraidScheduler(), RescqScheduler()]
 
     def test_distance_sweep_rows(self):
-        rows = run_axis_sweep("distance", self.schedulers(), self.circuits(),
-                              values=(5, 7), seeds=1)
+        results = run_axis_sweep("distance", self.schedulers(),
+                                 self.circuits(), values=(5, 7), seeds=1)
+        assert results.parameters() == ["distance"]
+        rows = results.grid_rows()
         assert len(rows) == 4
-        assert {row.parameter for row in rows} == {"distance"}
-        assert all(row.mean_cycles > 0 for row in rows)
+        assert all("distance" in row for row in rows)
+        assert all(row["mean_cycles"] > 0 for row in rows)
 
     def test_error_rate_sweep_rows(self):
-        rows = run_axis_sweep("error-rate", self.schedulers(),
-                              self.circuits(), values=(1e-3, 1e-4), seeds=1)
+        results = run_axis_sweep("error-rate", self.schedulers(),
+                                 self.circuits(), values=(1e-3, 1e-4),
+                                 seeds=1)
+        rows = results.grid_rows()
         assert len(rows) == 4
-        assert {row.value for row in rows} == {1e-3, 1e-4}
+        assert {row["physical_error_rate"] for row in rows} == {1e-3, 1e-4}
 
     def test_mst_period_sweep_rows(self):
-        rows = run_axis_sweep("mst-period", [RescqScheduler()],
-                              self.circuits(), values=(25, 100), seeds=1)
+        results = run_axis_sweep("mst-period", [RescqScheduler()],
+                                 self.circuits(), values=(25, 100), seeds=1)
+        rows = results.grid_rows()
         assert len(rows) == 2
-        assert all(row.scheduler == "rescq" for row in rows)
+        assert all(row["scheduler"] == "rescq" for row in rows)
 
     def test_compression_sweep_rescq_still_wins_when_constrained(self):
         """Figure 14 / contribution 3: even in the most constrained grids
         RESCQ keeps a clear advantage over the static baseline."""
         circuit = dnn_circuit(8, layers=2)
-        rows = run_axis_sweep("compression", self.schedulers(), [circuit],
-                              values=(0.0, 1.0), seeds=2)
-        by_key = {(row.scheduler, row.value): row.mean_cycles for row in rows}
+        results = run_axis_sweep("compression", self.schedulers(), [circuit],
+                                 values=(0.0, 1.0), seeds=2)
+        by_key = {(row["scheduler"], row["compression"]): row["mean_cycles"]
+                  for row in results.aggregate("scheduler", "compression")}
         assert by_key[("rescq", 0.0)] < by_key[("autobraid", 0.0)]
         assert (by_key[("autobraid", 1.0)] / by_key[("rescq", 1.0)]) > 1.2
         # Compression costs both schedulers cycles (reduced ancilla budget).
         assert by_key[("rescq", 1.0)] >= by_key[("rescq", 0.0)]
 
     def test_sweep_row_as_dict(self):
-        rows = run_axis_sweep("distance", [RescqScheduler()], self.circuits(),
-                              values=(7,), seeds=1)
-        payload = rows[0].as_dict()
+        results = run_axis_sweep("distance", ["rescq"], self.circuits(),
+                                 values=(7,), seeds=1)
+        payload = results.grid_rows()[0]
         assert payload["benchmark"] == "qft_n5"
-        assert "distance" in payload
+        assert list(payload) == ["benchmark", "scheduler", "distance",
+                                 "mean_cycles", "min_cycles", "max_cycles",
+                                 "idle_fraction"]
+        assert payload["distance"] == 7
 
 
 class TestExperiments:

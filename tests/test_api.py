@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import run_axis_sweep
+from repro.analysis import (latency_histograms, run_axis_sweep,
+                            run_execution_comparison)
+from repro.analysis.report import format_table
 from repro.api import (
     BENCHMARKS,
     LAYOUTS,
@@ -20,13 +22,16 @@ from repro.api import (
     SpecValidationError,
     UnknownEntryError,
     build_engine,
+    render_experiment,
     run_experiment,
 )
 from repro.api.axes import get_axis
+from repro.api.spec import grid_points
 from repro.service import ExperimentService, ServiceExecutor
 from repro.scheduling import RescqScheduler
 from repro.sim import SimulationConfig
 from repro.workloads import BenchmarkSpec, register_benchmark
+from repro.workloads.registry import resolve_benchmark
 from repro.workloads.qft import qft_circuit
 
 
@@ -184,6 +189,9 @@ class TestExperimentSpec:
         (dict(layout_seed="x"), "layout_seed"),
         (dict(config={"distance": 4}), "SimulationConfig"),
         (dict(config={"max_cycles": 0}), "max_cycles"),
+        # compression has two spellings: the top-level field and grid
+        (dict(config={"compression": 0.5}),
+         "set the top-level 'compression' field, or sweep it in 'grid'"),
     ])
     def test_validation_errors_are_actionable(self, overrides, needle):
         with pytest.raises(SpecValidationError) as excinfo:
@@ -196,7 +204,7 @@ class TestExperimentSpec:
 
     def test_grid_points_product_order(self):
         spec = small_spec(grid={"distance": (5, 7), "mst_period": (25, 50)})
-        points = spec.grid_points()
+        points = grid_points(spec.grid)
         assert points == [
             {"distance": 5, "mst_period": 25},
             {"distance": 5, "mst_period": 50},
@@ -204,10 +212,24 @@ class TestExperimentSpec:
             {"distance": 7, "mst_period": 50},
         ]
 
-    def test_config_for_casts_axis_values(self):
+    def test_expand_casts_axis_values(self):
         spec = small_spec(grid={"distance": (5.0,)})
-        config = spec.config_for({"distance": 5.0})
-        assert config.distance == 5 and isinstance(config.distance, int)
+        job = spec.expand()[0]
+        assert job.config.distance == 5 and isinstance(job.config.distance,
+                                                       int)
+        assert job.tags == {"distance": 5.0}
+        as_int = small_spec(grid={"distance": (5,)}).expand()[0]
+        assert job.fingerprint() == as_int.fingerprint()
+
+    def test_grid_compression_overrides_top_level(self):
+        spec = small_spec(grid={"compression": (0.0, 1.0)}, compression=0.5,
+                          layout_seed=13, schedulers=("rescq",))
+        jobs = spec.expand()
+        fixed = small_spec(compression=1.0, layout_seed=13,
+                           schedulers=("rescq",)).expand()
+        assert jobs[1].fingerprint() == fixed[0].fingerprint()
+        assert (jobs[0].layout.ancilla_per_data
+                > jobs[1].layout.ancilla_per_data)
 
     def test_expand_tags_and_count(self):
         spec = small_spec(grid={"mst_period": (25, 50)}, seeds=2)
@@ -319,16 +341,29 @@ class TestResultSet:
 
     def test_sweep_rows_order_and_values(self, sweep_results):
         _spec, results = sweep_results
-        rows = results.sweep_rows("mst_period")
-        assert [(row.value, row.scheduler) for row in rows] == [
+        rows = results.grid_rows(["mst_period"])
+        assert [(row["mst_period"], row["scheduler"]) for row in rows] == [
             (25, "autobraid"), (25, "rescq"), (50, "autobraid"), (50, "rescq")]
-        assert all(row.parameter == "mst_period" for row in rows)
+        assert all(list(row) == ["benchmark", "scheduler", "mst_period",
+                                 "mean_cycles", "min_cycles", "max_cycles",
+                                 "idle_fraction"] for row in rows)
 
-    def test_grid_rows_round_like_sweep_rows(self, sweep_results):
+    def test_grid_rows_round_comparison_means(self, sweep_results):
         _spec, results = sweep_results
         grid = results.grid_rows(["mst_period"])
-        sweep = [row.as_dict() for row in results.sweep_rows("mst_period")]
-        assert grid == sweep
+        expected = []
+        for (benchmark, period), point in results.group_by(
+                "benchmark", "mst_period").items():
+            for name, cell in point.comparison_rows().items():
+                expected.append({
+                    "benchmark": benchmark, "scheduler": name,
+                    "mst_period": period,
+                    "mean_cycles": round(cell.mean_cycles, 2),
+                    "min_cycles": cell.min_cycles,
+                    "max_cycles": cell.max_cycles,
+                    "idle_fraction": round(cell.mean_idle_fraction, 4)})
+        assert grid == expected
+        assert grid == results.grid_rows()  # parameters default to the tags
 
     def test_to_csv_and_json(self, sweep_results):
         _spec, results = sweep_results
@@ -396,9 +431,9 @@ class TestNoDeprecationNoise:
     def test_run_axis_sweep_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            rows = run_axis_sweep("mst-period", [RescqScheduler()],
-                                  [qft_circuit(6)], values=(25,), seeds=1)
-        assert len(rows) == 1
+            results = run_axis_sweep("mst-period", [RescqScheduler()],
+                                     [qft_circuit(6)], values=(25,), seeds=1)
+        assert len(results) == 1
 
     def test_run_experiment_does_not_warn(self):
         spec = ExperimentSpec(benchmarks=("VQE_n13",), schedulers=("rescq",),
@@ -407,3 +442,69 @@ class TestNoDeprecationNoise:
             warnings.simplefilter("error", DeprecationWarning)
             results = run_experiment(spec)
         assert len(results.rows) == 1
+
+
+# ---------------------------------------------------------------------------
+# One planner: the analysis drivers plan the jobs the equivalent spec plans
+# ---------------------------------------------------------------------------
+
+SMALL = "scenario:clifford_t:n=4,depth=3"
+
+
+class CapturingEngine(ExperimentService):
+    """An inline engine that also records every plan it is asked to run."""
+
+    def __init__(self):
+        super().__init__()
+        self.jobs = []
+
+    def run(self, jobs):
+        self.jobs.extend(jobs)
+        return super().run(jobs)
+
+
+def plan_signature(jobs):
+    return [(job.fingerprint(), job.tags) for job in jobs]
+
+
+def spec_circuits(spec):
+    """The circuits a spec names, built the way a driver's caller would."""
+    return [resolve_benchmark(name).build() for name in spec.benchmarks]
+
+
+class TestOnePlanner:
+    @pytest.mark.parametrize("axis_name", SWEEP_AXES.names())
+    def test_axis_sweep_plans_the_spec_jobs(self, axis_name):
+        axis = SWEEP_AXES.get(axis_name)
+        spec = ExperimentSpec(benchmarks=(SMALL,),
+                              schedulers=axis.default_schedulers,
+                              grid={axis.parameter: axis.default_values},
+                              seeds=2, layout_seed=axis.layout_seed)
+        engine = CapturingEngine()
+        results = run_axis_sweep(axis_name, axis.default_schedulers,
+                                 spec_circuits(spec), seeds=2, engine=engine)
+        assert len(engine.jobs) == spec.job_count()
+        assert plan_signature(engine.jobs) == plan_signature(spec.expand())
+        assert results.summary_rows() == run_experiment(spec).summary_rows()
+
+    @pytest.mark.parametrize("driver", [run_execution_comparison,
+                                        latency_histograms])
+    def test_figure_drivers_plan_the_spec_jobs(self, driver):
+        spec = ExperimentSpec(
+            benchmarks=(SMALL, "scenario:clifford_t:n=5,depth=3"),
+            config={"distance": 9}, seeds=2)
+        engine = CapturingEngine()
+        driver(spec_circuits(spec), config=SimulationConfig(distance=9),
+               seeds=2, engine=engine)
+        assert plan_signature(engine.jobs) == plan_signature(spec.expand())
+
+    def test_single_axis_spec_renders_the_sweep_table(self):
+        spec = ExperimentSpec(benchmarks=(SMALL,), schedulers=("rescq",),
+                              grid={"physical_error_rate": (1e-3, 1e-4)},
+                              seeds=1)
+        results = run_experiment(spec)
+        text = render_experiment(spec, results)
+        title = f"error-rate sweep for {spec.benchmarks[0]}"
+        assert text.splitlines()[0] == title
+        assert text == format_table(
+            results.grid_rows(["physical_error_rate"]), title=title)

@@ -225,16 +225,22 @@ class TestMidStreamRecovery:
     def test_accept_then_close_fails_over_before_streaming(self):
         # A shard that accepts the connection and hangs up before
         # answering is a pre-head failure: re-routed, never client-visible.
-        plan = FaultPlan([Fault("close")])
+        # HRW placement hashes the proxies' ephemeral URLs, so either shard
+        # may get all 8 positions: both shards close their first connection.
+        plans = {0: FaultPlan([Fault("close")]),
+                 1: FaultPlan([Fault("close")])}
         with ClusterHarness(shards=2, max_workers=2,
                             router_options=fast_router_options()) \
-                .with_faults(plan) as cluster:
+                .with_faults(plans) as cluster:
             status, _headers, body = cluster.request(
                 "POST", "/experiments", spec_payload(seeds=8, depth=4))
             assert status == 200
             rows, summary = split_ndjson(body)
             assert len(rows) == 8
             assert "errors" not in summary
+            closed = [proxy.applied[0] for proxy in cluster.proxies.values()
+                      if proxy.applied]
+            assert closed and all(fault.kind == "close" for fault in closed)
             status, _headers, data = cluster.request("GET", "/stats")
             assert json.loads(data)["router"]["retried"] > 0
 

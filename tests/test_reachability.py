@@ -28,8 +28,6 @@ PRODUCT_DIRS = ("src", "benchmarks", "perfbench", "examples")
 
 #: Qualified name (``module:Class.method``) -> why it stays unreached.
 ALLOWLIST: Dict[str, str] = {
-    "repro.api.resultset:ResultSet.aggregate":
-        "public API: README's library example groups rows with it",
     "repro.workloads.scenarios:scenario_sweep_names":
         "public API: README's scenario-sweep section documents it",
     "repro.lattice.routing:enumerate_cnot_plans":

@@ -13,7 +13,7 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 #: Targets whose methods the program no longer has; CI's kernel-bench
-#: "Trace targets resolve" step allows exactly these five.
+#: "Trace targets resolve" step imports this set and allows exactly these.
 KNOWN_STALE = {
     "repro.scheduling.rescq:RescqPolicy.handle_event_batch",
     "repro.rus.injection:InjectionModel.sample_outcomes_batch",
