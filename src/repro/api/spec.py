@@ -54,10 +54,10 @@ class SpecValidationError(ValueError):
 
 
 #: SimulationConfig fields a spec may set in ``config`` or sweep in ``grid``
-#: (the enum/cost-table fields are excluded: they are not plain JSON values).
+#: (the cost table is excluded: it is not a plain JSON value).
 _CONFIG_FIELDS = tuple(
     f.name for f in dataclasses.fields(SimulationConfig)
-    if f.name not in ("baseline_injection_strategy", "costs"))
+    if f.name != "costs")
 
 
 def grid_points(grid: Mapping[str, Sequence]) -> List[Dict[str, object]]:

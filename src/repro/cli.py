@@ -491,10 +491,32 @@ def _command_prep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
+def _run_until_signalled(start, stop) -> None:
+    """Run ``await start()``, wait for SIGINT/SIGTERM, run ``await stop()``.
+
+    The one event loop of ``rescq serve`` and ``rescq route``: ``start``
+    binds and prints the readiness line, ``stop`` drains and prints the
+    stopped line.
+    """
     import asyncio
     import signal
 
+    async def main() -> None:
+        loop = asyncio.get_event_loop()
+        stopping = asyncio.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(signum, stopping.set)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass
+        await start()
+        await stopping.wait()
+        await stop()
+
+    asyncio.run(main())
+
+
+def _command_serve(args: argparse.Namespace) -> int:
     from .exec.cache import open_cache_backend
     from .service import ExperimentServer, ExperimentService, ServiceExecutor
 
@@ -517,14 +539,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"serve: {exc}")
     server = ExperimentServer(service, host=args.host, port=args.port)
 
-    async def _serve() -> None:
-        loop = asyncio.get_event_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
+    async def start() -> None:
         await server.start()
         print(f"[serve] listening on http://{server.host}:{server.port} "
               f"({executor.describe()}, cache={args.cache or 'off'}, "
@@ -534,19 +549,17 @@ def _command_serve(args: argparse.Namespace) -> int:
         # with a bare `sed 's/.*port=//'`.
         print(f"RESCQ_READY role=serve host={server.host} "
               f"port={server.port}", flush=True)
-        await stop.wait()
+
+    async def stop() -> None:
         print("[serve] draining...", flush=True)
         await server.stop(drain=True)
         print(f"[serve] stopped; {service.describe()}", flush=True)
 
-    asyncio.run(_serve())
+    _run_until_signalled(start, stop)
     return 0
 
 
 def _command_route(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
     from .cluster import ShardRouter
 
     import random as random_module
@@ -565,14 +578,7 @@ def _command_route(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"route: {exc}")
 
-    async def _route() -> None:
-        loop = asyncio.get_event_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
+    async def start() -> None:
         await router.start()
         await router.probe_once()  # so the readiness line reports live counts
         print(f"[route] routing over {len(router.shards)} shard(s): "
@@ -583,7 +589,8 @@ def _command_route(args: argparse.Namespace) -> int:
               f"shards={router.membership.live_count}/"
               f"{len(router.membership)} "
               f"port={router.port}", flush=True)
-        await stop.wait()
+
+    async def stop() -> None:
         print("[route] draining...", flush=True)
         await router.stop()
         stats = router.stats
@@ -592,40 +599,32 @@ def _command_route(args: argparse.Namespace) -> int:
               f"recovered={stats.recovered} gave_up={stats.gave_up} "
               f"rejected={stats.rejected} failed={stats.failed}", flush=True)
 
-    asyncio.run(_route())
+    _run_until_signalled(start, stop)
     return 0
 
 
 def _command_cluster(args: argparse.Namespace) -> int:
-    import http.client
+    import asyncio
     import json as json_module
-    from urllib.parse import urlsplit
 
     from .cluster.membership import membership_rows
+    from .service.httpcore import blocking_request, parse_http_url
 
-    split = urlsplit(args.url)
-    if split.scheme != "http" or not split.hostname:
-        raise SystemExit(f"cluster: router URL must look like "
-                         f"http://host:port, got {args.url!r}")
-    port = split.port if split.port is not None else 80
-    path = split.path.rstrip("/") + "/shards"
-    connection = http.client.HTTPConnection(split.hostname, port,
-                                            timeout=args.timeout)
     try:
-        connection.request("GET", path)
-        response = connection.getresponse()
-        data = response.read()
-        if response.status != 200:
-            raise SystemExit(f"cluster: {args.url} answered HTTP "
-                             f"{response.status}: "
-                             f"{data[:200].decode('utf-8', 'replace')}")
-    except OSError as exc:
+        host, port, base = parse_http_url(args.url)
+    except ValueError as exc:
+        raise SystemExit(f"cluster: {exc}")
+    try:
+        status, _headers, data = blocking_request(
+            host, port, "GET", f"{base}/shards", timeout=args.timeout)
+    except (OSError, asyncio.TimeoutError) as exc:
         raise SystemExit(f"cluster: cannot reach {args.url}: {exc}")
-    finally:
-        connection.close()
+    if status != 200:
+        raise SystemExit(f"cluster: {args.url} answered HTTP {status}: "
+                         f"{data[:200].decode('utf-8', 'replace')}")
     try:
         snapshot = json_module.loads(data.decode("utf-8"))["membership"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"cluster: malformed /shards payload from "
                          f"{args.url}: {exc}")
     counts = snapshot.get("counts", {})

@@ -48,6 +48,8 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..service.httpcore import close, listen, spawn
+
 __all__ = ["Fault", "FaultPlan", "ChaosProxy"]
 
 FAULT_KINDS = ("refuse", "close", "truncate", "stall", "rewrite", "reset")
@@ -202,21 +204,11 @@ class ChaosProxy:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.host, port=self.port)
-        for sock in self._server.sockets or ():
-            self.port = sock.getsockname()[1]
-            break
+        self._server, self.port = await listen(self._on_connection,
+                                               self.host, self.port)
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._handlers):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers),
-                                 return_exceptions=True)
+        await close(self._server, self._handlers, cancel=True)
 
     # -- connection handling ---------------------------------------------------
 
@@ -224,9 +216,7 @@ class ChaosProxy:
                        writer: asyncio.StreamWriter) -> None:
         fault = self.plan.next()
         self.applied.append(fault)
-        task = asyncio.ensure_future(self._handle(reader, writer, fault))
-        self._handlers.add(task)
-        task.add_done_callback(self._handlers.discard)
+        spawn(self._handlers, self._handle(reader, writer, fault))
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter,

@@ -7,14 +7,14 @@ the package: a real :class:`~repro.cluster.router.ShardRouter` in front of
 real :class:`~repro.service.server.ExperimentServer` shards, all on
 loopback ephemeral ports inside one background event-loop thread.  This is
 the same wire path as a production deployment; only the process boundaries
-are collapsed.
+are collapsed.  Its clients (:meth:`ClusterHarness.request` and
+:meth:`~ClusterHarness.shard_request`) are httpcore's one blocking client,
+the one ``rescq cluster status`` uses too.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
-import json
 import tempfile
 import threading
 from typing import (Awaitable, Callable, Dict, List, Mapping, Optional,
@@ -22,12 +22,18 @@ from typing import (Awaitable, Callable, Dict, List, Mapping, Optional,
 
 from ..exec.cache import DirectoryCache
 from ..service.executor import ServiceExecutor
+from ..service.httpcore import blocking_request
 from ..service.server import ExperimentServer
 from ..service.service import ExperimentService
 from .chaos import ChaosProxy, FaultPlan
 from .router import ShardRouter
 
 __all__ = ["ClusterHarness"]
+
+#: Seconds between the shard executors' result-queue polls.
+POLL_INTERVAL = 0.01
+#: Seconds the cluster may take to start (spawning workers) or to stop.
+START_TIMEOUT = 120.0
 
 
 class ClusterHarness:
@@ -52,8 +58,6 @@ class ClusterHarness:
                      Callable[[int], Optional[DirectoryCache]]] = None,
                  max_pending: Optional[int] = None,
                  retry_after: float = 1.0,
-                 poll_interval: float = 0.01,
-                 start_timeout: float = 120.0,
                  router_options: Optional[Mapping[str, object]] = None,
                  ) -> None:
         if shards < 1:
@@ -63,8 +67,6 @@ class ClusterHarness:
         self.max_workers = max_workers
         self.max_pending = max_pending
         self.retry_after = retry_after
-        self.poll_interval = poll_interval
-        self.start_timeout = start_timeout
         #: Extra keyword arguments for the :class:`ShardRouter` (e.g.
         #: ``max_attempts``, ``dead_after``, ``rng`` — anything its
         #: constructor takes beyond the shard list and port).
@@ -120,7 +122,7 @@ class ClusterHarness:
         for index in range(self.num_shards):
             service = ExperimentService(
                 executor=ServiceExecutor(max_workers=self.max_workers,
-                                         poll_interval=self.poll_interval),
+                                         poll_interval=POLL_INTERVAL),
                 cache=self._build_cache(index),
                 max_pending=self.max_pending,
                 retry_after=self.retry_after)
@@ -167,7 +169,7 @@ class ClusterHarness:
 
         self._thread = threading.Thread(target=runner, daemon=True)
         self._thread.start()
-        if not self._started.wait(timeout=self.start_timeout):
+        if not self._started.wait(timeout=START_TIMEOUT):
             raise RuntimeError("cluster failed to start in time")
         if self._failure is not None:
             raise RuntimeError(
@@ -180,7 +182,7 @@ class ClusterHarness:
             return
         if "loop" in self._box:
             self._box["loop"].call_soon_threadsafe(self._box["stop"].set)
-        self._thread.join(timeout=self.start_timeout)
+        self._thread.join(timeout=START_TIMEOUT)
         alive = self._thread.is_alive()
         self._thread = None
         if self._tempdir is not None:
@@ -253,24 +255,6 @@ class ClusterHarness:
 
     # -- client helpers --------------------------------------------------------
 
-    @staticmethod
-    def _request(port: int, method: str, path: str, payload=None,
-                 raw: Optional[bytes] = None, timeout: float = 300.0,
-                 ) -> Tuple[int, dict, bytes]:
-        body = raw if raw is not None else (
-            json.dumps(payload).encode("utf-8")
-            if payload is not None else None)
-        connection = http.client.HTTPConnection("127.0.0.1", port,
-                                                timeout=timeout)
-        try:
-            connection.request(method, path, body=body)
-            response = connection.getresponse()
-            headers = {name.lower(): value
-                       for name, value in response.getheaders()}
-            return response.status, headers, response.read()
-        finally:
-            connection.close()
-
     def request(self, method: str, path: str, payload=None,
                 raw: Optional[bytes] = None, timeout: float = 300.0,
                 ) -> Tuple[int, dict, bytes]:
@@ -280,12 +264,13 @@ class ClusterHarness:
         """
         port = (self.router_port if self.router is not None
                 else self.shard_ports[0])
-        return self._request(port, method, path, payload=payload, raw=raw,
-                             timeout=timeout)
+        return blocking_request("127.0.0.1", port, method, path,
+                                payload=payload, raw=raw, timeout=timeout)
 
     def shard_request(self, index: int, method: str, path: str, payload=None,
                       raw: Optional[bytes] = None, timeout: float = 300.0,
                       ) -> Tuple[int, dict, bytes]:
         """One HTTP exchange with shard ``index`` directly."""
-        return self._request(self.shard_ports[index], method, path,
-                             payload=payload, raw=raw, timeout=timeout)
+        return blocking_request("127.0.0.1", self.shard_ports[index], method,
+                                path, payload=payload, raw=raw,
+                                timeout=timeout)

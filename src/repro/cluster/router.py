@@ -57,16 +57,17 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
+from ..api.envelope import SubmissionEnvelope, SubmissionReport
 from ..canonical import canonical_dumps
-from ..service.httpcore import (HttpError, connection_handler, http_request,
-                                iter_ndjson, open_http_stream, send_head,
-                                send_json, send_line)
+from ..service.httpcore import (HttpError, close, connection_handler,
+                                http_request, iter_ndjson, listen,
+                                open_http_stream, read_submission,
+                                retry_after_header, send_head, send_json,
+                                send_line, spawn)
 from .hashring import rank_nodes
 from .membership import DRAINING, ShardSet
 
@@ -134,7 +135,7 @@ class ShardRouter:
         self.stats = RouterStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: set = set()
-        self._probe_task: Optional[asyncio.Task] = None
+        self._probe_loops: set = set()
 
     @property
     def shards(self) -> Tuple[str, ...]:
@@ -145,30 +146,16 @@ class ShardRouter:
 
     async def start(self) -> None:
         """Bind and start accepting connections; updates ``self.port``."""
-        self._server = await asyncio.start_server(
+        self._server, self.port = await listen(
             connection_handler(self._route, self._handlers),
-            host=self.host, port=self.port)
-        for sock in self._server.sockets or ():
-            self.port = sock.getsockname()[1]
-            break
+            self.host, self.port)
         if self.health_interval > 0:
-            self._probe_task = asyncio.ensure_future(self._probe_loop())
+            spawn(self._probe_loops, self._probe_loop())
 
     async def stop(self) -> None:
-        """Stop accepting and finish in-flight requests."""
-        if self._probe_task is not None:
-            self._probe_task.cancel()
-            try:
-                await self._probe_task
-            except asyncio.CancelledError:
-                pass
-            self._probe_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers),
-                                 return_exceptions=True)
+        """Stop probing and accepting, and finish in-flight requests."""
+        await close(None, self._probe_loops, cancel=True)
+        await close(self._server, self._handlers)
 
     # -- health probing --------------------------------------------------------
 
@@ -187,7 +174,7 @@ class ShardRouter:
         """
         targets = self.membership.probe_targets()
         probes = await asyncio.gather(
-            *(self._probe(url) for url in targets))
+            *(self._probe(url, "healthz") for url in targets))
         results: Dict[str, Tuple[str, Optional[dict]]] = {}
         for url, (state, payload) in zip(targets, probes):
             if state == "ok":
@@ -197,11 +184,13 @@ class ShardRouter:
             results[url] = (state, payload)
         return results
 
-    async def _probe(self, url: str) -> Tuple[str, Optional[dict]]:
+    async def _probe(self, url: str,
+                     route: str) -> Tuple[str, Optional[dict]]:
+        """GET a shard's ``/healthz`` or ``/stats``: ``(state, payload)``."""
         host, port, base = self.membership.endpoint(url)
         try:
             status, _headers, data = await http_request(
-                host, port, "GET", f"{base}/healthz",
+                host, port, "GET", f"{base}/{route}",
                 timeout=self.probe_timeout)
         except (OSError, asyncio.TimeoutError) as exc:
             return f"unreachable: {exc}", None
@@ -210,7 +199,7 @@ class ShardRouter:
         try:
             return "ok", json.loads(data.decode("utf-8"))
         except ValueError:
-            return "unhealthy: bad healthz payload", None
+            return f"unhealthy: bad {route} payload", None
 
     # -- routing ---------------------------------------------------------------
 
@@ -254,26 +243,14 @@ class ShardRouter:
                    "membership": self.membership.counts()}
         await send_json(writer, 200 if healthy else 503, payload)
 
-    async def _shard_snapshot(self, url: str) -> Optional[dict]:
-        host, port, base = self.membership.endpoint(url)
-        try:
-            status, _headers, data = await http_request(
-                host, port, "GET", f"{base}/stats",
-                timeout=self.probe_timeout)
-            if status != 200:
-                return None
-            return json.loads(data.decode("utf-8"))
-        except (OSError, asyncio.TimeoutError, ValueError):
-            return None
-
     async def _handle_stats(self, writer: asyncio.StreamWriter) -> None:
         urls = self.membership.urls
-        snapshots = await asyncio.gather(
-            *(self._shard_snapshot(url) for url in urls))
+        probes = await asyncio.gather(
+            *(self._probe(url, "stats") for url in urls))
         cluster = {"requests": 0, "jobs": 0, "executed": 0, "cache_hits": 0,
                    "deduped": 0, "errors": 0, "rejected": 0}
         shard_stats: Dict[str, object] = {}
-        for url, snapshot in zip(urls, snapshots):
+        for url, (_state, snapshot) in zip(urls, probes):
             if snapshot is None:
                 shard_stats[url] = None
                 continue
@@ -366,41 +343,17 @@ class ShardRouter:
             await asyncio.sleep(hint)
         return True
 
-    def _retry_after_header(self, values: Sequence[float],
-                            deadline: Optional[float]) -> Dict[str, str]:
-        """Honor the largest shard-provided Retry-After, deadline-capped."""
-        hint = max(values) if values else 1.0
-        remaining = self._deadline_remaining(deadline)
-        if remaining is not None:
-            hint = min(hint, max(0.0, remaining))
-        return {"Retry-After": str(max(1, math.ceil(hint)))}
-
     # -- submission fan-out / merge --------------------------------------------
 
     async def _handle_submission(self, body: bytes,
                                  writer: asyncio.StreamWriter) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HttpError(400, f"body is not valid JSON: {exc}") from None
-        try:
-            envelope = SubmissionEnvelope.from_payload(payload)
-        except EnvelopeError as exc:
-            raise HttpError(400, str(exc)) from None
-        loop = asyncio.get_event_loop()
-
-        def _plan() -> Dict[int, str]:
-            return {pos: job.fingerprint() for pos, job in envelope.plan()}
-
-        try:
-            fingerprints = await loop.run_in_executor(None, _plan)
-        except EnvelopeError as exc:
-            raise HttpError(400, str(exc)) from None
-
+        envelope, planned = await read_submission(body)
+        fingerprints = {pos: job.fingerprint() for pos, job in planned}
         self.stats.requests += 1
         self.stats.jobs += len(fingerprints)
         deadline = (None if self.request_deadline is None
-                    else loop.time() + self.request_deadline)
+                    else asyncio.get_event_loop().time()
+                    + self.request_deadline)
         req = _Request(envelope, fingerprints, deadline)
         try:
             try:
@@ -415,9 +368,7 @@ class ShardRouter:
             await send_head(writer, 200, content_type="application/x-ndjson")
             await self._merge(req, writer)
         finally:
-            for task in list(req.tasks):
-                task.cancel()
-            await asyncio.gather(*req.tasks, return_exceptions=True)
+            await close(None, req.tasks, cancel=True)
 
     def _sub_envelope(self, envelope: SubmissionEnvelope,
                       positions: Sequence[int]) -> bytes:
@@ -454,7 +405,8 @@ class ShardRouter:
                 heads = {url: asyncio.get_event_loop().create_future()
                          for url in groups}
                 for url, group in groups.items():
-                    req.spawn(self._exchange(req, url, group, heads[url]))
+                    spawn(req.tasks,
+                          self._exchange(req, url, group, heads[url]))
                 await asyncio.wait(list(heads.values()))
                 pending, hints, refusal = [], [], ""
                 for url, group in groups.items():
@@ -467,9 +419,13 @@ class ShardRouter:
                         refusal = message
                 pending.sort()
                 if hints and not req.committed:
+                    # The largest shard hint, capped by the deadline.
+                    wait = max(hints)
+                    remaining = self._deadline_remaining(req.deadline)
+                    if remaining is not None:
+                        wait = min(wait, max(0.0, remaining))
                     raise HttpError(429, refusal,
-                                    headers=self._retry_after_header(
-                                        hints, req.deadline))
+                                    headers=retry_after_header(wait))
                 if hints and not await self._spend_attempt(req, max(hints)):
                     await self._give_up(req, pending,
                                         f"admission refused: {refusal}")
@@ -584,7 +540,7 @@ class ShardRouter:
                 summaries.append(item[1])
                 continue
             if item[0] == "lost":
-                req.spawn(self._place(req, item[1]))
+                spawn(req.tasks, self._place(req, item[1]))
                 continue
             _kind, position, line, is_error = item
             buffered[position] = (line, is_error)
@@ -628,11 +584,6 @@ class _Request:
     attempts: int = 0
     committed: bool = False                          # 200 head sent
     last_error: str = "no routable shard"
-
-    def spawn(self, coro) -> None:
-        task = asyncio.ensure_future(coro)
-        self.tasks.add(task)
-        task.add_done_callback(self.tasks.discard)
 
 
 def _error_message(data: bytes, fallback: str) -> str:

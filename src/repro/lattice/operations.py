@@ -44,14 +44,6 @@ class LatticeSurgeryCosts:
     cnot_injection_cycles: int = 2
     measurement_cycles: int = 0
 
-    def injection_cycles(self, strategy_name: str) -> int:
-        """Injection cost by strategy name ('zz' or 'cnot')."""
-        if strategy_name == "zz":
-            return self.zz_injection_cycles
-        if strategy_name == "cnot":
-            return self.cnot_injection_cycles
-        raise ValueError(f"unknown injection strategy {strategy_name!r}")
-
 
 #: The costs used throughout the paper's evaluation.
 DEFAULT_COSTS = LatticeSurgeryCosts()

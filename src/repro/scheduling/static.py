@@ -31,7 +31,6 @@ from ..circuits import Circuit, Gate
 from ..fabric import GridLayout
 from ..kernel import SimulationKernel, profile_timer
 from ..lattice import RoutePlan
-from ..rus import InjectionStrategy
 from ..sim.config import SimulationConfig
 from ..sim.results import GateTrace, SimulationResult
 from .base import Scheduler, gate_kind
@@ -156,29 +155,27 @@ class _StaticLayerPolicy:
     def _rz_resources(self, qubit: int) -> Tuple[int, Optional[int], int]:
         """(prep ancilla, helper, injection cycles) for the qubit — memoised.
 
-        A CNOT-style injection needs a second ancilla (Table 1); use another
-        free neighbour when one exists, otherwise fall back to the 1-ancilla
-        ZZ strategy (compressed blocks may simply not have a second tile).
+        The baselines inject with the CNOT strategy (Figure 1d), which needs
+        a second ancilla (Table 1); use another free neighbour when one
+        exists, otherwise fall back to the 1-ancilla ZZ strategy (compressed
+        blocks may simply not have a second tile).
         """
         cached = self._rz_geometry.get(qubit)
         if cached is not None:
             return cached
         prep_ancilla = self._dedicated_prep_ancilla(qubit)
-        strategy = self.config.baseline_injection_strategy
-        injection_cycles = self.costs.injection_cycles(strategy.value)
         helper: Optional[int] = None
-        if strategy is InjectionStrategy.CNOT:
-            # The qubit's own neighbours first (it may have none when the
-            # block's diagonal ancilla prepares), then the prep tile's.
-            flat = self.fabric.flat
-            for candidate in ([flat.slot_of(position) for position in
-                               self.layout.ancilla_neighbors_of_qubit(qubit)]
-                              + flat.neighbors[prep_ancilla]):
-                if candidate != prep_ancilla:
-                    helper = candidate
-                    break
-            if helper is None:
-                injection_cycles = self.costs.zz_injection_cycles
+        # The qubit's own neighbours first (it may have none when the
+        # block's diagonal ancilla prepares), then the prep tile's.
+        flat = self.fabric.flat
+        for candidate in ([flat.slot_of(position) for position in
+                           self.layout.ancilla_neighbors_of_qubit(qubit)]
+                          + flat.neighbors[prep_ancilla]):
+            if candidate != prep_ancilla:
+                helper = candidate
+                break
+        injection_cycles = (self.costs.zz_injection_cycles if helper is None
+                            else self.costs.cnot_injection_cycles)
         result = (prep_ancilla, helper, injection_cycles)
         self._rz_geometry[qubit] = result
         return result

@@ -9,8 +9,8 @@ Layers, bottom up:
 * :mod:`~repro.service.service` — cache + single-flight + inline or pooled
   execution behind one :class:`ExperimentService` object, the runner behind
   both batch runs and ``rescq serve``;
-* :mod:`~repro.service.httpcore` — the shared HTTP/1.1 transport dialect
-  (framing, limits, the stdlib asyncio client used by the cluster router);
+* :mod:`~repro.service.httpcore` — the one HTTP layer of server, router,
+  chaos proxy and CLI (listener, framing, limits, submission reader, clients);
 * :mod:`~repro.service.server` — the asyncio HTTP front end (NDJSON
   streaming, ``/healthz``, ``/stats``).
 

@@ -1,38 +1,57 @@
-"""Shared HTTP/1.1 plumbing for the experiment server and the shard router.
+"""The one HTTP layer of ``rescq serve``, ``rescq route`` and their tools.
 
-Both :class:`~repro.service.server.ExperimentServer` and
-:class:`~repro.cluster.router.ShardRouter` speak the same deliberately small
+:class:`~repro.service.server.ExperimentServer`,
+:class:`~repro.cluster.router.ShardRouter` and the cluster's
+:class:`~repro.cluster.chaos.ChaosProxy` speak the same deliberately small
 dialect: ``Connection: close`` framing (one request per connection, the end
 of the response is the end of the stream), bounded request heads and bodies,
-canonical-JSON payloads.  This module is the single home for that dialect —
-the connection loop, the parsing/writing helpers, the status table, the
-size limits (one ``MAX_BODY`` constant guards every process in a cluster)
-and the minimal asyncio client the router uses to talk to its shards.
+canonical-JSON payloads.  This module is the single home for that dialect:
 
-Nothing here knows about experiments; it is transport only.
+* the listener (:func:`listen`, :func:`close`, :func:`spawn`) all three
+  bind, discover their port and shut down with;
+* the connection loop, the parsing/writing helpers, the status table and
+  the size limits (one ``MAX_BODY`` constant guards every process in a
+  cluster);
+* the submission reader both front ends accept ``POST /experiments`` with,
+  and the one ``Retry-After`` rule for their 429s;
+* the asyncio client the router talks to its shards with, and the blocking
+  client of the cluster harness and ``rescq cluster status``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import (AsyncIterator, Awaitable, Callable, Dict, Mapping,
-                    Optional, Set, Tuple)
+import http.client
+import json
+import math
+from typing import (TYPE_CHECKING, AsyncIterator, Awaitable, Callable, Dict,
+                    List, Mapping, Optional, Set, Tuple)
 from urllib.parse import urlsplit
 
+from ..api.envelope import EnvelopeError, SubmissionEnvelope
 from ..canonical import canonical_dumps
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..exec.jobs import SimJob
 
 __all__ = [
     "HttpError",
+    "blocking_request",
+    "close",
     "connection_handler",
+    "listen",
     "MAX_BODY",
     "MAX_HEADERS",
     "MAX_REQUEST_LINE",
     "STATUS_TEXT",
     "parse_http_url",
     "read_request",
+    "read_submission",
+    "retry_after_header",
     "send_head",
     "send_json",
     "send_line",
+    "spawn",
     "http_request",
     "iter_ndjson",
     "open_http_stream",
@@ -126,13 +145,86 @@ async def _read_body(reader: asyncio.StreamReader,
     return await reader.readexactly(length)
 
 
+async def read_submission(body: bytes
+                          ) -> Tuple[SubmissionEnvelope,
+                                     List[Tuple[int, "SimJob"]]]:
+    """Decode a ``POST /experiments`` body: ``(envelope, planned jobs)``.
+
+    ``planned`` is :meth:`SubmissionEnvelope.plan`'s ``(position, job)``
+    list with every job's fingerprint already computed.  Expansion builds
+    circuits and layouts and the fingerprint hashes them, so both run in a
+    thread: a huge grid never blocks the event loop (``/healthz`` stays
+    responsive).  Bad JSON, a bad envelope and an invalid spec are 400s.
+    """
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HttpError(400, f"body is not valid JSON: {exc}") from None
+    try:
+        envelope = SubmissionEnvelope.from_payload(payload)
+    except EnvelopeError as exc:
+        raise HttpError(400, str(exc)) from None
+
+    def plan() -> List[Tuple[int, "SimJob"]]:
+        planned = envelope.plan()
+        for _position, job in planned:
+            job.fingerprint()  # memoised on the job
+        return planned
+
+    try:
+        planned = await asyncio.get_event_loop().run_in_executor(None, plan)
+    except EnvelopeError as exc:
+        raise HttpError(400, str(exc)) from None
+    return envelope, planned
+
+
+def retry_after_header(seconds: float) -> Dict[str, str]:
+    """A 429's ``Retry-After``: whole seconds (RFC 9110), at least 1."""
+    return {"Retry-After": str(max(1, math.ceil(seconds)))}
+
+
+# -- listening -----------------------------------------------------------------
+
+async def listen(on_connection: Callable[..., None], host: str, port: int
+                 ) -> Tuple[asyncio.AbstractServer, int]:
+    """Bind ``host:port`` and return ``(server, bound_port)``.
+
+    ``port`` 0 binds an ephemeral port; the bound one is read back from
+    the socket, which is what ``RESCQ_READY ... port=`` reports.
+    """
+    server = await asyncio.start_server(on_connection, host=host, port=port)
+    for sock in server.sockets or ():
+        return server, sock.getsockname()[1]
+    return server, port
+
+
+async def close(server: Optional[asyncio.AbstractServer],
+                tasks: Set["asyncio.Task"], cancel: bool = False) -> None:
+    """Stop accepting, then await (or, with ``cancel``, cancel) ``tasks``."""
+    if server is not None:
+        server.close()
+        await server.wait_closed()
+    if cancel:
+        for task in list(tasks):
+            task.cancel()
+    if tasks:
+        await asyncio.gather(*list(tasks), return_exceptions=True)
+
+
+def spawn(tasks: Set["asyncio.Task"], coro: Awaitable[None]) -> None:
+    """Run ``coro`` as a task kept in ``tasks`` until it ends."""
+    task = asyncio.ensure_future(coro)
+    tasks.add(task)
+    task.add_done_callback(tasks.discard)
+
+
 # -- connection handling -------------------------------------------------------
 
 def connection_handler(
         route: Callable[[str, str, bytes, asyncio.StreamWriter],
                         Awaitable[None]],
         handlers: Set["asyncio.Task"]) -> Callable[..., None]:
-    """An ``asyncio.start_server`` callback for one front end.
+    """A :func:`listen` callback for one front end.
 
     Each connection runs as a task kept in ``handlers`` until it ends (so
     ``stop`` can await the requests in flight): it reads one request, hands
@@ -167,9 +259,7 @@ def connection_handler(
 
     def on_connection(reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(serve(reader, writer))
-        handlers.add(task)
-        task.add_done_callback(handlers.discard)
+        spawn(handlers, serve(reader, writer))
     return on_connection
 
 
@@ -212,19 +302,48 @@ async def send_json(writer: asyncio.StreamWriter, status: int,
 def parse_http_url(url: str) -> Tuple[str, int, str]:
     """Split ``http://host:port[/base]`` into ``(host, port, base_path)``.
 
-    Only plain ``http`` shards are supported (the cluster protocol is
-    loopback/LAN plumbing, not a public edge).  Raises ``ValueError`` with
-    an actionable message otherwise.
+    Only plain ``http`` is supported (the cluster protocol is loopback/LAN
+    plumbing, not a public edge).  Raises ``ValueError`` naming ``url``
+    otherwise, including for a port that is not a number in 0-65535.
     """
     split = urlsplit(url)
     if split.scheme != "http":
-        raise ValueError(
-            f"shard URLs must use http://, got {url!r}")
+        raise ValueError(f"expected an http://host:port URL, got {url!r}")
     if not split.hostname:
-        raise ValueError(f"shard URL {url!r} has no host")
-    port = split.port if split.port is not None else 80
+        raise ValueError(f"URL {url!r} has no host")
+    try:
+        port = split.port
+    except ValueError as exc:
+        raise ValueError(f"URL {url!r} has a bad port: {exc}") from None
     base = split.path.rstrip("/")
-    return split.hostname, port, base
+    return split.hostname, 80 if port is None else port, base
+
+
+def blocking_request(host: str, port: int, method: str, path: str,
+                     payload=None, raw: Optional[bytes] = None,
+                     timeout: float = 300.0) -> Tuple[int, dict, bytes]:
+    """One blocking HTTP exchange: ``(status, headers, body)``.
+
+    ``payload`` is sent as JSON, ``raw`` as given; header names come back
+    lowercased.  For callers outside an event loop (the cluster harness,
+    ``rescq cluster status``); the router uses :func:`http_request`.
+    Raises ``OSError`` when the peer cannot be reached or does not answer
+    in HTTP.
+    """
+    body = raw if raw is not None else (
+        json.dumps(payload).encode("utf-8")
+        if payload is not None else None)
+    connection = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        headers = {name.lower(): value
+                   for name, value in response.getheaders()}
+        return response.status, headers, response.read()
+    except http.client.HTTPException as exc:
+        raise OSError(f"no HTTP answer from {host}:{port}: {exc!r}") from None
+    finally:
+        connection.close()
 
 
 async def open_http_stream(host: str, port: int, method: str, path: str,

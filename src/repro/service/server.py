@@ -1,9 +1,10 @@
 """The asyncio HTTP front end of ``rescq serve``.
 
-A deliberately small HTTP/1.1 implementation on ``asyncio.start_server`` —
-no framework, no new dependencies.  The transport dialect (the connection
-loop, framing, limits, status table) lives in :mod:`repro.service.httpcore`,
-shared with the cluster's :class:`~repro.cluster.router.ShardRouter`.
+A deliberately small HTTP/1.1 implementation on stdlib asyncio — no
+framework, no new dependencies.  The transport (the listener, connection
+loop, framing, limits, status table, submission reader and Retry-After rule)
+lives in :mod:`repro.service.httpcore`, shared with the cluster's
+:class:`~repro.cluster.router.ShardRouter`; this module is the route table.
 Routes:
 
 ``POST /experiments``
@@ -25,32 +26,22 @@ Routes:
 ``GET /stats``
     The service's cumulative counters, in-flight table size, executor queue
     depth, and admission mark.
-
-Connections are ``Connection: close`` — each request gets a fresh
-connection, which keeps the framing trivial and streams naturally (the end
-of the response is the end of the stream).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import math
-from typing import Dict, Optional
+from typing import Optional
 
-from ..api.envelope import EnvelopeError, SubmissionEnvelope, SubmissionReport
+from ..api.envelope import SubmissionReport
 from ..api.resultset import ResultRow
-from .httpcore import (HttpError, connection_handler, send_head, send_json,
-                       send_line)
+from .httpcore import (HttpError, close, connection_handler, listen,
+                       read_submission, retry_after_header, send_head,
+                       send_json, send_line)
 from .executor import COLLAPSE_MESSAGE
 from .service import AdmissionError, ExperimentService
 
 __all__ = ["ExperimentServer"]
-
-
-def _retry_after_header(exc: AdmissionError) -> Dict[str, str]:
-    """Admission refusals carry a whole-second ``Retry-After`` (RFC 9110)."""
-    return {"Retry-After": str(max(1, math.ceil(exc.retry_after)))}
 
 
 class ExperimentServer:
@@ -74,22 +65,13 @@ class ExperimentServer:
         """
         loop = asyncio.get_event_loop()
         await loop.run_in_executor(None, self.service.executor.start)
-        self._server = await asyncio.start_server(
+        self._server, self.port = await listen(
             connection_handler(self._route, self._handlers),
-            host=self.host, port=self.port)
-        sockets = self._server.sockets or ()
-        for sock in sockets:
-            self.port = sock.getsockname()[1]
-            break
+            self.host, self.port)
 
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting, finish in-flight requests, drain the executor."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers),
-                                 return_exceptions=True)
+        await close(self._server, self._handlers)
         loop = asyncio.get_event_loop()
         await loop.run_in_executor(None, lambda: self.service.shutdown(drain))
 
@@ -124,29 +106,13 @@ class ExperimentServer:
 
     async def _handle_submission(self, body: bytes,
                                  writer: asyncio.StreamWriter) -> None:
+        envelope, planned = await read_submission(body)
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HttpError(400, f"body is not valid JSON: {exc}") from None
-        try:
-            envelope = SubmissionEnvelope.from_payload(payload)
-        except EnvelopeError as exc:
-            raise HttpError(400, str(exc)) from None
-        loop = asyncio.get_event_loop()
-        try:
-            # Expansion builds circuits and layouts; keep the event loop
-            # responsive (healthz during a huge expansion) by planning in a
-            # thread.
-            planned = await loop.run_in_executor(None, envelope.plan)
-        except EnvelopeError as exc:
-            raise HttpError(400, str(exc)) from None
-        jobs = [job for _position, job in planned]
-
-        try:
-            resolved = self.service.submit_plan(jobs)
+            resolved = self.service.submit_plan(
+                [job for _position, job in planned])
         except AdmissionError as exc:
-            raise HttpError(429, str(exc),
-                            headers=_retry_after_header(exc)) from None
+            raise HttpError(429, str(exc), headers=retry_after_header(
+                exc.retry_after)) from None
         await send_head(writer, 200, content_type="application/x-ndjson")
         errors = 0
         for item in resolved:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..lattice import DEFAULT_COSTS, LatticeSurgeryCosts
-from ..rus import InjectionStrategy, PreparationModel
+from ..rus import PreparationModel
 
 __all__ = ["SimulationConfig"]
 
@@ -30,9 +30,6 @@ class SimulationConfig:
         ``tau_mst``, cycles one MST computation takes before it becomes
         available (~100 lattice-surgery cycles on the paper's hardware
         estimate).
-    baseline_injection_strategy:
-        The injection circuit used by the static baselines (Figure 1d uses
-        the CNOT strategy).
     costs:
         Lattice-surgery cycle costs.
     max_cycles:
@@ -54,7 +51,6 @@ class SimulationConfig:
     activity_window: int = 100
     mst_period: int = 25
     mst_latency: int = 100
-    baseline_injection_strategy: InjectionStrategy = InjectionStrategy.CNOT
     costs: LatticeSurgeryCosts = field(default_factory=lambda: DEFAULT_COSTS)
     max_cycles: int = 2_000_000
     max_parallel_preparations: int = 4

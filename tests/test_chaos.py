@@ -10,6 +10,8 @@ intervals.
 """
 
 import asyncio
+import contextlib
+import http.server
 import json
 import socket
 import threading
@@ -22,6 +24,7 @@ from repro.cli import build_parser, main
 from repro.cluster import (DEAD, LIVE, SUSPECT, ChaosProxy, ClusterHarness,
                            Fault, FaultPlan, ShardRouter, ShardSet,
                            membership_rows)
+from repro.service.httpcore import blocking_request
 
 import random
 
@@ -47,6 +50,32 @@ def closed_port() -> int:
     port = probe.getsockname()[1]
     probe.close()
     return port
+
+
+def http_answer(status: int, body: bytes) -> bytes:
+    head = f"HTTP/1.0 {status} Stub\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+@contextlib.contextmanager
+def stub_http_server(answer: bytes):
+    """A loopback server answering every GET with the raw bytes ``answer``."""
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.wfile.write(answer)
+
+        def log_message(self, *_args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=30)
 
 
 def fast_router_options(**extra):
@@ -564,8 +593,8 @@ class TestChaosProxyUnit:
                 box["proxy"] = proxy
 
             cluster.call(run)
-            status, _headers, body = ClusterHarness._request(
-                box["port"], "GET", "/healthz")
+            status, _headers, body = blocking_request(
+                "127.0.0.1", box["port"], "GET", "/healthz")
             assert status == 200
             assert json.loads(body)["status"] == "ok"
             assert box["proxy"].applied == [None]
@@ -599,3 +628,35 @@ class TestClusterCLI:
         with pytest.raises(SystemExit, match="cannot reach"):
             main(["cluster", "status",
                   f"http://127.0.0.1:{closed_port()}"])
+
+    @pytest.mark.parametrize("port", ["abc", "99999"])
+    @pytest.mark.parametrize("command", ["cluster", "route"])
+    def test_bad_port_exits_naming_the_url(self, command, port):
+        url = f"http://127.0.0.1:{port}"
+        argv = (["cluster", "status", url] if command == "cluster"
+                else ["route", url, "--port", "0"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert message.startswith(f"{command}: URL {url!r} has a bad port")
+
+    def test_cluster_status_non_http_url_exits_cleanly(self):
+        with pytest.raises(SystemExit,
+                           match="cluster: expected an http://host:port URL"):
+            main(["cluster", "status", "ftp://127.0.0.1:1"])
+
+    @pytest.mark.parametrize("answer, message", [
+        (http_answer(500, b'{"error": "boom"}'),
+         'answered HTTP 500: {"error": "boom"}'),
+        (http_answer(200, b'{"shards": []}'), "malformed /shards payload"),
+        (http_answer(200, b"not json"), "malformed /shards payload"),
+        (http_answer(200, b"[]"), "malformed /shards payload"),
+        (b"garbage\r\n\r\n", "no HTTP answer"),
+    ])
+    def test_cluster_status_bad_answer_exits_cleanly(self, answer, message):
+        with stub_http_server(answer) as url:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["cluster", "status", url])
+        text = str(excinfo.value.code)
+        assert text.startswith("cluster: ")
+        assert message in text

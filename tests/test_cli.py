@@ -1,10 +1,25 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def cli_process(*argv):
+    """``subprocess`` arguments that run ``python -m repro *argv``."""
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (os.path.join(repo_root, "src")
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    return {"args": [sys.executable, "-m", "repro", *argv], "text": True,
+            "env": env, "cwd": repo_root}
 
 
 class TestParser:
@@ -364,16 +379,7 @@ class TestProcessExitCodes:
     """The satellite contract: error paths exit non-zero with stderr text."""
 
     def run_cli(self, *argv):
-        import os
-        import subprocess
-        import sys
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (os.path.join(repo_root, "src")
-                             + os.pathsep + env.get("PYTHONPATH", ""))
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True, text=True, env=env, cwd=repo_root)
+        return subprocess.run(**cli_process(*argv), capture_output=True)
 
     def test_malformed_qasm_input(self, tmp_path):
         path = tmp_path / "broken.qasm"
@@ -398,3 +404,46 @@ class TestProcessExitCodes:
         proc = self.run_cli("gen", "clifford_t", "--format", "midi")
         assert proc.returncode == 2
         assert "invalid choice" in proc.stderr
+
+
+class TestServeRouteProcesses:
+    """``serve`` and ``route`` announce readiness and stop on SIGTERM."""
+
+    @staticmethod
+    def start(*argv):
+        proc = subprocess.Popen(**cli_process(*argv), stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT)
+        # A process that never gets ready is killed, which ends the read.
+        watchdog = threading.Timer(120, proc.kill)
+        watchdog.start()
+        lines = []
+        try:
+            for line in proc.stdout:
+                lines.append(line)
+                if line.startswith("RESCQ_READY"):
+                    return proc, line.split("port=")[1].strip()
+        finally:
+            watchdog.cancel()
+        proc.wait(timeout=60)
+        pytest.fail(f"no RESCQ_READY line from {argv}: {''.join(lines)}")
+
+    @staticmethod
+    def terminate(proc):
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=120)
+        return proc.returncode, out
+
+    def test_serve_and_route_ready_then_stop_on_sigterm(self):
+        serve, serve_port = self.start("serve", "--port", "0", "--jobs", "1")
+        try:
+            route, _route_port = self.start(
+                "route", f"http://127.0.0.1:{serve_port}", "--port", "0")
+            code, out = self.terminate(route)
+            assert code == 0, out
+            assert "[route] draining..." in out
+            assert "[route] stopped; requests=0" in out
+        finally:
+            code, out = self.terminate(serve)
+        assert code == 0, out
+        assert "[serve] draining..." in out
+        assert "[serve] stopped;" in out

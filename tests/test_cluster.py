@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.cluster import ClusterHarness, ShardRouter, hrw_score, rank_nodes
+from repro.service.httpcore import blocking_request
 
 BENCH = "scenario:clifford_t:n=4,depth=3"
 
@@ -244,8 +245,9 @@ class TestRouterFailover:
     def test_all_shards_dead_is_502(self):
         dead = f"http://127.0.0.1:{closed_port()}"
         with run_router([dead], connect_timeout=2.0) as router:
-            status, _headers, body = ClusterHarness._request(
-                router.port, "POST", "/experiments", spec_payload(seeds=2))
+            status, _headers, body = blocking_request(
+                "127.0.0.1", router.port, "POST", "/experiments",
+                spec_payload(seeds=2))
             assert status == 502
             assert "no shard reachable" in json.loads(body)["error"]
 
@@ -253,8 +255,8 @@ class TestRouterFailover:
         dead = f"http://127.0.0.1:{closed_port()}"
         shards = [dead] + cluster.shard_urls
         with run_router(shards, connect_timeout=2.0) as router:
-            status, _headers, body = ClusterHarness._request(
-                router.port, "POST", "/experiments",
+            status, _headers, body = blocking_request(
+                "127.0.0.1", router.port, "POST", "/experiments",
                 spec_payload(seeds=32, depth=11))
             assert status == 200
             rows, summary = split_ndjson(body)
@@ -269,8 +271,8 @@ class TestRouterFailover:
         dead = f"http://127.0.0.1:{closed_port()}"
         with run_router([dead] + cluster.shard_urls,
                         probe_timeout=2.0) as router:
-            status, _headers, data = ClusterHarness._request(
-                router.port, "GET", "/healthz")
+            status, _headers, data = blocking_request(
+                "127.0.0.1", router.port, "GET", "/healthz")
             assert status == 503
             payload = json.loads(data)
             assert payload["status"] == "degraded"

@@ -1,9 +1,10 @@
-"""Error mapping of the one connection loop both HTTP front ends share.
+"""Error mapping of the one HTTP layer both front ends share.
 
 ``rescq serve`` (:class:`ExperimentServer`) and ``rescq route``
 (:class:`ShardRouter`) each keep their own route table but serve every
-connection through :func:`repro.service.httpcore.connection_handler`, so
-the same request faults must map to the same statuses on both.
+connection through :func:`repro.service.httpcore.connection_handler` and
+read every submission with :func:`repro.service.httpcore.read_submission`,
+so the same request faults must map to the same statuses on both.
 """
 
 import asyncio
@@ -111,6 +112,31 @@ def test_non_json_body_is_400(front_end):
     status, error = call(front_end[0], "POST", "/experiments", body=b"{nope")
     assert status == 400
     assert error.startswith("body is not valid JSON")
+
+
+def test_malformed_envelope_is_400(front_end):
+    status, error = call(front_end[0], "POST", "/experiments", body=b"[]")
+    assert status == 400
+    assert error.startswith("submission must be a JSON object")
+    status, error = call(
+        front_end[0], "POST", "/experiments", body=b'{"spec": {}, "extra": 1}'
+    )
+    assert status == 400
+    assert error.startswith("unknown envelope keys ['extra']")
+
+
+def test_oversized_body_is_413_without_reading_it(front_end):
+    """A huge declared Content-Length is refused on the head alone."""
+    conn = http.client.HTTPConnection("127.0.0.1", front_end[0].port, timeout=60)
+    try:
+        conn.putrequest("POST", "/experiments")
+        conn.putheader("Content-Length", str(64 * 1024 * 1024))
+        conn.endheaders()  # never send the body
+        response = conn.getresponse()
+        assert response.status == 413
+        assert "byte limit" in json.loads(response.read())["error"]
+    finally:
+        conn.close()
 
 
 def test_route_that_raises_is_500(front_end):

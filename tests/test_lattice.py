@@ -1,7 +1,5 @@
 """Tests for lattice-surgery costs, orientation tracking and routing."""
 
-import pytest
-
 from repro.fabric import Edge, StarVariant, star_layout
 from repro.lattice import (
     DEFAULT_COSTS,
@@ -26,12 +24,6 @@ class TestCosts:
         assert DEFAULT_COSTS.edge_rotation_cycles == 3
         assert DEFAULT_COSTS.zz_injection_cycles == 1
         assert DEFAULT_COSTS.cnot_injection_cycles == 2
-
-    def test_injection_cycles_lookup(self):
-        assert DEFAULT_COSTS.injection_cycles("zz") == 1
-        assert DEFAULT_COSTS.injection_cycles("cnot") == 2
-        with pytest.raises(ValueError):
-            DEFAULT_COSTS.injection_cycles("teleport")
 
 
 class TestOrientation:
