@@ -113,19 +113,13 @@ class SubmissionEnvelope:
                                 "whole plan")
         return tuple(checked)
 
-    def plan(self) -> List[Tuple[int, "SimJob"]]:
+    def select(self, jobs: List["SimJob"]) -> List[Tuple[int, "SimJob"]]:
         """The ``(plan position, job)`` pairs this submission runs.
 
-        Expands (and thereby validates) the spec once and selects
-        :attr:`indices` from the plan, in plan order.  Raises
-        :class:`EnvelopeError` for an invalid spec or an index past the end
-        of the plan.  Building circuits and layouts is slow: servers call
-        this off their event loop.
+        ``jobs`` is the spec's whole expanded plan; :attr:`indices` are
+        selected from it in plan order (all of it when ``None``).  Raises
+        :class:`EnvelopeError` for an index past the end of the plan.
         """
-        try:
-            jobs = self.spec.expand()
-        except SpecValidationError as exc:
-            raise EnvelopeError(str(exc)) from None
         if self.indices is None:
             return list(enumerate(jobs))
         if self.indices[-1] >= len(jobs):

@@ -247,11 +247,14 @@ class ChaosProxy:
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
-            for closing in (writer, upstream_writer):
-                if closing is None:
-                    continue
+            # Close both before awaiting either: a cancel from stop() inside
+            # the first wait must not leave the other writer open.
+            writers = [closing for closing in (writer, upstream_writer)
+                       if closing is not None]
+            for closing in writers:
+                closing.close()
+            for closing in writers:
                 try:
-                    closing.close()
                     await closing.wait_closed()
                 except (ConnectionError, RuntimeError, OSError):
                     pass

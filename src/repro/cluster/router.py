@@ -13,7 +13,9 @@ with a live view of which shards are actually serving:
    adds or drains members at runtime.
 2. **Expand.**  An incoming spec is validated and expanded locally (plan
    expansion is deterministic, so the router and every shard derive the
-   identical job list from the same spec bytes).
+   identical job list from the same spec bytes).  The plan comes from the
+   process's plan memo (:data:`~repro.service.httpcore.PLAN_MEMO`) when
+   it holds the spec.
 3. **Place.**  Each job's fingerprint is rendezvous-hashed onto the
    *routable* (LIVE + SUSPECT) members
    (:func:`~repro.cluster.hashring.rank_nodes`), so identical jobs always
@@ -48,9 +50,9 @@ waits out its hint as one attempt, and exhaustion emits one error record
 per unfinished position.
 
 ``GET /healthz`` probes every shard and reports ``ok``/``degraded``
-(503); ``GET /stats`` nests router counters, cluster-wide aggregates,
-per-shard snapshots and the membership table; ``GET/POST /shards`` is the
-admin surface.
+(503); ``GET /stats`` nests router counters, the router process's
+``plan_memo`` counters, cluster-wide aggregates, per-shard snapshots and
+the membership table; ``GET/POST /shards`` is the admin surface.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..api.envelope import SubmissionEnvelope, SubmissionReport
 from ..canonical import canonical_dumps
-from ..service.httpcore import (HttpError, close, connection_handler,
-                                http_request, iter_ndjson, listen,
-                                open_http_stream, read_submission,
-                                retry_after_header, send_head, send_json,
-                                send_line, spawn)
+from ..service.httpcore import (PLAN_MEMO, HttpError, close,
+                                connection_handler, http_request,
+                                iter_ndjson, listen, open_http_stream,
+                                read_submission, retry_after_header,
+                                send_head, send_json, send_line, spawn)
 from .hashring import rank_nodes
 from .membership import DRAINING, ShardSet
 
@@ -261,6 +263,7 @@ class ShardRouter:
                     cluster[key] += value
         await send_json(writer, 200, {
             "router": self.stats.snapshot(),
+            "plan_memo": PLAN_MEMO.stats(),
             "cluster": cluster,
             "shards": shard_stats,
             "membership": self.membership.snapshot(),
@@ -347,14 +350,14 @@ class ShardRouter:
 
     async def _handle_submission(self, body: bytes,
                                  writer: asyncio.StreamWriter) -> None:
-        envelope, planned = await read_submission(body)
+        envelope, planned, spec_bytes = await read_submission(body)
         fingerprints = {pos: job.fingerprint() for pos, job in planned}
         self.stats.requests += 1
         self.stats.jobs += len(fingerprints)
         deadline = (None if self.request_deadline is None
                     else asyncio.get_event_loop().time()
                     + self.request_deadline)
-        req = _Request(envelope, fingerprints, deadline)
+        req = _Request(envelope, spec_bytes, fingerprints, deadline)
         try:
             try:
                 await self._place(req, sorted(fingerprints))
@@ -370,12 +373,21 @@ class ShardRouter:
         finally:
             await close(None, req.tasks, cancel=True)
 
-    def _sub_envelope(self, envelope: SubmissionEnvelope,
-                      positions: Sequence[int]) -> bytes:
-        sub = SubmissionEnvelope(spec=envelope.spec,
-                                 include_status=envelope.include_status,
-                                 indices=tuple(sorted(positions)))
-        return (canonical_dumps(sub.to_dict())).encode("utf-8")
+    @staticmethod
+    def _sub_envelope(req: "_Request", positions: Sequence[int]) -> bytes:
+        """The canonical JSON of the envelope a shard gets for
+        ``positions``: the request's spec, ``include_status`` and the
+        sorted ``indices``.
+
+        ``"spec"`` sorts after the other keys, so the request's canonical
+        spec bytes are spliced in last instead of serialising the spec for
+        every exchange.
+        """
+        head: Dict[str, object] = {"indices": sorted(positions)}
+        if req.envelope.include_status:
+            head["include_status"] = True
+        return (canonical_dumps(head)[:-1].encode("utf-8") + b',"spec":'
+                + req.spec_bytes + b"}")
 
     async def _place(self, req: "_Request", positions: List[int]) -> None:
         """Give every position (sorted) an open stream, or give up on it.
@@ -472,7 +484,7 @@ class ShardRouter:
         try:
             status, headers, reader, shard_writer = await open_http_stream(
                 host, port, "POST", f"{base}/experiments",
-                body=self._sub_envelope(req.envelope, positions),
+                body=self._sub_envelope(req, positions),
                 connect_timeout=self.connect_timeout, head_timeout=None)
             if status == 200:
                 head.set_result(("stream", 0.0, ""))
@@ -575,6 +587,7 @@ class _Request:
     """One submission's routing state, shared by placement and merge."""
 
     envelope: SubmissionEnvelope
+    spec_bytes: bytes                                # canonical spec JSON
     fingerprints: Dict[int, str]
     deadline: Optional[float]
     queue: asyncio.Queue = field(default_factory=asyncio.Queue)

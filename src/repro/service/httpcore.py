@@ -14,6 +14,13 @@ canonical-JSON payloads.  This module is the single home for that dialect:
   cluster);
 * the submission reader both front ends accept ``POST /experiments`` with,
   and the one ``Retry-After`` rule for their 429s;
+* the process's plan memo (:data:`PLAN_MEMO`) that reader plans through:
+  a spec's canonical JSON bytes, plus the size and mtime of each ``.qasm``
+  file it names, map to its whole fingerprinted job plan, so each process
+  plans a spec once.  Least recently used plans are evicted past
+  :data:`PLAN_MEMO_ENTRIES` plans or :data:`PLAN_MEMO_WEIGHT` summed gates
+  + tiles + jobs; invalid specs are never held.  Both front ends report
+  its ``{hits, misses, entries}`` as ``plan_memo`` in ``GET /stats``;
 * the asyncio client the router talks to its shards with, and the blocking
   client of the cluster harness and ``rescq cluster status``.
 """
@@ -24,11 +31,15 @@ import asyncio
 import http.client
 import json
 import math
+import os
+import threading
+from collections import OrderedDict
 from typing import (TYPE_CHECKING, AsyncIterator, Awaitable, Callable, Dict,
-                    List, Mapping, Optional, Set, Tuple)
+                    List, Mapping, NamedTuple, Optional, Set, Tuple)
 from urllib.parse import urlsplit
 
 from ..api.envelope import EnvelopeError, SubmissionEnvelope
+from ..api.spec import ExperimentSpec, SpecValidationError
 from ..canonical import canonical_dumps
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +54,10 @@ __all__ = [
     "MAX_BODY",
     "MAX_HEADERS",
     "MAX_REQUEST_LINE",
+    "PLAN_MEMO",
+    "PlanMemo",
     "STATUS_TEXT",
+    "Submission",
     "parse_http_url",
     "read_request",
     "read_submission",
@@ -145,16 +159,125 @@ async def _read_body(reader: asyncio.StreamReader,
     return await reader.readexactly(length)
 
 
-async def read_submission(body: bytes
-                          ) -> Tuple[SubmissionEnvelope,
-                                     List[Tuple[int, "SimJob"]]]:
-    """Decode a ``POST /experiments`` body: ``(envelope, planned jobs)``.
+class PlanMemo:
+    """A bounded LRU map from a spec's memo key to its expanded job plan.
 
-    ``planned`` is :meth:`SubmissionEnvelope.plan`'s ``(position, job)``
-    list with every job's fingerprint already computed.  Expansion builds
-    circuits and layouts and the fingerprint hashes them, so both run in a
-    thread: a huge grid never blocks the event loop (``/healthz`` stays
-    responsive).  Bad JSON, a bad envelope and an invalid spec are 400s.
+    The key is the spec's canonical JSON bytes plus the stat signature of
+    every ``.qasm`` file it names (see :func:`read_submission`); the value
+    is the spec's whole job plan with every fingerprint computed.  Jobs are
+    immutable records, so requests share them.  What is held is bounded
+    twice: at most ``max_entries`` plans, and at most ``max_weight`` summed
+    :func:`plan_weight`.  The least recently used plans go first, and a
+    plan heavier than the whole budget is never stored.  Front ends on
+    different event loops of one process share the memo, so it locks.
+    """
+
+    def __init__(self, max_entries: int, max_weight: int) -> None:
+        self.max_entries = max_entries
+        self.max_weight = max_weight
+        self.hits = 0
+        self.misses = 0
+        self._plans: "OrderedDict[tuple, Tuple[List[SimJob], int]]" = \
+            OrderedDict()
+        self._weight = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> Optional[List["SimJob"]]:
+        """The plan held under ``key`` (now most recently used), or None."""
+        with self._lock:
+            held = self._plans.get(key)
+            if held is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._plans.move_to_end(key)
+            return held[0]
+
+    def put(self, key: tuple, jobs: List["SimJob"]) -> None:
+        """Hold ``jobs`` under ``key``, evicting down to the bounds."""
+        weight = plan_weight(jobs)
+        if weight > self.max_weight:
+            return
+        with self._lock:
+            if key in self._plans:
+                return
+            self._plans[key] = (jobs, weight)
+            self._weight += weight
+            while (len(self._plans) > self.max_entries
+                   or self._weight > self.max_weight):
+                _key, (_jobs, evicted) = self._plans.popitem(last=False)
+                self._weight -= evicted
+
+    def stats(self) -> Dict[str, int]:
+        """``{hits, misses, entries}``, as ``GET /stats`` reports them."""
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "entries": len(self._plans)}
+
+
+def plan_weight(jobs: List["SimJob"]) -> int:
+    """What a plan holds: the gates of its distinct circuits, the tiles of
+    its distinct layouts, and one per job."""
+    gates = {id(job.circuit): len(job.circuit) for job in jobs}
+    tiles = {id(job.layout): job.layout.rows * job.layout.cols
+             for job in jobs}
+    return sum(gates.values()) + sum(tiles.values()) + len(jobs)
+
+
+#: Most plans :data:`PLAN_MEMO` holds.  An n=4 scenario plan of four jobs
+#: is about 16 KB, so a full memo of them is about 2 MB.
+PLAN_MEMO_ENTRIES = 128
+#: Most summed :func:`plan_weight` :data:`PLAN_MEMO` holds.  A 1000-qubit
+#: spec on 4,096 tiles weighs about 5,600 (about 3 MB), so at most a few
+#: such plans are held at once.
+PLAN_MEMO_WEIGHT = 32_768
+#: The process's plan memo, which :func:`read_submission` plans through.
+PLAN_MEMO = PlanMemo(PLAN_MEMO_ENTRIES, PLAN_MEMO_WEIGHT)
+
+
+class Submission(NamedTuple):
+    """A decoded ``POST /experiments`` body."""
+
+    envelope: SubmissionEnvelope
+    #: The ``(plan position, job)`` pairs the envelope runs.
+    planned: List[Tuple[int, "SimJob"]]
+    #: The spec's canonical JSON: the memo key, and what the router
+    #: splices into each shard envelope.
+    spec_bytes: bytes
+
+
+def _qasm_signature(spec: ExperimentSpec) -> Tuple[tuple, ...]:
+    """``(path, size, mtime_ns)`` of each ``.qasm`` file ``spec`` names.
+
+    Part of the memo key, so a rewritten file is planned again, as
+    ``workloads.registry``'s import memo re-parses it (a file that cannot
+    be stat'ed signs as ``(path,)``; its spec fails validation).
+    """
+    signature = []
+    for name in spec.benchmarks:
+        if name.endswith(".qasm"):
+            try:
+                stat = os.stat(name)
+            except OSError:
+                signature.append((name,))
+                continue
+            signature.append((name, stat.st_size, stat.st_mtime_ns))
+    return tuple(signature)
+
+
+async def read_submission(body: bytes) -> Submission:
+    """Decode a ``POST /experiments`` body into a :class:`Submission`.
+
+    The spec's plan comes from :data:`PLAN_MEMO` when this process holds
+    it; the lookup runs on the event loop, so a hit costs no thread hop.
+    A miss expands the spec and computes every job's fingerprint in a
+    thread (building circuits and layouts and hashing them is slow, and a
+    huge grid must not block ``/healthz``), then stores the plan.  The
+    envelope's ``indices`` are selected after the lookup, so all sub-plans
+    of one spec share an entry.  Bad JSON, a bad envelope, an invalid spec
+    and out-of-range ``indices`` are 400s on every submission: an invalid
+    spec is never stored, and ``indices`` are checked against the plan
+    each time.
     """
     try:
         payload = json.loads(body.decode("utf-8"))
@@ -164,18 +287,28 @@ async def read_submission(body: bytes
         envelope = SubmissionEnvelope.from_payload(payload)
     except EnvelopeError as exc:
         raise HttpError(400, str(exc)) from None
+    spec = envelope.spec
+    spec_bytes = canonical_dumps(spec.to_dict()).encode("utf-8")
+    key = (spec_bytes, _qasm_signature(spec))
+    jobs = PLAN_MEMO.get(key)
+    if jobs is None:
+        def expand() -> List["SimJob"]:
+            expanded = spec.expand()
+            for job in expanded:
+                job.fingerprint()  # memoised on the job
+            return expanded
 
-    def plan() -> List[Tuple[int, "SimJob"]]:
-        planned = envelope.plan()
-        for _position, job in planned:
-            job.fingerprint()  # memoised on the job
-        return planned
-
+        try:
+            jobs = await asyncio.get_event_loop().run_in_executor(None,
+                                                                  expand)
+        except SpecValidationError as exc:
+            raise HttpError(400, str(exc)) from None
+        PLAN_MEMO.put(key, jobs)
     try:
-        planned = await asyncio.get_event_loop().run_in_executor(None, plan)
+        planned = envelope.select(jobs)
     except EnvelopeError as exc:
         raise HttpError(400, str(exc)) from None
-    return envelope, planned
+    return Submission(envelope, planned, spec_bytes)
 
 
 def retry_after_header(seconds: float) -> Dict[str, str]:

@@ -25,7 +25,8 @@ Routes:
     membership probe marks the shard DEAD and moves its keys elsewhere.
 ``GET /stats``
     The service's cumulative counters, in-flight table size, executor queue
-    depth, and admission mark.
+    depth, and admission mark, plus ``plan_memo: {hits, misses, entries}``
+    of this process's plan memo (:data:`~repro.service.httpcore.PLAN_MEMO`).
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from typing import Optional
 
 from ..api.envelope import SubmissionReport
 from ..api.resultset import ResultRow
-from .httpcore import (HttpError, close, connection_handler, listen,
-                       read_submission, retry_after_header, send_head,
-                       send_json, send_line)
+from .httpcore import (PLAN_MEMO, HttpError, close, connection_handler,
+                       listen, read_submission, retry_after_header,
+                       send_head, send_json, send_line)
 from .executor import COLLAPSE_MESSAGE
 from .service import AdmissionError, ExperimentService
 
@@ -91,7 +92,8 @@ class ExperimentServer:
         elif path == "/stats":
             if method != "GET":
                 raise HttpError(405, "use GET for /stats")
-            await send_json(writer, 200, self.service.snapshot())
+            await send_json(writer, 200, {**self.service.snapshot(),
+                                          "plan_memo": PLAN_MEMO.stats()})
         elif path in ("/experiments", "/"):
             if method != "POST":
                 raise HttpError(
@@ -106,7 +108,7 @@ class ExperimentServer:
 
     async def _handle_submission(self, body: bytes,
                                  writer: asyncio.StreamWriter) -> None:
-        envelope, planned = await read_submission(body)
+        envelope, planned, _spec_bytes = await read_submission(body)
         try:
             resolved = self.service.submit_plan(
                 [job for _position, job in planned])

@@ -11,10 +11,13 @@ intervals.
 
 import asyncio
 import contextlib
+import gc
 import http.server
 import json
 import socket
 import threading
+import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -599,6 +602,45 @@ class TestChaosProxyUnit:
             assert json.loads(body)["status"] == "ok"
             assert box["proxy"].applied == [None]
             cluster.call(box["proxy"].stop)
+
+    def test_stop_during_close_leaves_no_writer_open(self):
+        """``stop()`` cancels a handler inside its first ``wait_closed``:
+        both writers must already be closed, or one leaks unclosed."""
+        async def scenario():
+            async def upstream(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(http_answer(200, b"ok"))
+                writer.close()
+
+            server = await asyncio.start_server(upstream, "127.0.0.1", 0)
+            proxy = ChaosProxy("127.0.0.1",
+                               server.sockets[0].getsockname()[1])
+            await proxy.start()
+            closing = asyncio.Event()
+
+            async def stuck(_writer):
+                closing.set()
+                await asyncio.Event().wait()
+
+            with mock.patch.object(asyncio.StreamWriter, "wait_closed",
+                                   stuck):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", proxy.port)
+                writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert (await reader.read()).endswith(b"ok")
+                await closing.wait()
+                await proxy.stop()  # cancels the handler mid-close
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            await asyncio.sleep(0.01)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            asyncio.run(scenario())
+            gc.collect()
+        assert [str(warning.message) for warning in caught
+                if issubclass(warning.category, ResourceWarning)] == []
 
 
 class TestClusterCLI:

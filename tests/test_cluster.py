@@ -172,7 +172,7 @@ class TestClusterE2E:
         status, _headers, data = cluster.request("GET", "/stats")
         assert status == 200
         snapshot = json.loads(data)
-        assert set(snapshot) == {"router", "cluster", "shards",
+        assert set(snapshot) == {"router", "plan_memo", "cluster", "shards",
                                  "membership"}
         assert snapshot["router"]["requests"] >= 2
         cluster_counts = snapshot["cluster"]
