@@ -11,9 +11,13 @@ one layout *revision* and is the one tile identity inside a run:
   ancilla queues, the routing index and the MST all index tiles by slot;
 * ``neighbors`` lists, per slot, the slots of its ancilla neighbours in
   :class:`~repro.fabric.tile.Edge` declaration order (NORTH, SOUTH, EAST,
-  WEST) — the exact transition relation of
-  :func:`~repro.lattice.routing.bfs_ancilla_path`, walked by the routing
-  BFS;
+  WEST), the order the route search's walk tries them in;
+* ``stride``, ``bits`` and ``ancilla_mask`` are the route search's bit
+  grid: tile ``(r, c)`` is bit ``r * stride + c`` of a Python int, with
+  ``stride = cols + 1``.  The spare column holds no ancilla, so an east or
+  west one-bit shift masked by ``ancilla_mask`` cannot wrap round a row
+  end, and a north or south shift by ``stride`` reaches exactly the tile
+  above or below;
 * the activity-graph edge list (``edge_u``/``edge_v``) is in the insertion
   order of the networkx activity graph the tests use as the MST oracle, so
   stable sorts over these arrays reproduce its tie-breaks.
@@ -43,7 +47,8 @@ class FlatGrid:
     """Immutable slot-numbered snapshot of one layout revision."""
 
     __slots__ = ("layout", "version", "num_ancilla", "anc_positions",
-                 "_slots", "neighbors", "edge_u", "edge_v")
+                 "_slots", "neighbors", "stride", "bits", "ancilla_mask",
+                 "edge_u", "edge_v")
 
     def __init__(self, layout: GridLayout) -> None:
         self.layout = layout
@@ -54,10 +59,21 @@ class FlatGrid:
         self._slots: Dict[Position, int] = {
             position: slot for slot, position in enumerate(self.anc_positions)}
         slots = self._slots
-        #: Per slot: Edge-order neighbour slots (what the routing BFS walks).
+        #: Per slot: Edge-order neighbour slots (what the route walk tries).
         self.neighbors: List[List[int]] = [
             [slots[neighbor] for neighbor in layout.ancilla_neighbors(position)]
             for position in self.anc_positions]
+        #: Bit grid of the route search: tile (r, c) is bit r * stride + c.
+        #: The spare column (c == cols) holds no ancilla, so a one-bit east
+        #: or west shift cannot wrap round a row end.
+        self.stride = layout.cols + 1
+        #: Per slot: its bit; ``ancilla_mask`` has every slot's bit set.
+        self.bits: List[int] = [row * self.stride + col
+                                for row, col in self.anc_positions]
+        mask = 0
+        for bit in self.bits:
+            mask |= 1 << bit
+        self.ancilla_mask = mask
         # Activity-graph edges (u, v) with u < v, enumerated u-ascending then
         # Edge order — the insertion (and hence iteration) order of the
         # networkx graph the tests build as the MST oracle.

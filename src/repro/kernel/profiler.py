@@ -8,7 +8,9 @@ A :class:`KernelProfile` accumulates two kinds of counters for one run:
 * **wall-time counters** (``wall_*_s``) — real seconds spent in the
   classical-controller phases worth watching (routing queries, the MST
   pipeline's activity snapshots and tree builds, and the whole run),
-  measured with :func:`time.perf_counter`.  Nested
+  measured with :func:`time.perf_counter`.  The route searches inside
+  ``routing`` are timed inline by the routing index and moved to their own
+  ``route_search`` phase when the result is built.  Nested
   :meth:`KernelProfile.timer` phases are **exclusive**: time accumulated by
   an inner timer is subtracted from every enclosing timer, so phase seconds
   add up without double-counting (an MST build that issues routing queries

@@ -2,12 +2,7 @@
 
 from .operations import DEFAULT_COSTS, LatticeSurgeryCosts
 from .orientation import OrientationTracker
-from .routing import (
-    RoutePlan,
-    RoutingIndex,
-    bfs_ancilla_path,
-    enumerate_cnot_plans,
-)
+from .routing import RoutePlan, RoutingIndex
 
 __all__ = [
     "LatticeSurgeryCosts",
@@ -15,6 +10,4 @@ __all__ = [
     "OrientationTracker",
     "RoutePlan",
     "RoutingIndex",
-    "bfs_ancilla_path",
-    "enumerate_cnot_plans",
 ]

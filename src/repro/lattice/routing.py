@@ -7,25 +7,43 @@ the two, and whether edge rotations are needed first (Section 3.1, Figure 4).
 The *policies* differ in how they pick among candidate plans; the mechanics of
 enumerating and validating plans are shared and live here.
 
-:func:`bfs_ancilla_path` and :func:`enumerate_cnot_plans` are the reference
-implementations over the object-graph layout, in positions.  Schedulers
-query :class:`RoutingIndex`, which answers the same questions in
+Schedulers query :class:`RoutingIndex`, in
 :class:`~repro.fabric.flat.FlatGrid` slots, the one tile identity inside a
-run: its plans' tiles and paths are slots, from memoised paths and a FIFO
-BFS over the per-slot neighbour lists.  One BFS serves a source and all its
-goals and stops once the last goal is discovered.  It pops nodes in
-discovery order and scans neighbours in ``Edge`` order, as the reference
-does, so every node gets the same parent.  Parents are fixed at discovery
-and ancestors are discovered first, so every goal's path is final when the
-search stops: the reference's path, tile for tile.
+run.  Its paths come from one layered search per goal over the FlatGrid's
+bit grid, a Python int with one bit per tile.  Level ``k`` holds the
+ancilla tiles ``k`` steps from the goal: the four one-tile shifts of level
+``k - 1``, masked to the ancilla tiles no earlier level holds.  The search
+stops at the level that reaches its last pending start.  A path is then a
+walk from its start that steps, each time, to the first neighbour in
+``Edge`` order (NORTH, SOUTH, EAST, WEST) that lies one level closer to
+the goal.
+
+That walk is exactly the path of a FIFO BFS from the start that scans
+every node's neighbours in ``Edge`` order: the lexicographically smallest
+direction sequence among the shortest paths.  The BFS half is an
+induction on its levels.  Assume level ``k - 1`` is dequeued in the lex
+order of its nodes' sequences, and each node's parent chain spells its
+lex-min sequence.  A level-``k`` node is discovered by the first dequeued
+of its level-``k - 1`` neighbours.  Their sequences all have length
+``k - 1`` and are distinct (a sequence fixes its end tile), so that
+neighbour has the smallest, and appending its direction gives the node's
+lex-min sequence.  Level ``k`` is discovered in (parent rank, direction)
+order, which is the lex order of those sequences, so the assumption
+holds for level ``k``.  The walk half is greedy: the lex-min sequence
+starts with the smallest direction that still lies on a shortest path,
+i.e. one level closer to the goal, and so on at every step.
+
+Which level a tile is in, and so the rest of its walk, depends only on
+the tile.  A walk that reaches a tile of an earlier walk to the same goal
+therefore reuses the rest of that walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..fabric import Edge, GridLayout, Position
@@ -33,10 +51,9 @@ from ..fabric.flat import FlatGrid
 from .operations import DEFAULT_COSTS, LatticeSurgeryCosts
 from .orientation import OrientationTracker
 
-__all__ = ["RoutePlan", "RoutingIndex", "bfs_ancilla_path",
-           "enumerate_cnot_plans"]
+__all__ = ["RoutePlan", "RoutingIndex"]
 
-#: A tile in a plan: a FlatGrid slot, or a position in the reference plans.
+#: A tile in a plan: a FlatGrid slot, or a position in the tests' oracle.
 Tile = Union[int, Position]
 
 
@@ -46,7 +63,7 @@ class RoutePlan:
 
     Tiles are :class:`~repro.fabric.flat.FlatGrid` slots in the plans of
     :class:`RoutingIndex` (and of the policies), and positions in the
-    plans of the reference :func:`enumerate_cnot_plans`.
+    plans of the tests' routing oracle (``tests/routing_oracle.py``).
 
     Attributes
     ----------
@@ -107,41 +124,6 @@ class RoutePlan:
         return rotation_cycles + costs.cnot_cycles
 
 
-def bfs_ancilla_path(layout: GridLayout, start: Position, goal: Position,
-                     blocked: Optional[Set[Position]] = None) -> Optional[List[Position]]:
-    """Shortest path of free ancilla tiles from ``start`` to ``goal`` inclusive.
-
-    ``blocked`` tiles cannot be used (busy ancillas).  Returns ``None`` when no
-    path exists.  ``start`` and ``goal`` must themselves be ancilla tiles not
-    in ``blocked``.
-    """
-    blocked = blocked or set()
-    if not layout.is_ancilla(start) or not layout.is_ancilla(goal):
-        return None
-    if start in blocked or goal in blocked:
-        return None
-    if start == goal:
-        return [start]
-    parents: Dict[Position, Position] = {start: start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for neighbor in layout.neighbors(current):
-            if neighbor in parents or neighbor in blocked:
-                continue
-            if not layout.is_ancilla(neighbor):
-                continue
-            parents[neighbor] = current
-            if neighbor == goal:
-                path = [goal]
-                while path[-1] != start:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
-            queue.append(neighbor)
-    return None
-
-
 def _attachment_candidates(layout: GridLayout, orientation: OrientationTracker,
                            qubit: int, pauli: str) -> List[Tuple[Position, bool]]:
     """Ancilla neighbours that could attach to ``qubit``'s ``pauli`` edge.
@@ -166,24 +148,17 @@ def _attachment_candidates(layout: GridLayout, orientation: OrientationTracker,
 def _plans_from_candidates(control: int, target: int,
                            control_candidates: Sequence[Tuple[Tile, bool]],
                            target_candidates: Sequence[Tuple[Tile, bool]],
-                           blocked: Set[Tile],
                            path_finder: Callable[[Tile, Tile],
                                                  Optional[List[Tile]]]
                            ) -> List[RoutePlan]:
     """Build the plan list for every routable attachment pair.
 
-    The one plan-construction loop shared by the cached slot
-    (:class:`RoutingIndex`) and uncached position
-    (:func:`enumerate_cnot_plans`) enumerations — keep them from drifting
-    apart.
+    The one plan-construction loop, shared by :class:`RoutingIndex` (in
+    slots) and the tests' routing oracle (in positions).
     """
     plans: List[RoutePlan] = []
     for control_attach, control_rotation in control_candidates:
-        if control_attach in blocked:
-            continue
         for target_attach, target_rotation in target_candidates:
-            if target_attach in blocked:
-                continue
             path = path_finder(control_attach, target_attach)
             if path is None:
                 continue
@@ -201,41 +176,16 @@ def _plans_from_candidates(control: int, target: int,
     return plans
 
 
-def enumerate_cnot_plans(layout: GridLayout, orientation: OrientationTracker,
-                         control: int, target: int,
-                         blocked: Optional[Set[Position]] = None,
-                         path_finder: Optional[Callable[[Position, Position],
-                                                        Optional[List[Position]]]] = None
-                         ) -> List[RoutePlan]:
-    """Enumerate candidate CNOT plans for every attachment pair.
-
-    This realises the "16 paths" of Algorithm 1: up to 4 ancilla neighbours of
-    the control times up to 4 of the target.  ``path_finder`` defaults to a
-    blocked-aware BFS; schedulers can substitute an MST path query.
-    """
-    blocked = blocked or set()
-    if path_finder is None:
-        def path_finder(a: Position, b: Position) -> Optional[List[Position]]:
-            return bfs_ancilla_path(layout, a, b, blocked)
-
-    return _plans_from_candidates(
-        control, target,
-        _attachment_candidates(layout, orientation, control, "Z"),
-        _attachment_candidates(layout, orientation, target, "X"),
-        blocked, path_finder)
-
-
 class RoutingIndex:
-    """Incremental routing over one layout: slot BFS and memoised plan
-    enumeration.
+    """Incremental routing over one layout: layered route search and
+    memoised plan enumeration.
 
-    The index answers the same queries as :func:`bfs_ancilla_path` (without
-    ``blocked``) and :func:`enumerate_cnot_plans`, in
+    The index answers shortest-ancilla-path and CNOT-plan queries in
     :class:`~repro.fabric.flat.FlatGrid` slots, and caches everything that
     is a pure function of the layout and the qubits' edge orientations:
 
     * **shortest ancilla paths** keyed on ``(start, goal)``, filled by
-      goal-bounded BFS runs whose parent lists are dropped afterwards;
+      goal-side layered searches whose levels are dropped afterwards;
     * **attachment candidates** keyed on ``(qubit, pauli, flipped)``;
     * **full plan enumerations** keyed on
       ``(control, target, flipped_c, flipped_t)``.
@@ -263,9 +213,10 @@ class RoutingIndex:
         self._plans: Dict[Tuple[int, int, bool, bool], List[RoutePlan]] = {}
         self.queries = 0
         self.plan_cache_hits = 0
-        #: Goal-bounded BFS runs and the tiles they discovered.
+        #: Layered searches, the tiles they reached and their nanoseconds.
         self.bfs_runs = 0
         self.bfs_tiles = 0
+        self.search_ns = 0
 
     @classmethod
     def for_layout(cls, layout: GridLayout) -> "RoutingIndex":
@@ -290,8 +241,8 @@ class RoutingIndex:
     # -- cached primitives ------------------------------------------------------
 
     def path(self, start: int, goal: int) -> Optional[List[int]]:
-        """Shortest ancilla path between two slots, equal to
-        :func:`bfs_ancilla_path`'s (memoised; treat as read-only).
+        """Shortest ancilla path between two slots (memoised; treat as
+        read-only).
 
         A ``-1`` endpoint (no ancilla, see :meth:`FlatGrid.slot_of`) has no
         path.
@@ -301,54 +252,71 @@ class RoutingIndex:
         try:
             return self._paths[key]
         except KeyError:
-            self._route(start, (goal,))
+            self._route((start,), goal)
             return self._paths[key]
 
-    def _route(self, start: int, goals: Sequence[int]) -> None:
-        """Memoise the shortest path from ``start`` to every unmemoised goal
-        with one BFS that stops after the scan discovering the last goal."""
+    def _route(self, starts: Sequence[int], goal: int) -> None:
+        """Memoise the shortest path to ``goal`` from every unmemoised start
+        with one layered search from ``goal`` that stops at the level
+        reaching the last pending start."""
         paths = self._paths
-        pending: Set[int] = set()
-        for goal in goals:
+        pending: List[int] = []
+        for start in starts:
             key = (start, goal)
             if key in paths:
                 continue
-            paths[key] = None  # until the BFS reaches it
+            paths[key] = None  # until the search reaches it
             if start < 0 or goal < 0:
                 continue
-            if goal == start:
+            if start == goal:
                 paths[key] = [start]
             else:
-                pending.add(goal)
+                pending.append(start)
         if not pending:
             return
-        adjacency = self.flat.neighbors
-        parents = [-1] * len(adjacency)
-        parents[start] = start
-        queue = [start]
-        remaining = len(pending)
-        # Appending while iterating is a FIFO queue: nodes pop in discovery
-        # order, neighbours scan in Edge order — the reference BFS order.
-        for current in queue:
-            for neighbor in adjacency[current]:
-                if parents[neighbor] < 0:
-                    parents[neighbor] = current
-                    queue.append(neighbor)
-                    if neighbor in pending:
-                        remaining -= 1
-            if not remaining:
-                break
+        began = time.perf_counter_ns()
+        flat = self.flat
+        bits, stride = flat.bits, flat.stride
+        wanted = 0
+        for start in pending:
+            wanted |= 1 << bits[start]
+        frontier = 1 << bits[goal]
+        unreached = flat.ancilla_mask ^ frontier
+        levels = [frontier]
+        while frontier and wanted & unreached:
+            frontier = (((frontier >> stride) | (frontier << stride)
+                         | (frontier << 1) | (frontier >> 1)) & unreached)
+            unreached ^= frontier
+            levels.append(frontier)
         self.bfs_runs += 1
-        self.bfs_tiles += len(queue)
-        for goal in pending:
-            if parents[goal] < 0:
+        self.bfs_tiles += bin(flat.ancilla_mask ^ unreached).count("1")
+        neighbors = flat.neighbors
+        # Tile of an earlier walk -> (that walk, the tile's index in it).
+        walked: Dict[int, Tuple[List[int], int]] = {}
+        for start in pending:
+            bit = 1 << bits[start]
+            if bit & unreached:
                 continue
-            path, current = [goal], goal
-            while current != start:
-                current = parents[current]
-                path.append(current)
-            path.reverse()
+            # Starts sit near the last level, so look for theirs from there.
+            level = len(levels) - 1
+            while not levels[level] & bit:
+                level -= 1
+            path, tile = [start], start
+            while level:
+                if tile in walked:
+                    earlier, at = walked[tile]
+                    path.extend(earlier[at + 1:])
+                    break
+                walked[tile] = (path, len(path) - 1)
+                level -= 1
+                closer = levels[level]
+                # Rebinds ``tile`` to its first neighbour one level closer.
+                for tile in neighbors[tile]:
+                    if closer >> bits[tile] & 1:
+                        break
+                path.append(tile)
             paths[(start, goal)] = path
+        self.search_ns += time.perf_counter_ns() - began
 
     def attachments(self, orientation: OrientationTracker, qubit: int,
                     pauli: str) -> List[Tuple[int, bool]]:
@@ -371,9 +339,11 @@ class RoutingIndex:
 
     def enumerate_plans(self, orientation: OrientationTracker, control: int,
                         target: int) -> List[RoutePlan]:
-        """Candidate CNOT plans: :func:`enumerate_cnot_plans`'s, in slots.
+        """Candidate CNOT plans for every routable attachment pair, in slots.
 
-        Where the reference finds no plan this raises, so every scheduler
+        This realises the "16 paths" of Algorithm 1: up to 4 ancilla
+        neighbours of the control times up to 4 of the target.  Where no
+        pair is routable this raises, so every scheduler
         fails a CNOT it cannot route with one message.  The returned list is
         cached: treat it (and the plans inside) as read-only.
         """
@@ -388,13 +358,13 @@ class RoutingIndex:
         except KeyError:
             control_candidates = self.attachments(orientation, control, "Z")
             target_candidates = self.attachments(orientation, target, "X")
-            # One bounded BFS per control attachment fills the path memo.
-            for control_attach, _ in control_candidates:
-                self._route(control_attach,
-                            [attach for attach, _ in target_candidates])
+            # One layered search per target attachment fills the path memo.
+            starts = [attach for attach, _ in control_candidates]
+            for target_attach, _ in target_candidates:
+                self._route(starts, target_attach)
             plans = _plans_from_candidates(
                 control, target, control_candidates, target_candidates,
-                set(), self.path)
+                self.path)
             if not plans:
                 raise RuntimeError(
                     f"no ancilla path between qubits {control} and {target}; "

@@ -493,7 +493,7 @@ class RescqPolicy:
         The expected finish is the rotation and CNOT cost plus the largest
         expected free time of a path tile.  Candidates are the attachment
         pairs routed on the latest MST, or, before the first tree exists or
-        when it routes no pair, the cached BFS plans; the first candidate
+        when it routes no pair, the cached shortest-path plans; the first candidate
         wins a tie.
         """
         eft = self._expected_free_time()
@@ -527,7 +527,7 @@ class RescqPolicy:
                                              if target_rotation else None),
                 )
             # Fall through: the MST snapshot routes no attachment pair
-            # (e.g. it predates a layout quirk) — use the cached BFS plans.
+            # (e.g. it predates a layout quirk) — use the cached shortest-path plans.
 
         plans = self.routing.enumerate_plans(self.orientation, control, target)
         # Plans overlap heavily: price each distinct tile once.

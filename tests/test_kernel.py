@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from routing_oracle import bfs_ancilla_path, enumerate_cnot_plans
 from test_routing_backends import index_path, position_plans
 
 from repro import SimulationConfig, default_layout
@@ -15,8 +16,7 @@ from repro.fabric import StarVariant, star_layout
 from repro.fabric.flat import FlatGrid
 from repro.kernel import (FabricState, GateLifecycle, KernelProfile,
                           SimulationClock)
-from repro.lattice import (OrientationTracker, RoutingIndex,
-                           bfs_ancilla_path, enumerate_cnot_plans)
+from repro.lattice import OrientationTracker, RoutingIndex
 from repro.rus import InjectionModel, PreparationModel
 from repro.scheduling import (AutoBraidScheduler, GreedyScheduler,
                               RescqScheduler)
@@ -249,8 +249,9 @@ class TestKernelProfile:
         # The MST tick is booked as its activity snapshot plus its builds.
         assert "share_routing" in row and "share_mst_build" in row
         assert "share_mst_snapshot" in row and "share_mst" not in row
+        assert "share_route_search" in row
         assert "share_total" not in row  # the denominator gets no share
-        for phase in ("routing", "mst_snapshot", "mst_build"):
+        for phase in ("routing", "route_search", "mst_snapshot", "mst_build"):
             expected = row[f"wall_{phase}_s"] / row["wall_total_s"]
             assert row[f"share_{phase}"] == pytest.approx(expected, abs=1e-4)
             assert 0.0 <= row[f"share_{phase}"] <= 1.0
@@ -271,6 +272,37 @@ class TestKernelProfile:
         assert 0 < profile["mst_trees_built"] <= profile["mst_trees"]
         assert profile["wall_mst_snapshot_s"] > 0.0
         assert profile["wall_mst_build_s"] > 0.0
+
+    @pytest.mark.parametrize("scheduler", ["rescq", "greedy", "autobraid"])
+    def test_every_route_search_runs_inside_a_routing_timer(self, qft6,
+                                                            scheduler):
+        """The kernel moves route-search time out of ``routing``, which is
+        exact only if every search runs with ``routing`` as the innermost
+        open timer: in ``rescq.py`` and in ``static.py``."""
+        from unittest import mock
+        from repro.scheduling import SCHEDULER_REGISTRY
+        profiles, stacks = [], []
+        real_init, real_route = KernelProfile.__init__, RoutingIndex._route
+
+        def init(profile):
+            real_init(profile)
+            profiles.append(profile)
+
+        def route(index, starts, goal):
+            stacks.append([frame[0] for frame in profiles[-1]._frames])
+            real_route(index, starts, goal)
+
+        config = SimulationConfig(mst_period=10, mst_latency=20,
+                                  profile_enabled=True)
+        with mock.patch.object(KernelProfile, "__init__", init), \
+                mock.patch.object(RoutingIndex, "_route", route):
+            result = SCHEDULER_REGISTRY.create(scheduler).run(
+                qft6, default_layout(qft6), config, seed=3)
+        assert stacks and result.profile["routing_bfs_runs"] > 0
+        assert all(stack[-1:] == ["routing"] for stack in stacks)
+        # Booked as its own phase; ``routing`` keeps the remainder.
+        assert result.profile["wall_route_search_s"] > 0.0
+        assert result.profile["wall_routing_s"] >= 0.0
 
     def test_profile_enabled_runs_are_bit_identical(self, qft6):
         layout = default_layout(qft6)
@@ -332,6 +364,7 @@ class TestKernelProfile:
         out = capsys.readouterr().out
         assert "kernel profile" in out
         assert "wall_total_s" in out
+        assert "wall_route_search_s" in out
         assert "sim_prep_cycles" in out
 
     def test_cli_run_profile_out_writes_canonical_record(self, capsys,
@@ -437,15 +470,17 @@ class TestRoutingIndex:
         assert (position_plans(star9, index.enumerate_plans(orientation, 0, 1))
                 == enumerate_cnot_plans(star9, orientation, 0, 1))
 
-    def test_enumeration_runs_one_search_per_control_attachment(self, star9):
+    def test_enumeration_runs_one_search_per_target_attachment(self, star9):
         index = RoutingIndex(star9)
         orientation = OrientationTracker(9)
         index.enumerate_plans(orientation, 0, 8)
-        assert index.bfs_runs == len(index.attachments(orientation, 0, "Z"))
+        targets = len(index.attachments(orientation, 8, "X"))
+        assert len(index.attachments(orientation, 0, "Z")) > 1
+        assert index.bfs_runs == targets
         # Re-enumerating with every path memoised runs no further search.
         index._plans.clear()
         index.enumerate_plans(orientation, 0, 8)
-        assert index.bfs_runs == len(index.attachments(orientation, 0, "Z"))
+        assert index.bfs_runs == targets
 
     def test_path_matches_bfs(self, star9):
         index = RoutingIndex(star9)

@@ -1,13 +1,9 @@
 """Tests for lattice-surgery costs, orientation tracking and routing."""
 
 from repro.fabric import Edge, StarVariant, star_layout
-from repro.lattice import (
-    DEFAULT_COSTS,
-    OrientationTracker,
-    RoutePlan,
-    bfs_ancilla_path,
-    enumerate_cnot_plans,
-)
+from routing_oracle import bfs_ancilla_path, enumerate_cnot_plans
+
+from repro.lattice import DEFAULT_COSTS, OrientationTracker, RoutePlan
 from repro.scheduling import GreedyScheduler
 from repro.sim import SimulationConfig
 

@@ -30,8 +30,6 @@ PRODUCT_DIRS = ("src", "benchmarks", "perfbench", "examples")
 ALLOWLIST: Dict[str, str] = {
     "repro.workloads.scenarios:scenario_sweep_names":
         "public API: README's scenario-sweep section documents it",
-    "repro.lattice.routing:enumerate_cnot_plans":
-        "reference implementation the routing-index tests compare against",
     "repro.circuits.dag:GateDependencyGraph.critical_path_length":
         "ROADMAP item 3 names its caller (the invariant checker's bound)",
     "repro.cluster.harness:ClusterHarness.router_url":
