@@ -68,6 +68,7 @@ every ``--jobs`` value.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -652,7 +653,7 @@ def _parse_age(text: str) -> float:
     except ValueError:
         raise SystemExit(f"cache gc: malformed age {text!r}; use e.g. "
                          f"45s, 30m, 12h or 7d")
-    if seconds < 0:
+    if not 0 <= seconds < math.inf:
         raise SystemExit(f"cache gc: age must be >= 0, got {text!r}")
     return seconds
 

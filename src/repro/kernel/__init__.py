@@ -13,7 +13,9 @@ baselines used to hand-roll separately into four layers (bottom to top):
     :class:`~repro.fabric.flat.FlatGrid` slot), per-data-qubit busy-until
     times and busy-cycle accounting, edge orientations, and (for policies
     that route on it) the sliding-window
-    :class:`~repro.kernel.activity.ActivityTracker`.
+    :class:`~repro.kernel.activity.ActivityTracker`.  Every operation
+    claims its tiles and qubits with one ``FabricState.book`` call, which
+    also records its activity and its ``sim_*_cycles`` profile counter.
 
 ``GateLifecycle`` (:mod:`repro.kernel.lifecycle`)
     The gate state machine: dependency releases, per-gate release cycles,

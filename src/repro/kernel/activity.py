@@ -6,12 +6,13 @@ records busy intervals as they are scheduled and answers window queries at MST
 (re)computation time; old intervals are pruned lazily.
 
 Tiles are numbered by their :class:`~repro.fabric.flat.FlatGrid` **slot**,
-the one tile identity inside a run: :class:`~repro.kernel.FabricState`
-records each busy interval under the slot it occupies, and a snapshot is in
-the slot order the MST consumes, so activity goes from here to Kruskal
-without any per-position translation.  Intervals are stored
-struct-of-arrays style — three parallel flat lists ``(slot, start, end)``
-— and :meth:`ActivityTracker.snapshot` is one vectorised clip-and-bincount.
+the one tile identity inside a run: each operation booked through
+:meth:`~repro.kernel.FabricState.book` records one interval for all the
+slots it occupies, and a snapshot is in the slot order the MST consumes, so
+activity goes from here to Kruskal without any per-position translation.
+Intervals are stored struct-of-arrays style — three parallel flat lists
+``(slot, start, end)``, one entry per slot of a recorded operation — and
+:meth:`ActivityTracker.snapshot` is one vectorised clip-and-bincount.
 The clipping is integer arithmetic and ``busy / effective_window`` is one
 IEEE division per slot, so every value equals the per-tile
 ``min(1, busy / effective_window)`` of the historical scalar scan bit for
@@ -20,7 +21,7 @@ bit.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -45,13 +46,17 @@ class ActivityTracker:
         self._start_list: List[int] = []
         self._end_list: List[int] = []
 
-    def record_busy(self, slot: int, start: int, end: int) -> None:
-        """Record that ancilla ``slot`` is busy during ``[start, end)``."""
+    def record(self, slots: Sequence[int], start: int, end: int) -> None:
+        """Record that every ancilla of ``slots`` is busy during
+        ``[start, end)``."""
         if end <= start:
             return
-        self._slot_list.append(slot)
-        self._start_list.append(start)
-        self._end_list.append(end)
+        slot_list, start_list = self._slot_list, self._start_list
+        end_list = self._end_list
+        for slot in slots:
+            slot_list.append(slot)
+            start_list.append(start)
+            end_list.append(end)
 
     def snapshot(self, now: int) -> np.ndarray:
         """Activity of every slot at cycle ``now``: a fresh float64 array."""

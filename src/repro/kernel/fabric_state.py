@@ -10,11 +10,17 @@ Ancilla tiles are numbered by their :class:`~repro.fabric.flat.FlatGrid`
 slot, the one tile identity inside a run: occupancy and held states are
 slot-indexed lists, and every method takes a slot.  :attr:`FabricState.flat`
 converts to and from positions where a layout is read.
+
+Every operation of every policy claims its tiles and data qubits with one
+:meth:`FabricState.book` call.  Besides it, only the cancellation and
+barrier rules (:meth:`~FabricState.truncate_ancilla`,
+:meth:`~FabricState.layer_barrier`) write the busy-until times; policies
+write ``anc_holding`` directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from ..fabric import GridLayout
 from ..fabric.flat import FlatGrid
 from ..lattice import OrientationTracker
 from .activity import ActivityTracker
+from .profiler import KernelProfile
 
 __all__ = ["FabricState"]
 
@@ -40,10 +47,14 @@ class FabricState:
         over that window records every busy interval (RESCQ's MST routing
         metric); layer-synchronous policies pass ``None`` and skip the
         bookkeeping entirely.
+    profile:
+        The run's profile, if any: :meth:`book` adds each operation's
+        cycles to it.
     """
 
     def __init__(self, layout: GridLayout, num_qubits: int,
-                 activity_window: Optional[int] = None) -> None:
+                 activity_window: Optional[int] = None,
+                 profile: Optional[KernelProfile] = None) -> None:
         self.layout = layout
         #: The layout's slot numbering (slot <-> position).
         self.flat = FlatGrid.for_layout(layout)
@@ -60,17 +71,45 @@ class FabricState:
         self.activity: Optional[ActivityTracker] = (
             ActivityTracker(num_ancilla, activity_window)
             if activity_window else None)
+        self.profile = profile
 
-    # -- ancilla occupancy -------------------------------------------------------
+    # -- booking --------------------------------------------------------------
 
-    def occupy_ancilla(self, slot: int, start: int, end: int) -> None:
-        """Mark the tile busy during ``[start, end)`` (and record activity)."""
-        self.anc_free[slot] = end
+    def book(self, kind: str, tiles: Sequence[int], qubits: Sequence[int],
+             not_before: int, duration: int) -> Tuple[int, int]:
+        """Claim ``tiles`` and data ``qubits`` for one operation of
+        ``duration`` cycles; returns its ``(start, end)``.
+
+        ``start`` is the first cycle at or after ``not_before`` at which
+        every tile and qubit is free.  The operation records one activity
+        interval for all its tiles and, when profiling, adds ``duration``
+        to ``sim_<kind>_cycles`` (``prep``, ``injection``, ``cnot`` or
+        ``hadamard``).
+        """
+        anc_free = self.anc_free
+        data_free = self.data_free
+        start = not_before
+        for slot in tiles:
+            if anc_free[slot] > start:
+                start = anc_free[slot]
+        for qubit in qubits:
+            if data_free[qubit] > start:
+                start = data_free[qubit]
+        end = start + duration
+        for slot in tiles:
+            anc_free[slot] = end
+        data_busy = self.data_busy
+        for qubit in qubits:
+            data_free[qubit] = end
+            data_busy[qubit] += duration
         if self.activity is not None:
-            self.activity.record_busy(slot, start, end)
+            self.activity.record(tiles, start, end)
+        if self.profile is not None:
+            self.profile.add(f"sim_{kind}_cycles", float(duration))
+        return start, end
 
     def truncate_ancilla(self, slot: int, now: int) -> None:
-        """Free the tile at ``now`` if its scheduled work ends later.
+        """Free the tile at ``now`` if its booked work ends later.
 
         Used when in-flight work is cancelled (e.g. a preparation terminated
         because its Rz gate completed).  Activity already recorded for the
@@ -79,21 +118,6 @@ class FabricState:
         """
         if self.anc_free[slot] > now:
             self.anc_free[slot] = now
-
-    # -- held states -------------------------------------------------------------
-
-    def hold(self, slot: int, gate_index: int) -> None:
-        self.anc_holding[slot] = gate_index
-
-    def release_hold(self, slot: int) -> None:
-        self.anc_holding[slot] = None
-
-    # -- data-qubit occupancy ------------------------------------------------------
-
-    def occupy_data(self, qubit: int, start: int, end: int) -> None:
-        """Mark the data qubit busy during ``[start, end)`` and account it."""
-        self.data_free[qubit] = end
-        self.data_busy[qubit] += end - start
 
     # -- synchronisation -----------------------------------------------------------
 

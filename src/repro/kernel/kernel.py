@@ -56,10 +56,13 @@ class SimulationKernel:
         self.scheduler_name = scheduler_name
         self.benchmark = benchmark if benchmark is not None else circuit.name
         self.rng = np.random.default_rng(seed)
+        self.profile: Optional[KernelProfile] = (
+            KernelProfile() if config.profile_enabled else None)
 
         self.clock = SimulationClock()
         self.fabric = FabricState(layout, circuit.num_qubits,
-                                  activity_window=activity_window)
+                                  activity_window=activity_window,
+                                  profile=self.profile)
         self.lifecycle = GateLifecycle(circuit)
         #: Shared per-layout routing cache (reused across runs and seeds).
         self.routing = RoutingIndex.for_layout(layout)
@@ -69,8 +72,6 @@ class SimulationKernel:
             name: getattr(self.routing, name) for name in
             ("queries", "plan_cache_hits", "bfs_runs", "bfs_tiles")}
         self._search_ns_start = self.routing.search_ns
-        self.profile: Optional[KernelProfile] = (
-            KernelProfile() if config.profile_enabled else None)
 
     def check_cycle_bound(self, cycle: int) -> None:
         """Raise once the run reaches past ``config.max_cycles``."""

@@ -175,10 +175,6 @@ class _GateTask:
         self.parked = False
 
 
-#: Profile counter of the simulated cycles each gate-task kind occupies.
-_CYCLE_COUNTERS = {"cnot": "sim_cnot_cycles", "h": "sim_hadamard_cycles"}
-
-
 # ---------------------------------------------------------------------------
 # The RESCQ policy on the event-driven kernel
 # ---------------------------------------------------------------------------
@@ -718,15 +714,11 @@ class RescqPolicy:
             durations = self.prep_model.sample_cycles_batch(self.rng,
                                                             len(eligible))
         for slot, duration in zip(eligible, durations):
-            duration = int(duration)
-            finish = now + duration
+            _, finish = fabric.book("prep", (slot,), (), now, int(duration))
             preparing[slot] = [finish, level]
             task.prep_attempts += 1
             if task.first_start is None:
                 task.first_start = now
-            fabric.occupy_ancilla(slot, now, finish)
-            if self.profile is not None:
-                self.profile.add("sim_prep_cycles", float(duration))
             self.clock.push(finish, "prep", (gate_index, slot, finish))
         return True
 
@@ -750,7 +742,7 @@ class RescqPolicy:
             # necessary", Section 3.2).
             if holder == task.gate_index:
                 task.holding.pop(router, None)
-                self.fabric.release_hold(router)
+                self.fabric.anc_holding[router] = None
             return [slot, router], self.costs.cnot_injection_cycles
         waits.append(self.queues[router].waiters)
         return None
@@ -784,10 +776,8 @@ class RescqPolicy:
             if resources is None:
                 continue
             tiles, duration = resources
-            finish = now + duration
-            for tile in tiles:
-                self.fabric.occupy_ancilla(tile, now, finish)
-            self.fabric.occupy_data(task.qubit, now, finish)
+            _, finish = self.fabric.book("injection", tiles, (task.qubit,),
+                                         now, duration)
             task.injecting = True
             task.injections += 1
             if task.first_start is None:
@@ -797,14 +787,12 @@ class RescqPolicy:
             # ``slot`` stays busy with the injection; the surplus tiles
             # are free for other gates now.
             task.holding.pop(slot, None)
-            self.fabric.release_hold(slot)
+            self.fabric.anc_holding[slot] = None
             for other, level in list(task.holding.items()):
                 if level == task.level:
                     task.holding.pop(other)
-                    self.fabric.release_hold(other)
+                    self.fabric.anc_holding[other] = None
                     self._wake_tile(self.queues[other])
-            if self.profile is not None:
-                self.profile.add("sim_injection_cycles", float(duration))
             self.clock.push(finish, "inject",
                             (task.gate_index, slot, finish))
             self._maybe_lookahead_prepare(task.gate_index)
@@ -829,7 +817,7 @@ class RescqPolicy:
         # blocked until the hold is released.
         is_first_at_level = level not in task.holding.values()
         task.holding[slot] = level
-        self.fabric.hold(slot, gate_index)
+        self.fabric.anc_holding[slot] = gate_index
         if (is_first_at_level and level == task.level
                 and self.config.eager_correction_prep):
             # In-place retarget of the other in-flight preparations to the
@@ -872,7 +860,7 @@ class RescqPolicy:
             self._wake_tile(self.queues[slot])
         task.preparing.clear()
         for slot in list(task.holding):
-            self.fabric.release_hold(slot)
+            self.fabric.anc_holding[slot] = None
             self._wake_tile(self.queues[slot])
         task.holding.clear()
         scheduled = task.release_cycle if task.release_cycle is not None else now
@@ -910,16 +898,10 @@ class RescqPolicy:
                 task.parked = True
                 queue.waiters.append(task)
                 return
-        duration = task.duration
-        finish = now + duration
-        for slot in task.tiles:
-            fabric.occupy_ancilla(slot, now, finish)
-        for qubit in task.qubits:
-            fabric.occupy_data(qubit, now, finish)
+        task.start_cycle, finish = fabric.book(
+            "cnot" if task.kind == "cnot" else "hadamard", task.tiles,
+            task.qubits, now, task.duration)
         task.started = True
-        task.start_cycle = now
-        if self.profile is not None:
-            self.profile.add(_CYCLE_COUNTERS[task.kind], float(duration))
         self.clock.push(finish, "gate", (gate_index, finish))
         self._maybe_lookahead_prepare(gate_index)
 

@@ -63,10 +63,10 @@ class _StaticLayerPolicy:
         #: How many times each ancilla slot has been claimed within the open
         #: layer (AutoBraid uses this to spread paths out).
         self.claimed: Dict[int, int] = {}
-        #: qubit -> (prep ancilla, injection helper, injection cycles) as
+        #: qubit -> (prep ancilla, injection tiles, injection cycles) as
         #: slots; the dedicated-block geometry is static, so it is resolved
         #: once.
-        self._rz_geometry: Dict[int, Tuple[int, Optional[int], int]] = {}
+        self._rz_geometry: Dict[int, Tuple[int, Tuple[int, ...], int]] = {}
 
     # -- the drive loop ------------------------------------------------------------
 
@@ -112,24 +112,15 @@ class _StaticLayerPolicy:
             plans = self.routing.enumerate_plans(self.orientation,
                                                  control, target)
         plan = self.scheduler._choose_plan(plans, self.claimed, self.config)
-        duration = plan.duration(self.costs)
         resources = plan.ancillas_used
-        anc_free = self.fabric.anc_free
-        start = max(layer_start, self.fabric.data_free[control],
-                    self.fabric.data_free[target],
-                    *(anc_free[slot] for slot in resources))
-        end = start + duration
+        start, end = self.fabric.book("cnot", resources, (control, target),
+                                      layer_start, plan.duration(self.costs))
         for slot in resources:
-            self.fabric.occupy_ancilla(slot, start, end)
             self.claimed[slot] = self.claimed.get(slot, 0) + 1
-        self.fabric.occupy_data(control, start, end)
-        self.fabric.occupy_data(target, start, end)
         if plan.control_rotation:
             self.orientation.rotate(control)
         if plan.target_rotation:
             self.orientation.rotate(target)
-        if self.profile is not None:
-            self.profile.add("sim_cnot_cycles", float(duration))
         self.lifecycle.traces.append(GateTrace(
             gate_index, "cnot", gate.qubits,
             scheduled_cycle=layer_start,
@@ -152,71 +143,59 @@ class _StaticLayerPolicy:
                 return slot
         return flat.qubit_neighbors(qubit)[0]
 
-    def _rz_resources(self, qubit: int) -> Tuple[int, Optional[int], int]:
-        """(prep ancilla, helper, injection cycles) for the qubit — memoised.
+    def _rz_resources(self, qubit: int) -> Tuple[int, Tuple[int, ...], int]:
+        """(prep ancilla, injection tiles, injection cycles) for the qubit —
+        memoised.
 
         The baselines inject with the CNOT strategy (Figure 1d), which needs
-        a second ancilla (Table 1); use another free neighbour when one
-        exists, otherwise fall back to the 1-ancilla ZZ strategy (compressed
-        blocks may simply not have a second tile).
+        a second ancilla (Table 1) next to the prep ancilla; use another free
+        neighbour when one exists, otherwise fall back to the 1-ancilla ZZ
+        strategy (compressed blocks may simply not have a second tile).
         """
         cached = self._rz_geometry.get(qubit)
         if cached is not None:
             return cached
         prep_ancilla = self._dedicated_prep_ancilla(qubit)
-        helper: Optional[int] = None
         # The qubit's own neighbours first (it may have none when the
         # block's diagonal ancilla prepares), then the prep tile's.
         flat = self.fabric.flat
-        for candidate in ([flat.slot_of(position) for position in
-                           self.layout.ancilla_neighbors_of_qubit(qubit)]
-                          + flat.neighbors[prep_ancilla]):
-            if candidate != prep_ancilla:
-                helper = candidate
+        for helper in ([flat.slot_of(position) for position in
+                        self.layout.ancilla_neighbors_of_qubit(qubit)]
+                       + flat.neighbors[prep_ancilla]):
+            if helper != prep_ancilla:
+                result = (prep_ancilla, (prep_ancilla, helper),
+                          self.costs.cnot_injection_cycles)
                 break
-        injection_cycles = (self.costs.zz_injection_cycles if helper is None
-                            else self.costs.cnot_injection_cycles)
-        result = (prep_ancilla, helper, injection_cycles)
+        else:
+            result = (prep_ancilla, (prep_ancilla,),
+                      self.costs.zz_injection_cycles)
         self._rz_geometry[qubit] = result
         return result
 
     def _execute_rz(self, gate_index: int, gate: Gate,
                     layer_start: int) -> int:
         qubit = gate.qubits[0]
-        prep_ancilla, helper, injection_cycles = self._rz_resources(qubit)
+        prep_ancilla, injection_tiles, injection_cycles = \
+            self._rz_resources(qubit)
         fabric = self.fabric
 
         limit = self.scheduler.injection_limit(gate)
-        clock = max(layer_start, fabric.data_free[qubit])
+        clock = layer_start
         prep_attempts = 0
         injections = 0
         first_start: Optional[int] = None
         for _attempt in range(limit):
             # Preparation on the dedicated ancilla, no early start (baseline).
-            prep_start = max(clock, fabric.anc_free[prep_ancilla])
-            prep_duration = self.prep_model.sample_cycles(self.rng)
+            prep_start, prep_end = fabric.book(
+                "prep", (prep_ancilla,), (), clock,
+                self.prep_model.sample_cycles(self.rng))
             prep_attempts += 1
-            prep_end = prep_start + prep_duration
-            fabric.occupy_ancilla(prep_ancilla, prep_start, prep_end)
             if first_start is None:
                 first_start = prep_start
-            if self.profile is not None:
-                self.profile.add("sim_prep_cycles", float(prep_duration))
-
             # Injection occupies the data qubit, the prep ancilla and the helper.
-            injection_start = max(prep_end, fabric.data_free[qubit])
-            if helper is not None:
-                injection_start = max(injection_start, fabric.anc_free[helper])
-            injection_end = injection_start + injection_cycles
-            fabric.occupy_ancilla(prep_ancilla, injection_start, injection_end)
-            if helper is not None:
-                fabric.occupy_ancilla(helper, injection_start, injection_end)
-            fabric.occupy_data(qubit, injection_start, injection_end)
+            _, clock = fabric.book("injection", injection_tiles, (qubit,),
+                                   prep_end, injection_cycles)
             injections += 1
-            if self.profile is not None:
-                self.profile.add("sim_injection_cycles",
-                                 float(injection_cycles))
-            clock = injection_end
             if self.rng.random() < 0.5:
                 break
             # Failure: the correction R(2^k theta) restarts the whole protocol.
@@ -235,15 +214,10 @@ class _StaticLayerPolicy:
         anc_free = self.fabric.anc_free
         helper = min(self.fabric.flat.qubit_neighbors(qubit),
                      key=anc_free.__getitem__)
-        start = max(layer_start, self.fabric.data_free[qubit], anc_free[helper])
-        end = start + self.costs.hadamard_cycles
-        self.fabric.occupy_ancilla(helper, start, end)
-        self.fabric.occupy_data(qubit, start, end)
+        start, end = self.fabric.book("hadamard", (helper,), (qubit,),
+                                      layer_start, self.costs.hadamard_cycles)
         # A logical Hadamard exchanges the X and Z boundaries of the patch.
         self.orientation.rotate(qubit)
-        if self.profile is not None:
-            self.profile.add("sim_hadamard_cycles",
-                             float(self.costs.hadamard_cycles))
         self.lifecycle.traces.append(GateTrace(
             gate_index, "h", gate.qubits,
             scheduled_cycle=layer_start,

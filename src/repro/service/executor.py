@@ -36,6 +36,7 @@ caller cancelled is skipped when its job finishes.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import queue
@@ -142,7 +143,7 @@ class ServiceExecutor:
                  poll_interval: float = 0.05) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if job_timeout is not None and job_timeout <= 0:
+        if job_timeout is not None and not 0 < job_timeout < math.inf:
             raise ValueError("job_timeout must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")

@@ -22,6 +22,7 @@ in plan order, whichever way the jobs ran.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter
 from concurrent.futures import CancelledError, Future
@@ -105,7 +106,7 @@ class ExperimentService:
                  retry_after: float = 1.0) -> None:
         if max_pending is not None and max_pending < 0:
             raise ValueError("max_pending must be >= 0")
-        if retry_after <= 0:
+        if not 0 < retry_after < math.inf:
             raise ValueError("retry_after must be positive")
         self.executor = executor
         self.cache = cache

@@ -281,6 +281,15 @@ class TestServeParser:
         with pytest.raises(SystemExit, match="--jobs"):
             main(["serve", "--jobs", "0"])
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--retry-after", "retry_after must be positive"),
+        ("--job-timeout", "job_timeout must be positive"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_serve_rejects_non_finite_seconds(self, flag, message, value):
+        with pytest.raises(SystemExit, match=message):
+            main(["serve", flag, value])
+
 
 class TestParseAge:
     @pytest.mark.parametrize("text,expected", [
@@ -360,6 +369,13 @@ class TestCacheCommand:
         assert "removed 0 entries" in capsys.readouterr().out
         assert main(["cache", "stats", spec]) == 0
         assert "2 entries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("age", ["nan", "inf", "nanh"])
+    def test_gc_rejects_non_finite_age(self, tmp_path, age):
+        spec = self.populate(str(tmp_path / "cache"))
+        with pytest.raises(SystemExit, match="age must be >= 0"):
+            main(["cache", "gc", spec, "--older-than", age])
+        assert main(["cache", "stats", spec]) == 0
 
     def test_gc_with_zero_age_removes_everything(self, tmp_path, capsys):
         spec = self.populate(str(tmp_path / "cache"))

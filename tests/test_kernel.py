@@ -98,7 +98,7 @@ class TestFabricState:
 
     def test_occupy_and_truncate_ancilla(self, fabric):
         tile = 0
-        fabric.occupy_ancilla(tile, 0, 10)
+        assert fabric.book("prep", (tile,), (), 0, 10) == (0, 10)
         assert fabric.anc_free[tile] > 5
         fabric.truncate_ancilla(tile, 5)
         assert fabric.anc_free[tile] <= 5
@@ -107,15 +107,36 @@ class TestFabricState:
         assert fabric.anc_free[tile] == 5
 
     def test_occupy_data_accounts_busy_cycles(self, fabric):
-        fabric.occupy_data(3, 2, 7)
-        fabric.occupy_data(3, 9, 12)
+        assert fabric.book("hadamard", (), (3,), 2, 5) == (2, 7)
+        assert fabric.book("hadamard", (), (3,), 9, 3) == (9, 12)
         assert fabric.data_free[3] == 12
         assert fabric.data_busy[3] == 8
+
+    def test_book_starts_once_every_resource_is_free(self, fabric):
+        """A booking starts at the latest of ``not_before`` and each of its
+        tiles' and qubits' free cycles, and claims all of them to its end."""
+        fabric.book("prep", (1,), (), 0, 9)
+        fabric.book("hadamard", (2,), (4,), 0, 6)
+        assert fabric.book("cnot", (1, 2, 3), (4, 5), 3, 2) == (9, 11)
+        assert [fabric.anc_free[slot] for slot in (1, 2, 3)] == [11] * 3
+        assert [fabric.data_free[q] for q in (4, 5)] == [11, 11]
+        assert fabric.data_busy[4] == 6 + 2 and fabric.data_busy[5] == 2
+        # Nothing busy: the operation starts at ``not_before``.
+        assert fabric.book("injection", (7,), (6,), 4, 3) == (4, 7)
+
+    def test_book_adds_the_kind_cycle_counter(self, star9):
+        profile = KernelProfile()
+        fabric = FabricState(star9, 9, profile=profile)
+        fabric.book("prep", (0,), (), 0, 7)
+        fabric.book("prep", (1,), (), 0, 2)
+        fabric.book("cnot", (2, 3), (0, 1), 0, 4)
+        assert profile.counters == {"sim_prep_cycles": 9.0,
+                                    "sim_cnot_cycles": 4.0}
 
     def test_layer_barrier_raises_floors_only(self, fabric):
         tile = 0
         anc_free = fabric.anc_free
-        fabric.occupy_ancilla(tile, 0, 30)
+        fabric.book("prep", (tile,), (), 0, 30)
         fabric.layer_barrier(20)
         assert fabric.anc_free is anc_free  # updated in place
         assert fabric.anc_free[tile] == 30  # already past the barrier
@@ -123,12 +144,14 @@ class TestFabricState:
         assert all(free >= 20 for free in fabric.data_free)
 
     def test_holds(self, fabric):
+        """Policies write holds directly; booking and truncating a tile
+        leave its hold alone."""
         tile = 0
         assert fabric.anc_holding[tile] is None
-        fabric.hold(tile, 42)
+        fabric.anc_holding[tile] = 42
+        fabric.book("injection", (tile,), (0,), 0, 5)
+        fabric.truncate_ancilla(tile, 2)
         assert fabric.anc_holding[tile] == 42
-        fabric.release_hold(tile)
-        assert fabric.anc_holding[tile] is None
 
     def test_activity_snapshot_requires_window(self, star9):
         fabric = FabricState(star9, 9)
@@ -136,7 +159,7 @@ class TestFabricState:
             fabric.activity_snapshot(0)
 
     def test_activity_snapshot_reflects_busy_intervals(self, fabric):
-        fabric.occupy_ancilla(2, 0, 25)
+        fabric.book("prep", (2,), (), 0, 25)
         snapshot = fabric.activity_snapshot(50)
         # One value per ancilla, in FlatGrid slot order.
         assert snapshot.shape == (fabric.flat.num_ancilla,)

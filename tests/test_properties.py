@@ -219,7 +219,7 @@ class TestActivityProperties:
         tracker = ActivityTracker(1, window=window)
         now = 0
         for start, length in intervals:
-            tracker.record_busy(0, start, start + length)
+            tracker.record((0,), start, start + length)
             now = max(now, start + length)
         activity = tracker.snapshot(now)[0]
         assert 0.0 <= activity <= 1.0

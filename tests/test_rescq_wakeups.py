@@ -221,7 +221,7 @@ def test_run_names_the_stuck_gate_on_deadlock():
 
     def create_and_hold(index, gate):
         task = create(index, gate)
-        kernel.fabric.hold(task.tiles[0], phantom)
+        kernel.fabric.anc_holding[task.tiles[0]] = phantom
         return task
 
     policy._create_cnot_task = create_and_hold
@@ -262,7 +262,7 @@ def test_blocked_tasks_join_the_wake_list_of_their_blocker():
     policy._create_task(0, released=True)
     cnot = policy.tasks[0]
     tile = cnot.tiles[-1]
-    policy.fabric.occupy_ancilla(tile, 0, 10)
+    policy.fabric.book("cnot", (tile,), (), 0, 10)
     policy._try_start_gate(cnot)
     assert cnot.parked and policy.queues[tile].waiters == [cnot]
     policy._wake_tile(policy.queues[tile])
@@ -298,9 +298,9 @@ def test_blocked_tasks_join_the_wake_list_of_their_blocker():
     assert others
     rz.preparing[router] = [10, 1]
     for slot in [router] + others:
-        policy.fabric.occupy_ancilla(slot, 0, 10)
+        policy.fabric.book("prep", (slot,), (), 0, 10)
     rz.holding[diagonal] = 0
-    policy.fabric.hold(diagonal, 0)
+    policy.fabric.anc_holding[diagonal] = 0
     policy._advance_rz(rz)
     assert rz.parked
     for slot in [router] + others:

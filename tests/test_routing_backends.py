@@ -29,7 +29,7 @@ from repro.fabric.flat import FlatGrid
 from repro.lattice import RoutingIndex
 from repro.scheduling import SCHEDULER_REGISTRY
 from repro.sim.runner import default_layout
-from repro.workloads import qft_circuit
+from repro.workloads import get_benchmark, qft_circuit
 from repro.workloads.scenarios import clifford_rz_circuit
 
 
@@ -302,12 +302,14 @@ def _reference_path(index, start, goal):
     return None if path is None else [flat.slot_of(tile) for tile in path]
 
 
-def _run(circuit, seed: int, reference: bool = False):
-    """One RESCQ run; ``reference`` routes every path query through the
-    oracle BFS instead of the index's layered search."""
-    config = SimulationConfig(mst_period=10, mst_latency=20)
+def _run(circuit, seed: int, reference: bool = False,
+         scheduler_name: str = "rescq", use_mst_routing: bool = True):
+    """One run (RESCQ by default); ``reference`` routes every path query
+    through the oracle BFS instead of the index's layered search."""
+    config = SimulationConfig(mst_period=10, mst_latency=20,
+                              use_mst_routing=use_mst_routing)
     layout = default_layout(circuit)
-    scheduler = SCHEDULER_REGISTRY.create("rescq")
+    scheduler = SCHEDULER_REGISTRY.create(scheduler_name)
     routing = (mock.patch.object(RoutingIndex, "path", _reference_path)
                if reference else contextlib.nullcontext())
     with routing:
@@ -329,3 +331,15 @@ def test_backends_identical_on_dense_scenario():
     """Deterministic (non-hypothesis) index-vs-reference check, denser case."""
     circuit = clifford_rz_circuit(12, depth=6, cx_fraction=0.5, seed=21)
     assert _run(circuit, 1) == _run(circuit, 1, reference=True)
+
+
+@pytest.mark.parametrize("scheduler_name", ["greedy", "autobraid", "rescq"])
+def test_backends_identical_on_qft_n18(scheduler_name):
+    """Every CNOT path of these runs comes from plan enumeration, and
+    qft_n18's all-pairs CNOTs over its 18-qubit fabric meet shortest-path
+    ties that the small scenario circuits above do not: a walk that breaks
+    a tie in another Edge order changes these results."""
+    circuit = get_benchmark("qft_n18").build()
+    runs = [_run(circuit, 1, reference, scheduler_name, use_mst_routing=False)
+            for reference in (False, True)]
+    assert runs[0] == runs[1]

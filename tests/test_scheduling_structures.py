@@ -87,40 +87,40 @@ class TestActivityTracker:
 
     def test_activity_ratio(self):
         busy = new_tracker(100)
-        busy.record_busy(0, 0, 30)
+        busy.record((0,), 0, 30)
         assert activity(busy, 0, now=100) == pytest.approx(0.3)
 
     def test_old_intervals_fall_out_of_window(self):
         busy = new_tracker(10)
-        busy.record_busy(0, 0, 5)
+        busy.record((0,), 0, 5)
         assert activity(busy, 0, now=100) == 0.0
 
     def test_partial_overlap_with_window(self):
         busy = new_tracker(10)
-        busy.record_busy(0, 0, 15)
+        busy.record((0,), 0, 15)
         # window is [10, 20): 5 busy cycles
         assert activity(busy, 0, now=20) == pytest.approx(0.5)
 
     def test_activity_clamped_to_one(self):
         busy = new_tracker(10)
-        busy.record_busy(0, 0, 10)
-        busy.record_busy(0, 0, 10)
+        busy.record((0,), 0, 10)
+        busy.record((0,), 0, 10)
         assert activity(busy, 0, now=10) == 1.0
 
     def test_early_window_uses_elapsed_time(self):
         busy = new_tracker(100)
-        busy.record_busy(0, 0, 5)
+        busy.record((0,), 0, 5)
         assert activity(busy, 0, now=10) == pytest.approx(0.5)
 
     def test_empty_interval_ignored(self):
         busy = new_tracker(10)
-        busy.record_busy(0, 5, 5)
+        busy.record((0,), 5, 5)
         assert activity(busy, 0, now=10) == 0.0
 
     def test_snapshot(self):
         """A slot-ordered float64 array, fresh on every call."""
         busy = new_tracker(10)
-        busy.record_busy(1, 0, 10)
+        busy.record((1,), 0, 10)
         snap = busy.snapshot(now=10)
         assert snap.dtype == np.float64 and snap.shape == (SLOTS,)
         assert snap.tolist() == [0.0, 1.0]
@@ -133,7 +133,7 @@ class TestActivityTracker:
         refuses an interval recorded under it."""
         flat = FlatGrid.for_layout(star_layout(4, StarVariant.STAR))
         tracker = ActivityTracker(flat.num_ancilla, window=10)
-        tracker.record_busy(flat.slot_of((99, 99)), 0, 3)
+        tracker.record((flat.slot_of((99, 99)),), 0, 3)
         with pytest.raises(ValueError):
             tracker.snapshot(5)
 
@@ -147,10 +147,23 @@ class TestActivityTracker:
                      (1, 2, 9), (1, 45, 80), (0, 70, 90), (1, 31, 33)]
         busy = new_tracker(window)
         for slot, start, end in intervals:
-            busy.record_busy(slot, start, end)
+            busy.record((slot,), start, end)
         for now in (0, 7, 30, 49, 50, 51, 80, 81, 200):
             assert busy.snapshot(now).tolist() == reference_snapshot(
                 intervals, SLOTS, window, now), now
+
+    def test_one_record_per_operation_equals_one_per_slot(self):
+        """An operation's one record of all its slots gives the same
+        snapshot, bit for bit, as a record per slot."""
+        per_operation, per_slot = new_tracker(20), new_tracker(20)
+        for slots, start, end in (((0, 1), 0, 7), ((1,), 3, 12),
+                                  ((1, 0), 11, 30)):
+            per_operation.record(slots, start, end)
+            for slot in slots:
+                per_slot.record((slot,), start, end)
+        for now in (5, 20, 31):
+            assert per_operation.snapshot(now).tolist() == \
+                per_slot.snapshot(now).tolist()
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):

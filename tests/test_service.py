@@ -144,6 +144,11 @@ class TestServiceExecutor:
         with pytest.raises(ValueError):
             ServiceExecutor(max_attempts=0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_rejects_non_finite_job_timeout(self, timeout):
+        with pytest.raises(ValueError, match="job_timeout must be positive"):
+            ServiceExecutor(job_timeout=timeout)
+
     def test_run_jobs_preserves_order(self, pool):
         values = list(range(10))
         service = ExperimentService(executor=pool)
@@ -454,6 +459,12 @@ class TestExperimentService:
             ExperimentService(executor=pool, max_pending=-1)
         with pytest.raises(ValueError):
             ExperimentService(executor=pool, retry_after=0)
+
+    @pytest.mark.parametrize("retry_after", [float("nan"), float("inf")])
+    def test_non_finite_retry_after_is_rejected(self, retry_after):
+        # A NaN or infinite Retry-After cannot be rounded into a header.
+        with pytest.raises(ValueError, match="retry_after must be positive"):
+            ExperimentService(retry_after=retry_after)
 
     def test_status_record_per_job(self, pool, tmp_path):
         service = ExperimentService(executor=pool,
