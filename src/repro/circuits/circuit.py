@@ -9,11 +9,14 @@ number of gates on the first line followed by one gate per line.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    TypeVar)
 
 from .gates import Gate, GateType, cnot, h, rz, x
 
 __all__ = ["Circuit", "CircuitStats"]
+
+_T = TypeVar("_T")
 
 
 class CircuitStats:
@@ -63,6 +66,10 @@ class CircuitStats:
 class Circuit:
     """An ordered sequence of gates over ``num_qubits`` logical qubits."""
 
+    #: Analyses of the current gate list, by key (see :meth:`cached`);
+    #: ``None`` until the first one is asked for.
+    _memo: Optional[Dict[str, object]] = None
+
     def __init__(self, num_qubits: int, name: str = "circuit",
                  gates: Optional[Iterable[Gate]] = None) -> None:
         if num_qubits <= 0:
@@ -85,6 +92,7 @@ class Circuit:
                     f"has only {self.num_qubits} qubits"
                 )
         self._gates.append(gate)
+        self._memo = None
         return self
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
@@ -128,6 +136,31 @@ class Circuit:
     @property
     def gates(self) -> Tuple[Gate, ...]:
         return tuple(self._gates)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The analysis memo is a per-process cache, not part of the circuit:
+        # a pickled job carries only the gates, whatever ran before.
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
+
+    # -- compiled analyses -----------------------------------------------------
+
+    def cached(self, key: str, build: Callable[["Circuit"], _T]) -> _T:
+        """``build(self)``, computed on the first call for ``key`` and kept
+        until the gate list changes (:meth:`append` drops every entry).
+
+        Schedulers compile what depends only on the gates here once per
+        circuit instead of once per run, so the results are shared by every
+        run and must be treated as read-only.  The memo is not part of the
+        circuit's value: equality, pickles and job fingerprints ignore it.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]  # type: ignore[return-value]
 
     # -- analysis ----------------------------------------------------------------
 

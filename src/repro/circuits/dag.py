@@ -4,18 +4,66 @@ The realtime scheduler (RESCQ) does not operate on synchronous layers: a gate
 becomes *schedulable* the moment the previous gate on each of its operand
 qubits has completed (Section 3.1).  The :class:`GateDependencyGraph` captures
 exactly that per-qubit program order and exposes the incremental "release"
-interface the simulator drives.
+interface the simulator drives.  Its static half depends only on the gates,
+so it is compiled once per circuit (:meth:`Circuit.cached`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .circuit import Circuit
 from .gates import GateType
 
 __all__ = ["GateDependencyGraph"]
+
+
+class _Structure(NamedTuple):
+    """The run-independent half of a :class:`GateDependencyGraph`."""
+
+    #: Node gate indices in program order.
+    nodes: Tuple[int, ...]
+    #: Node -> its successors, ascending.
+    successors: Dict[int, Tuple[int, ...]]
+    #: Node -> how many distinct predecessors it has.
+    predecessor_count: Dict[int, int]
+    #: Node -> longest chain of dependent gates starting at it (inclusive).
+    critical_paths: Dict[int, int]
+    #: Nodes without predecessors, ascending.
+    roots: Tuple[int, ...]
+
+
+def _structure(circuit: Circuit) -> _Structure:
+    successors: Dict[int, Set[int]] = {}
+    predecessor_count: Dict[int, int] = {}
+    nodes: List[int] = []
+    last_on_qubit: Dict[int, int] = {}
+    for index, gate in enumerate(circuit):
+        if gate.is_free or gate.gate_type is GateType.BARRIER:
+            continue
+        nodes.append(index)
+        preds: Set[int] = set()
+        for qubit in gate.qubits:
+            if qubit in last_on_qubit:
+                preds.add(last_on_qubit[qubit])
+            last_on_qubit[qubit] = index
+        predecessor_count[index] = len(preds)
+        for pred in preds:
+            successors.setdefault(pred, set()).add(index)
+    critical: Dict[int, int] = {}
+    for index in reversed(nodes):
+        best = 0
+        for succ in successors.get(index, ()):
+            best = max(best, critical[succ])
+        critical[index] = best + 1
+    return _Structure(
+        nodes=tuple(nodes),
+        successors={node: tuple(sorted(succs))
+                    for node, succs in successors.items()},
+        predecessor_count=predecessor_count,
+        critical_paths=critical,
+        roots=tuple(node for node in nodes if not predecessor_count[node]),
+    )
 
 
 class GateDependencyGraph:
@@ -24,46 +72,30 @@ class GateDependencyGraph:
     Nodes are gate indices into the originating circuit.  There is an edge
     ``i -> j`` when gate ``j`` is the next gate after ``i`` on some shared
     qubit.  Zero-cost gates (Pauli frame updates, barriers, measurements) are
-    excluded: they neither occupy hardware nor delay successors.
+    excluded: they neither occupy hardware nor delay successors.  Every graph
+    of one circuit shares its compiled structure and starts with nothing
+    completed.
     """
 
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self._successors: Dict[int, Set[int]] = defaultdict(set)
-        self._predecessor_count: Dict[int, int] = {}
-        self._nodes: List[int] = []
-        self._critical_path_length: Dict[int, int] = {}
-
-        last_on_qubit: Dict[int, int] = {}
-        for index, gate in enumerate(circuit):
-            if gate.is_free or gate.gate_type is GateType.BARRIER:
-                continue
-            self._nodes.append(index)
-            preds: Set[int] = set()
-            for qubit in gate.qubits:
-                if qubit in last_on_qubit:
-                    preds.add(last_on_qubit[qubit])
-                last_on_qubit[qubit] = index
-            self._predecessor_count[index] = len(preds)
-            for pred in preds:
-                self._successors[pred].add(index)
-
-        self._compute_critical_paths()
+        structure = circuit.cached("dependencies", _structure)
+        self._nodes = structure.nodes
+        self._successors = structure.successors
+        self._predecessor_count = structure.predecessor_count
+        self._critical_path_length = structure.critical_paths
         self._remaining_predecessors = dict(self._predecessor_count)
         self._completed: Set[int] = set()
-        self._released: Set[int] = {
-            node for node, count in self._remaining_predecessors.items()
-            if count == 0
-        }
+        self._released: Set[int] = set(structure.roots)
 
     # -- static structure --------------------------------------------------------
 
     @property
     def nodes(self) -> Tuple[int, ...]:
-        return tuple(self._nodes)
+        return self._nodes
 
     def successors(self, index: int) -> Tuple[int, ...]:
-        return tuple(sorted(self._successors.get(index, ())))
+        return self._successors.get(index, ())
 
     def critical_path_length(self, index: int) -> int:
         """Longest chain of dependent gates starting at ``index`` (inclusive).
@@ -72,13 +104,6 @@ class GateDependencyGraph:
         more likely to be on the program's critical path.
         """
         return self._critical_path_length[index]
-
-    def _compute_critical_paths(self) -> None:
-        for index in reversed(self._nodes):
-            best = 0
-            for succ in self._successors.get(index, ()):
-                best = max(best, self._critical_path_length[succ])
-            self._critical_path_length[index] = best + 1
 
     # -- incremental release interface -------------------------------------------
 
@@ -105,9 +130,10 @@ class GateDependencyGraph:
             raise ValueError(f"gate {index} completed before its predecessors")
         self._completed.add(index)
         newly_released: List[int] = []
-        for succ in sorted(self._successors.get(index, ())):
-            self._remaining_predecessors[succ] -= 1
-            if self._remaining_predecessors[succ] == 0:
+        remaining = self._remaining_predecessors
+        for succ in self._successors.get(index, ()):
+            remaining[succ] -= 1
+            if remaining[succ] == 0:
                 self._released.add(succ)
                 newly_released.append(succ)
         return newly_released

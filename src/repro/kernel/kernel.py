@@ -22,6 +22,7 @@ Both loops stop a run that passes ``config.max_cycles`` through
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Optional
 
 import numpy as np
@@ -48,7 +49,12 @@ class SimulationKernel:
     def __init__(self, circuit: Circuit, layout, config: SimulationConfig,
                  seed: int, scheduler_name: str,
                  benchmark: Optional[str] = None,
-                 activity_window: Optional[int] = None) -> None:
+                 activity_window: Optional[int] = None,
+                 started: Optional[float] = None) -> None:
+        #: ``time.perf_counter()`` when the run's set-up began (stripping
+        #: the circuit, its dependency structure, policy construction):
+        #: the ``setup`` and ``total`` wall phases are measured from here.
+        self.started = time.perf_counter() if started is None else started
         self.circuit = circuit
         self.layout = layout
         self.config = config

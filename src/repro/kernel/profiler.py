@@ -6,24 +6,27 @@ A :class:`KernelProfile` accumulates two kinds of counters for one run:
   of hardware work each phase scheduled (preparation, injection, CNOT
   merges, Hadamards, edge rotations);
 * **wall-time counters** (``wall_*_s``) — real seconds spent in the
-  classical-controller phases worth watching (routing queries, the MST
-  pipeline's activity snapshots and tree builds, and the whole run),
-  measured with :func:`time.perf_counter`.  The route searches inside
+  classical-controller phases worth watching (the run's set-up, routing
+  queries, the MST pipeline's activity snapshots and tree builds, and the
+  whole run), measured with :func:`time.perf_counter`.  ``setup`` runs from
+  the scheduler's entry to its drive loop: stripping the circuit, its
+  dependency structure and policy construction.  The route searches inside
   ``routing`` are timed inline by the routing index and moved to their own
   ``route_search`` phase when the result is built.  Nested
   :meth:`KernelProfile.timer` phases are **exclusive**: time accumulated by
   an inner timer is subtracted from every enclosing timer, so phase seconds
   add up without double-counting (an MST build that issues routing queries
   books the query time under ``routing``, not twice).  ``wall_total_s`` is
-  recorded directly via :meth:`KernelProfile.add_wall` and stays inclusive —
-  it is the denominator for per-phase shares;
+  recorded directly via :meth:`KernelProfile.add_wall` and stays inclusive
+  (set-up included) — it is the denominator for per-phase shares;
 * **event counters** — scheduling passes, processed events, routing queries
   and routing-plan cache hits; RESCQ adds ``task_visits`` (task visits over
   all sweeps), ``tasks_woken`` (wakes of parked tasks), ``mst_builds`` (MST
-  computations *started*, one activity snapshot each), ``mst_trees``
-  (snapshots *published*; computations still in flight when the run ends
-  never publish) and ``mst_trees_built`` (published snapshots built into a
-  tree, which happens on the first read: at most ``mst_trees``).
+  computations *started*), ``mst_trees`` (computations *published*;
+  computations still in flight when the run ends never publish) and
+  ``mst_trees_built`` (published computations built into a tree, with one
+  activity snapshot each, which happens on the first read: at most
+  ``mst_trees``).
 
 Profiles are cheap (a few thousand float additions per run) but still
 opt-in: schedulers build one only when

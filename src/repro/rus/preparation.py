@@ -69,6 +69,13 @@ class PreparationModel:
             raise ValueError("distance must be an odd integer >= 3")
         if not 0.0 < self.physical_error_rate < 0.5:
             raise ValueError("physical_error_rate must be in (0, 0.5)")
+        # Every draw needs these two; derive them once per model, not
+        # through the property chain on every call.  Not dataclass fields,
+        # so equality, ``repr`` and ``replace`` ignore them.
+        object.__setattr__(self, "_attempt_p",
+                           self.attempt_success_probability)
+        object.__setattr__(self, "_cycles_per_attempt",
+                           self.cycles_per_attempt)
 
     # -- building blocks -----------------------------------------------------------
 
@@ -137,7 +144,7 @@ class PreparationModel:
 
     def sample_attempts(self, rng: np.random.Generator) -> int:
         """Draw the number of attempts a single preparation takes (>= 1)."""
-        return int(rng.geometric(self.attempt_success_probability))
+        return int(rng.geometric(self._attempt_p))
 
     def sample_cycles(self, rng: np.random.Generator) -> int:
         """Draw a preparation latency in whole lattice-surgery cycles (>= 1).
@@ -145,8 +152,8 @@ class PreparationModel:
         The simulator advances in whole cycles, so the attempt-granular
         latency is rounded up; a preparation never completes in zero cycles.
         """
-        attempts = self.sample_attempts(rng)
-        return max(1, int(math.ceil(attempts * self.cycles_per_attempt)))
+        attempts = rng.geometric(self._attempt_p)
+        return max(1, math.ceil(attempts * self._cycles_per_attempt))
 
     # -- vectorised sampling ---------------------------------------------------------
 
@@ -159,7 +166,7 @@ class PreparationModel:
         identically whether it fills an array or returns scalars, so batched
         and scalar sampling produce bit-identical simulations.
         """
-        return rng.geometric(self.attempt_success_probability, size=count)
+        return rng.geometric(self._attempt_p, size=count)
 
     def sample_cycles_batch(self, rng: np.random.Generator,
                             count: int) -> np.ndarray:
@@ -167,10 +174,12 @@ class PreparationModel:
 
         Element ``i`` equals what the ``i``-th successive
         :meth:`sample_cycles` call on the same generator state would have
-        returned (see :meth:`sample_attempts_batch`), which is what lets the
-        schedulers batch the draws for a fan-out of parallel preparations
-        without changing any simulated trace.
+        returned (see :meth:`sample_attempts_batch`), so a caller may draw a
+        fan-out of latencies in one batch or one at a time without changing
+        any simulated trace.  The schedulers draw one at a time: for the
+        two to four parallel preparations of one Rz the scalar draws are
+        cheaper than building an array.
         """
         attempts = self.sample_attempts_batch(rng, count)
-        cycles = np.ceil(attempts * self.cycles_per_attempt).astype(np.int64)
+        cycles = np.ceil(attempts * self._cycles_per_attempt).astype(np.int64)
         return np.maximum(cycles, 1)

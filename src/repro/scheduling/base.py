@@ -51,8 +51,13 @@ class Scheduler(abc.ABC):
 
     @staticmethod
     def prepare_circuit(circuit: Circuit) -> Circuit:
-        """Strip zero-cost gates; the remaining gates are what gets scheduled."""
-        return circuit.without_free_gates()
+        """Strip zero-cost gates; the remaining gates are what gets scheduled.
+
+        The stripped copy is compiled once per circuit
+        (:meth:`Circuit.cached`) and shared by every run of it, with the
+        analyses memoised on it in turn: treat it as read-only.
+        """
+        return circuit.cached("stripped", Circuit.without_free_gates)
 
     @staticmethod
     def injection_limit(gate: Gate, max_doublings: int = 64) -> int:

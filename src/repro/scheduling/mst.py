@@ -17,10 +17,10 @@ in slot order, :class:`AncillaMst` runs Kruskal on it directly, walks its
 tree as Python lists and answers path and pair queries in slots.
 :func:`activity_array` converts a ``{Position: activity}`` map for callers
 that hold one.
-:class:`AsyncMstPipeline` builds a published snapshot's tree only when the
-scheduler first reads it, and :meth:`AncillaMst.pair_scores` scores every
-candidate CNOT attachment pair over shared tree walks without building any
-pair's path.
+:class:`AsyncMstPipeline` takes a published computation's activity snapshot
+and builds its tree only when the scheduler first reads it, and
+:meth:`AncillaMst.pair_scores` scores every candidate CNOT attachment pair
+over shared tree walks without building any pair's path.
 
 :class:`IncrementalMst` is the incremental-update structure analysed in
 Section 5.4.1 (O(1) insertions on grid cycles, O(max(rows, cols)) deletions)
@@ -274,7 +274,9 @@ class AncillaMst:
 class _PendingComputation:
     started_cycle: int
     available_cycle: int
-    activity_snapshot: np.ndarray
+    #: The activity at ``started_cycle``, or the callable that takes that
+    #: snapshot when the tree is first built.
+    activity: Union[np.ndarray, Callable[[int], np.ndarray]]
 
 
 class AsyncMstPipeline:
@@ -286,15 +288,22 @@ class AsyncMstPipeline:
     recently *available* tree — never stalling the quantum machine, at the
     cost of acting on information up to ``latency + period`` cycles old.
 
-    A published snapshot is built into an :class:`AncillaMst` on the first
-    read of :attr:`current`; one replaced by a newer publication before any
-    read is never built.  The tree is a pure function of the layout and the
-    snapshot, so every path is the one an eager build gives.
-    ``computations_started`` counts snapshots taken,
-    ``computations_completed`` snapshots published (a run ends with up to
+    A published computation is built into an :class:`AncillaMst` on the
+    first read of :attr:`current`; one replaced by a newer publication
+    before any read is never built.  When :meth:`tick` is given a snapshot
+    callable, the activity snapshot is taken at that first read too, for
+    the computation's start cycle, so only trees that get built cost a
+    snapshot.  That is exact when every interval recorded after the start
+    cycle starts at or after it (see :mod:`repro.kernel.activity`), and
+    the tree is a pure function of the layout and the snapshot, so every
+    path is the one an eager snapshot and build give.  The caller keeps the
+    activity store back to :attr:`oldest_buildable`.
+    ``computations_started`` counts computations started,
+    ``computations_completed`` those published (a run ends with up to
     ``latency / period`` still pending) and ``trees_built`` the published
-    snapshots built.  With a ``profile``, each build is booked under the
-    nested ``mst_build`` phase of whatever timer encloses the read.
+    computations built, one snapshot each.  With a ``profile``, each lazy
+    snapshot is booked under the nested ``mst_snapshot`` phase and each
+    build under ``mst_build``, inside whatever timer encloses the read.
     """
 
     def __init__(self, layout: GridLayout, period: int, latency: int,
@@ -322,24 +331,41 @@ class AsyncMstPipeline:
         unbuilt = self._unbuilt
         if unbuilt is not None:
             self._unbuilt = None
+            activity = unbuilt.activity
+            if callable(activity):
+                with profile_timer(self.profile, "mst_snapshot"):
+                    activity = activity(unbuilt.started_cycle)
             with profile_timer(self.profile, "mst_build"):
                 self._current = AncillaMst(
-                    self.layout, unbuilt.activity_snapshot,
+                    self.layout, activity,
                     snapshot_cycle=unbuilt.started_cycle)
             self.trees_built += 1
         return self._current
 
+    @property
+    def oldest_buildable(self) -> Optional[int]:
+        """Start cycle of the oldest computation whose tree may still be
+        built: the unbuilt publication, else the oldest pending computation.
+        ``None`` when there is neither, so every later build is of a
+        computation that has not started yet."""
+        if self._unbuilt is not None:
+            return self._unbuilt.started_cycle
+        if self._pending:
+            return self._pending[0].started_cycle
+        return None
+
     def tick(self, cycle: int,
-             activity: Union[np.ndarray, Callable[[], np.ndarray]]) -> None:
+             activity: Union[np.ndarray, Callable[[int], np.ndarray]]) -> None:
         """Advance the pipeline to ``cycle``.
 
         Starts a new computation if a period boundary has been crossed and
         publishes any computation whose latency has elapsed.  ``activity`` is
         the live slot-ordered activity array used for a newly started
-        computation — or a zero-argument callable producing it, which is only
-        invoked when a computation actually starts (snapshots are expensive
-        and most ticks start nothing).  The pipeline keeps the array itself,
-        so it must not be mutated afterwards.
+        computation — or a callable ``activity(start_cycle)`` giving the
+        array for a start cycle, which is only invoked when that
+        computation's tree is first read (snapshots are expensive, and most
+        computations are superseded unread).  The pipeline keeps the array
+        itself, so it must not be mutated afterwards.
         """
         # Publish finished computations (oldest first).
         still_pending: List[_PendingComputation] = []
@@ -356,7 +382,7 @@ class AsyncMstPipeline:
             self._pending.append(_PendingComputation(
                 started_cycle=cycle,
                 available_cycle=cycle + self.latency,
-                activity_snapshot=activity() if callable(activity) else activity,
+                activity=activity,
             ))
             self._last_started = cycle
             self.computations_started += 1

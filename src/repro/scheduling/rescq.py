@@ -26,29 +26,35 @@ This module holds the task state machines, release rules, queue arbitration,
 plan choice and the event-driven drive loop (:meth:`RescqPolicy.run`).
 Simulated time, the event queue, fabric occupancy, gate releases/retirement
 and result assembly are the shared :class:`~repro.kernel.SimulationKernel`;
-preparation latencies are drawn in vectorised batches through
-:meth:`~repro.rus.preparation.PreparationModel.sample_cycles_batch` (which is
-stream-equivalent to the historical scalar draws, so traces are unchanged).
+each preparation latency is one scalar
+:meth:`~repro.rus.preparation.PreparationModel.sample_cycles` draw, in
+candidate order (stream-equivalent to drawing a fan-out in one
+:meth:`~repro.rus.preparation.PreparationModel.sample_cycles_batch` call).
+What depends only on the circuit (its stripped copy, dependency structure
+and next-gate-on-qubit table) is compiled once per circuit through
+:meth:`~repro.circuits.circuit.Circuit.cached` and shared by every run.
 
 There are two task kinds.  An Rz task runs the preparation and injection
 chain.  A CNOT or a Hadamard is a *gate task*: it waits until it heads the
-queue of each tile it was given, those tiles are free and hold no other
-gate's state, and its data qubits are free; then it occupies all of them
-for a fixed time.  Only its tiles (a CNOT's routed plan, a Hadamard's one
-ancilla), its duration and the orientation flips applied on completion
-depend on the gate.
+queue of each tile it was given and those tiles are free and hold no other
+gate's state; then it occupies them and its data qubits for a fixed time.
+Its data qubits are always free by then: a gate is released only after
+every earlier gate on its qubits retired at the end of its booking, and a
+lookahead Rz only prepares until it is released.  Only its tiles (a CNOT's
+routed plan, a Hadamard's one ancilla), its duration and the orientation
+flips applied on completion depend on the gate.
 
 The scheduling pass is event-woken, not polled.  A task visit that can do
 nothing *parks* the task on what blocks it: the tile's wake list
 (``AncillaQueue.waiters``) for a busy tile or one holding another gate's
-state, the data qubit's wake list for a busy data qubit, and for a tile
-whose queue another gate heads, nothing — :meth:`AncillaQueue.remove_gate`
-names the new head when the head changes, and that gate's task is woken.
+state, and for a tile whose queue another gate heads, nothing —
+:meth:`AncillaQueue.remove_gate` names the new head when the head changes,
+and that gate's task is woken.
 A gate task counts the queues another gate heads and is woken only when
 it heads the last of them; after that it parks on its first blocker.  An
 Rz task parks on every candidate's blocker and is also woken by its own
 preparation and injection events and by its release.  The event handlers
-and the pass itself wake a list when they free its tile or qubit.  A sweep
+and the pass itself wake a list when they free its tile.  A sweep
 visits only awake tasks, in creation (seniority) order; a task woken
 mid-sweep is visited later in the same sweep when it is younger than the
 task being visited, otherwise in the next one, and tasks created mid-sweep
@@ -80,7 +86,7 @@ import heapq
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..circuits import Circuit, Gate
+from ..circuits import Circuit, Gate, GateDependencyGraph
 from ..fabric import Edge, GridLayout
 from ..kernel import DeadlockError, SimulationKernel, profile_timer
 from ..lattice import RoutePlan
@@ -91,6 +97,19 @@ from .mst import AsyncMstPipeline
 from .queues import AncillaQueue, QueueEntry, QueueSet
 
 __all__ = ["RescqScheduler", "RescqPolicy"]
+
+
+def _next_gate_on_qubit(circuit: Circuit) -> Dict[Tuple[int, int], int]:
+    """``(gate, qubit) -> the next gate on that qubit`` over the dependency
+    graph's nodes: what lookahead preparation reads."""
+    following: Dict[Tuple[int, int], int] = {}
+    last_seen: Dict[int, int] = {}
+    for index in GateDependencyGraph(circuit).nodes:
+        for qubit in circuit[index].qubits:
+            if qubit in last_seen:
+                following[(last_seen[qubit], qubit)] = index
+            last_seen[qubit] = index
+    return following
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +213,7 @@ class RescqPolicy:
         self.clock = kernel.clock
         self.fabric = kernel.fabric
         self.lifecycle = kernel.lifecycle
+        self.dag = kernel.lifecycle.dag
         self.routing = kernel.routing
         self.profile = kernel.profile
         self.orientation = self.fabric.orientation
@@ -217,9 +237,6 @@ class RescqPolicy:
         self._sweep_heap: List[Tuple[int, object]] = []
         self._sweep_cursor = -1
         self._sweep_bound = -1
-        #: Per data qubit: tasks parked until the qubit frees.
-        self._data_waiters: List[list] = [
-            [] for _ in range(self.circuit.num_qubits)]
         #: Profile counters (reported when profiling is on).
         self.task_visits = 0
         self.tasks_woken = 0
@@ -231,13 +248,8 @@ class RescqPolicy:
                               "h": self.costs.hadamard_cycles}
 
         # next gate on each qubit after a given gate (for lookahead prep).
-        self._next_on_qubit: Dict[Tuple[int, int], int] = {}
-        last_seen: Dict[int, int] = {}
-        for index in self.lifecycle.dag.nodes:
-            for qubit in self.circuit[index].qubits:
-                if qubit in last_seen:
-                    self._next_on_qubit[(last_seen[qubit], qubit)] = index
-                last_seen[qubit] = index
+        self._next_on_qubit = self.circuit.cached("next_on_qubit",
+                                                  _next_gate_on_qubit)
 
         #: (qubit, flipped) -> (candidates, attachment); the fan-out geometry
         #: of Figure 7 is a pure function of layout + orientation, so repeated
@@ -258,9 +270,10 @@ class RescqPolicy:
         clock = self.clock
         lifecycle = self.lifecycle
         profile = self.profile
-        wall_start = time.perf_counter() if profile is not None else 0.0
+        if profile is not None:
+            profile.add_wall("setup", time.perf_counter() - kernel.started)
         lifecycle.release_initial()
-        self._released = list(lifecycle.dag.ready)
+        self._released = list(self.dag.ready)
         self._tick_mst()
         while not lifecycle.all_completed:
             if profile is not None:
@@ -280,7 +293,7 @@ class RescqPolicy:
                 self.handle_event(tag, payload)
             self._tick_mst()
         if profile is not None:
-            profile.add_wall("total", time.perf_counter() - wall_start)
+            profile.add_wall("total", time.perf_counter() - kernel.started)
             profile.add("task_visits", float(self.task_visits))
             profile.add("tasks_woken", float(self.tasks_woken))
             if self.mst is not None:
@@ -310,21 +323,26 @@ class RescqPolicy:
     # -- MST pipeline ------------------------------------------------------------
 
     def _tick_mst(self) -> None:
-        """Advance the MST pipeline; the tick (the activity snapshots and
-        the publication bookkeeping) is booked under ``mst_snapshot``, while
-        trees are built, under ``mst_build``, when plan choice reads one."""
-        if self.mst is None:
+        """Advance the MST pipeline and drop the activity no buildable tree
+        can read; booked under ``mst_snapshot``, as are the snapshots taken
+        when plan choice first reads a tree, which is then built under
+        ``mst_build``.  Every booking starts at ``now``, so a snapshot taken
+        late equals the one its start cycle would have taken."""
+        mst = self.mst
+        if mst is None:
             return
         now = self.clock.now
         with profile_timer(self.profile, "mst_snapshot"):
-            self.mst.tick(now, lambda: self.fabric.activity_snapshot(now))
+            mst.tick(now, self.fabric.activity_snapshot)
+            oldest = mst.oldest_buildable
+            self.fabric.activity.prune(now if oldest is None else oldest)
 
     # -- task creation -----------------------------------------------------------
 
     def _create_tasks_for_released_gates(self) -> None:
         """Create (or release) the tasks of the gates released since the
         last pass, critical-path-first."""
-        released = self.lifecycle.dag.by_priority(self._released)
+        released = self.dag.by_priority(self._released)
         self._released = []
         for index in released:
             task = self.tasks.get(index)
@@ -377,13 +395,6 @@ class RescqPolicy:
         waiters = queue.waiters
         if waiters:
             queue.waiters = []
-            self._wake_all(waiters)
-
-    def _wake_data(self, qubit: int) -> None:
-        """Data qubit ``qubit`` freed."""
-        waiters = self._data_waiters[qubit]
-        if waiters:
-            self._data_waiters[qubit] = []
             self._wake_all(waiters)
 
     def _rz_candidates(self, qubit: int) -> Tuple[List[int], Dict[int, object]]:
@@ -676,12 +687,12 @@ class RescqPolicy:
         if level >= task.limit:
             return False
         now = self.clock.now
-        # Eligibility never depends on the durations drawn below (candidate
-        # tiles are distinct), so the draws batch into one vectorised call —
-        # stream-equivalent to the historical per-candidate scalar draws.
         # A candidate is eligible when it is not already preparing or holding
         # a state at least this level, is free now, holds no other gate's
-        # state, and this gate heads its queue.
+        # state, and this gate heads its queue.  Booking one candidate
+        # changes no other's eligibility (candidate tiles are distinct), so
+        # each eligible one draws its latency and books at once, in
+        # candidate order: the draws are those of one batch over them all.
         fabric = self.fabric
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
@@ -689,7 +700,10 @@ class RescqPolicy:
         preparing = task.preparing
         holding = task.holding
         current_level = task.level
-        eligible = []
+        sample = self.prep_model.sample_cycles
+        rng = self.rng
+        push = self.clock.push
+        started = False
         for slot, queue in zip(task.candidates, task.queues):
             if slot in preparing:
                 continue
@@ -705,22 +719,14 @@ class RescqPolicy:
             entries = queue.entries
             if not entries or entries[0].gate_index != gate_index:
                 continue
-            eligible.append(slot)
-        if not eligible:
-            return False
-        if len(eligible) == 1:
-            durations = [self.prep_model.sample_cycles(self.rng)]
-        else:
-            durations = self.prep_model.sample_cycles_batch(self.rng,
-                                                            len(eligible))
-        for slot, duration in zip(eligible, durations):
-            _, finish = fabric.book("prep", (slot,), (), now, int(duration))
+            _, finish = fabric.book("prep", (slot,), (), now, sample(rng))
             preparing[slot] = [finish, level]
             task.prep_attempts += 1
-            if task.first_start is None:
-                task.first_start = now
-            self.clock.push(finish, "prep", (gate_index, slot, finish))
-        return True
+            push(finish, "prep", (gate_index, slot, finish))
+            started = True
+        if started and task.first_start is None:
+            task.first_start = now
+        return started
 
     def _injection_resources(self, task: _RzTask, slot: int,
                              waits: List[list]
@@ -751,14 +757,12 @@ class RescqPolicy:
         """Start the injection if a state and its resources are ready.
 
         ``True`` if it started; otherwise appends the wake lists of the
-        blocking data qubit or routing tiles to ``waits``.
+        blocking routing tiles to ``waits``.  The data qubit is free: the
+        task is released, so every earlier gate on it has retired.
         """
         if task.injecting or not task.released or not task.holding:
             return False
         now = self.clock.now
-        if self.fabric.data_free[task.qubit] > now:
-            waits.append(self._data_waiters[task.qubit])
-            return False
         ready = [slot for slot, lvl in task.holding.items() if lvl == task.level]
         if not ready:
             return False
@@ -837,7 +841,6 @@ class RescqPolicy:
         router = task.attachment[slot]
         if router != "Z" and router != "X":
             self._wake_tile(queues[router])
-        self._wake_data(task.qubit)
         self._wake(task)
         self._apply_injection_outcome(task, bool(self.rng.random() < 0.5))
 
@@ -875,19 +878,14 @@ class RescqPolicy:
 
     def _try_start_gate(self, task: _GateTask) -> None:
         # Every tile must have this gate at its queue head, be free now and
-        # hold no other gate's state, and every data qubit must be free.  A
-        # blocked gate parks on the first of these that fails.
+        # hold no other gate's state (its data qubits are free: see the
+        # module docstring).  A blocked gate parks on the first of these
+        # that fails.
         if task.heads_missing:
             task.parked = True  # woken when it heads its last queue
             return
         now = self.clock.now
         fabric = self.fabric
-        data_free = fabric.data_free
-        for qubit in task.qubits:
-            if data_free[qubit] > now:
-                task.parked = True
-                self._data_waiters[qubit].append(task)
-                return
         gate_index = task.gate_index
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
@@ -910,8 +908,6 @@ class RescqPolicy:
         for queue in task.queues:
             if queue.waiters:
                 self._wake_tile(queue)
-        for qubit in task.qubits:
-            self._wake_data(qubit)
         for qubit in task.rotate:
             self.orientation.rotate(qubit)
         self._finish_gate(task, GateTrace(
@@ -943,12 +939,11 @@ class RescqScheduler(Scheduler):
 
     def run(self, circuit: Circuit, layout: GridLayout,
             config: SimulationConfig, seed: int = 0) -> SimulationResult:
-        prepared = self.prepare_circuit(circuit)
-        prepared.name = circuit.name
+        started = time.perf_counter()
         # Only MST snapshots read activity: without them, record none.
         window = config.activity_window if config.use_mst_routing else None
-        kernel = SimulationKernel(prepared, layout, config, seed,
-                                  scheduler_name=self.name,
+        kernel = SimulationKernel(self.prepare_circuit(circuit), layout,
+                                  config, seed, scheduler_name=self.name,
                                   benchmark=circuit.name,
-                                  activity_window=window)
+                                  activity_window=window, started=started)
         return RescqPolicy(kernel).run()

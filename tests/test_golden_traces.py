@@ -62,8 +62,7 @@ def test_rescq_run_drains_every_queue(case_id, circuit_key, scheduler, seed,
 
     Each finished gate removes itself from the queues on its own task; this
     checks that those are all the queues it was ever enqueued on.  Every
-    tile or data qubit a task parked on was freed later, which empties its
-    wake list.
+    tile a task parked on was freed later, which empties its wake list.
     """
     circuit, layout, config = case_inputs(circuit_key, variant)
     prepared = RescqScheduler.prepare_circuit(circuit)
@@ -80,4 +79,3 @@ def test_rescq_run_drains_every_queue(case_id, circuit_key, scheduler, seed,
     assert kernel.fabric.anc_holding == [None] * len(policy.queues)
     assert not [slot for slot, queue in enumerate(policy.queues)
                 if queue.waiters]
-    assert not any(policy._data_waiters)

@@ -259,6 +259,23 @@ class TestKernelProfile:
         # Re-entrant phase: total booked equals elapsed once, not twice.
         assert 0.01 <= profile.wall["routing"] < 0.02
 
+    @pytest.mark.parametrize("scheduler", ["rescq", "greedy", "autobraid"])
+    def test_setup_is_its_own_phase_inside_total(self, qft6, scheduler):
+        """Stripping, dependency structure and policy construction are
+        booked as ``setup``, which ``wall_total_s`` includes, on the first
+        run of a circuit and on the runs that reuse its compiled memo."""
+        from repro.scheduling import SCHEDULER_REGISTRY
+        config = SimulationConfig(mst_period=10, mst_latency=20,
+                                  profile_enabled=True)
+        layout = default_layout(qft6)
+        policy = SCHEDULER_REGISTRY.create(scheduler)
+        for _ in range(2):
+            profile = policy.run(qft6, layout, config, seed=3).profile
+            assert 0.0 < profile["wall_setup_s"] < profile["wall_total_s"]
+            phases = sum(value for key, value in profile.items()
+                         if key.startswith("wall_") and key != "wall_total_s")
+            assert phases <= profile["wall_total_s"] + 1e-5
+
     def test_profile_rows_share_of_total_column(self, qft6):
         from repro.api.resultset import ResultSet
         from repro.exec.jobs import plan_jobs

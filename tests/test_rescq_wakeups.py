@@ -279,7 +279,6 @@ def test_blocked_tasks_join_the_wake_list_of_their_blocker():
     policy._try_start_gate(hadamard)
     assert hadamard.parked and not hadamard.started
     assert all(hadamard not in queue.waiters for queue in policy.queues)
-    assert hadamard not in policy._data_waiters[0]
     policy._complete_rz(rz)
     assert heads_queue(policy.queues[tile], 1)
     assert hadamard.heads_missing == 0

@@ -329,17 +329,28 @@ class TestMst:
         assert pipeline.current.snapshot_cycle <= 80 - 30
 
     def test_pipeline_snapshots_lazily(self):
+        """A snapshot is taken, for its start cycle, only when a tree is
+        built; a publication nobody reads takes none."""
         layout = self.layout()
         pipeline = AsyncMstPipeline(layout, period=10, latency=0)
         calls = []
 
-        def snapshot():
-            calls.append(1)
+        def snapshot(cycle):
+            calls.append(cycle)
             return np.zeros(layout.num_ancilla)
 
         for cycle in (0, 3, 9, 10, 15):
             pipeline.tick(cycle, snapshot)
-        assert len(calls) == pipeline.computations_started == 2
+        # Cycle 0's computation was published at 3 and superseded at 15,
+        # unread; cycle 10's is published but not read yet.
+        assert pipeline.computations_started == 2
+        assert pipeline.computations_completed == 2
+        assert calls == [] and pipeline.trees_built == 0
+        assert pipeline.current.snapshot_cycle == 10
+        assert pipeline.current is not None  # a repeated read takes none
+        assert calls == [10]
+        assert len(calls) == pipeline.trees_built <= \
+            pipeline.computations_started
 
     def test_pipeline_rejects_bad_parameters(self):
         layout = self.layout()
